@@ -5,6 +5,11 @@ piece. That makes the representation numerically benign: the local
 coefficients of an n-fold convolution are Taylor coefficients of a
 smooth density and stay moderate, where a global monomial basis would
 cancel catastrophically already around n = 20.
+
+Evaluation gathers rows of zero-padded coefficient arrays, `_C` for the
+density and `_A` for its antiderivative from each midpoint, and runs one
+Horner pass over them; quantile solves by safeguarded Newton in the cell
+found from the cumulative masses.
 """
 
 import math
@@ -16,6 +21,7 @@ __all__ = ["PiecewisePolyDistribution", "iid_sum"]
 _IID_CAP = 64
 _CHARFN_DERIV_CAP = 16
 _TRIM_REL = 1e-17
+_NEWTON_CAP = 128  # steps per quantile; bisection alone needs ~52
 
 _binom_cache = {}
 
@@ -23,11 +29,8 @@ _binom_cache = {}
 def _binom_matrix(n):
     """B[k, j] = C(k, j) for j <= k, else 0, as floats."""
     if n not in _binom_cache:
-        mat = np.zeros((n, n))
-        for k in range(n):
-            for j in range(k + 1):
-                mat[k, j] = float(math.comb(k, j))
-        _binom_cache[n] = mat
+        ks = range(n)
+        _binom_cache[n] = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)
     return _binom_cache[n]
 
 
@@ -42,6 +45,14 @@ def _shift_poly(a, delta):
     with np.errstate(invalid="ignore"):
         P = np.where(kk >= jj, np.power(delta, np.maximum(kk - jj, 0)), 0.0)
     return a @ (B * P)
+
+
+def _horner(rows, u):
+    """Polynomials rows[..., :] (ascending powers) evaluated at u, row by row."""
+    acc = rows[..., -1]
+    for k in range(rows.shape[-1] - 2, -1, -1):
+        acc = acc * u + rows[..., k]
+    return acc
 
 
 def _trim_coeffs(a, w):
@@ -77,12 +88,12 @@ class PiecewisePolyDistribution:
         self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
         self.centers = 0.5 * (breaks[1:] + breaks[:-1])
         self.halfwidths = 0.5 * (breaks[1:] - breaks[:-1])
-        masses = np.array(
-            [
-                self._local_integral(i, -self.halfwidths[i], self.halfwidths[i])
-                for i in range(len(self.coeffs))
-            ]
-        )
+        self._C = np.zeros((len(self.coeffs), max(c.size for c in self.coeffs)))
+        for i, c in enumerate(self.coeffs):
+            self._C[i, : c.size] = c
+        self._A = np.pad(self._C / np.arange(1, self._C.shape[1] + 1), ((0, 0), (1, 0)))
+        self._base = _horner(self._A, -self.halfwidths)  # antiderivative at each left edge
+        masses = _horner(self._A, self.halfwidths) - self._base
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
 
     @classmethod
@@ -93,57 +104,56 @@ class PiecewisePolyDistribution:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _cell_of(self, x):
-        idx = np.searchsorted(self.breaks, x, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
-
-    def _local_integral(self, i, ulo, uhi):
-        c = self.coeffs[i]
-        k = np.arange(c.size) + 1.0
-        return float(np.sum(c * (uhi**k - ulo**k) / k))
+    def _eval(self, rows, x):
+        """Cell of each x and that cell's row of `rows` evaluated at x."""
+        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, len(self.coeffs) - 1)
+        return idx, _horner(rows[idx], x - self.centers[idx])
 
     def density(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         inside = (x >= self.breaks[0]) & (x <= self.breaks[-1])
-        idx = self._cell_of(x[inside])
-        u = x[inside] - self.centers[idx]
-        vals = np.zeros_like(u)
-        for i in np.unique(idx):
-            sel = idx == i
-            vals[sel] = np.polynomial.polynomial.polyval(u[sel], self.coeffs[i])
-        out[inside] = vals
+        out[inside] = self._eval(self._C, x[inside])[1]
         return out if out.size > 1 else float(out[0])
 
     def cdf(self, x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xa)
-        out[xa >= self.breaks[-1]] = self._cum[-1]
-        mid = (xa >= self.breaks[0]) & (xa < self.breaks[-1])
-        idx = self._cell_of(xa[mid])
-        vals = np.zeros(idx.size)
-        for i in np.unique(idx):
-            sel = idx == i
-            u = xa[mid][sel] - self.centers[i]
-            c = self.coeffs[i]
-            k = np.arange(c.size) + 1.0
-            w = self.halfwidths[i]
-            anti = ((u[:, None] ** k) - (-w) ** k) @ (c / k)
-            vals[sel] = self._cum[i] + anti
-        out[mid] = vals
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.where(x >= self.breaks[-1], self._cum[-1], 0.0)
+        mid = (x >= self.breaks[0]) & (x < self.breaks[-1])
+        idx, anti = self._eval(self._A, x[mid])
+        out[mid] = self._cum[idx] + (anti - self._base[idx])
         return out if out.size > 1 else float(out[0])
 
     def quantile(self, u):
-        """Inverse CDF by bisection (valid for nonnegative densities)."""
+        """Smallest x with cdf(x) >= u, for nonnegative densities.
+
+        Newton steps in the cell i found from the cumulative masses solve
+        P_i(v) = u - cum_i + P_i(-w_i); a step that leaves the bracket or
+        fails to halve the step before last is replaced by bisection.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        lo = np.full(u.shape, self.breaks[0])
-        hi = np.full(u.shape, self.breaks[-1])
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            above = self.cdf(mid) >= u
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        out = 0.5 * (lo + hi)
+        out = np.where(u <= 0.0, self.breaks[0], self.breaks[-1])
+        live = (u > 0.0) & (u < self._cum[-1])
+        i = np.searchsorted(self._cum, u[live], side="left") - 1
+        w, center, rest = self.halfwidths[i], self.centers[i], u[live] - self._cum[i]
+        rows, target = self._A[i], rest + self._base[i]
+        tol = 4.0 * np.finfo(float).eps * (np.abs(center) + w)
+        lo, hi, step, older = -w, w, 2.0 * w, 2.0 * w
+        v = w * (2.0 * rest / (self._cum[i + 1] - self._cum[i]) - 1.0)  # 0 < rest <= mass_i
+        done = np.zeros(v.shape, dtype=bool)
+        for _ in range(_NEWTON_CAP):
+            if done.all():
+                break
+            g = _horner(rows, v) - target
+            lo, hi = np.where(g < 0.0, v, lo), np.where(g < 0.0, hi, v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = g / self.density(center + v)
+            ok = (v - newton >= lo) & (v - newton <= hi) & (abs(newton) <= 0.5 * abs(older))
+            older, step = step, np.where(ok, newton, v - 0.5 * (lo + hi))
+            done |= g == 0.0
+            v = np.where(done, v, v - step)
+            done |= (np.abs(step) <= tol) | (hi - lo <= tol)
+        out[live] = np.clip(center + v, self.breaks[i], self.breaks[i + 1])
         return out if out.size > 1 else float(out[0])
 
     @property
@@ -153,11 +163,10 @@ class PiecewisePolyDistribution:
     def validate(self):
         if abs(self.total_mass - 1.0) > 1e-10:
             raise ValueError("total mass %r not 1 within 1e-10" % self.total_mass)
-        for i, w in enumerate(self.halfwidths):
-            u = np.linspace(-w, w, 33)
-            vals = np.polynomial.polynomial.polyval(u, self.coeffs[i])
-            if np.min(vals) < -1e-12:
-                raise ValueError("density dips to %g on cell %d" % (np.min(vals), i))
+        u = np.linspace(-1.0, 1.0, 33) * self.halfwidths[:, None]
+        vals = _horner(self._C[:, None, :], u)
+        if np.min(vals) < -1e-12:
+            raise ValueError("density dips to %g on cell %d" % (np.min(vals), vals.argmin() // 33))
         return self
 
     # -- moments -------------------------------------------------------------
@@ -175,12 +184,10 @@ class PiecewisePolyDistribution:
         total = 0.0
         for i, (c, w) in enumerate(zip(self.centers, self.halfwidths)):
             lo_x, hi_x = c - w, c + w
-            segs = []
             if lo_x >= 0.0 or hi_x <= 0.0:
-                segs.append((-w, w, 1.0 if lo_x >= 0.0 else (-1.0) ** q))
+                segs = [(-w, w, 1.0 if lo_x >= 0.0 else (-1.0) ** q)]
             else:
-                segs.append((-w, -c, (-1.0) ** q))
-                segs.append((-c, w, 1.0))
+                segs = [(-w, -c, (-1.0) ** q), (-c, w, 1.0)]
             for ulo, uhi, sign in segs:
                 for j in range(q + 1):
                     mono = self._monomial_integral(i, j, ulo, uhi)
@@ -265,15 +272,8 @@ class PiecewisePolyDistribution:
             for cell in range(il, ih + 1):
                 cell_mid = 0.5 * (grid[cell] + grid[cell + 1])
                 add = _shift_poly(cf, cell_mid - src_mid)
-                if cells[cell] is None:
-                    cells[cell] = add
-                else:
-                    a, b = cells[cell], add
-                    if a.size < b.size:
-                        a, b = b, a
-                    a = a.copy()
-                    a[: b.size] += b
-                    cells[cell] = a
+                prev = cells[cell]
+                cells[cell] = add if prev is None else np.polynomial.polynomial.polyadd(prev, add)
         out_coeffs = []
         for cell, cf in enumerate(cells):
             w = 0.5 * (grid[cell + 1] - grid[cell])

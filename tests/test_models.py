@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,3 +314,83 @@ def test_piecewise_deep_convolution_stays_clean():
     # near-Gaussian center value
     sigma = math.sqrt(32.0 / 3.0)
     assert d.density(0.0) * sigma == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=5e-3)
+
+
+# -- piecewise evaluation and quantile ---------------------------------------
+
+def _uniform_sum_exact(n, x):
+    """Exact (density, cdf) at x of a sum of n Uniform(-1, 1) draws.
+
+    Irwin-Hall in exact rational arithmetic: the sum is 2 T - n with T a
+    sum of n Uniform(0, 1) draws, so its density is f_T(t) / 2 and its
+    CDF F_T(t) at t = (x + n) / 2. For n = 2 this is the triangle
+    (2 - |x|) / 4.
+    """
+    t = (Fraction(float(x)) + n) / 2
+    if t <= 0 or t >= n:
+        return 0.0, float(t >= n)
+    ks = range(math.floor(t) + 1)
+    pdf = sum((-1) ** k * math.comb(n, k) * (t - k) ** (n - 1) for k in ks)
+    cdf = sum((-1) ** k * math.comb(n, k) * (t - k) ** n for k in ks)
+    return float(pdf / (2 * math.factorial(n - 1))), float(cdf / math.factorial(n))
+
+
+def _grid_with_breaks(d, per_cell=7):
+    inner = np.linspace(d.breaks[0], d.breaks[-1], per_cell * (d.breaks.size - 1) + 1)
+    outside = [d.breaks[0] - 0.5, d.breaks[-1] + 0.5]
+    return np.unique(np.concatenate([inner, d.breaks, outside]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_piecewise_irwin_hall_closed_form_on_breakpoint_grid(n):
+    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    x = _grid_with_breaks(d)
+    exact = np.array([_uniform_sum_exact(n, xi) for xi in x])
+    assert np.max(np.abs(d.density(x) - exact[:, 0])) <= 1e-14
+    assert np.max(np.abs(d.cdf(x) - exact[:, 1])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 32])
+def test_quantile_round_trip_and_monotone(n):
+    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    u = np.concatenate(
+        [np.logspace(-14, -2, 97), np.linspace(0.01, 0.99, 197), 1.0 - np.logspace(-2, -14, 97)]
+    )
+    x = d.quantile(u)
+    assert np.all(np.abs(d.cdf(x) - u) <= 64.0 * np.finfo(float).eps * np.maximum(u, 1.0))
+    assert np.all(np.diff(x) >= 0.0)
+
+
+def test_quantile_support_ends():
+    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), 3)
+    lo, hi = d.breaks[0], d.breaks[-1]
+    assert d.quantile(0.0) == lo
+    assert d.quantile(-0.25) == lo
+    assert d.quantile(d.total_mass) == hi
+    assert d.quantile(d.total_mass + 1e-9) == hi
+    assert d.quantile(2.0) == hi
+    out = d.quantile(np.array([0.0, 0.5, d.total_mass, 3.0]))
+    assert out[0] == lo and out[2] == hi and out[3] == hi
+    assert out[1] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_quantile_flat_stretch_returns_left_end():
+    d = PiecewisePolyDistribution([0.0, 1.0, 2.0, 3.0], [[0.5], [0.0], [0.5]])
+    assert d.cdf(1.5) == 0.5
+    assert d.quantile(0.5) == 1.0
+    assert d.quantile(np.array([0.25, 0.5, 0.75])).tolist() == [0.5, 1.0, 2.5]
+    assert 2.0 < d.quantile(0.5 + 1e-12) < 2.0 + 1e-11
+    assert 1.0 - 1e-11 < d.quantile(0.5 - 1e-12) < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 12, 32])
+def test_quantile_matches_bisection_oracle(n):
+    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    u = np.linspace(0.05, 0.95, 37)
+    lo = np.full(u.shape, d.breaks[0])
+    hi = np.full(u.shape, d.breaks[-1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = d.cdf(mid) >= u
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    assert np.max(np.abs(d.quantile(u) - hi)) <= 1e-13
