@@ -20,8 +20,6 @@ __all__ = [
     "derivative_bound_check",
     "TailIntegralReport",
     "tail_integral_check",
-    "CumulantGrowthReport",
-    "cumulant_growth_check",
     "StationaryFit",
     "fit_stationary",
 ]
@@ -247,40 +245,6 @@ def tail_integral_check(model, ns, m, c=0.5, big=8.0, points_per_unit=64.0):
         decrease=float(decrease),
         tail_decrease=float(tail),
         vanishing=bool(decrease >= 0.20 and tail >= 0.05),
-    )
-
-
-@dataclass(frozen=True)
-class CumulantGrowthReport:
-    """Per-step cumulant rates kappa_k(S_n)/n across sample sizes."""
-
-    ns: tuple
-    kmax: int
-    rates: np.ndarray
-    bounded_per_order: tuple
-    bounded: bool
-
-
-def cumulant_growth_check(model, ns, kmax, slack=1.5):
-    ns = tuple(int(n) for n in ns)
-    rates = np.empty((len(ns), kmax))
-    for i, n in enumerate(ns):
-        kap = model.cumulants(n, kmax)
-        rates[i] = np.asarray(kap, dtype=float) / n
-    per_order = []
-    for k in range(kmax):
-        scale = float(np.max(np.abs(rates[:, k])))
-        if scale <= 1e-12:
-            per_order.append(True)
-            continue
-        med = float(np.median(np.abs(rates[:, k])))
-        per_order.append(bool(abs(rates[-1, k]) <= slack * med + 1e-12))
-    return CumulantGrowthReport(
-        ns=ns,
-        kmax=kmax,
-        rates=rates,
-        bounded_per_order=tuple(per_order),
-        bounded=all(per_order),
     )
 
 

@@ -2,7 +2,8 @@
 
 Composes models, cumulant diagnostics, corrected approximations and
 transport functionals into whole-range scans with machine-readable
-reports, plus a scenario driver that writes them to disk.
+reports that carry their own summary and verdict, plus a scenario
+runner that writes them to disk.
 """
 
 from .scans import (

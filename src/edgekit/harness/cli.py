@@ -11,7 +11,6 @@ configuration error.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,10 +28,11 @@ from .scans import (
 )
 from .scenario import (
     ScenarioError,
-    format_real,
+    _json_cell,
+    _parse_int_list,
+    _parse_p_list,
+    format_table,
     load_scenario,
-    report_failed,
-    report_summary,
     resolve_model,
     run_scenario,
     scenario_presets,
@@ -42,14 +42,23 @@ from .scenario import (
 __all__ = ["main", "build_parser"]
 
 
-def _int_list(raw):
-    try:
-        vals = tuple(int(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma separated integers, got %r" % raw)
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
+def _list_arg(parse, what):
+    """argparse type around a scenario list parser; empty lists are refused."""
+
+    def convert(raw):
+        try:
+            vals = parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected comma separated %s, got %r" % (what, raw))
+        if not vals:
+            raise argparse.ArgumentTypeError("empty list")
+        return vals
+
+    return convert
+
+
+_int_list = _list_arg(_parse_int_list, "integers")
+_p_list = _list_arg(_parse_p_list, "orders")
 
 
 def _order(raw):
@@ -58,21 +67,6 @@ def _order(raw):
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number, got %r" % raw)
     return int(v) if v.is_integer() else v
-
-
-def _p_list(raw):
-    out = []
-    try:
-        for part in raw.split(","):
-            if not part.strip():
-                continue
-            v = float(part)
-            out.append(int(v) if v.is_integer() else v)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma separated orders, got %r" % raw)
-    if not out:
-        raise argparse.ArgumentTypeError("empty list")
-    return tuple(out)
 
 
 def _add_model(sp):
@@ -84,8 +78,7 @@ def _add_model(sp):
 
 
 def _add_common(sp, ns_default="8,16,32,64,128,256"):
-    sp.add_argument("--n", type=_int_list, default=_int_list(ns_default), metavar="N1,N2,..")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_int_list, default=ns_default, metavar="N1,N2,..")
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
@@ -181,47 +174,21 @@ def build_parser():
 def _emit(args, header, rows, meta=None):
     if args.out:
         write_table(args.out, header, rows, meta=meta, fmt=args.fmt)
-        return
-    if args.fmt == "json":
-        doc = {"header": list(header), "rows": [[_plain(v) for v in row] for row in rows]}
-        if meta:
-            doc["meta"] = meta
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return
-    sys.stdout.write(",".join(str(h) for h in header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_cell(v) for v in row) + "\n")
+    else:
+        sys.stdout.write(format_table(header, rows, meta=meta, fmt=args.fmt))
 
 
-def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "yes" if v else "no"
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    if isinstance(v, str):
-        return v
-    return format_real(v)
-
-
-def _plain(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return str(v)
+def _report(args, rep):
+    """Emit a scan report with its summary; exit 1 when it failed."""
+    header, rows = rep.rows()
+    _emit(args, header, rows, meta={"summary": rep.summary()})
+    return 1 if rep.failed() else 0
 
 
 def _single_n(args):
     if len(args.n) != 1:
         raise ScenarioError("this command needs exactly one --n value, got %r" % (args.n,))
     return args.n[0]
-
-
-def _scan_exit(kind, rep):
-    return 1 if report_failed(kind, rep) else 0
 
 
 # -- subcommands --------------------------------------------------------------
@@ -279,42 +246,27 @@ def cmd_expand(args):
 
 def cmd_scan_be(args):
     model = resolve_model(args.model)
-    rep = scan_nonuniform(model, args.m, 0, args.n, grid_max=args.grid_max)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("scan_be", rep)})
-    return _scan_exit("scan_be", rep)
+    return _report(args, scan_nonuniform(model, args.m, 0, args.n, grid_max=args.grid_max))
 
 
 def cmd_scan_edgeworth(args):
     model = resolve_model(args.model)
-    rep = scan_nonuniform(model, args.m, args.r, args.n, grid_max=args.grid_max)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("scan_edgeworth", rep)})
-    return _scan_exit("scan_edgeworth", rep)
+    return _report(args, scan_nonuniform(model, args.m, args.r, args.n, grid_max=args.grid_max))
 
 
 def cmd_scan_transport(args):
     model = resolve_model(args.model)
-    rep = scan_transport(model, args.p, args.n, r=args.r, m=args.m)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("scan_transport", rep)})
-    return _scan_exit("scan_transport", rep)
+    return _report(args, scan_transport(model, args.p, args.n, r=args.r, m=args.m))
 
 
 def cmd_scan_moments(args):
     model = resolve_model(args.model)
-    rep = scan_moments(model, args.q, args.r, args.n)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("scan_moments", rep)})
-    return _scan_exit("scan_moments", rep)
+    return _report(args, scan_moments(model, args.q, args.r, args.n))
 
 
 def cmd_scan_stationary(args):
     model = resolve_model(args.model)
-    rep = scan_stationarity(model, args.m, args.n)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("scan_stationary", rep)})
-    return _scan_exit("scan_stationary", rep)
+    return _report(args, scan_stationarity(model, args.m, args.n))
 
 
 def cmd_couple(args):
@@ -322,10 +274,7 @@ def cmd_couple(args):
     if model.kind != "chain":
         raise ScenarioError("coupling needs a chain model, got %r" % model.kind)
     if len(args.n) > 1:
-        rep = scan_coupling(model, args.n, p=args.p, target=args.target)
-        header, rows = rep.rows()
-        _emit(args, header, rows, meta={"summary": report_summary("couple", rep)})
-        return _scan_exit("couple", rep)
+        return _report(args, scan_coupling(model, args.n, p=args.p, target=args.target))
     n = args.n[0]
     rep = gaussian_coupling(model, n, p=args.p, target=args.target)
     prof = model.blocking(n, target=args.target)
@@ -334,7 +283,7 @@ def cmd_couple(args):
         for k, (s2, a, b) in enumerate(zip(prof.sigma2, prof.a, prof.b))
     ]
     _emit(args, ("k", "var_s_k", "block_var", "remainder"), rows,
-          meta={"model": model.name, "n": n, "p": _plain(rep.p),
+          meta={"model": model.name, "n": n, "p": _json_cell(rep.p),
                 "target": float(rep.target), "blocks": len(prof.blocks),
                 "distance": float(rep.distance), "relative": float(rep.relative)})
     return 0
@@ -342,17 +291,14 @@ def cmd_couple(args):
 
 def cmd_check_assumptions(args):
     model = resolve_model(args.model)
-    rep = scan_assumptions(model, args.n, m=args.m, eps=args.eps)
-    header, rows = rep.rows()
-    _emit(args, header, rows, meta={"summary": report_summary("assumptions", rep)})
-    return 0
+    return _report(args, scan_assumptions(model, args.n, m=args.m, eps=args.eps))
 
 
 def cmd_run(args):
     config = load_scenario(args.scenario)
     run = run_scenario(config, out=args.out)
     for name, rep in run.reports.items():
-        sys.stdout.write("%s: %s\n" % (name, report_summary(name, rep)))
+        sys.stdout.write("%s: %s\n" % (name, rep.summary()))
     for path in run.files:
         sys.stdout.write("wrote %s\n" % path)
     sys.stdout.write("exit %d\n" % run.exit_code)

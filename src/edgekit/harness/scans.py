@@ -15,7 +15,9 @@ Verdicts are finite-sample decision rules. Two shapes recur:
   - decay: the scaled values must drop from first to last sample size
     by at least a fixed fraction.
 
-Every verdict is recomputable from the rows its report carries.
+Every verdict is recomputable from the rows its report carries. Each
+report also renders its own one-line `summary()` for manifests and table
+meta, and says through `failed()` whether it counts against an exit code.
 """
 
 import math
@@ -82,6 +84,17 @@ def _drop_fraction(values):
     return (first - last) / first
 
 
+def _yn(flag):
+    return "yes" if flag else "no"
+
+
+class _Verdict:
+    """Report mixin: an unpassed verdict counts against the exit code."""
+
+    def failed(self):
+        return not self.passed
+
+
 def _check_ns(ns):
     ns = tuple(int(n) for n in ns)
     if len(ns) < 2:
@@ -103,7 +116,7 @@ def _psi(model, n, m, r):
 
 
 @dataclass(frozen=True)
-class ErrorScanReport:
+class ErrorScanReport(_Verdict):
     """Weighted sup-norm gap between exact and corrected CDFs per n.
 
     raw[i] = sup_x (1+|x|)^m |F_n(x) - Psi(x)| over the scan grid;
@@ -129,6 +142,13 @@ class ErrorScanReport:
             for i, n in enumerate(self.ns)
         ]
         return header, data
+
+    def summary(self):
+        return "%s flagged=%s passed=%s" % (self.verdict, _yn(self.flagged), _yn(self.passed))
+
+    def failed(self):
+        # a flagged scan sits outside what the model can support
+        return not self.passed and not self.flagged
 
 
 def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, grid_points, is_lattice):
@@ -208,7 +228,7 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0, grid_points=401,
 
 
 @dataclass(frozen=True)
-class TransportScanReport:
+class TransportScanReport(_Verdict):
     """W_p to the Gaussian and the CDF-integral distance to corrections.
 
     gaussian[i, j] = W_p(F_n, Phi) in normalized units for ns[i], ps[j];
@@ -252,6 +272,20 @@ class TransportScanReport:
                     row += [self.corrected[i, j], self.corrected_scaled[i, j]]
                 data.append(tuple(row))
         return tuple(header), data
+
+    def summary(self):
+        cols = " ".join(
+            "p=%s:%s%s" % (p, v, "(outside-guarantee)" if f else "")
+            for p, v, f in zip(self.ps, self.verdicts, self.p_flags)
+        )
+        if self.corrected_verdicts is not None:
+            cols += " corrected: " + " ".join(
+                "p=%s:%s" % (p, v) for p, v in zip(self.ps, self.corrected_verdicts)
+            )
+        cols += " bound_ok=%s" % _yn(self.bound_ok)
+        if self.flagged:
+            cols += " flagged=yes"
+        return "%s passed=%s" % (cols, _yn(self.passed))
 
 
 def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
@@ -343,7 +377,7 @@ def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
 
 
 @dataclass(frozen=True)
-class MomentScanReport:
+class MomentScanReport(_Verdict):
     """Moments of the normalized sum against moments of the correction.
 
     Exact moments come from the distribution engine; correction moments
@@ -382,6 +416,13 @@ class MomentScanReport:
                     self.scaled_gap_abs[i, j],
                 ))
         return header, data
+
+    def summary(self):
+        cols = " ".join(
+            "q=%d:%s/%s" % (q, sv, av)
+            for q, sv, av in zip(self.qs, self.signed_verdicts, self.abs_verdicts)
+        )
+        return "%s passed=%s" % (cols, _yn(self.passed))
 
 
 def _moment_column_verdict(scaled, r, slack, drop, floor):
@@ -472,7 +513,7 @@ def scan_moments(model, qs, r, ns, m=None, bounded_slack=1.5, vanish_drop=0.20,
 
 
 @dataclass(frozen=True)
-class StationaryScanReport:
+class StationaryScanReport(_Verdict):
     """Finite-n correction polynomials against their fitted limits.
 
     scaled[i, j-1] = sigma_n^2 * sup_{|x|<=6} phi(x) |H_{j,n}(x) - H_j(x)|
@@ -504,6 +545,9 @@ class StationaryScanReport:
             vals = tuple(self.scaled[i]) if self.scaled is not None else (float("nan"),) * (self.m - 2)
             data.append((n, self.sigmas[i]) + vals)
         return header, data
+
+    def summary(self):
+        return "%s passed=%s" % (self.verdict, _yn(self.passed))
 
 
 def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
@@ -562,7 +606,7 @@ def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
 
 
 @dataclass(frozen=True)
-class CouplingScanReport:
+class CouplingScanReport(_Verdict):
     """Coupling costs W_p(law(S_n), N(0, a_n)) across sample sizes.
 
     a_n is the variance captured by complete blocks of the greedy
@@ -595,6 +639,11 @@ class CouplingScanReport:
             for i, n in enumerate(self.ns)
         ]
         return header, data
+
+    def summary(self):
+        return "%s a_monotone=%s b_bounded=%s passed=%s" % (
+            self.verdict, _yn(self.a_monotone), _yn(self.b_bounded), _yn(self.passed)
+        )
 
 
 def scan_coupling(model, ns, p=2, target=None, bounded_slack=1.5):
@@ -666,6 +715,16 @@ class AssumptionScanReport:
                 + (self.tail.values[i],)
             )
         return header, data
+
+    def summary(self):
+        return "derivative=%s tail=%s corrections_supported=%s" % (
+            "bounded" if self.derivative.bounded else "unbounded",
+            "vanishing" if self.tail.vanishing else "plateau",
+            _yn(self.corrections_supported),
+        )
+
+    def failed(self):
+        return False  # descriptive: verdicts characterize the model
 
 
 def scan_assumptions(model, ns, m=4, eps=None):

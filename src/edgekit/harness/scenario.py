@@ -4,12 +4,13 @@ A scenario names a model, the orders (m, r), sample sizes, and transport
 and moment orders; running it produces a manifest plus one table per
 scan in the output directory. Output bytes are deterministic for a
 fixed configuration and environment: all reals are serialized with 17
-significant digits, '.' decimals and '\\n' line endings.
+significant digits, '.' decimals and '\\n' line endings. The command
+line front end prints and writes its tables through the same
+serializer and parses its list options with the same parsers.
 """
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +39,7 @@ __all__ = [
     "run_scenario",
     "scenario_presets",
     "format_real",
-    "report_summary",
-    "report_failed",
+    "format_table",
     "write_table",
 ]
 
@@ -67,7 +67,6 @@ class ScenarioConfig:
     ps: tuple = (1, 2)
     qs: tuple = (2, 3, 4)
     target: float = None
-    seed: int = 0
     out: str = None
     grid_max: float = 8.0
     fmt: str = "csv"
@@ -93,8 +92,6 @@ class ScenarioConfig:
             raise ScenarioError("field 'q': moment orders must be >= 1")
         if self.target is not None and not self.target > 0.0:
             raise ScenarioError("field 'target': must be positive when given")
-        if self.seed < 0:
-            raise ScenarioError("field 'seed': must be nonnegative")
         if not self.grid_max > 0.0:
             raise ScenarioError("field 'grid_max': must be positive")
         if self.fmt not in ("csv", "json"):
@@ -125,7 +122,6 @@ _FIELD_PARSERS = {
     "p": ("ps", _parse_p_list),
     "q": ("qs", _parse_int_list),
     "target": ("target", float),
-    "seed": ("seed", int),
     "out": ("out", str),
     "grid_max": ("grid_max", float),
     "format": ("fmt", str),
@@ -178,7 +174,6 @@ _PRESETS = {
         "n = 16,32,64,128,256\n"
         "p = 1,2\n"
         "q = 2,3,4\n"
-        "seed = 0\n"
     ),
     "uniform-edgeworth": (
         "model = builtin:uniform\n"
@@ -187,7 +182,6 @@ _PRESETS = {
         "n = 4,8,16,32\n"
         "p = 1,2\n"
         "q = 2,3,4\n"
-        "seed = 0\n"
     ),
     "elliptic2-stationary": (
         "model = builtin:elliptic2\n"
@@ -196,7 +190,6 @@ _PRESETS = {
         "n = 32,64,128,256,512\n"
         "p = 1,2\n"
         "q = 2,3,4\n"
-        "seed = 0\n"
     ),
 }
 
@@ -239,24 +232,25 @@ def _fmt_cell(v):
     return format_real(v)
 
 
-def write_table(path, header, rows, meta=None, fmt="csv"):
-    """Write one report table; CSV by default, JSON on request."""
+def format_table(header, rows, meta=None, fmt="csv"):
+    """Text of one report table; CSV by default, JSON (with meta) on request."""
     if fmt == "csv":
         lines = [",".join(str(h) for h in header)]
         lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-        body = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
-        return
+        return "\n".join(lines) + "\n"
     doc = {
         "header": list(header),
         "rows": [[_json_cell(v) for v in row] for row in rows],
     }
     if meta:
         doc["meta"] = meta
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_table(path, header, rows, meta=None, fmt="csv"):
+    """Write one report table as `format_table` renders it."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(format_table(header, rows, meta=meta, fmt=fmt))
 
 
 def _json_cell(v):
@@ -267,57 +261,6 @@ def _json_cell(v):
     if isinstance(v, (float, np.floating)):
         return float(v)
     return str(v)
-
-
-def report_summary(name, rep):
-    """One manifest line describing a report's verdicts."""
-    if name in ("scan_be", "scan_edgeworth"):
-        extra = " flagged=%s" % ("yes" if rep.flagged else "no")
-        return "%s%s passed=%s" % (rep.verdict, extra, "yes" if rep.passed else "no")
-    if name == "scan_transport":
-        cols = " ".join(
-            "p=%s:%s%s" % (p, v, "(outside-guarantee)" if f else "")
-            for p, v, f in zip(rep.ps, rep.verdicts, rep.p_flags)
-        )
-        if rep.corrected_verdicts is not None:
-            cols += " corrected: " + " ".join(
-                "p=%s:%s" % (p, v) for p, v in zip(rep.ps, rep.corrected_verdicts)
-            )
-        cols += " bound_ok=%s" % ("yes" if rep.bound_ok else "no")
-        if rep.flagged:
-            cols += " flagged=yes"
-        return "%s passed=%s" % (cols, "yes" if rep.passed else "no")
-    if name == "scan_moments":
-        cols = " ".join(
-            "q=%d:%s/%s" % (q, sv, av)
-            for q, sv, av in zip(rep.qs, rep.signed_verdicts, rep.abs_verdicts)
-        )
-        return "%s passed=%s" % (cols, "yes" if rep.passed else "no")
-    if name == "scan_stationary":
-        return "%s passed=%s" % (rep.verdict, "yes" if rep.passed else "no")
-    if name == "couple":
-        return "%s a_monotone=%s b_bounded=%s passed=%s" % (
-            rep.verdict,
-            "yes" if rep.a_monotone else "no",
-            "yes" if rep.b_bounded else "no",
-            "yes" if rep.passed else "no",
-        )
-    if name == "assumptions":
-        return "derivative=%s tail=%s corrections_supported=%s" % (
-            "bounded" if rep.derivative.bounded else "unbounded",
-            "vanishing" if rep.tail.vanishing else "plateau",
-            "yes" if rep.corrections_supported else "no",
-        )
-    return "?"
-
-
-def report_failed(name, rep):
-    """Whether a report counts against the exit code."""
-    if name in ("scan_be", "scan_edgeworth"):
-        return not rep.passed and not rep.flagged
-    if name == "assumptions":
-        return False  # descriptive: verdicts characterize the model
-    return not rep.passed
 
 
 # -- the run driver -----------------------------------------------------------
@@ -336,9 +279,9 @@ class ScenarioRun:
 def run_scenario(config, out=None):
     """Run the scan battery for one configuration, writing the bundle.
 
-    Per-n exact laws are built concurrently (they are independent);
-    report assembly and file writing stay single-threaded. The exit code
-    is 0 exactly when no unflagged verdict failed.
+    Each scan builds the exact laws it needs on first use through the
+    model's cache, so every law is built once. The exit code is 0 exactly
+    when no report failed (flagged verdicts do not fail).
     """
     config.validate()
     outdir = out if out is not None else config.out
@@ -350,13 +293,6 @@ def run_scenario(config, out=None):
             "model %r supports n up to %d but the scan asks for n=%d; trim 'n'"
             % (config.model, model.max_steps, config.ns[-1])
         )
-    if model.kind == "chain":
-        with ThreadPoolExecutor(max_workers=min(8, len(config.ns))) as pool:
-            list(pool.map(model.distribution, config.ns))
-    else:
-        # iid laws build incrementally off a shared cache; keep it serial
-        for n in config.ns:
-            model.distribution(n)
 
     reports = {}
     nonuniform_name = "scan_be" if config.r == 0 else "scan_edgeworth"
@@ -379,9 +315,9 @@ def run_scenario(config, out=None):
     for name, rep in reports.items():
         header, rows = rep.rows()
         path = os.path.join(outdir, "%s.%s" % (name, ext))
-        write_table(path, header, rows, meta={"summary": report_summary(name, rep)}, fmt=config.fmt)
+        write_table(path, header, rows, meta={"summary": rep.summary()}, fmt=config.fmt)
         files.append(path)
-    failures = sum(1 for name, rep in reports.items() if report_failed(name, rep))
+    failures = sum(1 for rep in reports.values() if rep.failed())
     exit_code = 0 if failures == 0 else 1
 
     manifest = os.path.join(outdir, "manifest.txt")
@@ -398,12 +334,11 @@ def run_scenario(config, out=None):
         "p = %s" % ",".join(str(p) for p in config.ps),
         "q = %s" % ",".join(str(q) for q in config.qs),
         "target = %s" % ("auto" if config.target is None else format_real(config.target)),
-        "seed = %d" % config.seed,
         "grid_max = %s" % format_real(config.grid_max),
         "format = %s" % config.fmt,
     ]
     for name, rep in reports.items():
-        lines.append("%s = %s" % (name, report_summary(name, rep)))
+        lines.append("%s = %s" % (name, rep.summary()))
     lines.append("failures = %d" % failures)
     lines.append("exit = %d" % exit_code)
     with open(manifest, "w", encoding="utf-8", newline="") as fh:

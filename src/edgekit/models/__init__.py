@@ -3,7 +3,6 @@
 from .lattice import LatticeDistribution
 from .markov import (
     BlockingReport,
-    EcdfSummary,
     EllipticityReport,
     MarkovChainSpec,
     PsiMixingResult,
@@ -11,7 +10,6 @@ from .markov import (
     enumerate_distribution,
     exact_distribution,
     load_chain_spec,
-    monte_carlo_ecdf,
     psi_mixing_coefficient,
     save_chain_spec,
     variance_decomposition,
@@ -32,14 +30,12 @@ __all__ = [
     "EllipticityReport",
     "PsiMixingResult",
     "BlockingReport",
-    "EcdfSummary",
     "exact_distribution",
     "enumerate_distribution",
     "ellipticity_check",
     "psi_mixing_coefficient",
     "variance_profile",
     "variance_decomposition",
-    "monte_carlo_ecdf",
     "load_chain_spec",
     "save_chain_spec",
     "PiecewisePolyDistribution",

@@ -11,8 +11,8 @@ class LatticeDistribution:
     """Distribution supported on offset + k*step, k = 0..len(masses)-1.
 
     masses are probabilities; construction validates nonnegativity (within
-    1e-15) and finiteness but not normalization, so partial/pruned mass
-    vectors can be represented. `validate()` asserts the normalized case.
+    1e-15) and finiteness but not normalization, so partial mass vectors
+    can be represented. `validate()` asserts the normalized case.
     """
 
     def __init__(self, offset, step, masses):
@@ -30,7 +30,6 @@ class LatticeDistribution:
         self.masses = np.clip(masses, 0.0, None)
         self.masses.flags.writeable = False
         self._cum = np.concatenate([[0.0], np.cumsum(self.masses)])
-        self.pruned_mass = 0.0  # set by engines that drop negligible cells
 
     # -- basic structure ----------------------------------------------------
 
@@ -103,26 +102,10 @@ class LatticeDistribution:
         out = ph @ (self.masses * (1j * x) ** k)
         return out if out.ndim else complex(out)
 
-    def charfn_derivs(self, t, kmax):
-        """Stack of psi^(k)(t) for k = 0..kmax (shared phase matrix)."""
-        if not 0 <= kmax <= _CHARFN_DERIV_CAP:
-            raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = self.support
-        ph = np.exp(1j * np.multiply.outer(t, x))
-        out = np.empty((kmax + 1, t.size), dtype=complex)
-        ix = np.ones_like(x, dtype=complex)
-        for k in range(kmax + 1):
-            out[k] = ph @ (self.masses * ix)
-            ix = ix * (1j * x)
-        return out
-
     # -- algebra ------------------------------------------------------------
 
     def shift(self, c):
-        out = LatticeDistribution(self.offset + c, self.step, self.masses)
-        out.pruned_mass = self.pruned_mass
-        return out
+        return LatticeDistribution(self.offset + c, self.step, self.masses)
 
     def centered(self):
         return self.shift(-self.mean)
@@ -131,9 +114,7 @@ class LatticeDistribution:
         """Distribution of c*X for c > 0."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
-        out = LatticeDistribution(self.offset * c, self.step * c, self.masses)
-        out.pruned_mass = self.pruned_mass
-        return out
+        return LatticeDistribution(self.offset * c, self.step * c, self.masses)
 
     def convolve(self, other):
         """Distribution of the sum of independent draws (steps must match)."""

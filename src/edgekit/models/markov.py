@@ -22,14 +22,12 @@ __all__ = [
     "EllipticityReport",
     "PsiMixingResult",
     "BlockingReport",
-    "EcdfSummary",
     "exact_distribution",
     "enumerate_distribution",
     "ellipticity_check",
     "psi_mixing_coefficient",
     "variance_profile",
     "variance_decomposition",
-    "monte_carlo_ecdf",
     "load_chain_spec",
     "save_chain_spec",
 ]
@@ -37,9 +35,6 @@ __all__ = [
 _ROW_TOL = 1e-12
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
-# pruning is off by default: dropped tail cells carry value^2-weighted
-# moment error far above their mass (1e-9 at n=512 for unit-range steps)
-_PRUNE_TOL = 0.0
 _PSI_EXACT_CAP = 12
 
 
@@ -174,24 +169,24 @@ def _common_lattice(observables):
 # -- exact engines -----------------------------------------------------------
 
 
-def exact_distribution(spec, prune_tol=_PRUNE_TOL):
+def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
-    DP over (state, lattice cell); cells with mass below prune_tol are
-    dropped with accounting, and the total pruned mass must stay below
-    1e-12 or the run aborts. The result has mean 0 within 1e-10.
+    DP over (state, lattice cell); no cell is dropped. The result must
+    have mean 0 within the float error of the sweep (see `_mean_tolerance`),
+    otherwise the centering is wrong and the run aborts.
     """
-    dist, _ = _run_dp(spec, prune_tol=prune_tol, want_profile=False)
+    dist, _ = _run_dp(spec, want_profile=False)
     return dist
 
 
-def variance_profile(spec, prune_tol=_PRUNE_TOL):
+def variance_profile(spec):
     """Var(S_k) for k = 1..n from one DP sweep (index 0 holds 0.0)."""
-    _, prof = _run_dp(spec, prune_tol=prune_tol, want_profile=True)
+    _, prof = _run_dp(spec, want_profile=True)
     return prof
 
 
-def _run_dp(spec, prune_tol, want_profile):
+def _run_dp(spec, want_profile):
     d, bases, shifts = _common_lattice(spec.observables)
     means = spec.step_means()
     if d == 0.0:
@@ -200,16 +195,10 @@ def _run_dp(spec, prune_tol, want_profile):
         prof = np.zeros(spec.n_steps + 1)
         return dist, prof
     table = spec.initial[:, None].copy()
-    pruned = 0.0
     offset = 0.0  # value of cell 0 for the running uncentered lattice sum
     prof = np.zeros(spec.n_steps + 1) if want_profile else None
     for j, kernel in enumerate(spec.kernels):
         table = _dp_step(table, kernel, shifts[j])
-        if prune_tol > 0.0:
-            small = (table > 0.0) & (table < prune_tol)
-            if small.any():
-                pruned += float(table[small].sum())
-                table[small] = 0.0
         offset += bases[j] - means[j]
         if want_profile:
             m = table.sum(axis=0)
@@ -217,16 +206,39 @@ def _run_dp(spec, prune_tol, want_profile):
             tot = m.sum()
             mu = float(m @ vals) / tot
             prof[j + 1] = float(m @ (vals - mu) ** 2) / tot
-    if pruned > 1e-12:
-        raise ValueError("pruned mass %g exceeds the 1e-12 audit budget" % pruned)
     masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(offset + d * lo, d, masses[lo : hi_nz + 1])
-    dist.pruned_mass = pruned
-    if abs(dist.mean) > 1e-10:
-        raise ValueError("centered functional has mean %g, expected 0" % dist.mean)
+    tol = _mean_tolerance(spec, dist.masses.size)
+    if abs(dist.mean) > tol:
+        raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist, prof
+
+
+def _mean_tolerance(spec, cells):
+    """First-order forward error bound on the computed mean of S_n.
+
+    n steps, S states, K support cells, F = sum_j max|f_j|, and delta the
+    largest row-sum defect of the initial law and the kernels (at most
+    1e-12 by validation). Every DP entry is a sum of nonnegative terms,
+    so masses carry relative error <= n(S+1) eps + S eps + (n+1) delta.
+    Partial sums of base_j - mean_j stay within 2F, so support values are
+    off by <= (2n+4) eps F. The K-term mean sum adds <= (K+1) eps; the
+    step means, from marginals pushed through the kernels, add
+    <= (nS + 2S + 1) eps F + n delta F. With |value| <= 2F the total is
+    below 4 (n(S+1) eps + (n+1) delta + (K+S+2) eps) F for n, S, K >= 1.
+    """
+    n, states = spec.n_steps, max(spec.state_counts)
+    # homogeneous chains repeat one array per step: visit each array once
+    observables = {id(f): f for f in spec.observables}
+    peak = {key: float(np.abs(f).max()) for key, f in observables.items()}
+    scale = sum(peak[id(f)] for f in spec.observables)
+    kernels = {id(k): k for k in spec.kernels}.values()
+    defect = max([abs(float(spec.initial.sum()) - 1.0)]
+                 + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])
+    eps = np.finfo(float).eps
+    return 4.0 * (n * (states + 1) * eps + (n + 1) * defect + (cells + states + 2) * eps) * scale
 
 
 def _dp_step(table, kernel, shifts):
@@ -414,8 +426,8 @@ class BlockingReport:
     a_monotone: bool
 
 
-def variance_decomposition(spec, target=None, prune_tol=_PRUNE_TOL):
-    sigma2 = variance_profile(spec, prune_tol=prune_tol)
+def variance_decomposition(spec, target=None):
+    sigma2 = variance_profile(spec)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     step_vars = _step_variances(spec)
@@ -490,67 +502,6 @@ def _greedy_block_end(spec, start_law, start, target, lattice, means):
         if var >= target:
             return j, var
     return None, None
-
-
-# -- simulation --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EcdfSummary:
-    """Sorted sample of the centered functional with a DKW band.
-
-    The band halfwidth is sqrt(log(2/delta) / (2 samples)) at delta = 0.01,
-    a uniform 99% confidence envelope for the true CDF.
-    """
-
-    values: np.ndarray
-    samples: int
-    seed: int
-    halfwidth: float
-    delta: float = 0.01
-
-    def cdf(self, x):
-        idx = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        out = idx / self.samples
-        return out if np.ndim(out) else float(out)
-
-    def band(self, x):
-        c = self.cdf(x)
-        return np.clip(c - self.halfwidth, 0.0, 1.0), np.clip(c + self.halfwidth, 0.0, 1.0)
-
-
-def monte_carlo_ecdf(spec, samples, seed, delta=0.01):
-    """Sample the centered functional with the counter-based Philox generator.
-
-    Fully reproducible: (seed, samples) determines the data stream
-    bit-for-bit regardless of platform.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    means = spec.step_means()
-    state = rng.choice(spec.initial.size, size=samples, p=spec.initial)
-    total = np.zeros(samples)
-    for j, (k, f) in enumerate(zip(spec.kernels, spec.observables)):
-        cum = np.cumsum(k, axis=1)
-        u = rng.random(samples)
-        nxt = (u[:, None] > cum[state]).sum(axis=1)
-        total += f[state, nxt] - means[j]
-        state = nxt
-    # accumulated float fuzz would put samples a hair off the exact atoms,
-    # which breaks CDF comparisons at lattice points; snap back
-    d, bases, _ = _common_lattice(spec.observables)
-    if d > 0.0:
-        origin = float(np.sum(bases) - np.sum(means))
-        total = origin + d * np.rint((total - origin) / d)
-    total.sort()
-    return EcdfSummary(
-        values=total,
-        samples=samples,
-        seed=int(seed),
-        halfwidth=float(np.sqrt(np.log(2.0 / delta) / (2.0 * samples))),
-        delta=delta,
-    )
 
 
 # -- chain spec files --------------------------------------------------------

@@ -78,21 +78,10 @@ class DensePolynomial:
 
     __rmul__ = __mul__
 
-    def compose_affine(self, a, b):
-        """Return the polynomial p(a*x + b)."""
-        out = DensePolynomial([0.0])
-        lin = DensePolynomial([b, a])
-        for c in reversed(self.coeffs):
-            out = out * lin + DensePolynomial([c])
-        return out
-
     def derivative(self):
         if len(self.coeffs) == 1:
             return DensePolynomial([0.0])
         return DensePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def antiderivative(self):
-        return DensePolynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
 
 def _as_poly(p):

@@ -23,7 +23,6 @@ __all__ = [
     "wasserstein_distance",
     "wasserstein_lattice_lattice",
     "wasserstein_lattice_gaussian",
-    "l1_cdf_distance",
     "lp_cdf_distance",
     "wasserstein_upper_bound",
     "expectation_via_cdf",
@@ -194,11 +193,6 @@ def _quantile_jump_levels(d):
 
 
 # -- CDF-gap functionals -----------------------------------------------------
-
-
-def l1_cdf_distance(a, b, lo=None, hi=None):
-    """int |F_a - F_b| dx, which equals W_1 for laws with first moments."""
-    return _gap_integral(a, b, 1.0, lo, hi)
 
 
 def lp_cdf_distance(a, b, p=1, lo=None, hi=None):

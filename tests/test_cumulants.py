@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekit.cumulants import (
-    cumulant_growth_check,
     cumulants_to_moments,
     derivative_bound_check,
     fit_stationary,
@@ -99,14 +98,6 @@ def test_tail_integral_separates_lattice_from_smooth():
     assert not tr.vanishing
     # the lattice plateau sits well above zero
     assert tr.values[-1] > 1.0
-
-
-def test_cumulant_growth_linear_for_iid():
-    m = builtin_model("uniform")
-    rep = cumulant_growth_check(m, (4, 8, 16, 32), kmax=4)
-    assert rep.bounded
-    assert np.allclose(rep.rates[:, 1], 1.0 / 3.0, atol=1e-12)
-    assert np.allclose(rep.rates[:, 3], -2.0 / 15.0, atol=1e-12)
 
 
 def test_fit_stationary_elliptic2():

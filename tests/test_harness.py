@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +187,6 @@ def test_parse_scenario_text_full():
         "n = 16,32,64\n"
         "p = 1,2.5\n"
         "q = 2,4\n"
-        "seed = 7\n"
         "grid_max = 6.5\n"
         "format = json\n"
     )
@@ -194,7 +194,6 @@ def test_parse_scenario_text_full():
     assert cfg.ns == (16, 32, 64)
     assert cfg.ps == (1, 2.5)
     assert cfg.qs == (2, 4)
-    assert cfg.seed == 7
     assert cfg.grid_max == 6.5
     assert cfg.fmt == "json"
 
@@ -209,6 +208,7 @@ def test_parse_scenario_text_full():
         ("m = 3\n", "model"),
         ("model = builtin:rademacher\nm three\n", "key = value"),
         ("model = builtin:rademacher\nm = three\n", "cannot parse"),
+        ("model = builtin:rademacher\nseed = 0\n", "seed"),
     ],
 )
 def test_parse_scenario_text_errors(text, needle):
@@ -265,6 +265,57 @@ def test_run_scenario_bundle_and_determinism(tmp_path):
     manifest = (out1 / "manifest.txt").read_text()
     assert "exit = 0" in manifest
     assert "model = builtin:rademacher" in manifest
+
+
+_RADEMACHER_BE_MANIFEST = """\
+# scenario manifest
+model = builtin:rademacher
+model_name = rademacher
+m = 3
+r = 0
+n = 16,32,64,128,256
+p = 1,2
+q = 2,3,4
+target = auto
+grid_max = 8
+format = csv
+scan_be = bounded flagged=no passed=yes
+scan_transport = p=1:bounded p=2:bounded(outside-guarantee) bound_ok=yes passed=yes
+scan_moments = q=2:matched/matched q=3:matched/bounded q=4:bounded/bounded passed=yes
+scan_stationary = bounded passed=yes
+couple = bounded a_monotone=yes b_bounded=yes passed=yes
+assumptions = derivative=bounded tail=plateau corrections_supported=no
+failures = 0
+exit = 0
+"""
+
+
+def test_run_scenario_manifest_text_pinned(tmp_path):
+    run = run_scenario(load_scenario("rademacher-be"), out=str(tmp_path))
+    text = (tmp_path / "manifest.txt").read_text()
+    # version lines depend on the environment, everything else is pinned
+    kept = [
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith(("package = ", "numpy = ", "scipy = "))
+    ]
+    assert "".join(kept) == _RADEMACHER_BE_MANIFEST
+    assert run.failures == 0
+    lines = dict(line.split(" = ", 1) for line in _RADEMACHER_BE_MANIFEST.splitlines()[1:])
+    for name, rep in run.reports.items():
+        assert rep.summary() == lines[name]
+        assert rep.failed() is False
+
+
+def test_report_failed_rules():
+    m = builtin_model("rademacher")
+    flagged = scan_nonuniform(m, 4, 1, (16, 32, 64, 128))
+    assert not flagged.passed and not flagged.failed()
+    assert replace(flagged, flagged=False).failed()
+    moments = scan_moments(m, (2,), 0, (16, 32))
+    assert not moments.failed() and replace(moments, passed=False).failed()
+    # assumption verdicts describe the model and never fail a run
+    assumptions = scan_assumptions(m, (16, 32), m=3)
+    assert not assumptions.corrections_supported and not assumptions.failed()
 
 
 def test_run_scenario_json_format(tmp_path):
@@ -342,6 +393,12 @@ def test_cli_unknown_model_message(capsys):
     assert "rademacher" in capsys.readouterr().err
 
 
+def test_cli_cumulants_elliptic2_large_n(capsys):
+    # |mean| of the n = 6000 law is ~3e-10 from float summation alone
+    assert main(["cumulants", "--model", "builtin:elliptic2", "--n", "6000"]) == 0
+    assert capsys.readouterr().out.startswith("order,raw,normalized\n")
+
+
 def test_cli_json_output(capsys):
     code = main(["cumulants", "--model", "builtin:rademacher", "--n", "16", "--m", "4",
                  "--format", "json"])
@@ -360,6 +417,23 @@ def test_cli_file_output(tmp_path, capsys):
     body = target.read_text()
     assert body.startswith("n,sigma,q,")
     assert body.endswith("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-moments", "--model", "builtin:rademacher", "--n", "16,32", "--q", "2,3"],
+        ["couple", "--model", "builtin:elliptic2", "--n", "16"],
+    ],
+)
+def test_cli_stdout_and_file_bytes_agree(tmp_path, capsys, argv, fmt):
+    code = main(argv + ["--format", fmt])
+    printed = capsys.readouterr().out
+    target = tmp_path / ("table." + fmt)
+    assert main(argv + ["--format", fmt, "--out", str(target)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_cli_run_preset(tmp_path, capsys):

@@ -17,7 +17,6 @@ from edgekit.models import (
     exact_distribution,
     iid_sum,
     load_chain_spec,
-    monte_carlo_ecdf,
     psi_mixing_coefficient,
     save_chain_spec,
     variance_decomposition,
@@ -218,6 +217,20 @@ def test_psi_mixing_identity_vs_uniform():
     assert r_unif.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_exact_distribution_rejects_wrong_centering(monkeypatch):
+    spec = builtin_model("elliptic2").spec(64)
+    exact_means = MarkovChainSpec.step_means
+
+    def off_by_1e6(self):
+        means = exact_means(self)
+        means[3] += 1e-6
+        return means
+
+    monkeypatch.setattr(MarkovChainSpec, "step_means", off_by_1e6)
+    with pytest.raises(ValueError, match="mean"):
+        exact_distribution(spec)
+
+
 def test_psi_mixing_decays_with_gap():
     m = builtin_model("elliptic2")
     spec = m.spec(8)
@@ -225,19 +238,6 @@ def test_psi_mixing_decays_with_gap():
     assert vals[0] > vals[1] > vals[2] > 0.0
     # second-eigenvalue 1/2 drives the decay
     assert vals[1] / vals[0] == pytest.approx(0.5, abs=0.1)
-
-
-# -- monte carlo -------------------------------------------------------------
-
-def test_monte_carlo_seeded_and_close_to_exact():
-    m = builtin_model("elliptic2")
-    e1 = monte_carlo_ecdf(m.spec(12), samples=4000, seed=7)
-    e2 = monte_carlo_ecdf(m.spec(12), samples=4000, seed=7)
-    assert np.array_equal(e1.values, e2.values)
-    d = m.distribution(12)
-    grid = d.support
-    gap = np.max(np.abs(e1.cdf(grid) - d.cdf(grid)))
-    assert gap <= e1.halfwidth  # DKW band at delta=0.01
 
 
 # -- chain file round trip ---------------------------------------------------

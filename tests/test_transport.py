@@ -12,7 +12,6 @@ from edgekit.transport import (
     GaussianLaw,
     expectation_via_cdf,
     gaussian_coupling,
-    l1_cdf_distance,
     lp_cdf_distance,
     wasserstein_distance,
     wasserstein_lattice_gaussian,
@@ -72,7 +71,7 @@ def test_w1_equals_cdf_gap_area():
     d = m.distribution(8)
     g = GaussianLaw(0.0, m.sigma(8))
     w1 = wasserstein_lattice_gaussian(d, g, 1)
-    area = l1_cdf_distance(d, g)
+    area = lp_cdf_distance(d, g, 1)
     assert w1 == pytest.approx(area, rel=1e-9)
 
 
