@@ -300,8 +300,8 @@ def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
     p >= m - 1 sit outside the guaranteed range and are flagged per p.
     """
     ps = tuple(ps)
-    if not ps or any(not p >= 1 for p in ps):
-        raise ValueError("transport orders must satisfy p >= 1")
+    if not ps or any(not 1 <= p < math.inf for p in ps):
+        raise ValueError("transport orders must be finite and >= 1, got %r" % (ps,))
     ns = _check_ns(ns)
     if m is None:
         m = max(r + 2, 3)

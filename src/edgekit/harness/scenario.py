@@ -10,6 +10,7 @@ serializer and parses its list options with the same parsers.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -86,8 +87,8 @@ class ScenarioConfig:
             raise ScenarioError("field 'n': sample sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ns[:-1], self.ns[1:])):
             raise ScenarioError("field 'n': sample sizes must be strictly increasing")
-        if not self.ps or any(not p >= 1 for p in self.ps):
-            raise ScenarioError("field 'p': transport orders must be >= 1")
+        if not self.ps or any(not 1 <= p < math.inf for p in self.ps):
+            raise ScenarioError("field 'p': transport orders must be finite and >= 1")
         if not self.qs or any(q < 1 for q in self.qs):
             raise ScenarioError("field 'q': moment orders must be >= 1")
         if self.target is not None and not self.target > 0.0:
@@ -110,6 +111,8 @@ def _parse_p_list(raw):
         if not part:
             continue
         v = float(part)
+        if not math.isfinite(v):
+            raise ValueError("transport order %r is not finite" % part)
         out.append(int(v) if v.is_integer() else v)
     return tuple(out)
 

@@ -36,6 +36,12 @@ _ROW_TOL = 1e-12
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
 _PSI_EXACT_CAP = 12
+# Largest DP table, in (state, cell) entries, a sweep may allocate. A step
+# holds the old table and the new one; its other temporaries are one row or
+# one product chunk. Two float64 tables of 2**24 cells take 256 MiB.
+_CELL_BUDGET = 2**24
+# OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
+_BLAS_SERIAL = 2**18
 
 
 @dataclass(frozen=True)
@@ -132,18 +138,17 @@ def _common_lattice(observables):
 
     Values within each step are taken relative to that step's minimum, so
     only differences need to be commensurable; the per-step base offsets are
-    carried in float. Returns (d, bases, shift_arrays).
+    carried in float. Returns (d, bases, shift_arrays). Each distinct
+    observable array is snapped once, and steps whose shifts agree share
+    one shift array, so a sweep can key per-step work on its identity.
     """
-    diffs = []
-    bases = []
-    for f in observables:
-        base = float(f.min())
-        bases.append(base)
-        diffs.append(f - base)
-    flat = np.concatenate([d.ravel() for d in diffs])
+    # homogeneous chains repeat one array per step: visit each array once
+    distinct = {id(f): f for f in observables}
+    mins = {key: float(f.min()) for key, f in distinct.items()}
+    diffs = {key: f - mins[key] for key, f in distinct.items()}
+    bases = [mins[id(f)] for f in observables]
+    flat = np.concatenate([darr.ravel() for darr in diffs.values()])
     nonzero = flat[np.abs(flat) > _SNAP_TOL]
-    if nonzero.size == 0:
-        return 0.0, bases, [np.zeros_like(d, dtype=np.int64) for d in diffs]
     step = Fraction(0)
     for v in np.unique(nonzero):
         fr = Fraction(float(v)).limit_denominator(_SNAP_DENOM)
@@ -157,13 +162,15 @@ def _common_lattice(observables):
             step.denominator * fr.denominator,
         )
     d = float(step)
-    shifts = []
-    for darr in diffs:
-        k = np.rint(darr / d)
+    shared = {}
+    snapped = {}
+    for key, darr in diffs.items():
+        k = np.rint(darr / d) if d else np.zeros(darr.shape)
         if np.max(np.abs(darr - k * d)) > _SNAP_TOL:
             raise ValueError("observable values fail the lattice snap at step %g" % d)
-        shifts.append(k.astype(np.int64))
-    return d, bases, shifts
+        k = k.astype(np.int64)
+        snapped[key] = shared.setdefault((k.shape, k.tobytes()), k)
+    return d, bases, [snapped[id(f)] for f in observables]
 
 
 # -- exact engines -----------------------------------------------------------
@@ -186,8 +193,36 @@ def variance_profile(spec):
     return prof
 
 
-def _run_dp(spec, want_profile):
+def _sweep_plan(spec):
+    """Lattice step, per-step base offsets and move lists of one DP sweep.
+
+    A move list is built once per distinct (kernel, shift array) pair of
+    the sweep: homogeneous chains build one. The ids used as keys are
+    safe only while the spec and its shift arrays are alive, so the cache
+    dies with this call. The chain is refused before any table exists if
+    its table could outgrow _CELL_BUDGET: the table of any run of steps
+    is at most max(states) * (1 + sum of the steps' widest shifts).
+    """
     d, bases, shifts = _common_lattice(spec.observables)
+    built = {}
+    moves = []
+    for kernel, shift in zip(spec.kernels, shifts):
+        key = (id(kernel), id(shift))
+        if key not in built:
+            built[key] = _Moves(kernel, shift)
+        moves.append(built[key])
+    cells = max(spec.state_counts) * (1 + sum(m.width for m in moves))
+    if cells > _CELL_BUDGET:
+        raise ValueError(
+            "lattice step %g needs up to %d DP cells, above the budget of %d; "
+            "cumulant-only work needs the transfer-operator series engine planned "
+            "in ROADMAP.md item 3, which keeps no table" % (d, cells, _CELL_BUDGET)
+        )
+    return d, bases, moves
+
+
+def _run_dp(spec, want_profile):
+    d, bases, moves = _sweep_plan(spec)
     means = spec.step_means()
     if d == 0.0:
         # degenerate: S_n is a.s. the constant sum(bases) - sum(means) = 0
@@ -197,8 +232,8 @@ def _run_dp(spec, want_profile):
     table = spec.initial[:, None].copy()
     offset = 0.0  # value of cell 0 for the running uncentered lattice sum
     prof = np.zeros(spec.n_steps + 1) if want_profile else None
-    for j, kernel in enumerate(spec.kernels):
-        table = _dp_step(table, kernel, shifts[j])
+    for j, step in enumerate(moves):
+        table = step.apply(table)
         offset += bases[j] - means[j]
         if want_profile:
             m = table.sum(axis=0)
@@ -221,8 +256,16 @@ def _mean_tolerance(spec, cells):
 
     n steps, S states, K support cells, F = sum_j max|f_j|, and delta the
     largest row-sum defect of the initial law and the kernels (at most
-    1e-12 by validation). Every DP entry is a sum of nonnegative terms,
-    so masses carry relative error <= n(S+1) eps + S eps + (n+1) delta.
+    1e-12 by validation). Every DP entry is a sum of at most S nonnegative
+    products K[x, y] table[x, .], so masses carry relative error
+    <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step keeps
+    that bound: BLAS may sum a group in any order and with fused
+    multiply-adds, and the group sums then go into the new table, but
+    that is still one summation tree over at most S nonnegative products.
+    Any such tree errs by at most S eps relative to first order: a term
+    meets one rounded product and at most S - 1 rounded additions on its
+    path (an FMA rounds once for both), and the zero entries of a group
+    matrix add nothing and round nothing.
     Partial sums of base_j - mean_j stay within 2F, so support values are
     off by <= (2n+4) eps F. The K-term mean sum adds <= (K+1) eps; the
     step means, from marginals pushed through the kernels, add
@@ -241,21 +284,57 @@ def _mean_tolerance(spec, cells):
     return 4.0 * (n * (states + 1) * eps + (n + 1) * defect + (cells + states + 2) * eps) * scale
 
 
-def _dp_step(table, kernel, shifts):
-    hi = table.shape[1]
-    width = int(shifts.max())
-    new = np.zeros((kernel.shape[1], hi + width))
-    for x in range(kernel.shape[0]):
-        row = table[x]
-        if not row.any():
-            continue
-        for y in range(kernel.shape[1]):
-            p = kernel[x, y]
-            if p == 0.0:
-                continue
-            s = int(shifts[x, y])
-            new[y, s : s + hi] += p * row
-    return new
+class _Moves:
+    """One DP step, new[y, c] = sum_x K[x, y] table[x, c - s(x, y)], grouped by shift.
+
+    The nonzero pairs with shift s form a matrix M_s; a dense group adds
+    M_s^T @ table into the slice of new that starts at column s, a sparse
+    one adds p * table[x] into row y pair by pair, in the (x, y) order of
+    the textbook loop. Measured on a 2-core AVX2 Xeon VM, per table
+    column a product costs S_out * S_in multiply-adds inside BLAS (about
+    0.05 ns each) plus one add pass over S_out rows (about 0.7 ns each),
+    and a pair costs one multiply and one add pass over its row (about
+    0.75 ns). So a group of nnz pairs is dense when 16 nnz >= S_out
+    (16 + S_in): the wide-table limit, rounded toward pairs. On narrow
+    tables a pair's fixed Python cost favours products more, so there the
+    rule errs toward pairs, where the whole step is cheap anyway.
+
+    Products run over column chunks of at most _BLAS_SERIAL multiply-adds
+    each, so BLAS never hands them to worker threads. On the 2-core VM,
+    one 64 x 64 x 1000 product took 12 to 40 ms for the first few dozen
+    calls of a process while the workers woke (0.2 ms on one thread), and
+    the thread count changed the last bits of tail masses; chunked, the
+    bytes are the same whatever the BLAS thread count.
+    """
+
+    def __init__(self, kernel, shifts):
+        n_in, n_out = kernel.shape
+        self.states = n_out
+        self.width = int(shifts.max())
+        self.chunk = max(1, _BLAS_SERIAL // (n_in * n_out))
+        self.dense = []
+        live = kernel != 0.0
+        sparse = live.copy()
+        values, counts = np.unique(shifts[live], return_counts=True)
+        for s, nnz in zip(values.tolist(), counts.tolist()):
+            if 16 * nnz >= n_out * (16 + n_in):
+                group = live & (shifts == s)
+                self.dense.append((s, np.where(group, kernel, 0.0).T.copy()))
+                sparse &= ~group
+        xs, ys = np.nonzero(sparse)
+        self.sparse = list(zip(xs.tolist(), ys.tolist(),
+                               shifts[xs, ys].tolist(), kernel[xs, ys].tolist()))
+
+    def apply(self, table):
+        hi = table.shape[1]
+        new = np.zeros((self.states, hi + self.width))
+        for s, mt in self.dense:
+            dst = new[:, s : s + hi]
+            for c in range(0, hi, self.chunk):
+                dst[:, c : c + self.chunk] += mt @ table[:, c : c + self.chunk]
+        for x, y, s, p in self.sparse:
+            new[y, s : s + hi] += p * table[x]
+        return new
 
 
 def enumerate_distribution(spec):
@@ -435,7 +514,7 @@ def variance_decomposition(spec, target=None):
         target = 4.0 * float(np.max(step_vars)) + 1.0
     if target <= 0.0:
         raise ValueError("blocking target must be positive")
-    lattice = _common_lattice(spec.observables)
+    plan = _sweep_plan(spec)
     means = spec.step_means()
     margs = spec.marginals()
     blocks = []
@@ -443,7 +522,7 @@ def variance_decomposition(spec, target=None):
     start = 0
     n = spec.n_steps
     while start < n:
-        end, var = _greedy_block_end(spec, margs[start], start, target, lattice, means)
+        end, var = _greedy_block_end(spec, margs[start], start, target, plan, means)
         if var is None:  # tail too small to reach the target: stays in b
             break
         blocks.append((start, end))
@@ -483,17 +562,19 @@ def _step_variances(spec):
     return np.array(out)
 
 
-def _greedy_block_end(spec, start_law, start, target, lattice, means):
+def _greedy_block_end(spec, start_law, start, target, plan, means):
     """Extend a block from `start` until its own variance reaches the target.
 
     The block sum keeps the global per-step centering, so block variances
     refer to the same functional the chain-level decomposition uses.
+    `plan` is the chain's `_sweep_plan`, whose cell budget also bounds
+    every block.
     """
-    d, bases, shifts = lattice
+    d, bases, moves = plan
     table = start_law[:, None].copy()
     offset = 0.0
     for j in range(start, spec.n_steps):
-        table = _dp_step(table, spec.kernels[j], shifts[j])
+        table = moves[j].apply(table)
         offset += bases[j] - means[j]
         m = table.sum(axis=0)
         vals = offset + d * np.arange(table.shape[1])

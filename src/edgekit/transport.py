@@ -58,12 +58,12 @@ class GaussianLaw:
 def wasserstein_distance(a, b, p=1):
     """W_p between two laws, exact when the pair structure allows.
 
-    p >= 1, not necessarily an integer. Exact routes exist for integer p
-    on lattice/lattice and lattice/Gaussian pairs. Anything else uses
-    quantile-domain quadrature and requires `quantile` on both laws.
+    Finite p >= 1, not necessarily an integer. Exact routes exist for
+    integer p on lattice/lattice and lattice/Gaussian pairs. Anything else
+    uses quantile-domain quadrature and requires `quantile` on both laws.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1, got %r" % (p,))
     if isinstance(p, int) or float(p).is_integer():
         p_int = int(p)
         lat_a = isinstance(a, LatticeDistribution)
@@ -201,8 +201,8 @@ def lp_cdf_distance(a, b, p=1, lo=None, hi=None):
     At p = 1 this is also W_1; for larger p it measures how the pointwise
     CDF discrepancy accumulates in an average rather than uniform sense.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1, got %r" % (p,))
     return _gap_integral(a, b, float(p), lo, hi) ** (1.0 / p)
 
 
@@ -214,8 +214,8 @@ def wasserstein_upper_bound(a, b, p=1, lo=None, hi=None):
     expansion), which is the route that extends transport estimates past
     proper probability laws. Both sides must carry the same total mass.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1, got %r" % (p,))
     mass_a = float(getattr(a, "total_mass", 1.0))
     mass_b = float(getattr(b, "total_mass", 1.0))
     if abs(mass_a - mass_b) > 1e-9:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,8 @@ def test_parse_scenario_text_full():
         ("model = builtin:rademacher\nm three\n", "key = value"),
         ("model = builtin:rademacher\nm = three\n", "cannot parse"),
         ("model = builtin:rademacher\nseed = 0\n", "seed"),
+        ("model = builtin:rademacher\np = 1,inf\n", "'p'"),
+        ("model = builtin:rademacher\np = nan\n", "'p'"),
     ],
 )
 def test_parse_scenario_text_errors(text, needle):
@@ -385,6 +388,16 @@ def test_cli_usage_errors(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "edgekit:" in err
+
+
+@pytest.mark.parametrize("order", ["inf", "nan", "1,-inf"])
+def test_cli_refuses_non_finite_transport_order(capsys, order):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_:
+        main(["scan-transport", "--model", "builtin:rademacher", "--n", "16,32", "--p", order])
+    assert exit_.value.code == 2
+    assert "--p" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_cli_unknown_model_message(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from edgekit.models import (
     variance_decomposition,
     variance_profile,
 )
+from edgekit.models.markov import _common_lattice, _Moves, _sweep_plan
 
 
 # -- lattice basics ----------------------------------------------------------
@@ -83,6 +85,133 @@ def test_dp_total_mass_and_mean():
     d = exact_distribution(spec)
     assert d.total_mass == pytest.approx(1.0, abs=1e-12)
     assert abs(d.mean) < 1e-10
+
+
+# -- shift-grouped DP step vs the textbook S^2 loop ---------------------------
+
+
+def _loop_step(table, kernel, shifts):
+    """The textbook recursion new[y, c] += K[x, y] table[x, c - s(x, y)], pair by pair."""
+    hi = table.shape[1]
+    new = np.zeros((kernel.shape[1], hi + int(shifts.max())))
+    for x in range(kernel.shape[0]):
+        for y in range(kernel.shape[1]):
+            if kernel[x, y] != 0.0:
+                s = int(shifts[x, y])
+                new[y, s : s + hi] += kernel[x, y] * table[x]
+    return new
+
+
+def _sparse_kernel(rng, rows, cols, zero_frac):
+    k = rng.random((rows, cols)) * (rng.random((rows, cols)) >= zero_frac)
+    k[np.arange(rows), rng.integers(0, cols, size=rows)] += 0.1  # no empty row
+    return k / k.sum(axis=1, keepdims=True)
+
+
+def _rectangular_chain(seed, sizes, values=5):
+    """Inhomogeneous chain whose state count changes at every step."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kernels = tuple(_sparse_kernel(rng, a, b, 0.3) for a, b in zip(sizes[:-1], sizes[1:]))
+    observables = tuple(rng.integers(0, values, size=k.shape).astype(float) for k in kernels)
+    return MarkovChainSpec(np.full(sizes[0], 1.0 / sizes[0]), kernels, observables)
+
+
+def _shared_kernel_chain(states, n):
+    """One kernel array for every step, three observables with different shifts."""
+    rng = np.random.Generator(np.random.PCG64([5, states]))
+    kernel = _sparse_kernel(rng, states, states, 0.2)
+    obs = [rng.integers(0, 3 + j, size=(states, states)).astype(float) for j in range(3)]
+    return MarkovChainSpec(np.full(states, 1.0 / states), (kernel,) * n,
+                           tuple(obs[j % 3] for j in range(n)))
+
+
+def _homogeneous_chain(states, n, distinct_shifts=False):
+    rng = np.random.Generator(np.random.PCG64([9, states]))
+    kernel = _sparse_kernel(rng, states, states, 0.1)
+    if distinct_shifts:
+        obs = rng.permutation(states * states).reshape(states, states).astype(float)
+    else:
+        obs = rng.integers(-2, 3, size=(states, states)).astype(float)
+    return MarkovChainSpec.homogeneous(rng.dirichlet(np.ones(states)), kernel, obs, n)
+
+
+_LOOP_CHAINS = {
+    "rectangular": lambda: _rectangular_chain(3, [2, 5, 1, 3, 16, 4, 64, 7, 3]),
+    "rectangular-dense": lambda: _rectangular_chain(4, [16, 64, 32, 64, 16], values=3),
+    "shared-kernel-s3": lambda: _shared_kernel_chain(3, 9),
+    "shared-kernel-s16": lambda: _shared_kernel_chain(16, 9),
+    "distinct-shifts-s16": lambda: _homogeneous_chain(16, 4, distinct_shifts=True),
+    "s1": lambda: _rectangular_chain(6, [1] * 7),
+    "s3": lambda: _homogeneous_chain(3, 12),
+    "s16": lambda: _homogeneous_chain(16, 10),
+    "s64": lambda: _homogeneous_chain(64, 5),
+    "elliptic2": lambda: builtin_model("elliptic2").spec(40),
+    "flip2": lambda: builtin_model("flip2").spec(40),
+    "symmetric2": lambda: builtin_model("symmetric2").spec(40),
+    "rademacher": lambda: builtin_model("rademacher").spec(40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOP_CHAINS))
+def test_grouped_dp_matches_loop(name):
+    spec = _LOOP_CHAINS[name]()
+    _, _, moves = _sweep_plan(spec)
+    _, _, shifts = _common_lattice(spec.observables)
+    table = ref = spec.initial[:, None]
+    for step, kernel, shift in zip(moves, spec.kernels, shifts):
+        table, ref = step.apply(table), _loop_step(ref, kernel, shift)
+        assert table.shape == ref.shape
+        assert np.max(np.abs(table - ref)) <= 1e-15
+
+
+def test_grouped_step_paths_and_zero_rows():
+    # both the product and the pair path run, and zero rows of the table
+    # and zero kernel entries contribute nothing
+    rng = np.random.Generator(np.random.PCG64(17))
+    for n_in, n_out, span in [(64, 64, 3), (16, 40, 2), (3, 5, 4), (1, 4, 2), (5, 1, 3)]:
+        kernel = _sparse_kernel(rng, n_in, n_out, 0.4)
+        # shift 0 almost everywhere: one large group, a few small ones
+        rare = rng.random(kernel.shape) < 0.05
+        shifts = np.where(rare, rng.integers(1, span, size=kernel.shape), 0)
+        table = rng.random((n_in, 150))  # wider than one product chunk at S = 64
+        table[::3] = 0.0
+        moves = _Moves(kernel, shifts)
+        if n_in >= 16:
+            assert moves.dense and moves.sparse
+        got = moves.apply(table)
+        assert np.max(np.abs(got - _loop_step(table, kernel, shifts))) <= 1e-15
+
+
+def test_products_only_for_large_shift_groups():
+    # S = 2 groups stay pairs in loop order, so the builtin laws keep the
+    # loop's exact arithmetic; a few large groups become products
+    for spec in (builtin_model("elliptic2").spec(8), _homogeneous_chain(16, 2, distinct_shifts=True)):
+        assert all(not m.dense for m in _sweep_plan(spec)[2])
+    assert all(not m.sparse for m in _sweep_plan(_homogeneous_chain(64, 2))[2])
+
+
+def test_sweep_plan_builds_one_move_list_per_kernel_observable_pair():
+    homog = builtin_model("elliptic2").spec(64)
+    assert len({id(m) for m in _sweep_plan(homog)[2]}) == 1
+    # centering gives flip2 a new observable array per step, all with one shift pattern
+    period2 = builtin_model("flip2").spec(64)
+    assert len({id(f) for f in period2.observables}) > 2
+    assert len({id(m) for m in _sweep_plan(period2)[2]}) == 2
+    shared = _shared_kernel_chain(3, 9)
+    assert len({id(m) for m in _sweep_plan(shared)[2]}) == 3
+
+
+def test_fine_lattice_refused_before_allocating():
+    # common step 1e-6 between steps worth 1 and 1.000001: about 10^6 cells
+    # per step, some 8 GB of table at n = 512
+    kernel = np.full((2, 2), 0.5)
+    ones = np.array([[0.0, 1.0], [0.0, 1.0]])
+    spec = MarkovChainSpec([0.5, 0.5], (kernel,) * 512, (ones, ones * 1.000001) * 256)
+    for engine in (exact_distribution, variance_decomposition):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="lattice step 1e-06 needs up to .* budget"):
+            engine(spec)
+        assert time.perf_counter() - start < 1.0
 
 
 # -- builtin models, frozen values -------------------------------------------

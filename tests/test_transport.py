@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekit.edgeworth import build_expansion
+from edgekit.harness.scans import scan_transport
 from edgekit.models import LatticeDistribution, builtin_model, iid_sum
 from edgekit.models.piecewise import PiecewisePolyDistribution
 from edgekit.transport import (
@@ -227,6 +228,19 @@ def test_metric_axioms_on_samples():
         dbg = wasserstein_distance(b, g, p)
         assert dag <= dab + dbg + 1e-8
         assert dab <= dag + dbg + 1e-8
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize("fn", [wasserstein_distance, lp_cdf_distance, wasserstein_upper_bound])
+def test_transport_orders_must_be_finite_and_at_least_one(fn, p):
+    a = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        fn(a, GaussianLaw(0.0, 1.0), p)
+
+
+def test_scan_transport_refuses_non_finite_orders():
+    with pytest.raises(ValueError, match="finite"):
+        scan_transport(builtin_model("rademacher"), (1, math.inf), (16, 32))
 
 
 def test_upper_bound_rejects_mass_mismatch():
