@@ -13,7 +13,7 @@ import numpy as np
 
 from ..cumulants import cumulants_to_moments, moments_to_cumulants
 from .markov import MarkovChainSpec, exact_distribution, variance_decomposition
-from .piecewise import PiecewisePolyDistribution, iid_sum
+from .piecewise import PiecewisePolyDistribution
 
 __all__ = [
     "ChainModel",
@@ -174,9 +174,11 @@ def _centered_builder(make_spec):
         means = spec.step_means()
         if np.max(np.abs(means)) == 0.0:
             return spec
-        observables = tuple(
-            f - mu if mu != 0.0 else f for f, mu in zip(spec.observables, means)
-        )
+        centered = {}  # one array per (source observable, step mean), not one per step
+        for f, mu in zip(spec.observables, means):
+            if (id(f), mu) not in centered:
+                centered[id(f), mu] = f - mu if mu != 0.0 else f
+        observables = tuple(centered[id(f), mu] for f, mu in zip(spec.observables, means))
         return MarkovChainSpec(spec.initial, spec.kernels, observables, name=spec.name)
 
     return build

@@ -10,6 +10,11 @@ Evaluation gathers rows of zero-padded coefficient arrays, `_C` for the
 density and `_A` for its antiderivative from each midpoint, and runs one
 Horner pass over them; quantile solves by safeguarded Newton in the cell
 found from the cumulative masses.
+
+Convolution works on whole tables too. The pair convolution is linear in
+one factor's coefficients, so the cells of equal halfwidth go through it
+as one block, and the sub-pieces are placed on the new grid, recentered
+and summed as arrays.
 """
 
 import math
@@ -34,17 +39,25 @@ def _binom_matrix(n):
     return _binom_cache[n]
 
 
+def _shift_matrix(d, delta):
+    """M with a @ M the coefficients of p(v + delta), for a the d coefficients of p.
+
+    An array of deltas gives one matrix per delta.
+    """
+    k = np.arange(d)
+    expo = k[:, None] - k
+    with np.errstate(invalid="ignore"):
+        powers = np.where(expo >= 0, np.power(np.asarray(delta)[..., None, None], np.maximum(expo, 0)), 0.0)
+    return _binom_matrix(d) * powers
+
+
 def _shift_poly(a, delta):
     """Coefficients of p(v + delta) given those of p(u)."""
     a = np.asarray(a, dtype=float)
     d = a.size
     if d == 1 or delta == 0.0:
         return a.copy()
-    B = _binom_matrix(d)
-    kk, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    with np.errstate(invalid="ignore"):
-        P = np.where(kk >= jj, np.power(delta, np.maximum(kk - jj, 0)), 0.0)
-    return a @ (B * P)
+    return a @ _shift_matrix(d, delta)
 
 
 def _horner(rows, u):
@@ -55,17 +68,20 @@ def _horner(rows, u):
     return acc
 
 
-def _trim_coeffs(a, w):
-    """Drop trailing coefficients that cannot affect values on [-w, w]."""
-    a = np.asarray(a, dtype=float)
-    pw = w ** np.arange(a.size)
-    scale = float(np.sum(np.abs(a) * pw))
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = a.size
-    while keep > 1 and abs(a[keep - 1]) * pw[keep - 1] < _TRIM_REL * scale:
-        keep -= 1
-    return a[:keep].copy()
+def _trim_rows(rows, w):
+    """Zero, row by row, the trailing coefficients that cannot affect values on [-w, w].
+
+    A trailing coefficient goes while its |a_k| w^k is below _TRIM_REL times
+    the row's sum of them; an all-zero row keeps one. w is one halfwidth or
+    one per row. Returns the kept lengths.
+    """
+    mag = np.abs(rows) * np.reshape(w, (-1, 1)) ** np.arange(rows.shape[1])
+    scale = mag.sum(axis=1)
+    small = mag < _TRIM_REL * scale[:, None]
+    keep = rows.shape[1] - np.logical_and.accumulate(small[:, ::-1], axis=1).sum(axis=1)
+    keep = np.where(scale == 0.0, 1, np.maximum(keep, 1))
+    rows[np.arange(rows.shape[1]) >= keep[:, None]] = 0.0
+    return keep
 
 
 class PiecewisePolyDistribution:
@@ -250,35 +266,39 @@ class PiecewisePolyDistribution:
     # -- convolution ---------------------------------------------------------
 
     def convolve(self, other):
-        """Exact distribution of the sum of independent draws."""
-        contribs = []
-        cuts = []
-        for i in range(len(self.coeffs)):
-            for j in range(len(other.coeffs)):
-                c = self.centers[i] + other.centers[j]
-                for s_lo, s_hi, cf in _pair_convolve(
-                    self.coeffs[i], self.halfwidths[i], other.coeffs[j], other.halfwidths[j]
-                ):
-                    contribs.append((c + s_lo, c + s_hi, cf))
-                    cuts.append(c + s_lo)
-                    cuts.append(c + s_hi)
-        grid = _snap_unique(np.array(cuts))
-        cells = [None] * (grid.size - 1)
+        """Exact distribution of the sum of independent draws.
+
+        Cells of self with the same halfwidth form one block, so the pair
+        convolution runs once per (block, cell of other) on whole coefficient
+        tables. Each sub-piece row lands on every grid cell it covers,
+        recentered there when the midpoints differ, and the rows are summed
+        per cell in (self cell, other cell, regime) order.
+        """
+        parts = []
+        for w in np.unique(self.halfwidths):
+            cells = np.flatnonzero(self.halfwidths == w)
+            for j, (q, h) in enumerate(zip(other._C, other.halfwidths)):
+                c = self.centers[cells] + other.centers[j]
+                pair = (cells * len(other.coeffs) + j) * 3
+                for r, (s_lo, s_hi, table) in enumerate(_pair_convolve(self._C[cells], w, q, h)):
+                    parts.append((pair + r, c + s_lo, c + s_hi, table))
+        key, lo, hi, rows = (np.concatenate(x) for x in zip(*parts))
+        order = np.argsort(key)
+        lo, hi, rows = lo[order], hi[order], rows[order]
+        grid = _snap_unique(np.concatenate([lo, hi]))
         tol = 1e-9 * (float(np.max(np.abs(grid))) + 1.0)
-        for lo, hi, cf in contribs:
-            il = int(np.searchsorted(grid, lo + tol) - 1)
-            ih = int(np.searchsorted(grid, hi - tol) - 1)
-            src_mid = 0.5 * (lo + hi)
-            for cell in range(il, ih + 1):
-                cell_mid = 0.5 * (grid[cell] + grid[cell + 1])
-                add = _shift_poly(cf, cell_mid - src_mid)
-                prev = cells[cell]
-                cells[cell] = add if prev is None else np.polynomial.polynomial.polyadd(prev, add)
-        out_coeffs = []
-        for cell, cf in enumerate(cells):
-            w = 0.5 * (grid[cell + 1] - grid[cell])
-            out_coeffs.append(_trim_coeffs(cf if cf is not None else np.zeros(1), w))
-        return PiecewisePolyDistribution(grid, out_coeffs)
+        first = np.searchsorted(grid, lo + tol) - 1
+        count = np.maximum(np.searchsorted(grid, hi - tol) - first, 0)
+        src = np.repeat(np.arange(lo.size), count)
+        cell = first[src] + np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        delta = 0.5 * (grid[cell] + grid[cell + 1]) - 0.5 * (lo + hi)[src]
+        placed = rows[src]
+        moved = delta != 0.0
+        placed[moved] = np.einsum("rk,rkj->rj", placed[moved], _shift_matrix(rows.shape[1], delta[moved]))
+        out = np.zeros((grid.size - 1, rows.shape[1]))
+        np.add.at(out, cell, placed)
+        keep = _trim_rows(out, 0.5 * np.diff(grid))
+        return PiecewisePolyDistribution(grid, [row[:k] for row, k in zip(out, keep)])
 
 
 def iid_sum(base, n):
@@ -299,57 +319,49 @@ def iid_sum(base, n):
 
 
 def _pair_convolve(p, w, q, h):
-    """Convolve density pieces P (on [-w,w]) and Q (on [-h,h]).
+    """Convolve density pieces P (rows of p, each on [-w,w]) with Q (on [-h,h]).
 
-    Returns sub-pieces (s_lo, s_hi, coeffs local to the sub-piece midpoint)
-    of the function s -> int P(u) Q(s-u) du, where s is relative to the sum
-    of the parent centers. Limits follow from overlap of the supports:
-    u in [max(-w, s-h), min(w, s+h)].
+    Returns sub-pieces (s_lo, s_hi, table) of s -> int P(u) Q(s-u) du, where
+    s is relative to the sum of the parent centers and table holds, row for
+    row of p, the coefficients local to the sub-piece midpoint. Limits follow
+    from overlap of the supports: u in [max(-w, s-h), min(w, s+h)]. The map
+    from p is linear, so every row goes through the same matrices.
     """
-    dp, dq = p.size - 1, q.size - 1
-    # bivariate coefficients of P(u) Q(s-u): axis 0 powers of u, axis 1 of s
-    m = np.zeros((dq + 1, dq + 1))
-    for b in range(dq + 1):
-        for tpow in range(b + 1):
-            m[tpow, b - tpow] += q[b] * math.comb(b, tpow) * (-1.0) ** tpow
-    full = np.zeros((dp + dq + 1, dq + 1))
-    for a in range(dp + 1):
-        full[a : a + dq + 1, :] += p[a] * m
-    # antiderivative in u
-    anti = np.zeros((dp + dq + 2, dq + 1))
-    anti[1:, :] = full / np.arange(1, dp + dq + 2)[:, None]
+    dp, dq = p.shape[1] - 1, q.size - 1
+    # bivariate coefficients of Q(s-u): axis 0 powers of u, axis 1 of s
+    t, sp = np.indices((dq + 1, dq + 1))
+    b = np.minimum(t + sp, dq)
+    m = np.where(t + sp <= dq, q[b] * _binom_matrix(dq + 1)[b, t] * (-1.0) ** t, 0.0)
+    # P(u) Q(s-u) per row: axis 1 powers of u, axis 2 of s
+    full = np.zeros((p.shape[0], dp + dq + 1, dq + 1))
+    for tpow in range(dq + 1):
+        full[:, tpow : tpow + dp + 1, :] += p[:, :, None] * m[tpow]
+    # antiderivative in u; its terms have total degree <= dp + dq + 1
+    size = dp + dq + 2
+    anti = np.zeros((p.shape[0], size, dq + 1))
+    anti[:, 1:, :] = full / np.arange(1, size)[:, None]
 
-    def eval_linear(alpha, beta):
-        # substitute u = alpha*s + beta, returning coefficients in s
-        acc = np.zeros(anti.shape[0] + anti.shape[1])
-        pow_poly = np.array([1.0])
-        for ku in range(anti.shape[0]):
-            term = np.convolve(pow_poly, anti[ku, :])
-            acc[: term.size] += term
-            pow_poly = np.convolve(pow_poly, np.array([beta, alpha]))
+    def substitute(alpha, beta):
+        # u = alpha*s + beta in the antiderivative: (alpha s + beta)^ku = sum_j g[ku, j] s^j
+        g = _shift_matrix(size, beta) * alpha ** np.arange(size)
+        acc = np.zeros((p.shape[0], size))
+        for l in range(dq + 1):
+            acc[:, l:] += (anti[:, :, l] @ g)[:, : size - l]
         return acc
 
-    big = w + h
-    mid = abs(w - h)
-    regimes = []
-    # rising overlap
-    regimes.append((-big, -mid, (1.0, h), (0.0, -w)))
-    # full overlap of the narrower piece
+    big, mid = w + h, abs(w - h)
+    # rising overlap, full overlap of the narrower piece, falling overlap
+    regimes = [(-big, -mid, (1.0, h), (0.0, -w))]
     if mid > 1e-14 * big:
-        if w <= h:
-            regimes.append((-mid, mid, (0.0, w), (0.0, -w)))
-        else:
-            regimes.append((-mid, mid, (1.0, h), (1.0, -h)))
-    # falling overlap
+        regimes.append((-mid, mid, (0.0, w), (0.0, -w)) if w <= h else (-mid, mid, (1.0, h), (1.0, -h)))
     regimes.append((mid, big, (0.0, w), (1.0, -h)))
     out = []
-    for s_lo, s_hi, (ua, ub), (la, lb) in regimes:
+    for s_lo, s_hi, upper, lower in regimes:
         if s_hi - s_lo <= 1e-14 * big:
             continue
-        poly_s = eval_linear(ua, ub) - eval_linear(la, lb)
-        s_mid = 0.5 * (s_lo + s_hi)
-        local = _shift_poly(poly_s, s_mid)
-        out.append((s_lo, s_hi, _trim_coeffs(local, 0.5 * (s_hi - s_lo))))
+        local = (substitute(*upper) - substitute(*lower)) @ _shift_matrix(size, 0.5 * (s_lo + s_hi))
+        _trim_rows(local, 0.5 * (s_hi - s_lo))
+        out.append((s_lo, s_hi, local))
     return out
 
 

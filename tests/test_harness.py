@@ -23,7 +23,7 @@ from edgekit.harness import (
     scenario_presets,
 )
 from edgekit.harness.cli import main
-from edgekit.models import builtin_model, save_chain_spec
+from edgekit.models import builtin_model, load_chain_spec, save_chain_spec
 from edgekit.models.markov import MarkovChainSpec
 
 
@@ -239,6 +239,22 @@ def test_resolve_model_from_chain_file(tmp_path):
     d1 = model.distribution(6)
     d2 = builtin_model("elliptic2").distribution(6)
     assert d1.masses == pytest.approx(d2.masses, abs=1e-14)
+
+
+def test_chain_file_centering_shares_observables(tmp_path):
+    # a homogeneous file chain centers with one array per distinct step mean,
+    # not one per step: its means settle at the stationary value
+    rng = np.random.Generator(np.random.PCG64([1, 64]))
+    kernel = rng.dirichlet(np.ones(64), size=64)
+    obs = rng.integers(-2, 3, size=(64, 64)).astype(float)
+    path = tmp_path / "chain64.txt"
+    save_chain_spec(MarkovChainSpec.homogeneous(rng.dirichlet(np.ones(64)), kernel, obs, 256), path)
+    means = load_chain_spec(str(path)).step_means()
+    spec = resolve_model(str(path)).spec(256)
+    distinct = {id(f): f for f in spec.observables}
+    assert len(distinct) == len(set(means.tolist())) < 64
+    for f, mu in zip(spec.observables, means):
+        assert np.array_equal(f, obs - mu)
 
 
 def test_presets_parse_and_validate():

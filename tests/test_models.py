@@ -24,6 +24,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import _common_lattice, _Moves, _sweep_plan
+from edgekit.models.piecewise import _TRIM_REL, _shift_poly, _snap_unique
 
 
 # -- lattice basics ----------------------------------------------------------
@@ -445,6 +446,137 @@ def test_piecewise_deep_convolution_stays_clean():
     assert d.density(0.0) * sigma == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=5e-3)
 
 
+# -- grouped convolution vs the per-pair route -------------------------------
+
+
+def _trim_coeffs(a, w):
+    """Drop trailing coefficients that cannot affect values on [-w, w]."""
+    pw = w ** np.arange(a.size)
+    scale = float(np.sum(np.abs(a) * pw))
+    if scale == 0.0:
+        return np.zeros(1)
+    keep = a.size
+    while keep > 1 and abs(a[keep - 1]) * pw[keep - 1] < _TRIM_REL * scale:
+        keep -= 1
+    return a[:keep].copy()
+
+
+def _pair_oracle(p, w, q, h):
+    """One pair of pieces, substituting the limits by a ladder of np.convolve calls."""
+    dp, dq = p.size - 1, q.size - 1
+    m = np.zeros((dq + 1, dq + 1))
+    for b in range(dq + 1):
+        for tpow in range(b + 1):
+            m[tpow, b - tpow] += q[b] * math.comb(b, tpow) * (-1.0) ** tpow
+    full = np.zeros((dp + dq + 1, dq + 1))
+    for a in range(dp + 1):
+        full[a : a + dq + 1, :] += p[a] * m
+    anti = np.zeros((dp + dq + 2, dq + 1))
+    anti[1:, :] = full / np.arange(1, dp + dq + 2)[:, None]
+
+    def eval_linear(alpha, beta):
+        acc = np.zeros(anti.shape[0] + anti.shape[1])
+        pow_poly = np.array([1.0])
+        for ku in range(anti.shape[0]):
+            term = np.convolve(pow_poly, anti[ku, :])
+            acc[: term.size] += term
+            pow_poly = np.convolve(pow_poly, np.array([beta, alpha]))
+        return acc
+
+    big, mid = w + h, abs(w - h)
+    regimes = [(-big, -mid, (1.0, h), (0.0, -w))]
+    if mid > 1e-14 * big:
+        if w <= h:
+            regimes.append((-mid, mid, (0.0, w), (0.0, -w)))
+        else:
+            regimes.append((-mid, mid, (1.0, h), (1.0, -h)))
+    regimes.append((mid, big, (0.0, w), (1.0, -h)))
+    out = []
+    for s_lo, s_hi, upper, lower in regimes:
+        if s_hi - s_lo <= 1e-14 * big:
+            continue
+        local = _shift_poly(eval_linear(*upper) - eval_linear(*lower), 0.5 * (s_lo + s_hi))
+        out.append((s_lo, s_hi, _trim_coeffs(local, 0.5 * (s_hi - s_lo))))
+    return out
+
+
+def _convolve_oracle(a, b):
+    """The per-pair convolution: every (cell of a, cell of b) pair in turn.
+
+    Returns the grid, the coefficient list and how many placements moved a
+    sub-piece to a cell with a different midpoint.
+    """
+    contribs, cuts = [], []
+    for i in range(len(a.coeffs)):
+        for j in range(len(b.coeffs)):
+            c = a.centers[i] + b.centers[j]
+            for s_lo, s_hi, cf in _pair_oracle(a.coeffs[i], a.halfwidths[i], b.coeffs[j], b.halfwidths[j]):
+                contribs.append((c + s_lo, c + s_hi, cf))
+                cuts += [c + s_lo, c + s_hi]
+    grid = _snap_unique(np.array(cuts))
+    cells = [np.zeros(1) for _ in range(grid.size - 1)]
+    tol = 1e-9 * (float(np.max(np.abs(grid))) + 1.0)
+    moved = 0
+    for lo, hi, cf in contribs:
+        il = int(np.searchsorted(grid, lo + tol) - 1)
+        ih = int(np.searchsorted(grid, hi - tol) - 1)
+        for cell in range(il, ih + 1):
+            delta = 0.5 * (grid[cell] + grid[cell + 1]) - 0.5 * (lo + hi)
+            moved += delta != 0.0 and cf.size > 1
+            cells[cell] = np.polynomial.polynomial.polyadd(cells[cell], _shift_poly(cf, delta))
+    coeffs = [_trim_coeffs(cf, 0.5 * (grid[i + 1] - grid[i])) for i, cf in enumerate(cells)]
+    return grid, coeffs, moved
+
+
+def _assert_matches_oracle(a, b, tol=1e-14):
+    """Same grid, same kept lengths, coefficients within tol of the table's largest |a_k| w^k.
+
+    The scale is the whole table's: recentering a sub-piece cancels about
+    2^degree in its far-tail cells, where two summation orders agree only
+    to that (4e-6 of such a cell at n = 64 of the uniform chain).
+    """
+    got = a.convolve(b)
+    grid, coeffs, moved = _convolve_oracle(a, b)
+    assert np.array_equal(got.breaks, grid)
+    assert [c.size for c in got.coeffs] == [c.size for c in coeffs]
+    want = np.array([np.pad(c, (0, got._C.shape[1] - c.size)) for c in coeffs])
+    powers = got.halfwidths[:, None] ** np.arange(want.shape[1])
+    assert np.max(np.abs(got._C - want) * powers) <= tol * np.max(np.abs(want) * powers)
+    return got, moved
+
+
+def test_grouped_convolution_matches_per_pair_uniform_chain():
+    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
+    acc, moves = u, 0
+    for _ in range(63):
+        acc, moved = _assert_matches_oracle(acc, u)
+        moves += moved
+    assert moves == 0 and len(acc.coeffs) == 64
+
+
+# (breaks, coefficients, n, whether some placement is recentered); the shapes
+# need not integrate to one, since the convolution is linear in each factor
+_PIECEWISE_BASES = {
+    # unequal widths and sloped pieces: three regimes
+    "skewed": ([-1.0, -0.25, 1.5], [[0.4, 0.2], [0.4, -0.1]], 12, True),
+    "zero-cell": ([0.0, 1.0, 2.0, 3.0], [[0.5], [0.0], [0.5]], 10, False),
+    # two of the three halfwidths differ by 2^-11 only
+    "three-halfwidths": ([-1.0, -0.5, 2.0**-10, 1.5], [[0.4], [0.5, 0.2], [0.3, 0.05, -0.08]], 7, True),
+    "cubic": ([-1.0, 1.0], [[0.5, 0.25, -0.3, -0.2]], 10, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIECEWISE_BASES))
+def test_grouped_convolution_matches_per_pair(name):
+    breaks, coeffs, n, recentered = _PIECEWISE_BASES[name]
+    base = PiecewisePolyDistribution(breaks, coeffs)
+    acc, moves = base, 0
+    for _ in range(n - 1):
+        acc, moved = _assert_matches_oracle(acc, base)
+        moves += moved
+    assert (moves > 0) == recentered
+
+
 # -- piecewise evaluation and quantile ---------------------------------------
 
 def _uniform_sum_exact(n, x):
@@ -470,7 +602,7 @@ def _grid_with_breaks(d, per_cell=7):
     return np.unique(np.concatenate([inner, d.breaks, outside]))
 
 
-@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("n", [2, 3, 6, 12, 32, 64])
 def test_piecewise_irwin_hall_closed_form_on_breakpoint_grid(n):
     d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
     x = _grid_with_breaks(d)
