@@ -21,7 +21,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import DensePolynomial, hermite, normal_cdf, normal_pdf
+from .special import (
+    DensePolynomial,
+    gaussian_moment,
+    gaussian_partial_moments,
+    hermite,
+    normal_cdf,
+    normal_pdf,
+)
 
 __all__ = [
     "enumerate_correction_tuples",
@@ -191,11 +198,34 @@ class EdgeworthExpansion:
         """Exact q-th moment of the signed measure."""
         if q < 0:
             raise ValueError("moment order must be nonnegative")
-        total = _gaussian_moment(q)
+        total = gaussian_moment(q)
         for j, coefs in enumerate(self._hermite_coefs, start=1):
             w = self.sigma ** (-j)
             for k, b in coefs.items():
                 total += w * b * _hermite_projection(q, k)
+        return total
+
+    def abs_moment(self, q):
+        """Exact q-th absolute moment int |x|^q psi(x) dx of the signed measure.
+
+        With psi = phi (1 + sum_i d_i x^i), d_0 = 1 and the d_i the
+        sigma-weighted density polynomial coefficients, the terms are
+        int |x|^q x^i phi = (1 + (-1)^i) M_{q+i}(0, inf) in Gaussian
+        partial moments. Even q is a polynomial moment: it goes through
+        the integer Hermite route of `moment` and equals it exactly.
+        """
+        if q < 0 or q != int(q):
+            raise ValueError("absolute moment order must be a nonnegative integer")
+        q = int(q)
+        if q % 2 == 0:
+            return self.moment(q)
+        deg = max(p.degree for p in self.density_polys)
+        half = gaussian_partial_moments(q + deg, 0.0, np.inf)
+        total = 2.0 * half[q]
+        for j, poly in enumerate(self.density_polys, start=1):
+            w = self.sigma ** (-j)
+            for i, d in enumerate(poly.coeffs[::2]):
+                total += w * 2.0 * d * half[q + 2 * i]
         return total
 
     # -- text record ---------------------------------------------------------
@@ -235,12 +265,6 @@ class EdgeworthExpansion:
         if sorted(polys) != list(range(1, order - 1)):
             raise ValueError("record needs polys 1..%d" % (order - 2))
         return cls(sigma, [polys[j] for j in range(1, order - 1)], name=name)
-
-
-def _gaussian_moment(q):
-    if q % 2:
-        return 0.0
-    return float(math.factorial(q) // (2 ** (q // 2) * math.factorial(q // 2)))
 
 
 def _hermite_projection(q, k):

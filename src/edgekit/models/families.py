@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..cumulants import cumulants_to_moments, moments_to_cumulants
-from .markov import MarkovChainSpec, exact_distribution, variance_decomposition
+from .markov import MarkovChainSpec, _run_dp, exact_distribution, variance_decomposition
 from .piecewise import PiecewisePolyDistribution
 
 __all__ = [
@@ -40,6 +40,7 @@ class ChainModel:
         self.max_steps = max_steps
         self._specs = {}
         self._dists = {}
+        self._profiles = {}
         self._blockings = {}
 
     def spec(self, n):
@@ -84,7 +85,13 @@ class ChainModel:
     def blocking(self, n, target=None):
         key = (n, target)
         if key not in self._blockings:
-            self._blockings[key] = variance_decomposition(self.spec(n), target=target)
+            if n not in self._profiles:
+                # one sweep yields Var(S_k) and the law, which coupling needs next
+                dist, self._profiles[n] = _run_dp(self.spec(n), want_profile=True)
+                self._dists.setdefault(n, dist)
+            self._blockings[key] = variance_decomposition(
+                self.spec(n), target=target, sigma2=self._profiles[n]
+            )
         return self._blockings[key]
 
 

@@ -505,8 +505,15 @@ class BlockingReport:
     a_monotone: bool
 
 
-def variance_decomposition(spec, target=None):
-    sigma2 = variance_profile(spec)
+def variance_decomposition(spec, target=None, sigma2=None):
+    """Greedy variance blocking of `spec`; see BlockingReport.
+
+    `sigma2` is the Var(S_k) profile when the caller already swept the
+    chain for it (`_run_dp(spec, want_profile=True)` also yields the law);
+    otherwise one `variance_profile` sweep runs here.
+    """
+    if sigma2 is None:
+        sigma2 = variance_profile(spec)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     step_vars = _step_variances(spec)

@@ -6,6 +6,7 @@ normal weight, so this module keeps those primitives in one place.
 Hermite polynomials are the probabilists' family: He_{k+1} = x He_k - k He_{k-1}.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "normal_cdf",
     "gaussian_derivative",
     "gaussian_partial_moments",
+    "gaussian_moment",
+    "gaussian_abs_moment",
 ]
 
 _HERMITE_MAX = 64
@@ -195,3 +198,17 @@ def gaussian_partial_moments(kmax, a, b):
         pow_b = 0.0 if np.isinf(b) else pow_b * b
         out[k] = pow_a * phi_a - pow_b * phi_b + (k - 1) * out[k - 2]
     return out
+
+
+def gaussian_moment(q):
+    """E[Z^q] for integer q >= 0: (q-1)!! for even q, 0 for odd, exactly."""
+    if q % 2:
+        return 0.0
+    return float(math.factorial(q) // (2 ** (q // 2) * math.factorial(q // 2)))
+
+
+def gaussian_abs_moment(q):
+    """E|Z|^q for integer q >= 0: 2 M_q(0, inf), and (q-1)!! exactly for even q."""
+    if q % 2 == 0:
+        return gaussian_moment(q)
+    return 2.0 * float(gaussian_partial_moments(q, 0.0, np.inf)[q])

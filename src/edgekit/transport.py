@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .models.lattice import LatticeDistribution
@@ -296,8 +295,12 @@ def expectation_via_cdf(cdf, h, h_deriv, tol=1e-7, span=60.0):
 
     Works from the CDF alone; the two half-line integrals are evaluated
     adaptively. Intended for smooth CDFs (expansions, Gaussians); step
-    CDFs converge too but slowly.
+    CDFs converge too but slowly. Scans use the closed-form moments of
+    `EdgeworthExpansion`; this stays as an independent oracle for them,
+    and imports scipy.integrate only when called.
     """
+    from scipy import integrate
+
     up, up_err = integrate.quad(
         lambda x: h_deriv(x) * (1.0 - float(np.asarray(cdf(x)))), 0.0, span,
         epsabs=tol / 4.0, limit=300,

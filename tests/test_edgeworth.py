@@ -21,7 +21,15 @@ from edgekit.edgeworth import (
     tuple_weight,
 )
 from edgekit.models import builtin_model
-from edgekit.special import DensePolynomial, hermite, normal_pdf
+from edgekit.special import (
+    DensePolynomial,
+    gaussian_abs_moment,
+    gaussian_moment,
+    gaussian_partial_moments,
+    hermite,
+    normal_pdf,
+)
+from edgekit.transport import expectation_via_cdf
 
 
 # -- tuple combinatorics -----------------------------------------------------
@@ -136,6 +144,65 @@ def test_moment_matching_through_order():
         true = m.moment(n, q) / sig**q
         if q <= order:
             assert e.moment(q) == pytest.approx(true, abs=1e-12), "q=%d" % q
+
+
+def _abs_moment_scale(e, q):
+    """2 M_q + sum_j sigma^-j sum_i 2 |d_ji| M_{q+i}: the size of the closed form's terms."""
+    deg = max(p.degree for p in e.density_polys)
+    half = gaussian_partial_moments(q + deg, 0.0, np.inf)
+    total = 2.0 * half[q]
+    for j, poly in enumerate(e.density_polys, start=1):
+        total += sum(2.0 * abs(c) * half[q + i] for i, c in enumerate(poly.coeffs)) * e.sigma ** (-j)
+    return total
+
+
+def _abs_moment_cases():
+    elliptic = build_expansion(builtin_model("elliptic2"), 12, 5)
+    skewed = expansion_from_cumulants([0.0, 9.0, 4.5, -6.0, 11.0])  # sigma = 3
+    return [(name, e.truncated(r)) for name, e in (("elliptic2", elliptic), ("skewed", skewed))
+            for r in (1, 2, 3)]
+
+
+def test_abs_moment_matches_mpmath_and_cdf_quadrature():
+    mp = pytest.importorskip("mpmath")
+    u = np.finfo(float).eps / 2
+    for name, e in _abs_moment_cases():
+        with mp.workdps(20):
+            # psi(x) + psi(-x) = 2 phi(x) (1 + sum_j sigma^-j even part of D_j(x))
+            even = [mp.mpf(0)] * (1 + max(p.degree for p in e.density_polys))
+            even[0] = mp.mpf(1)
+            for j, poly in enumerate(e.density_polys, start=1):
+                for i, c in enumerate(poly.coeffs[::2]):
+                    even[2 * i] += mp.mpf(c) * mp.mpf(e.sigma) ** (-j)
+        for q in range(1, 7):
+            got = e.abs_moment(q)
+            with mp.workdps(20):
+                ref = mp.quad(lambda x: 2 * mp.npdf(x) * mp.polyval(even[::-1], x) * x**q, [0, mp.inf])
+            assert abs(got - float(ref)) <= 64 * u * _abs_moment_scale(e, q), (name, e.corrections, q)
+            if name == "skewed":  # the CDF quadrature is slow; one model covers it
+                via_cdf = expectation_via_cdf(
+                    e.cdf, lambda x: abs(x) ** q,
+                    lambda x, q=q: q * abs(x) ** (q - 1) * math.copysign(1.0, x),
+                )
+                assert got == pytest.approx(via_cdf, abs=1e-7), (name, e.corrections, q)
+
+
+def test_abs_moment_even_orders_are_the_signed_moments():
+    for _, e in _abs_moment_cases():
+        for q in (0, 2, 4, 6):
+            assert e.abs_moment(q) == e.moment(q)
+    with pytest.raises(ValueError):
+        e.abs_moment(1.5)
+    with pytest.raises(ValueError):
+        e.abs_moment(-1)
+
+
+def test_gaussian_moment_closed_forms():
+    mp = pytest.importorskip("mpmath")
+    for q in range(0, 13):
+        ref = mp.mpf(2) ** (mp.mpf(q) / 2) * mp.gamma(mp.mpf(q + 1) / 2) / mp.sqrt(mp.pi)
+        assert gaussian_abs_moment(q) == pytest.approx(float(ref), rel=4e-16)
+        assert gaussian_moment(q) == (float(math.prod(range(q - 1, 0, -2))) if q % 2 == 0 else 0.0)
 
 
 def test_truncation_keeps_coefficients():

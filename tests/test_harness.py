@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -119,6 +121,18 @@ def test_scan_moments_matched_when_order_covered():
     rep = scan_moments(builtin_model("elliptic2"), (2, 3), 1, (16, 32, 64, 128))
     assert rep.signed_verdicts == ("matched", "matched")
     assert float(np.max(rep.scaled_gap[:, 1])) < 1e-6
+
+
+def test_scan_moments_runs_no_quadrature(monkeypatch):
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan_moments ran scipy.integrate.quad")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    for name, r in (("rademacher", 0), ("elliptic2", 1), ("uniform", 1)):
+        rep = scan_moments(builtin_model(name), (1, 2, 3, 4), r, (8, 16), m=5)
+        assert np.all(np.isfinite(rep.expansion)) and np.all(np.isfinite(rep.expansion_abs))
 
 
 def test_scan_moments_rejects_uncovered_order():
@@ -499,6 +513,35 @@ def test_cli_couple_single_n_table(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "k,var_s_k,block_var,remainder"
     assert len(out) == 18
+
+
+def test_cli_couple_runs_one_dp_sweep(monkeypatch, capsys):
+    from edgekit.models import families, markov
+
+    calls = []
+    original = markov._run_dp
+
+    def counted(spec, want_profile):
+        calls.append(want_profile)
+        return original(spec, want_profile)
+
+    monkeypatch.setattr(markov, "_run_dp", counted)
+    monkeypatch.setattr(families, "_run_dp", counted)
+    assert main(["couple", "--model", "builtin:elliptic2", "--n", "64"]) == 0
+    assert calls == [True]  # the law comes out of the profile sweep
+    capsys.readouterr()
+
+
+def test_cli_import_leaves_quadrature_and_signal_unloaded():
+    import edgekit
+
+    code = ("import sys, edgekit.harness.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.signal'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(edgekit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_chain_file_roundtrip(tmp_path, capsys):

@@ -48,6 +48,102 @@ def test_lattice_convolution_is_binomial():
     assert np.allclose(acc.masses, stats.binom.pmf(np.arange(7), 6, 0.5), atol=1e-15)
 
 
+# -- lattice charfn by chirp-z ------------------------------------------------
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _binomial_lattice(n, offset, step):
+    masses = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float) / 2.0**n
+    return LatticeDistribution(offset, step, masses)
+
+
+def _charfn_direct(dist, t, ks):
+    """The dense sums sum_j p_j (i x_j)^k exp(i t x_j) that chirp-z replaced, one row per k."""
+    x = dist.support
+    w = np.stack([dist.masses * (1j * x) ** k for k in ks], axis=1)
+    chunks = np.array_split(t, max(1, t.size // 2000))
+    return np.concatenate([np.exp(1j * np.multiply.outer(c, x)) @ w for c in chunks]).T
+
+
+def _charfn_bound(dist, t, k):
+    """8 u log2(L) sum|w| + 16 u max|t| sum|w_j| (|x_j| + h): the argued bound."""
+    x = dist.support
+    aw = dist.masses * np.abs(x) ** k
+    fft_len = 1 << (dist.masses.size + t.size - 2).bit_length()
+    return (8 * _U * math.log2(fft_len) * aw.sum()
+            + 16 * _U * np.max(np.abs(t)) * np.sum(aw * (np.abs(x) + dist.step)))
+
+
+def _charfn_grid(npts, sigma):
+    # the two grid shapes the scans use: the log-charfn profile window and
+    # the tail-integral grid out to 8 sigma^3 (order m = 6)
+    if npts == 241:
+        return np.linspace(-7.0, 7.0, npts) / sigma
+    return np.linspace(0.5, 8.0 * sigma**3, npts)
+
+
+@pytest.mark.parametrize("npts", [241, 20001])
+@pytest.mark.parametrize("n", [16, 64, 256, 512])
+def test_lattice_charfn_chirp_z_matches_direct_sum(n, npts):
+    # offset 0.1 - 0.15 n and step 0.3: 0 is not a support point
+    d = _binomial_lattice(n, 0.1 - 0.15 * n, 0.3)
+    t = _charfn_grid(npts, 0.15 * math.sqrt(n))
+    ks = (0, 3, 8, 16)
+    for k, ref in zip(ks, _charfn_direct(d, t, ks)):
+        got = d.charfn_deriv(t, k)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - ref)) <= _charfn_bound(d, t, k), "k=%d" % k
+
+
+@pytest.mark.parametrize("npts", [241, 20001])
+@pytest.mark.parametrize("n", [16, 64, 256, 512])
+def test_lattice_charfn_chirp_z_matches_mpmath_rademacher(n, npts):
+    mp = pytest.importorskip("mpmath")
+    d = _binomial_lattice(n, -float(n), 2.0)  # S_n of n Rademacher steps
+    t = _charfn_grid(npts, math.sqrt(n))
+    pick = np.unique(np.linspace(0, npts - 1, 9).astype(int))
+    with mp.workdps(40):
+        for k in (0, 3, 8, 16):
+            got = d.charfn_deriv(t, k)[pick]
+            ref = np.array([
+                complex(mp.diff(lambda s: mp.cos(s) ** n, mp.mpf(float(v)), k)) for v in t[pick]
+            ])
+            err = np.max(np.abs(got - ref))
+            assert err <= _charfn_bound(d, t, k), "k=%d" % k
+
+
+def test_lattice_charfn_scalar_and_refusals():
+    d = _binomial_lattice(8, -8.0, 2.0)
+    val = d.charfn_deriv(0.3, 2)
+    assert isinstance(val, complex)
+    assert val == pytest.approx(complex(_charfn_direct(d, np.array([0.3]), [2])[0, 0]), abs=1e-14)
+    assert d.charfn_deriv(np.array([0.1, 0.7]), 1) == pytest.approx(
+        _charfn_direct(d, np.array([0.1, 0.7]), [1])[0], abs=1e-14
+    )
+    for bad in (np.array([0.0, 0.1, 0.3]), np.geomspace(0.1, 10.0, 50)):
+        with pytest.raises(ValueError, match="equispaced"):
+            d.charfn_deriv(bad, 1)
+    with pytest.raises(ValueError, match="1-d"):
+        d.charfn_deriv(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="derivative order"):
+        d.charfn_deriv(0.0, 17)
+
+
+def test_chirp_phase_is_reduced_exactly():
+    mp = pytest.importorskip("mpmath")
+    from edgekit.models.lattice import _chirp
+
+    theta, size = 3.2, 40001  # a tail grid's theta; theta l^2 / 2 reaches 2.6e9
+    got = _chirp(theta, size)
+    with mp.workdps(40):
+        for l in (1, 777, 20000, 40000):
+            ref = mp.expj(mp.mpf(theta) * l * l / 2)
+            assert abs(got[l] - complex(ref)) <= 4 * _U
+    naive = np.exp(0.5j * theta * 40000.0**2)
+    assert abs(naive - got[40000]) > 1e4 * _U  # what the split avoids
+
+
 # -- chain DP vs path enumeration -------------------------------------------
 
 
