@@ -278,9 +278,6 @@ class StationaryFit:
     accepted: bool
     rejected_orders: tuple
 
-    def variance_rate(self):
-        return float(self.p[1])
-
 
 def fit_stationary(model, ns, kmax=4, noise_floor_rel=1e-8):
     """Fit kappa_k(S_n) = n p_k + q_k on the tail of `ns`, judge the rest.

@@ -41,7 +41,6 @@ __all__ = [
     "stationary_shape_rates",
     "limit_correction_polynomial",
     "stationary_expansion",
-    "coefficient_distance",
 ]
 
 _ORDER_MIN = 3
@@ -74,10 +73,6 @@ def enumerate_correction_tuples(j):
 
     rec(1, j, [])
     return tuple(out)
-
-
-def tuple_weight(tup):
-    return sum(l * k for l, k in enumerate(tup, start=1))
 
 
 def tuple_hermite_order(tup):
@@ -331,12 +326,3 @@ def stationary_expansion(p, q, n, m):
     """Expansion predicted by fitted affine cumulant growth at size n."""
     kappas = [n * p[k] + q[k] for k in range(m)]
     return expansion_from_cumulants(kappas, name="stationary n=%d" % n)
-
-
-def coefficient_distance(a, b):
-    """Max absolute coefficient difference of two polynomials."""
-    ca, cb = list(a.coeffs), list(b.coeffs)
-    width = max(len(ca), len(cb))
-    ca += [0.0] * (width - len(ca))
-    cb += [0.0] * (width - len(cb))
-    return max(abs(x - y) for x, y in zip(ca, cb))

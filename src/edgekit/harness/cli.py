@@ -217,11 +217,9 @@ def cmd_cumulants(args):
     n = _single_n(args)
     if not 1 <= args.m <= 8:
         raise ScenarioError("--m must be in [1, 8]")
+    kappas = model.cumulants(n, args.m)
     sigma = model.sigma(n)
-    rows = []
-    for q in range(1, args.m + 1):
-        kq = model.cumulant(n, q)
-        rows.append((q, kq, kq / sigma**q))
+    rows = [(q, kq, kq / sigma**q) for q, kq in enumerate(kappas, start=1)]
     _emit(args, ("order", "raw", "normalized"), rows,
           meta={"model": model.name, "n": n, "sigma": float(sigma)})
     return 0

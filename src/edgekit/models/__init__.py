@@ -6,8 +6,8 @@ from .markov import (
     EllipticityReport,
     MarkovChainSpec,
     PsiMixingResult,
+    cumulant_series,
     ellipticity_check,
-    enumerate_distribution,
     exact_distribution,
     load_chain_spec,
     psi_mixing_coefficient,
@@ -31,7 +31,7 @@ __all__ = [
     "PsiMixingResult",
     "BlockingReport",
     "exact_distribution",
-    "enumerate_distribution",
+    "cumulant_series",
     "ellipticity_check",
     "psi_mixing_coefficient",
     "variance_profile",

@@ -2,8 +2,9 @@
 
 A model bundles a family of partial-sum laws indexed by the number of
 steps n, with caching, exact cumulants, and characteristic-function
-derivatives. Two kinds exist: finite-state chains evaluated by the
-lattice dynamic program, and iid sums of a piecewise-polynomial base
+derivatives. Two kinds exist: finite-state chains, whose laws come from
+the lattice dynamic program and whose cumulants come from the
+transfer-operator series, and iid sums of a piecewise-polynomial base
 density evaluated by exact convolution.
 """
 
@@ -12,7 +13,14 @@ import math
 import numpy as np
 
 from ..cumulants import cumulants_to_moments, moments_to_cumulants
-from .markov import MarkovChainSpec, _run_dp, exact_distribution, variance_decomposition
+from .markov import (
+    MarkovChainSpec,
+    _series_mul,
+    _series_power,
+    cumulant_series,
+    exact_distribution,
+    variance_decomposition,
+)
 from .piecewise import PiecewisePolyDistribution
 
 __all__ = [
@@ -28,7 +36,9 @@ class ChainModel:
     """Partial sums of observables along a finite-state chain.
 
     `builder(n)` must return a MarkovChainSpec with n steps whose summed
-    observable is mean zero; results are cached per n.
+    observable is mean zero; results are cached per n. Cumulants and
+    sigma come from `cumulant_series`, which builds no law: one series
+    per n is kept, at the highest order asked for so far.
     """
 
     kind = "chain"
@@ -40,7 +50,7 @@ class ChainModel:
         self.max_steps = max_steps
         self._specs = {}
         self._dists = {}
-        self._profiles = {}
+        self._kappas = {}
         self._blockings = {}
 
     def spec(self, n):
@@ -59,11 +69,8 @@ class ChainModel:
             self._dists[n] = exact_distribution(self.spec(n))
         return self._dists[n]
 
-    def step(self, n):
-        return self.distribution(n).step
-
     def sigma2(self, n):
-        return self.distribution(n).variance
+        return self.cumulant(n, 2)
 
     def sigma(self, n):
         return math.sqrt(self.sigma2(n))
@@ -72,8 +79,9 @@ class ChainModel:
         return self.distribution(n).moment(q)
 
     def cumulants(self, n, kmax):
-        moments = [self.moment(n, q) for q in range(1, kmax + 1)]
-        return moments_to_cumulants(moments)
+        if len(self._kappas.get(n, ())) < kmax:
+            self._kappas[n] = cumulant_series(self.spec(n), kmax)
+        return self._kappas[n][:kmax]
 
     def cumulant(self, n, k):
         return self.cumulants(n, k)[k - 1]
@@ -85,13 +93,7 @@ class ChainModel:
     def blocking(self, n, target=None):
         key = (n, target)
         if key not in self._blockings:
-            if n not in self._profiles:
-                # one sweep yields Var(S_k) and the law, which coupling needs next
-                dist, self._profiles[n] = _run_dp(self.spec(n), want_profile=True)
-                self._dists.setdefault(n, dist)
-            self._blockings[key] = variance_decomposition(
-                self.spec(n), target=target, sigma2=self._profiles[n]
-            )
+            self._blockings[key] = variance_decomposition(self.spec(n), target=target)
         return self._blockings[key]
 
 
@@ -150,23 +152,17 @@ class IIDContinuousModel:
         return cumulants_to_moments(self.cumulants(n, q))[q - 1]
 
     def charfn_deriv(self, n, t, k=0):
-        """Derivatives of psi^n via a product-rule ladder on psi.
+        """k-th derivative of psi^n: the one-state case of the chain series.
 
-        No logarithms, so zeros of psi on the t grid are harmless.
+        The Taylor series of psi about each t, truncated at h^k, is raised
+        to the n by binary powering. No logarithms, so zeros of psi on the
+        t grid are harmless.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base = np.stack([np.atleast_1d(self.base.charfn_deriv(t, j)) for j in range(k + 1)])
-        cur = base
-        binom = [[math.comb(kk, j) for j in range(kk + 1)] for kk in range(k + 1)]
-        for _ in range(n - 1):
-            nxt = np.empty_like(cur)
-            for kk in range(k + 1):
-                acc = np.zeros(t.shape, dtype=complex)
-                for j in range(kk + 1):
-                    acc += binom[kk][j] * cur[j] * base[kk - j]
-                nxt[kk] = acc
-            cur = nxt
-        out = cur[k]
+        base = np.stack([np.atleast_1d(self.base.charfn_deriv(t, j)) / math.factorial(j)
+                         for j in range(k + 1)])
+        power = _series_power(base, n, lambda a, b: _series_mul(a, b, np.multiply))
+        out = math.factorial(k) * power[k]
         return out if out.size > 1 else complex(out[0])
 
 
@@ -205,12 +201,16 @@ def decaying_observable_chain(name, kernel, amplitudes, initial=None):
     if initial is None:
         initial = np.full(nstates, 1.0 / nstates)
 
+    shared = {}  # one observable array per amplitude, not one per step
+
     def make(n):
         observables = []
-        kernels = (kernel,) * n
         for j in range(1, n + 1):
-            observables.append(np.tile(amplitudes(j) * signs, (nstates, 1)))
-        return MarkovChainSpec(initial, kernels, tuple(observables), name=name)
+            a = amplitudes(j)
+            if a not in shared:
+                shared[a] = np.tile(a * signs, (nstates, 1))
+            observables.append(shared[a])
+        return MarkovChainSpec(initial, (kernel,) * n, tuple(observables), name=name)
 
     return ChainModel(name, _centered_builder(make))
 

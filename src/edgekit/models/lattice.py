@@ -150,9 +150,6 @@ class LatticeDistribution:
     def shift(self, c):
         return LatticeDistribution(self.offset + c, self.step, self.masses)
 
-    def centered(self):
-        return self.shift(-self.mean)
-
     def scale(self, c):
         """Distribution of c*X for c > 0."""
         if not c > 0:

@@ -1,20 +1,25 @@
 """Finite-state inhomogeneous Markov chains with additive functionals.
 
-The central object is the exact distribution of the centered functional
+The central object is the centered functional
 
-    S_n = sum_j (f_j(X_j, X_{j+1}) - E f_j(X_j, X_{j+1}))
+    S_n = sum_j (f_j(X_j, X_{j+1}) - E f_j(X_j, X_{j+1})).
 
-computed by dynamic programming over (state, lattice cell). Everything
-is deterministic; the only approximation is the snap of observable
-values to a common arithmetic lattice, which is validated to 1e-9.
+Two engines serve it. Its exact law comes from dynamic programming over
+(state, lattice cell); the only approximation there is the snap of
+observable values to a common arithmetic lattice, validated to 1e-9.
+Its cumulants and variance profiles come from the perturbed transfer
+operator as truncated power series, with no lattice and no table.
+Everything is deterministic.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ..cumulants import moments_to_cumulants
 from .lattice import LatticeDistribution
 
 __all__ = [
@@ -23,7 +28,7 @@ __all__ = [
     "PsiMixingResult",
     "BlockingReport",
     "exact_distribution",
-    "enumerate_distribution",
+    "cumulant_series",
     "ellipticity_check",
     "psi_mixing_coefficient",
     "variance_profile",
@@ -35,7 +40,6 @@ __all__ = [
 _ROW_TOL = 1e-12
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
-_PSI_EXACT_CAP = 12
 # Largest DP table, in (state, cell) entries, a sweep may allocate. A step
 # holds the old table and the new one; its other temporaries are one row or
 # one product chunk. Two float64 tables of 2**24 cells take 256 MiB.
@@ -74,14 +78,17 @@ class MarkovChainSpec:
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
         size = initial.size
+        checked = set()  # homogeneous chains repeat one kernel: check each once
         for j, (k, f) in enumerate(zip(kernels, observables)):
             if k.ndim != 2 or k.shape[0] != size:
                 raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
             if f.shape != k.shape:
                 raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
-            rows = k.sum(axis=1)
-            if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
-                raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
+            if id(k) not in checked:
+                checked.add(id(k))
+                rows = k.sum(axis=1)
+                if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
+                    raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
             size = k.shape[1]
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "kernels", kernels)
@@ -183,14 +190,24 @@ def exact_distribution(spec):
     have mean 0 within the float error of the sweep (see `_mean_tolerance`),
     otherwise the centering is wrong and the run aborts.
     """
-    dist, _ = _run_dp(spec, want_profile=False)
+    d, bases, moves = _sweep_plan(spec)
+    if d == 0.0:
+        # degenerate: S_n is a.s. the constant sum(bases) - sum(means) = 0
+        return LatticeDistribution(0.0, 1.0, [1.0])
+    means = spec.step_means()
+    table = spec.initial[:, None].copy()
+    offset = 0.0  # value of cell 0 for the running uncentered lattice sum
+    for j, step in enumerate(moves):
+        table = step.apply(table)
+        offset += bases[j] - means[j]
+    masses = table.sum(axis=0)
+    nz = np.nonzero(masses)[0]
+    lo, hi_nz = int(nz[0]), int(nz[-1])
+    dist = LatticeDistribution(offset + d * lo, d, masses[lo : hi_nz + 1])
+    tol = _mean_tolerance(spec, dist.masses.size)
+    if abs(dist.mean) > tol:
+        raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
-
-
-def variance_profile(spec):
-    """Var(S_k) for k = 1..n from one DP sweep (index 0 holds 0.0)."""
-    _, prof = _run_dp(spec, want_profile=True)
-    return prof
 
 
 def _sweep_plan(spec):
@@ -215,40 +232,10 @@ def _sweep_plan(spec):
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
-            "cumulant-only work needs the transfer-operator series engine planned "
-            "in ROADMAP.md item 3, which keeps no table" % (d, cells, _CELL_BUDGET)
+            "only the law needs the table: cumulants, expand and scan-stationary "
+            "need none" % (d, cells, _CELL_BUDGET)
         )
     return d, bases, moves
-
-
-def _run_dp(spec, want_profile):
-    d, bases, moves = _sweep_plan(spec)
-    means = spec.step_means()
-    if d == 0.0:
-        # degenerate: S_n is a.s. the constant sum(bases) - sum(means) = 0
-        dist = LatticeDistribution(0.0, 1.0, [1.0])
-        prof = np.zeros(spec.n_steps + 1)
-        return dist, prof
-    table = spec.initial[:, None].copy()
-    offset = 0.0  # value of cell 0 for the running uncentered lattice sum
-    prof = np.zeros(spec.n_steps + 1) if want_profile else None
-    for j, step in enumerate(moves):
-        table = step.apply(table)
-        offset += bases[j] - means[j]
-        if want_profile:
-            m = table.sum(axis=0)
-            vals = offset + d * np.arange(table.shape[1])
-            tot = m.sum()
-            mu = float(m @ vals) / tot
-            prof[j + 1] = float(m @ (vals - mu) ** 2) / tot
-    masses = table.sum(axis=0)
-    nz = np.nonzero(masses)[0]
-    lo, hi_nz = int(nz[0]), int(nz[-1])
-    dist = LatticeDistribution(offset + d * lo, d, masses[lo : hi_nz + 1])
-    tol = _mean_tolerance(spec, dist.masses.size)
-    if abs(dist.mean) > tol:
-        raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
-    return dist, prof
 
 
 def _mean_tolerance(spec, cells):
@@ -337,40 +324,126 @@ class _Moves:
         return new
 
 
-def enumerate_distribution(spec):
-    """Brute-force path enumeration oracle (small chains only).
+# -- transfer-operator series ------------------------------------------------
 
-    Returns sorted (value, probability) pairs of the centered functional,
-    merging values that agree within 1e-11.
+
+def cumulant_series(spec, kmax):
+    """kappa_1..kappa_kmax of S_n from the perturbed transfer operator.
+
+    E exp(z S_n) = nu_0 prod_j M_j(z) 1, M_j(z) = K_j o exp(z F_j), each a
+    power series truncated at z^kmax; a run of equal steps is raised to
+    its length by binary powering. Every product is divided by a scalar
+    series whose log joins an accumulator (`_scaled_mul`), so no raw
+    moment of S_n is formed, and kappa_k = k! [z^k] of the logs summed by
+    math.fsum. kappa_1 is 0.0: S_n is centered by definition. Coefficient
+    k depends only on coefficients <= k, so kappa_k has the same bits
+    whatever kmax is asked for.
     """
-    sizes = spec.state_counts
-    n = spec.n_steps
-    if np.prod([float(s) for s in sizes]) > 5e5:
-        raise ValueError("path enumeration is for small chains only")
-    means = spec.step_means()
-    acc = {}
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    v = np.zeros((kmax + 1, 1, spec.initial.size))
+    v[0, 0] = spec.initial
+    acc = (v, [])
+    for _, run in itertools.groupby(_step_series(spec, kmax), key=id):
+        run = list(run)
+        acc = _scaled_mul(acc, _series_power((run[0], []), len(run), _scaled_mul))
+    return [0.0] + [math.fsum(t[k] for t in acc[1]) for k in range(1, kmax)]
 
-    def walk(j, x, prob, total):
-        if prob == 0.0:
-            return
-        if j == n:
-            acc[total] = acc.get(total, 0.0) + prob
-            return
-        k = spec.kernels[j]
-        f = spec.observables[j]
-        for y in range(k.shape[1]):
-            walk(j + 1, y, prob * k[x, y], total + f[x, y] - means[j])
 
-    for x0 in range(sizes[0]):
-        walk(0, x0, float(spec.initial[x0]), 0.0)
-    vals = sorted(acc)
-    merged = []
-    for v in vals:
-        if merged and abs(v - merged[-1][0]) <= 1e-11:
-            merged[-1] = (merged[-1][0], merged[-1][1] + acc[v])
-        else:
-            merged.append((v, acc[v]))
-    return merged
+def variance_profile(spec):
+    """Var(S_k) for k = 1..n, the per-prefix order-2 series (index 0 holds 0.0)."""
+    return np.array([0.0] + list(_running_variances(_step_series(spec, 2), spec.initial)))
+
+
+def _step_series(spec, kmax):
+    """M_j(z) for every step, shape (kmax + 1, S_in, S_out).
+
+    Each observable is shifted by its midrange first: kappa_k, k >= 2, is
+    shift invariant, and the z^k coefficient stays within (range/2)^k / k!.
+    Steps whose kernel and shifted observable agree share one array, so a
+    run of equal steps is a run of one object.
+    """
+    shifted, interned, built = {}, {}, {}
+    for f in {id(f): f for f in spec.observables}.values():
+        g = f - 0.5 * (float(f.max()) + float(f.min()))
+        shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
+    out = []
+    for kernel, f in zip(spec.kernels, spec.observables):
+        g = shifted[id(f)]
+        if (id(kernel), id(g)) not in built:
+            coeffs = [kernel]
+            for b in range(1, kmax + 1):
+                coeffs.append(coeffs[-1] * g / b)
+            built[id(kernel), id(g)] = np.stack(coeffs)
+        out.append(built[id(kernel), id(g)])
+    return out
+
+
+def _series_mul(a, b, op=np.matmul):
+    """Truncated product of power series with array coefficients a[k], b[k].
+
+    Coefficient k is op(a[i], b[k - i]) summed over i <= k in one fixed
+    order, on arrays whose shapes depend on k alone, so it comes out the
+    same bits whatever the truncation order.
+    """
+    return np.stack([op(a[: k + 1], b[k::-1]).sum(axis=0) for k in range(len(a))])
+
+
+def _series_power(base, length, mul):
+    """base**length (length >= 1) by binary powering under the product `mul`."""
+    out = None
+    while True:
+        if length & 1:
+            out = base if out is None else mul(out, base)
+        length >>= 1
+        if not length:
+            return out
+        base = mul(base, base)
+
+
+def _scaled_mul(a, b):
+    """Product of (series, logs) pairs, each standing for series * exp(sum of logs).
+
+    The product is divided by s(z), its mean row sum, whose constant term
+    is 1 up to rounding as kernels are stochastic; log s is
+    `moments_to_cumulants` on k! s_k / s_0. A square doubles its log terms
+    instead of repeating them: doubling is exact, and the list stays
+    O(log length) long.
+    """
+    p = _series_mul(a[0], b[0])
+    s = np.array([c.sum(axis=-1).mean() for c in p])
+    q = np.empty_like(p)
+    q[0] = p[0] / s[0]
+    for k in range(1, len(p)):
+        q[k] = (p[k] - np.tensordot(s[1 : k + 1], q[k - 1 :: -1], axes=1)) / s[0]
+    log = np.array(moments_to_cumulants([math.factorial(k) * s[k] / s[0] for k in range(1, len(p))]))
+    return q, ([2.0 * t for t in a[1]] if a is b else a[1] + b[1]) + [log]
+
+
+def _running_variances(steps, law):
+    """Var of the sum over steps[0..j], j = 0, 1, .., from X at law `law`.
+
+    The order-2 case of `_scaled_mul`, written out because it runs once
+    per step: the row series v(z) times M(z) is divided by its total
+    s(z), and log s adds 2 s_2/s_0 - (s_1/s_0)^2 to the variance. The
+    terms are summed with Neumaier compensation, so values keep their
+    digits however long the run.
+    """
+    v = np.zeros((3, law.size))
+    v[0] = law
+    total = comp = 0.0
+    for series in steps:
+        r = np.matmul(v, series)  # r[b, i] = v_i M_b
+        p = (r[0, 0], r[0, 1] + r[1, 0], r[0, 2] + r[1, 1] + r[2, 0])
+        s0, s1, s2 = (float(c.sum()) for c in p)
+        q0 = p[0] / s0
+        q1 = (p[1] - s1 * q0) / s0
+        v = np.stack((q0, q1, (p[2] - s1 * q1 - s2 * q0) / s0))
+        x = 2.0 * s2 / s0 - (s1 / s0) ** 2
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+        yield total + comp
 
 
 # -- structural checks -------------------------------------------------------
@@ -425,8 +498,6 @@ def ellipticity_check(spec):
 @dataclass(frozen=True)
 class PsiMixingResult:
     value: float
-    exact: bool
-    note: str = ""
 
 
 def psi_mixing_coefficient(spec, j, gap=1):
@@ -434,52 +505,23 @@ def psi_mixing_coefficient(spec, j, gap=1):
 
         psi = sup_{A,B} | P(A and B) / (P(A) P(B)) - 1 |
 
-    over events with positive probability. Exact subset enumeration up to
-    12 states per side; larger spaces fall back to single atoms, which
-    only bounds psi from below (flagged in the result).
+    over events with positive probability. The ratio is a mediant of the
+    atom ratios J_ab / (p_a q_b), a in A and b in B, so it lies between
+    their least and greatest: the sup is attained at a pair of atoms.
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
     if not 0 <= j <= spec.n_steps - gap:
         raise ValueError("no pair (X_%d, X_%d) in this chain" % (j, j + gap))
-    margs = spec.marginals()
-    px = margs[j]
+    px = spec.marginals()[j]
     trans = spec.kernels[j]
     for step in range(j + 1, j + gap):
         trans = trans @ spec.kernels[step]
     joint = px[:, None] * trans
     py = joint.sum(axis=0)
-    a, b = joint.shape
-    if max(a, b) <= _PSI_EXACT_CAP:
-        ua = _subset_indicators(a)
-        ub = _subset_indicators(b)
-        pa = ua @ px
-        pb = ub @ py
-        keep_b = pb > 0.0
-        val = 0.0
-        # chunk over A-subsets to keep the P(A and B) matrix small
-        for lo in range(0, ua.shape[0], 1024):
-            rows = slice(lo, lo + 1024)
-            pab = ua[rows] @ joint @ ub[keep_b].T
-            pa_rows = pa[rows]
-            keep_a = pa_rows > 0.0
-            if not keep_a.any():
-                continue
-            ratio = pab[keep_a] / np.outer(pa_rows[keep_a], pb[keep_b])
-            val = max(val, float(np.max(np.abs(ratio - 1.0))))
-        return PsiMixingResult(value=val, exact=True)
     ok = np.outer(px > 0.0, py > 0.0)
     ratio = joint[ok] / np.outer(px, py)[ok]
-    return PsiMixingResult(
-        value=float(np.max(np.abs(ratio - 1.0))),
-        exact=False,
-        note="atom pairs only (state space above the exact-enumeration cap); lower bound",
-    )
-
-
-def _subset_indicators(n):
-    masks = np.arange(1, 2**n, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+    return PsiMixingResult(value=float(np.max(np.abs(ratio - 1.0))))
 
 
 # -- variance blocking -------------------------------------------------------
@@ -505,15 +547,13 @@ class BlockingReport:
     a_monotone: bool
 
 
-def variance_decomposition(spec, target=None, sigma2=None):
+def variance_decomposition(spec, target=None):
     """Greedy variance blocking of `spec`; see BlockingReport.
 
-    `sigma2` is the Var(S_k) profile when the caller already swept the
-    chain for it (`_run_dp(spec, want_profile=True)` also yields the law);
-    otherwise one `variance_profile` sweep runs here.
+    Var(S_k) and every block variance come from order-2 transfer-operator
+    series (`variance_profile`, `_greedy_block_end`); no law is built.
     """
-    if sigma2 is None:
-        sigma2 = variance_profile(spec)
+    sigma2 = variance_profile(spec)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     step_vars = _step_variances(spec)
@@ -521,15 +561,14 @@ def variance_decomposition(spec, target=None, sigma2=None):
         target = 4.0 * float(np.max(step_vars)) + 1.0
     if target <= 0.0:
         raise ValueError("blocking target must be positive")
-    plan = _sweep_plan(spec)
-    means = spec.step_means()
+    steps = _step_series(spec, 2)
     margs = spec.marginals()
     blocks = []
     block_vars = []
     start = 0
     n = spec.n_steps
     while start < n:
-        end, var = _greedy_block_end(spec, margs[start], start, target, plan, means)
+        end, var = _greedy_block_end(steps, margs[start], start, target)
         if var is None:  # tail too small to reach the target: stays in b
             break
         blocks.append((start, end))
@@ -537,23 +576,15 @@ def variance_decomposition(spec, target=None, sigma2=None):
         start = end + 1
     overshoot = max([v - 2.0 * target for v in block_vars], default=0.0)
     a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
-    ends = [e for (_, e) in blocks]
-    acc = 0.0
-    bi = 0
-    for k in range(1, n + 1):
-        while bi < len(ends) and ends[bi] <= k - 1:
-            acc = sigma2[ends[bi] + 1]
-            bi += 1
-        a[k] = acc
-        b[k] = sigma2[k] - acc
+    for _, end in blocks:  # a_k is Var(S) at the end of the last block done by step k
+        a[end + 1 :] = sigma2[end + 1]
     return BlockingReport(
         target=float(target),
         blocks=tuple(blocks),
         block_variances=tuple(block_vars),
         sigma2=sigma2,
         a=a,
-        b=b,
+        b=sigma2 - a,
         overshoot=float(max(0.0, overshoot)),
         a_monotone=bool(np.all(np.diff(a) >= -1e-12)),
     )
@@ -569,24 +600,14 @@ def _step_variances(spec):
     return np.array(out)
 
 
-def _greedy_block_end(spec, start_law, start, target, plan, means):
+def _greedy_block_end(steps, start_law, start, target):
     """Extend a block from `start` until its own variance reaches the target.
 
-    The block sum keeps the global per-step centering, so block variances
-    refer to the same functional the chain-level decomposition uses.
-    `plan` is the chain's `_sweep_plan`, whose cell budget also bounds
-    every block.
+    `steps` are the chain's order-2 step series and `start_law` the law of
+    X_start; block variances are shift invariant, so they refer to the
+    same functional the chain-level decomposition uses.
     """
-    d, bases, moves = plan
-    table = start_law[:, None].copy()
-    offset = 0.0
-    for j in range(start, spec.n_steps):
-        table = moves[j].apply(table)
-        offset += bases[j] - means[j]
-        m = table.sum(axis=0)
-        vals = offset + d * np.arange(table.shape[1])
-        mu = float(m @ vals)
-        var = float(m @ (vals - mu) ** 2)
+    for j, var in enumerate(_running_variances(steps[start:], start_law), start):
         if var >= target:
             return j, var
     return None, None

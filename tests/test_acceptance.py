@@ -30,11 +30,12 @@ from edgekit.models import (
     MarkovChainSpec,
     builtin_model,
     builtin_model_names,
-    enumerate_distribution,
     exact_distribution,
 )
 from edgekit.special import gaussian_derivative, hermite_value, normal_pdf
 from edgekit.transport import GaussianLaw, expectation_via_cdf, wasserstein_distance
+
+from path_enumeration import enumerate_distribution
 
 _NS_FULL = (16, 32, 64, 128, 256, 512)
 

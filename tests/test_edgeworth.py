@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from edgekit.edgeworth import (
     EdgeworthExpansion,
     build_expansion,
-    coefficient_distance,
     correction_coefficient,
     correction_polynomial,
     enumerate_correction_tuples,
@@ -18,7 +17,6 @@ from edgekit.edgeworth import (
     stationary_expansion,
     stationary_shape_rates,
     tuple_hermite_order,
-    tuple_weight,
 )
 from edgekit.models import builtin_model
 from edgekit.special import (
@@ -32,7 +30,20 @@ from edgekit.special import (
 from edgekit.transport import expectation_via_cdf
 
 
+def coefficient_distance(a, b):
+    """Max absolute coefficient difference of two polynomials."""
+    ca, cb = list(a.coeffs), list(b.coeffs)
+    width = max(len(ca), len(cb))
+    ca += [0.0] * (width - len(ca))
+    cb += [0.0] * (width - len(cb))
+    return max(abs(x - y) for x, y in zip(ca, cb))
+
+
 # -- tuple combinatorics -----------------------------------------------------
+
+
+def tuple_weight(tup):
+    return sum(l * k for l, k in enumerate(tup, start=1))
 
 
 def test_tuple_enumeration_low_weights():

@@ -1,6 +1,7 @@
 """Scan verdicts, scenario driver, and the command line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -516,19 +517,83 @@ def test_cli_couple_single_n_table(capsys):
 
 
 def test_cli_couple_runs_one_dp_sweep(monkeypatch, capsys):
+    from edgekit.models import markov
+
+    # every table sweep starts from a sweep plan; the blocking and its
+    # variance profile come from series, so only the coupling's law sweeps
+    calls = []
+    original = markov._sweep_plan
+
+    def counted(spec):
+        calls.append(spec.n_steps)
+        return original(spec)
+
+    monkeypatch.setattr(markov, "_sweep_plan", counted)
+    assert main(["couple", "--model", "builtin:elliptic2", "--n", "64"]) == 0
+    assert calls == [64]
+    capsys.readouterr()
+
+
+def _coin_chain_file(path, steps, pairs):
+    """Chain file of independent fair steps; step j takes the values pairs[j % len(pairs)]."""
+    kernel = np.full((2, 2), 0.5)
+    obs = [np.array([pair, pair], dtype=float) for pair in pairs]
+    spec = MarkovChainSpec([0.5, 0.5], (kernel,) * steps,
+                           tuple(obs[j % len(obs)] for j in range(steps)))
+    save_chain_spec(spec, path)
+    return str(path)
+
+
+# fair +-1 coin: kappa_2..kappa_8 of log cosh z (odd orders vanish)
+_COIN_KAPPAS = {2: 1.0, 4: -2.0, 6: 16.0, 8: -272.0}
+
+
+@pytest.mark.parametrize("pair", [(1.0, 1.000001), (0.0, math.sqrt(2.0))])
+def test_cli_off_lattice_chains_get_cumulants_but_no_law(tmp_path, capsys, pair):
+    n = 100_000
+    path = _coin_chain_file(tmp_path / "chain.txt", n, [pair])
+    assert main(["cumulants", "--model", path, "--n", str(n), "--m", "8"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    half = (pair[1] - pair[0]) / 2.0  # S_n = n half + half (sum of n fair coins) - E S_n
+    for k, raw, normalized in rows:
+        k = int(k)
+        if k in _COIN_KAPPAS:
+            ref = n * half**k * _COIN_KAPPAS[k]
+            assert abs(float(raw) - ref) <= 1e-12 * abs(ref), (k, raw, ref)
+        else:
+            assert abs(float(normalized)) <= 1e-13, (k, normalized)
+    # the DP snaps these values to a lattice that misses them by more than its
+    # mean check allows, so it refuses the law
+    assert main(["dist", "--model", path, "--n", "64"]) == 2
+    assert "centered functional has mean" in capsys.readouterr().err
+
+
+def test_cli_fine_lattice_refusal_names_the_table_free_commands(tmp_path, capsys):
+    path = _coin_chain_file(tmp_path / "fine.txt", 512, [(0.0, 1.0), (0.0, 1.000001)])
+    assert main(["dist", "--model", path, "--n", "512"]) == 2
+    err = capsys.readouterr().err
+    assert "lattice step 1e-06 needs up to" in err
+    assert "cumulants, expand and scan-stationary need none" in err
+    assert main(["cumulants", "--model", path, "--n", "512", "--m", "4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    for k in (2, 4):
+        ref = 256 * (1.0 + 1.000001**k) * _COIN_KAPPAS[k] / 2**k
+        assert float(rows[k - 1][1]) == pytest.approx(ref, rel=1e-13)
+
+
+def test_cli_series_commands_build_no_law(monkeypatch, capsys):
     from edgekit.models import families, markov
 
-    calls = []
-    original = markov._run_dp
+    def refuse(spec):
+        raise AssertionError("a law was built")
 
-    def counted(spec, want_profile):
-        calls.append(want_profile)
-        return original(spec, want_profile)
-
-    monkeypatch.setattr(markov, "_run_dp", counted)
-    monkeypatch.setattr(families, "_run_dp", counted)
-    assert main(["couple", "--model", "builtin:elliptic2", "--n", "64"]) == 0
-    assert calls == [True]  # the law comes out of the profile sweep
+    monkeypatch.setattr(markov, "exact_distribution", refuse)
+    monkeypatch.setattr(families, "exact_distribution", refuse)
+    assert main(["cumulants", "--model", "builtin:elliptic2", "--n", "100000", "--m", "8"]) == 0
+    assert main(["scan-stationary", "--model", "builtin:elliptic2",
+                 "--n", "1024,4096,16384,65536,100000", "--m", "4"]) == 0
+    assert main(["expand", "--model", "builtin:rademacher", "--n", "100000", "--m", "16"]) == 0
+    assert builtin_model("flip2").blocking(256).blocks  # the blocking needs no law either
     capsys.readouterr()
 
 

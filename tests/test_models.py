@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from edgekit.cumulants import moments_to_cumulants
 from edgekit.models import (
     ChainModel,
     LatticeDistribution,
@@ -13,8 +14,8 @@ from edgekit.models import (
     PiecewisePolyDistribution,
     builtin_model,
     builtin_model_names,
+    cumulant_series,
     ellipticity_check,
-    enumerate_distribution,
     exact_distribution,
     iid_sum,
     load_chain_spec,
@@ -25,6 +26,8 @@ from edgekit.models import (
 )
 from edgekit.models.markov import _common_lattice, _Moves, _sweep_plan
 from edgekit.models.piecewise import _TRIM_REL, _shift_poly, _snap_unique
+
+from path_enumeration import enumerate_distribution
 
 
 # -- lattice basics ----------------------------------------------------------
@@ -304,11 +307,13 @@ def test_fine_lattice_refused_before_allocating():
     kernel = np.full((2, 2), 0.5)
     ones = np.array([[0.0, 1.0], [0.0, 1.0]])
     spec = MarkovChainSpec([0.5, 0.5], (kernel,) * 512, (ones, ones * 1.000001) * 256)
-    for engine in (exact_distribution, variance_decomposition):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="lattice step 1e-06 needs up to .* budget"):
-            engine(spec)
-        assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lattice step 1e-06 needs up to .* budget.*need none"):
+        exact_distribution(spec)
+    assert time.perf_counter() - start < 1.0
+    # the blocking needs no table: independent coin steps of variance 1/4 and 1.000001^2/4
+    rep = variance_decomposition(spec)
+    assert rep.sigma2[-1] == pytest.approx(64.0 * (1.0 + 1.000001**2), rel=1e-14)
 
 
 # -- builtin models, frozen values -------------------------------------------
@@ -362,8 +367,27 @@ def test_symmetric2_is_symmetric_with_shrinking_step():
     assert abs(d.mean) < 1e-12
     # swap symmetry of the kernel and sign observable kills odd moments
     assert abs(d.moment(3)) < 1e-10
-    assert m.step(24) == pytest.approx(0.5)
-    assert m.step(70) == pytest.approx(0.25)
+    assert d.step == pytest.approx(0.5)
+    assert m.distribution(70).step == pytest.approx(0.25)
+
+
+def test_spec_checks_each_kernel_once_and_names_the_first_bad_step():
+    good = np.full((2, 2), 0.5)
+    bad = np.array([[0.5, 0.5], [0.7, 0.4]])
+    f = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="kernel 3 is not row-stochastic"):
+        MarkovChainSpec([0.5, 0.5], (good,) * 3 + (bad,) * 4, (f,) * 7)
+    with pytest.raises(ValueError, match="kernel 2 has shape"):
+        MarkovChainSpec([0.5, 0.5], (good, good, np.full((3, 3), 1 / 3)) + (bad,), (f,) * 4)
+    start = time.perf_counter()
+    MarkovChainSpec.homogeneous([0.5, 0.5], good, f, 100_000)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_decaying_chain_shares_one_observable_per_amplitude():
+    spec = builtin_model("symmetric2").spec(8192)
+    # staircase amplitudes 2^0 .. 2^-6 over j = 1..8192
+    assert len({id(f) for f in spec.observables}) == 7
 
 
 def test_builtin_registry():
@@ -404,9 +428,143 @@ def test_blocking_rademacher_quarters():
 def test_blocking_block_variances_within_band():
     m = builtin_model("elliptic2")
     rep = m.blocking(40)
+    assert rep.blocks == tuple((4 * i, 4 * i + 3) for i in range(10))
     for v in rep.block_variances[:-1]:
         assert rep.target - 1e-9 <= v <= 2.0 * rep.target + rep.overshoot + 1e-9
     assert rep.sigma2[-1] == pytest.approx(m.sigma2(40), rel=1e-12)
+
+
+# -- transfer-operator series engine -----------------------------------------
+
+
+def _bernoulli(kmax):
+    """B_0..B_kmax as exact fractions (B_1 = -1/2)."""
+    b = [Fraction(1)]
+    for m in range(1, kmax + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / Fraction(m + 1))
+    return b
+
+
+def _coin_cumulants(kmax):
+    """kappa_1..kappa_kmax of a fair +-1 coin, exactly: log cosh z.
+
+    kappa_2j = 2^2j (2^2j - 1) B_2j / (2j); odd cumulants vanish.
+    """
+    b = _bernoulli(kmax)
+    return [Fraction(0) if k % 2 else Fraction(2**k * (2**k - 1)) * b[k] / k
+            for k in range(1, kmax + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 512, 8192, 100_000])
+def test_series_rademacher_matches_bernoulli_closed_form(n):
+    kappas = cumulant_series(builtin_model("rademacher").spec(n), 16)
+    for k, (got, exact) in enumerate(zip(kappas, _coin_cumulants(16)), start=1):
+        if k % 2:
+            assert got == 0.0
+        else:
+            ref = n * float(exact)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (k, got, ref)
+
+
+def _moment_route_gap(spec, kappas, kmax):
+    """Largest |kappa_k - raw-moment kappa_k| / sigma^k over k <= kmax, and its bound.
+
+    The raw-moment route takes cumulants from moments of the DP law. Its
+    masses carry relative error <= (2S + 2) n eps, the moment sum adds
+    ceil(log2 N) + k eps relative to E|S|^k, and the moment-to-cumulant
+    recursion sums k such terms, each at most E|S|^k: on the sigma^k
+    scale the route is good to k ((2S + 2) n + k + log2 N + 2) eps E|W|^k.
+    """
+    dist = exact_distribution(spec)
+    via_moments = moments_to_cumulants([dist.moment(q) for q in range(1, kmax + 1)])
+    sigma = math.sqrt(kappas[1])
+    states, n, cells = max(spec.state_counts), spec.n_steps, dist.masses.size
+    worst = 0.0
+    for k in range(1, kmax + 1):
+        c = (2 * states + 2) * n + k + math.ceil(math.log2(cells)) + 2
+        tol = k * c * np.finfo(float).eps * max(1.0, dist.abs_moment(k) / sigma**k)
+        worst = max(worst, abs(kappas[k - 1] - via_moments[k - 1]) / sigma**k / tol)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["elliptic2", "flip2", "symmetric2", "decay:0.3"])
+@pytest.mark.parametrize("n", [5, 64, 256])
+def test_series_matches_moment_route(name, n):
+    spec = builtin_model(name).spec(n)
+    assert _moment_route_gap(spec, cumulant_series(spec, 8), 8) <= 1.0
+
+
+def test_series_on_changing_state_counts():
+    spec = _rectangular_chain(3, [2, 5, 1, 3, 16, 4, 64, 7, 3])
+    assert _moment_route_gap(spec, cumulant_series(spec, 8), 8) <= 1.0
+
+
+def test_series_ignores_a_large_common_offset():
+    spec = builtin_model("elliptic2").spec(256)
+    lifted = MarkovChainSpec(spec.initial, spec.kernels,
+                             tuple(f + 1e3 for f in spec.observables))
+    assert _moment_route_gap(spec, cumulant_series(lifted, 8), 8) <= 1.0
+
+
+@pytest.mark.parametrize("name", ["elliptic2", "flip2", "symmetric2"])
+def test_series_order_k_does_not_depend_on_kmax(name):
+    spec = builtin_model(name).spec(100)
+    full = cumulant_series(spec, 16)
+    for k in range(1, 17):
+        assert cumulant_series(spec, k) == full[:k]
+
+
+@pytest.mark.parametrize("name", ["elliptic2", "flip2", "symmetric2", "rectangular"])
+def test_variance_profile_matches_prefix_laws(name):
+    spec = _rectangular_chain(3, [2, 5, 1, 3, 16, 4, 64, 7, 3, 5, 2, 4, 3]) \
+        if name == "rectangular" else builtin_model(name).spec(12)
+    prof = variance_profile(spec)
+    assert prof[0] == 0.0
+    for k in range(1, 13):
+        assert prof[k] == pytest.approx(exact_distribution(spec.prefix(k)).variance, rel=1e-13)
+
+
+def test_long_variance_profile_keeps_its_digits():
+    # a plain running sum of 20000 log terms drifts by ~1e-13 relative here
+    spec = builtin_model("elliptic2").spec(20_000)
+    kappa2 = cumulant_series(spec, 2)[1]
+    assert abs(variance_profile(spec)[-1] - kappa2) <= 4 * np.finfo(float).eps * kappa2
+
+
+def test_chain_model_serves_lower_orders_from_one_series(monkeypatch):
+    from edgekit.models import families
+
+    calls = []
+
+    def counted(spec, kmax):
+        calls.append(kmax)
+        return cumulant_series(spec, kmax)
+
+    monkeypatch.setattr(families, "cumulant_series", counted)
+    m = builtin_model("elliptic2")
+    k8 = m.cumulants(300, 8)
+    assert m.cumulants(300, 4) == k8[:4] and m.sigma2(300) == k8[1]
+    assert calls == [8]
+    assert m.sigma(301) > 0.0 and m.cumulant(301, 6) != 0.0
+    assert calls == [8, 2, 6]
+
+
+def test_iid_charfn_deriv_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    model = builtin_model("uniform")
+    t = np.array([0.25, 1.0, 2.5, math.pi, 4.0, 7.5])  # psi = sin t / t vanishes at pi
+    for n in (1, 5, 16, 64):
+        for k in (0, 1, 2, 4, 6):
+            got = np.atleast_1d(model.charfn_deriv(n, t, k))
+            ref = np.array([complex(mp.diff(lambda x: (mp.sin(x) / x) ** n, mp.mpf(float(v)), k))
+                            for v in t])
+            # |d^k psi^n| <= E|S_n|^k <= (E S_n^2j)^(k/2j) with 2j >= k even. Binary
+            # powering runs at most 2 log2 n products of k + 1 terms each.
+            even = 2 * max(1, (k + 1) // 2)
+            scale = max(1.0, model.moment(n, even) ** (k / even))
+            tol = 4 * (math.log2(n) + 1) * (k + 1) * np.finfo(float).eps * scale
+            assert np.max(np.abs(got - ref)) <= tol, (n, k)
 
 
 # -- ellipticity and mixing --------------------------------------------------
@@ -455,6 +613,34 @@ def test_exact_distribution_rejects_wrong_centering(monkeypatch):
     monkeypatch.setattr(MarkovChainSpec, "step_means", off_by_1e6)
     with pytest.raises(ValueError, match="mean"):
         exact_distribution(spec)
+
+
+def _psi_by_subsets(joint):
+    """sup over event pairs of |P(A and B) / (P(A) P(B)) - 1|, by enumerating every subset."""
+    px, py = joint.sum(axis=1), joint.sum(axis=0)
+    a, b = joint.shape
+    ua = ((np.arange(1, 2**a)[:, None] >> np.arange(a)) & 1).astype(float)
+    ub = ((np.arange(1, 2**b)[:, None] >> np.arange(b)) & 1).astype(float)
+    pa, pb = ua @ px, ub @ py
+    keep_a, keep_b = pa > 0.0, pb > 0.0
+    ratio = (ua[keep_a] @ joint @ ub[keep_b].T) / np.outer(pa[keep_a], pb[keep_b])
+    return float(np.max(np.abs(ratio - 1.0)))
+
+
+def test_psi_mixing_is_the_atom_pair_max():
+    rng = np.random.Generator(np.random.PCG64(40))
+    for _ in range(40):
+        a, b = rng.integers(2, 9, size=2)
+        initial = rng.dirichlet(np.ones(a)) * (rng.random(a) > 0.2)
+        initial = initial / initial.sum() if initial.sum() > 0.0 else np.full(a, 1.0 / a)
+        kernel = rng.dirichlet(np.ones(b), size=a) * (rng.random((a, b)) > 0.3)
+        kernel[np.arange(a), rng.integers(0, b, size=a)] += 0.05  # no empty row
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        spec = MarkovChainSpec(initial, (kernel,), (np.zeros((a, b)),))
+        got = psi_mixing_coefficient(spec, 0).value
+        ref = _psi_by_subsets(initial[:, None] * kernel)
+        # both sides round a ratio near 1 + psi: compare in its ulps
+        assert abs(got - ref) <= 4 * np.spacing(1.0 + ref), (got, ref)
 
 
 def test_psi_mixing_decays_with_gap():
