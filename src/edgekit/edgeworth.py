@@ -39,8 +39,6 @@ __all__ = [
     "build_expansion",
     "expansion_from_cumulants",
     "stationary_shape_rates",
-    "limit_correction_polynomial",
-    "stationary_expansion",
 ]
 
 _ORDER_MIN = 3
@@ -127,7 +125,7 @@ class EdgeworthExpansion:
     coefficients of the full build.
     """
 
-    def __init__(self, sigma, polys, name=""):
+    def __init__(self, sigma, polys):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
         order = len(polys) + 2
@@ -137,7 +135,6 @@ class EdgeworthExpansion:
         self.polys = tuple(
             p if isinstance(p, DensePolynomial) else DensePolynomial(p) for p in polys
         )
-        self.name = name
         x = DensePolynomial((0.0, 1.0))
         # pdf(x) = phi(x) [1 + sum_j sigma^-j (x H_j - H_j')], from
         # He_k = x He_{k-1} - He_{k-1}'
@@ -156,7 +153,7 @@ class EdgeworthExpansion:
         """Keep only corrections of weight <= r (same coefficients)."""
         if not 1 <= r <= self.corrections:
             raise ValueError("have corrections 1..%d" % self.corrections)
-        return EdgeworthExpansion(self.sigma, self.polys[:r], name=self.name)
+        return EdgeworthExpansion(self.sigma, self.polys[:r])
 
     def correction_sum(self, x, polys):
         x = np.asarray(x, dtype=float)
@@ -223,44 +220,6 @@ class EdgeworthExpansion:
                 total += w * 2.0 * d * half[q + 2 * i]
         return total
 
-    # -- text record ---------------------------------------------------------
-
-    def to_text(self):
-        lines = ["order %d" % self.order, "sigma %.17e" % self.sigma]
-        if self.name:
-            lines.insert(0, "# %s" % self.name)
-        for j, p in enumerate(self.polys, start=1):
-            lines.append("poly %d %s" % (j, " ".join("%.17e" % c for c in p.coeffs)))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        order = None
-        sigma = None
-        polys = {}
-        name = ""
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                name = line[1:].strip()
-                continue
-            parts = line.split()
-            if parts[0] == "order":
-                order = int(parts[1])
-            elif parts[0] == "sigma":
-                sigma = float(parts[1])
-            elif parts[0] == "poly":
-                polys[int(parts[1])] = tuple(float(v) for v in parts[2:])
-            else:
-                raise ValueError("unrecognized record line %r" % line)
-        if order is None or sigma is None:
-            raise ValueError("record is missing order or sigma")
-        if sorted(polys) != list(range(1, order - 1)):
-            raise ValueError("record needs polys 1..%d" % (order - 2))
-        return cls(sigma, [polys[j] for j in range(1, order - 1)], name=name)
-
 
 def _hermite_projection(q, k):
     """int x^q He_k(x) phi(x) dx, exactly."""
@@ -275,10 +234,10 @@ def build_expansion(model, n, m):
     if not _ORDER_MIN <= m <= _ORDER_MAX:
         raise ValueError("expansion order must be in [%d, %d]" % (_ORDER_MIN, _ORDER_MAX))
     kappas = [float(k) for k in model.cumulants(n, m)]
-    return expansion_from_cumulants(kappas, name="%s n=%d" % (getattr(model, "name", "?"), n))
+    return expansion_from_cumulants(kappas)
 
 
-def expansion_from_cumulants(kappas, name=""):
+def expansion_from_cumulants(kappas):
     """Expansion of order m = len(kappas) from cumulants of the raw sum."""
     m = len(kappas)
     if not _ORDER_MIN <= m <= _ORDER_MAX:
@@ -291,7 +250,7 @@ def expansion_from_cumulants(kappas, name=""):
         raise ValueError("first cumulant %g is not zero; center the sum" % kappas[0])
     scaled = [kappas[l + 1] / sigma2 for l in range(1, m - 1)]
     polys = [correction_polynomial(j, scaled) for j in range(1, m - 1)]
-    return EdgeworthExpansion(sigma, polys, name=name)
+    return EdgeworthExpansion(sigma, polys)
 
 
 # -- stationary-geometry limits ----------------------------------------------
@@ -315,14 +274,3 @@ def stationary_shape_rates(p, q):
     beta = p[2:] / p[1]
     alpha = q[2:] - q[1] * p[2:] / p[1]
     return beta, alpha
-
-
-def limit_correction_polynomial(j, beta):
-    """Large-n limit of H_j under stationary cumulant growth."""
-    return correction_polynomial(j, list(beta))
-
-
-def stationary_expansion(p, q, n, m):
-    """Expansion predicted by fitted affine cumulant growth at size n."""
-    kappas = [n * p[k] + q[k] for k in range(m)]
-    return expansion_from_cumulants(kappas, name="stationary n=%d" % n)

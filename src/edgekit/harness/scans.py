@@ -6,14 +6,9 @@ gaps of CDFs, transport distances, moment gaps, drift of correction
 polynomials toward their large-n shapes, coupling costs, and the
 regularity diagnostics that justify the corrections in the first place.
 
-Verdicts are finite-sample decision rules. Two shapes recur:
-
-  - boundedness: the scaled values must not trend upward. The strict
-    form asks max <= slack * median, which a flat family satisfies; the
-    lenient form asks last <= slack * median, which also admits families
-    that beat the claimed rate and decay outright.
-  - decay: the scaled values must drop from first to last sample size
-    by at least a fixed fraction.
+Verdicts are the finite-sample rules of `edgekit.cumulants`: bounded
+(strict or lenient) for rates claimed at r = 0, decay for corrections of
+order r >= 1, and the match floor for moment columns that are rounding.
 
 Every verdict is recomputable from the rows its report carries. Each
 report also renders its own one-line `summary()` for manifests and table
@@ -30,15 +25,15 @@ from ..cumulants import (
     DerivativeBoundReport,
     StationaryFit,
     TailIntegralReport,
+    bounded_last,
+    bounded_max,
+    decays,
     derivative_bound_check,
     fit_stationary,
+    matched,
     tail_integral_check,
 )
-from ..edgeworth import (
-    build_expansion,
-    limit_correction_polynomial,
-    stationary_shape_rates,
-)
+from ..edgeworth import build_expansion, correction_polynomial, stationary_shape_rates
 from ..special import gaussian_abs_moment, gaussian_moment, normal_cdf, normal_pdf
 from ..transport import (
     GaussianLaw,
@@ -63,36 +58,23 @@ __all__ = [
 ]
 
 _LATTICE_FLAG = "lattice CDF jumps of size ~1/sigma defeat corrections past order 0"
-# Moment gaps below this are rounding. Both sides of a matched column
-# agree in exact arithmetic; the expansion's closed forms are good to a few
-# u, so the gap is the exact side's rounding: DP masses carry relative
-# error up to about n (S + 2) u (see markov._mean_tolerance) and the moment
-# sum adds (log2 N + q) u, scaled by sigma^max(r,1) E|W|^q. At the presets
-# (n <= 512, S = 2, sigma <= 19.2, q <= 4) that is <= 1.3e-11, measured
-# <= 5.6e-12, five orders below the floor. The floor is absolute while the
-# rounding grows like sigma^r n S u, so it does not hold at every size.
-_MATCH_FLOOR = 1e-6
-
-
-def _bounded_max(values, slack):
-    med = float(np.median(values))
-    return bool(float(np.max(values)) <= slack * med + 1e-12)
-
-
-def _bounded_last(values, slack):
-    med = float(np.median(values))
-    return bool(float(values[-1]) <= slack * med + 1e-12)
-
-
-def _drop_fraction(values):
-    first, last = float(values[0]), float(values[-1])
-    if first <= 0.0:
-        return 1.0 if last <= 0.0 else 0.0
-    return (first - last) / first
+_GRID_POINTS = 401  # x grid of the weighted sup gap
+_SHAPE_POINTS = 601  # x grid of the stationary shape gap, |x| <= 6
+_BOUND_TOL = 1e-5  # slack of W_p <= CDF-gap integral for quadrature error
 
 
 def _yn(flag):
     return "yes" if flag else "no"
+
+
+def _word(ok, verdict):
+    return verdict if ok else "not-" + verdict
+
+
+def _rate_verdict(values, r, bounded):
+    """(word, ok): the given bounded rule at r = 0, the decay rule at r >= 1."""
+    ok = bounded(values) if r == 0 else decays(values)
+    return _word(ok, "bounded" if r == 0 else "vanishing"), ok
 
 
 class _Verdict:
@@ -158,8 +140,8 @@ class ErrorScanReport(_Verdict):
         return not self.passed and not self.flagged
 
 
-def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, grid_points, is_lattice):
-    x = np.linspace(-grid_max, grid_max, grid_points)
+def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, is_lattice):
+    x = np.linspace(-grid_max, grid_max, _GRID_POINTS)
     gap = np.abs(np.asarray(dist.cdf(sigma * x), dtype=float) - np.asarray(psi_cdf(x), dtype=float))
     best = float(np.max((1.0 + np.abs(x)) ** m * gap))
     if is_lattice:
@@ -178,22 +160,18 @@ def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, grid_points, is_lattice
     return best
 
 
-def scan_nonuniform(model, m, r, ns, grid_max=8.0, grid_points=401,
-                    bounded_slack=1.5, vanish_drop=0.20):
+def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     """Weighted sup-gap scan of F_n against the order-r correction.
 
     r = 0 compares against the plain Gaussian and asks the sigma-scaled
-    gap to stay bounded (max <= slack * median); r >= 1 compares against
-    the corrected CDF and asks the sigma^r-scaled gap to drop by at
-    least `vanish_drop` from first to last n. Lattice models cannot
-    support corrections of order >= 1 (their CDF jumps are of the same
-    size as the first correction), so those scans are flagged up front
-    and the flag exempts them from scenario exit codes.
+    gap to stay bounded by the strict rule; r >= 1 compares against the
+    corrected CDF and asks the sigma^r-scaled gap to decay. Lattice
+    models cannot support corrections of order >= 1 (their CDF jumps are
+    of the same size as the first correction), so those scans are flagged
+    up front and the flag exempts them from scenario exit codes.
     """
     if not 0 <= r <= m - 2:
         raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
-    if grid_points < 400:
-        raise ValueError("scan grid needs at least 400 points")
     ns = _check_ns(ns)
     is_lattice = bool(getattr(model, "is_lattice", False))
     sigmas = np.empty(len(ns))
@@ -204,17 +182,12 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0, grid_points=401,
         sigma = model.sigma(n)
         psi_cdf, _ = _psi(model, n, m, r)
         d = _weighted_sup_gap(
-            model.distribution(n), sigma, psi_cdf, m, grid_max, grid_points, is_lattice
+            model.distribution(n), sigma, psi_cdf, m, grid_max, is_lattice
         )
         sigmas[i] = sigma
         raw[i] = d
         scaled[i] = sigma**power * d
-    if r == 0:
-        ok = _bounded_max(scaled, bounded_slack)
-        verdict = "bounded" if ok else "not-bounded"
-    else:
-        ok = _drop_fraction(scaled) >= vanish_drop
-        verdict = "vanishing" if ok else "not-vanishing"
+    verdict, ok = _rate_verdict(scaled, r, bounded_max)
     flagged = is_lattice and r >= 1
     return ErrorScanReport(
         model=model.name,
@@ -295,8 +268,7 @@ class TransportScanReport(_Verdict):
         return "%s passed=%s" % (cols, _yn(self.passed))
 
 
-def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
-                   vanish_drop=0.20, bobkov_tol=1e-5):
+def scan_transport(model, ps, ns, r=0, m=None):
     """Transport-rate scan of the normalized law against its approximations.
 
     The Gaussian columns use the exact quantile coupling and are judged
@@ -335,24 +307,17 @@ def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
             gaussian_scaled[i, j] = sigma * w
             ub = wasserstein_upper_bound(norm, GaussianLaw(0.0, 1.0), p)
             bound[i, j] = ub
-            if w > ub + bobkov_tol:
+            if w > ub + _BOUND_TOL:
                 bound_ok = False
             if exp is not None:
                 ce = wasserstein_upper_bound(norm, exp, p)
                 corrected[i, j] = ce
                 corrected_scaled[i, j] = sigma ** (r / p) * ce
     p_flags = tuple(bool(p >= m - 1) for p in ps)
-    verdicts = []
-    for j in range(len(ps)):
-        ok = _bounded_last(gaussian_scaled[:, j], bounded_slack)
-        verdicts.append("bounded" if ok else "not-bounded")
+    verdicts = tuple(_word(bounded_last(col), "bounded") for col in gaussian_scaled.T)
     corrected_verdicts = None
     if r >= 1:
-        corrected_verdicts = []
-        for j in range(len(ps)):
-            ok = _drop_fraction(corrected_scaled[:, j]) >= vanish_drop
-            corrected_verdicts.append("vanishing" if ok else "not-vanishing")
-        corrected_verdicts = tuple(corrected_verdicts)
+        corrected_verdicts = tuple(_word(decays(col), "vanishing") for col in corrected_scaled.T)
     flagged = is_lattice and r >= 1
     live = [v == "bounded" for v, f in zip(verdicts, p_flags) if not f]
     if corrected_verdicts is not None and not flagged:
@@ -372,7 +337,7 @@ def scan_transport(model, ps, ns, r=0, m=None, bounded_slack=1.5,
         corrected=corrected,
         corrected_scaled=corrected_scaled,
         p_flags=p_flags,
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         corrected_verdicts=corrected_verdicts,
         flagged=flagged,
         flag_reason=_LATTICE_FLAG if flagged else "",
@@ -432,18 +397,13 @@ class MomentScanReport(_Verdict):
         return "%s passed=%s" % (cols, _yn(self.passed))
 
 
-def _moment_column_verdict(scaled, r, slack, drop, floor):
-    if float(np.max(scaled)) <= floor:
+def _moment_column_verdict(scaled, r):
+    if matched(scaled):
         return "matched", True
-    if r == 0:
-        ok = _bounded_last(scaled, slack)
-        return ("bounded" if ok else "not-bounded"), ok
-    ok = _drop_fraction(scaled) >= drop
-    return ("vanishing" if ok else "not-vanishing"), ok
+    return _rate_verdict(scaled, r, bounded_last)
 
 
-def scan_moments(model, qs, r, ns, m=None, bounded_slack=1.5, vanish_drop=0.20,
-                 match_floor=_MATCH_FLOOR):
+def scan_moments(model, qs, r, ns, m=None):
     """Compare E[W_n^q] and E[|W_n|^q] with the correction's moments.
 
     The correction's moments are closed forms (`EdgeworthExpansion.moment`
@@ -490,10 +450,10 @@ def scan_moments(model, qs, r, ns, m=None, bounded_slack=1.5, vanish_drop=0.20,
     abs_verdicts = []
     oks = []
     for j in range(len(qs)):
-        v, ok = _moment_column_verdict(scaled_gap[:, j], r, bounded_slack, vanish_drop, match_floor)
+        v, ok = _moment_column_verdict(scaled_gap[:, j], r)
         signed_verdicts.append(v)
         oks.append(ok)
-        v, ok = _moment_column_verdict(scaled_gap_abs[:, j], r, bounded_slack, vanish_drop, match_floor)
+        v, ok = _moment_column_verdict(scaled_gap_abs[:, j], r)
         abs_verdicts.append(v)
         oks.append(ok)
     return MomentScanReport(
@@ -556,7 +516,7 @@ class StationaryScanReport(_Verdict):
         return "%s passed=%s" % (self.verdict, _yn(self.passed))
 
 
-def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
+def scan_stationarity(model, m, ns):
     """Fit per-step cumulant rates and compare correction polynomials.
 
     Fits kappa_k(S_n) ~ n p_k + q_k over `ns`, builds the n-free limit
@@ -578,8 +538,8 @@ def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
             passed=True,
         )
     beta, _ = stationary_shape_rates(fit.p, fit.q)
-    limits = [limit_correction_polynomial(j, list(beta)) for j in range(1, m - 1)]
-    x = np.linspace(-6.0, 6.0, grid_points)
+    limits = [correction_polynomial(j, list(beta)) for j in range(1, m - 1)]
+    x = np.linspace(-6.0, 6.0, _SHAPE_POINTS)
     phi = normal_pdf(x)
     scaled = np.empty((len(ns), m - 2))
     for i, n in enumerate(ns):
@@ -587,11 +547,9 @@ def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
         for j in range(1, m - 1):
             gap = np.abs(exp.polys[j - 1](x) - limits[j - 1](x))
             scaled[i, j - 1] = sigmas[i] ** 2 * float(np.max(phi * gap))
-    order_verdicts = tuple(
-        "bounded" if _bounded_max(scaled[:, j], bounded_slack) else "not-bounded"
-        for j in range(m - 2)
-    )
-    ok = all(v == "bounded" for v in order_verdicts)
+    oks = [bounded_max(col) for col in scaled.T]
+    order_verdicts = tuple(_word(ok, "bounded") for ok in oks)
+    ok = all(oks)
     return StationaryScanReport(
         model=model.name,
         m=m,
@@ -601,7 +559,7 @@ def scan_stationarity(model, m, ns, grid_points=601, bounded_slack=1.5):
         applicable=True,
         scaled=scaled,
         order_verdicts=order_verdicts,
-        verdict="bounded" if ok else "not-bounded",
+        verdict=_word(ok, "bounded"),
         flagged=False,
         flag_reason="",
         passed=bool(ok),
@@ -652,7 +610,7 @@ class CouplingScanReport(_Verdict):
         )
 
 
-def scan_coupling(model, ns, p=2, target=None, bounded_slack=1.5):
+def scan_coupling(model, ns, p=2, target=None):
     ns = _check_ns(ns)
     reps = [gaussian_coupling(model, n, p=p, target=target) for n in ns]
     sigmas = np.array([math.sqrt(r.sigma2) for r in reps])
@@ -667,7 +625,7 @@ def scan_coupling(model, ns, p=2, target=None, bounded_slack=1.5):
         bv <= 2.0 * rep.target + ov + 1e-9
         for bv, rep, ov in zip(b, reps, overshoots)
     )
-    ok = _bounded_max(distances, bounded_slack)
+    ok = bounded_max(distances)
     return CouplingScanReport(
         model=model.name,
         p=p,
@@ -681,7 +639,7 @@ def scan_coupling(model, ns, p=2, target=None, bounded_slack=1.5):
         sup_distance=float(np.max(distances)),
         a_monotone=bool(profiles_ok and across_ok),
         b_bounded=bool(b_ok),
-        verdict="bounded" if ok else "not-bounded",
+        verdict=_word(ok, "bounded"),
         passed=bool(ok and profiles_ok and across_ok and b_ok),
     )
 

@@ -15,7 +15,7 @@ from .markov import (
     variance_decomposition,
     variance_profile,
 )
-from .piecewise import PiecewisePolyDistribution, iid_sum
+from .piecewise import PiecewisePolyDistribution
 from .families import (
     ChainModel,
     IIDContinuousModel,
@@ -39,7 +39,6 @@ __all__ = [
     "load_chain_spec",
     "save_chain_spec",
     "PiecewisePolyDistribution",
-    "iid_sum",
     "ChainModel",
     "IIDContinuousModel",
     "builtin_model",

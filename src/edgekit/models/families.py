@@ -32,7 +32,27 @@ __all__ = [
 ]
 
 
-class ChainModel:
+class _CumulantModel:
+    """sigma and signed moments of S_n from the model's `cumulants(n, kmax)`.
+
+    Only the law (and through it |S_n|^q) comes from the engine that
+    builds it.
+    """
+
+    def cumulant(self, n, k):
+        return self.cumulants(n, k)[k - 1]
+
+    def sigma2(self, n):
+        return self.cumulant(n, 2)
+
+    def sigma(self, n):
+        return math.sqrt(self.sigma2(n))
+
+    def moment(self, n, q):
+        return cumulants_to_moments(self.cumulants(n, q))[q - 1] if q else 1.0
+
+
+class ChainModel(_CumulantModel):
     """Partial sums of observables along a finite-state chain.
 
     `builder(n)` must return a MarkovChainSpec with n steps whose summed
@@ -69,22 +89,10 @@ class ChainModel:
             self._dists[n] = exact_distribution(self.spec(n))
         return self._dists[n]
 
-    def sigma2(self, n):
-        return self.cumulant(n, 2)
-
-    def sigma(self, n):
-        return math.sqrt(self.sigma2(n))
-
-    def moment(self, n, q):
-        return self.distribution(n).moment(q)
-
     def cumulants(self, n, kmax):
         if len(self._kappas.get(n, ())) < kmax:
             self._kappas[n] = cumulant_series(self.spec(n), kmax)
         return self._kappas[n][:kmax]
-
-    def cumulant(self, n, k):
-        return self.cumulants(n, k)[k - 1]
 
     def charfn_deriv(self, n, t, k=0):
         """Derivatives of the characteristic function of the n-step sum."""
@@ -97,23 +105,25 @@ class ChainModel:
         return self._blockings[key]
 
 
-class IIDContinuousModel:
+class IIDContinuousModel(_CumulantModel):
     """Sums of iid draws from a piecewise-polynomial density.
 
     The base is centered on construction; cumulants of the sum follow by
-    additivity, distributions by exact convolution.
+    additivity, distributions by exact convolution. Desk-scale engine:
+    laws stop at max_steps; larger sums exceed the intended resource
+    envelope and raise.
     """
 
     kind = "iid"
     is_lattice = False
+    max_steps = 64
 
-    def __init__(self, name, base, max_steps=64):
+    def __init__(self, name, base):
         self.name = name
         mu = base.mean
         if abs(mu) > 0.0:
             base = base.shift(-mu)
         self.base = base
-        self.max_steps = max_steps
         self._dists = {1: base}
         self._base_moment_cache = {}
 
@@ -138,18 +148,6 @@ class IIDContinuousModel:
 
     def cumulants(self, n, kmax):
         return [n * kap for kap in self.base_cumulants(kmax)]
-
-    def cumulant(self, n, k):
-        return n * self.base_cumulants(k)[k - 1]
-
-    def sigma2(self, n):
-        return self.cumulant(n, 2)
-
-    def sigma(self, n):
-        return math.sqrt(self.sigma2(n))
-
-    def moment(self, n, q):
-        return cumulants_to_moments(self.cumulants(n, q))[q - 1]
 
     def charfn_deriv(self, n, t, k=0):
         """k-th derivative of psi^n: the one-state case of the chain series.

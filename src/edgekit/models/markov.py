@@ -145,9 +145,10 @@ def _common_lattice(observables):
 
     Values within each step are taken relative to that step's minimum, so
     only differences need to be commensurable; the per-step base offsets are
-    carried in float. Returns (d, bases, shift_arrays). Each distinct
-    observable array is snapped once, and steps whose shifts agree share
-    one shift array, so a sweep can key per-step work on its identity.
+    carried in float. Returns (d, bases, shift_arrays, snaps), snaps[j]
+    being max |diff - k d| of step j. Each distinct observable array is
+    snapped once, and steps whose shifts agree share one shift array, so a
+    sweep can key per-step work on its identity.
     """
     # homogeneous chains repeat one array per step: visit each array once
     distinct = {id(f): f for f in observables}
@@ -171,13 +172,15 @@ def _common_lattice(observables):
     d = float(step)
     shared = {}
     snapped = {}
+    snap = {}
     for key, darr in diffs.items():
         k = np.rint(darr / d) if d else np.zeros(darr.shape)
-        if np.max(np.abs(darr - k * d)) > _SNAP_TOL:
+        snap[key] = float(np.max(np.abs(darr - k * d)))
+        if snap[key] > _SNAP_TOL:
             raise ValueError("observable values fail the lattice snap at step %g" % d)
         k = k.astype(np.int64)
         snapped[key] = shared.setdefault((k.shape, k.tobytes()), k)
-    return d, bases, [snapped[id(f)] for f in observables]
+    return d, bases, [snapped[id(f)] for f in observables], [snap[id(f)] for f in observables]
 
 
 # -- exact engines -----------------------------------------------------------
@@ -187,10 +190,12 @@ def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
     DP over (state, lattice cell); no cell is dropped. The result must
-    have mean 0 within the float error of the sweep (see `_mean_tolerance`),
-    otherwise the centering is wrong and the run aborts.
+    have mean 0 within the float error of the sweep (see `_mean_tolerance`)
+    plus the snap error of every step, which moves each value and so the
+    mean by at most that much; otherwise the centering is wrong and the
+    run aborts.
     """
-    d, bases, moves = _sweep_plan(spec)
+    d, bases, moves, snaps = _sweep_plan(spec)
     if d == 0.0:
         # degenerate: S_n is a.s. the constant sum(bases) - sum(means) = 0
         return LatticeDistribution(0.0, 1.0, [1.0])
@@ -204,14 +209,14 @@ def exact_distribution(spec):
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(offset + d * lo, d, masses[lo : hi_nz + 1])
-    tol = _mean_tolerance(spec, dist.masses.size)
+    tol = _mean_tolerance(spec, dist.masses.size) + sum(snaps)
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-step base offsets and move lists of one DP sweep.
+    """Lattice step, per-step base offsets, move lists and snap errors of one DP sweep.
 
     A move list is built once per distinct (kernel, shift array) pair of
     the sweep: homogeneous chains build one. The ids used as keys are
@@ -220,7 +225,7 @@ def _sweep_plan(spec):
     its table could outgrow _CELL_BUDGET: the table of any run of steps
     is at most max(states) * (1 + sum of the steps' widest shifts).
     """
-    d, bases, shifts = _common_lattice(spec.observables)
+    d, bases, shifts, snaps = _common_lattice(spec.observables)
     built = {}
     moves = []
     for kernel, shift in zip(spec.kernels, shifts):
@@ -235,7 +240,7 @@ def _sweep_plan(spec):
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, bases, moves
+    return d, bases, moves, snaps
 
 
 def _mean_tolerance(spec, cells):

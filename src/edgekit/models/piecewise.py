@@ -21,9 +21,8 @@ import math
 
 import numpy as np
 
-__all__ = ["PiecewisePolyDistribution", "iid_sum"]
+__all__ = ["PiecewisePolyDistribution"]
 
-_IID_CAP = 64
 _CHARFN_DERIV_CAP = 16
 _TRIM_REL = 1e-17
 _NEWTON_CAP = 128  # steps per quantile; bisection alone needs ~52
@@ -299,20 +298,6 @@ class PiecewisePolyDistribution:
         np.add.at(out, cell, placed)
         keep = _trim_rows(out, 0.5 * np.diff(grid))
         return PiecewisePolyDistribution(grid, [row[:k] for row, k in zip(out, keep)])
-
-
-def iid_sum(base, n):
-    """Exact n-fold convolution of `base` with itself.
-
-    Desk-scale engine: n is capped at 64; larger sums exceed the intended
-    resource envelope and raise.
-    """
-    if not 1 <= n <= _IID_CAP:
-        raise ValueError("iid convolution supports 1 <= n <= %d, got %r" % (_IID_CAP, n))
-    acc = base
-    for _ in range(n - 1):
-        acc = acc.convolve(base)
-    return acc
 
 
 # -- pair convolution of local pieces ---------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _QTAIL = 1e-14  # quantile-domain tail cut; integrand tails are O(|ndtri|^p * _QTAIL)
+_GAP_CELL = 0.75  # widest panel of the CDF-gap integral
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def _quantile_jump_levels(d):
 # -- CDF-gap functionals -----------------------------------------------------
 
 
-def lp_cdf_distance(a, b, p=1, lo=None, hi=None):
+def lp_cdf_distance(a, b, p=1):
     """(int |F_a - F_b|^p dx)^{1/p}, the L^p(dx) gap between two CDFs.
 
     At p = 1 this is also W_1; for larger p it measures how the pointwise
@@ -202,10 +203,10 @@ def lp_cdf_distance(a, b, p=1, lo=None, hi=None):
     """
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1, got %r" % (p,))
-    return _gap_integral(a, b, float(p), lo, hi) ** (1.0 / p)
+    return _gap_integral(a, b, float(p)) ** (1.0 / p)
 
 
-def wasserstein_upper_bound(a, b, p=1, lo=None, hi=None):
+def wasserstein_upper_bound(a, b, p=1):
     """Upper estimate of W_p through int |F_a - F_b|^{1/p} dx.
 
     Coincides with W_1 at p = 1 and dominates the quantile coupling for
@@ -219,7 +220,7 @@ def wasserstein_upper_bound(a, b, p=1, lo=None, hi=None):
     mass_b = float(getattr(b, "total_mass", 1.0))
     if abs(mass_a - mass_b) > 1e-9:
         raise ValueError("total masses differ (%r vs %r); the bound needs F(inf) = G(inf)" % (mass_a, mass_b))
-    return _gap_integral(a, b, 1.0 / float(p), lo, hi)
+    return _gap_integral(a, b, 1.0 / float(p))
 
 
 def _support_window(dist, fallback):
@@ -257,21 +258,18 @@ def _gap_edges(a, b, lo, hi):
     return np.array(sorted(p for p in pts if lo <= p <= hi))
 
 
-def _gap_integral(a, b, expo, lo, hi, max_cell=0.75):
-    """int_{lo}^{hi} |F_a(x) - F_b(x)|^expo dx over kink-aware panels."""
-    window = (-12.0, 12.0)
-    window = _support_window(a, window)
-    window = _support_window(b, window)
-    if lo is None:
-        lo = window[0]
-    if hi is None:
-        hi = window[1]
+def _gap_integral(a, b, expo):
+    """int |F_a(x) - F_b(x)|^expo dx over kink-aware panels.
+
+    The window covers [-12, 12] and both supports (9 sd for a Gaussian).
+    """
+    lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
     edges = _gap_edges(a, b, lo, hi)
     # wide panels (tails, sparse breakpoints) get split so the fixed
     # Gauss rule keeps resolving the integrand's curvature
     refined = [edges[0]]
     for x1, x2 in zip(edges[:-1], edges[1:]):
-        parts = max(1, int(math.ceil((x2 - x1) / max_cell)))
+        parts = max(1, int(math.ceil((x2 - x1) / _GAP_CELL)))
         refined.extend(x1 + (x2 - x1) * (k + 1) / parts for k in range(parts))
     edges = np.asarray(refined)
     nodes, weights = np.polynomial.legendre.leggauss(48)

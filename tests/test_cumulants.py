@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgekit.cumulants import (
+    bounded_last,
+    bounded_max,
     cumulants_to_moments,
+    decays,
     derivative_bound_check,
     fit_stationary,
     log_charfn_profile,
     log_derivatives,
+    matched,
     moments_to_cumulants,
+    tail_decays,
     tail_integral_check,
 )
 from edgekit.models import builtin_model
@@ -74,12 +79,13 @@ def test_rademacher_profile_closed_form():
 
 
 def test_profile_clips_at_magnitude_floor():
-    # place a grid sample exactly on the charfn zero of cos(t/2)^4 at t=pi
+    # the window edge t = eps * sigma = pi is a grid sample on the charfn
+    # zero of cos(t/2)^4; the 241-point grid keeps the sample before it
     m = builtin_model("rademacher")
-    prof = log_charfn_profile(m, 4, jmax=2, eps=math.pi, npts=9)
+    prof = log_charfn_profile(m, 4, jmax=2, eps=math.pi / 2.0)
     assert prof.clipped
-    assert prof.t[-1] == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert prof.eps_effective == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert prof.t[-1] == pytest.approx(math.pi * 119.0 / 120.0, abs=1e-12)
+    assert prof.eps_effective == pytest.approx(math.pi * 119.0 / 240.0, abs=1e-12)
 
 
 def test_derivative_bounds_elliptic2():
@@ -98,6 +104,23 @@ def test_tail_integral_separates_lattice_from_smooth():
     assert not tr.vanishing
     # the lattice plateau sits well above zero
     assert tr.values[-1] > 1.0
+
+
+def test_verdict_rules():
+    assert bounded_max([1.0, 1.2, 0.9, 1.4]) and bounded_last([1.0, 1.2, 0.9, 1.4])
+    # a spike in the middle fails the strict rule only
+    assert not bounded_max([1.0, 1.0, 2.0, 1.0]) and bounded_last([1.0, 1.0, 2.0, 1.0])
+    assert not bounded_last([1.0, 1.0, 1.0, 1.6])
+    # rounding noise around zero stays bounded
+    assert bounded_max([0.0, 0.0, 1e-13]) and bounded_last([0.0, 0.0, 1e-13])
+    assert decays([1.0, 0.9, 0.7]) and not decays([1.0, 0.5, 0.9])
+    assert decays([0.0, 0.0]) and not decays([0.0, 1e-3])
+    assert tail_decays([4.0, 2.0, 1.0])
+    assert not tail_decays([4.0, 2.0, 1.99])  # a plateau reached from above
+    # a zero tail mass is an empty window, no evidence of decay
+    assert not tail_decays([0.0, 1.0, 0.0]) and not tail_decays([1.0, 0.0, 0.0])
+    assert not tail_decays([1.0])
+    assert matched([1e-7, 5e-7]) and not matched([1e-7, 2e-6])
 
 
 def test_fit_stationary_elliptic2():

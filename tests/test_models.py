@@ -17,7 +17,6 @@ from edgekit.models import (
     cumulant_series,
     ellipticity_check,
     exact_distribution,
-    iid_sum,
     load_chain_spec,
     psi_mixing_coefficient,
     save_chain_spec,
@@ -255,8 +254,8 @@ _LOOP_CHAINS = {
 @pytest.mark.parametrize("name", sorted(_LOOP_CHAINS))
 def test_grouped_dp_matches_loop(name):
     spec = _LOOP_CHAINS[name]()
-    _, _, moves = _sweep_plan(spec)
-    _, _, shifts = _common_lattice(spec.observables)
+    moves = _sweep_plan(spec)[2]
+    shifts = _common_lattice(spec.observables)[2]
     table = ref = spec.initial[:, None]
     for step, kernel, shift in zip(moves, spec.kernels, shifts):
         table, ref = step.apply(table), _loop_step(ref, kernel, shift)
@@ -683,16 +682,19 @@ def test_piecewise_uniform_basics():
     assert u.quantile(0.75) == pytest.approx(0.5, abs=1e-9)
 
 
+def _uniform_sum(n):
+    """Law of the sum of n iid Uniform(-1, 1) draws, by exact convolution."""
+    return builtin_model("uniform").distribution(n)
+
+
 def test_iid_sum_matches_analytic_triangle():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
-    d2 = iid_sum(u, 2)
+    d2 = _uniform_sum(2)
     xs = np.linspace(-1.9, 1.9, 21)
     assert np.allclose(d2.density(xs), (2.0 - np.abs(xs)) / 4.0, atol=1e-13)
 
 
 def test_iid_sum_moments_match_cumulant_route():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
-    d = iid_sum(u, 6)
+    d = _uniform_sum(6)
     assert d.total_mass == pytest.approx(1.0, abs=1e-12)
     assert d.moment(2) == pytest.approx(2.0, abs=1e-12)
     # kappa4 additivity: m4 = 3 sigma^4 + n kappa4
@@ -701,8 +703,7 @@ def test_iid_sum_moments_match_cumulant_route():
 
 
 def test_iid_sum_charfn_deriv_matches_closed_form():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
-    d3 = iid_sum(u, 3)
+    d3 = _uniform_sum(3)
     t = np.array([0.3, 1.7, 4.0])
     sinc = np.sin(t) / t
     assert np.allclose(d3.charfn_deriv(t, 0), sinc**3, atol=1e-12)
@@ -712,14 +713,12 @@ def test_iid_sum_charfn_deriv_matches_closed_form():
 
 
 def test_iid_sum_cap():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
     with pytest.raises(ValueError):
-        iid_sum(u, 65)
+        _uniform_sum(65)
 
 
 def test_piecewise_deep_convolution_stays_clean():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
-    d = iid_sum(u, 32)
+    d = _uniform_sum(32)
     assert d.total_mass == pytest.approx(1.0, abs=1e-10)
     d.validate()
     assert d.moment(2) == pytest.approx(32.0 / 3.0, rel=1e-12)
@@ -886,7 +885,7 @@ def _grid_with_breaks(d, per_cell=7):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 12, 32, 64])
 def test_piecewise_irwin_hall_closed_form_on_breakpoint_grid(n):
-    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    d = _uniform_sum(n)
     x = _grid_with_breaks(d)
     exact = np.array([_uniform_sum_exact(n, xi) for xi in x])
     assert np.max(np.abs(d.density(x) - exact[:, 0])) <= 1e-14
@@ -895,7 +894,7 @@ def test_piecewise_irwin_hall_closed_form_on_breakpoint_grid(n):
 
 @pytest.mark.parametrize("n", [1, 2, 12, 32])
 def test_quantile_round_trip_and_monotone(n):
-    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    d = _uniform_sum(n)
     u = np.concatenate(
         [np.logspace(-14, -2, 97), np.linspace(0.01, 0.99, 197), 1.0 - np.logspace(-2, -14, 97)]
     )
@@ -905,7 +904,7 @@ def test_quantile_round_trip_and_monotone(n):
 
 
 def test_quantile_support_ends():
-    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), 3)
+    d = _uniform_sum(3)
     lo, hi = d.breaks[0], d.breaks[-1]
     assert d.quantile(0.0) == lo
     assert d.quantile(-0.25) == lo
@@ -928,7 +927,7 @@ def test_quantile_flat_stretch_returns_left_end():
 
 @pytest.mark.parametrize("n", [2, 12, 32])
 def test_quantile_matches_bisection_oracle(n):
-    d = iid_sum(PiecewisePolyDistribution.uniform(-1.0, 1.0), n)
+    d = _uniform_sum(n)
     u = np.linspace(0.05, 0.95, 37)
     lo = np.full(u.shape, d.breaks[0])
     hi = np.full(u.shape, d.breaks[-1])

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from edgekit.edgeworth import build_expansion
 from edgekit.harness.scans import scan_transport
-from edgekit.models import LatticeDistribution, builtin_model, iid_sum
-from edgekit.models.piecewise import PiecewisePolyDistribution
+from edgekit.models import LatticeDistribution, builtin_model
 from edgekit.transport import (
     GaussianLaw,
     expectation_via_cdf,
@@ -150,8 +149,7 @@ def test_lattice_gaussian_matches_quadrature(masses, mean, sd):
 
 
 def test_piecewise_vs_gaussian_quadrature_route():
-    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
-    d = iid_sum(u, 12)
+    d = builtin_model("uniform").distribution(12)
     g = GaussianLaw(0.0, math.sqrt(12.0 / 3.0))
     w2 = wasserstein_distance(d, g, 2)
     ref = _z_domain_reference(d, g, 2, npts=20001)
