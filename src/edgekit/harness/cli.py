@@ -11,6 +11,7 @@ configuration error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -274,16 +275,16 @@ def cmd_couple(args):
     if len(args.n) > 1:
         return _report(args, scan_coupling(model, args.n, p=args.p, target=args.target))
     n = args.n[0]
-    rep = gaussian_coupling(model, n, p=args.p, target=args.target)
+    distance = gaussian_coupling(model, n, p=args.p, target=args.target)
     prof = model.blocking(n, target=args.target)
     rows = [
         (k, float(s2), float(a), float(b))
         for k, (s2, a, b) in enumerate(zip(prof.sigma2, prof.a, prof.b))
     ]
     _emit(args, ("k", "var_s_k", "block_var", "remainder"), rows,
-          meta={"model": model.name, "n": n, "p": _json_cell(rep.p),
-                "target": float(rep.target), "blocks": len(prof.blocks),
-                "distance": float(rep.distance), "relative": float(rep.relative)})
+          meta={"model": model.name, "n": n, "p": _json_cell(args.p),
+                "target": float(prof.target), "blocks": len(prof.blocks),
+                "distance": distance, "relative": distance / math.sqrt(float(prof.sigma2[n]))})
     return 0
 
 

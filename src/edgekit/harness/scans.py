@@ -23,7 +23,6 @@ import numpy as np
 
 from ..cumulants import (
     DerivativeBoundReport,
-    StationaryFit,
     TailIntegralReport,
     bounded_last,
     bounded_max,
@@ -352,9 +351,10 @@ def scan_transport(model, ps, ns, r=0, m=None):
 class MomentScanReport(_Verdict):
     """Moments of the normalized sum against moments of the correction.
 
-    Exact moments come from the distribution engine; correction moments
-    are closed forms. Columns with max scaled gap at or below the match
-    floor get the verdict "matched": the correction reproduces that
+    Exact signed moments, and absolute ones of even order, come from the
+    model's cumulants; odd absolute moments come from its law. Correction
+    moments are closed forms. Columns with max scaled gap at or below the
+    match floor get the verdict "matched": the correction reproduces that
     moment to working precision at every n, and a trend read off
     rounding digits would be noise.
     """
@@ -433,11 +433,12 @@ def scan_moments(model, qs, r, ns, m=None):
     for i, n in enumerate(ns):
         sigma = model.sigma(n)
         sigmas[i] = sigma
-        dist = model.distribution(n)
+        # |W|^q = W^q for even q, so only odd orders need the law
+        dist = model.distribution(n) if any(q % 2 for q in qs) else None
         _, exp = _psi(model, n, m, r)
         for j, q in enumerate(qs):
             exact[i, j] = model.moment(n, q) / sigma**q
-            exact_abs[i, j] = dist.abs_moment(q) / sigma**q
+            exact_abs[i, j] = dist.abs_moment(q) / sigma**q if q % 2 else exact[i, j]
             if exp is None:
                 expansion[i, j] = gaussian_moment(q)
                 expansion_abs[i, j] = gaussian_abs_moment(q)
@@ -493,7 +494,6 @@ class StationaryScanReport(_Verdict):
     m: int
     ns: tuple
     sigmas: np.ndarray
-    fit: StationaryFit
     applicable: bool
     scaled: Optional[np.ndarray]
     order_verdicts: Optional[tuple]
@@ -530,7 +530,7 @@ def scan_stationarity(model, m, ns):
     fit = fit_stationary(model, ns, kmax=m)
     if not fit.accepted:
         return StationaryScanReport(
-            model=model.name, m=m, ns=ns, sigmas=sigmas, fit=fit,
+            model=model.name, m=m, ns=ns, sigmas=sigmas,
             applicable=False, scaled=None, order_verdicts=None,
             verdict="not-applicable", flagged=True,
             flag_reason="cumulant growth rejected the affine fit (orders %s)"
@@ -555,7 +555,6 @@ def scan_stationarity(model, m, ns):
         m=m,
         ns=ns,
         sigmas=sigmas,
-        fit=fit,
         applicable=True,
         scaled=scaled,
         order_verdicts=order_verdicts,
@@ -589,7 +588,6 @@ class CouplingScanReport(_Verdict):
     b: np.ndarray
     distances: np.ndarray
     relative: np.ndarray
-    sup_distance: float
     a_monotone: bool
     b_bounded: bool
     verdict: str
@@ -612,31 +610,26 @@ class CouplingScanReport(_Verdict):
 
 def scan_coupling(model, ns, p=2, target=None):
     ns = _check_ns(ns)
-    reps = [gaussian_coupling(model, n, p=p, target=target) for n in ns]
-    sigmas = np.array([math.sqrt(r.sigma2) for r in reps])
-    a = np.array([r.a for r in reps])
-    b = np.array([r.b for r in reps])
-    distances = np.array([r.distance for r in reps])
-    relative = np.array([r.relative for r in reps])
-    profiles_ok = all(model.blocking(n, target=target).a_monotone for n in ns)
+    reps = [model.blocking(n, target=target) for n in ns]
+    sigmas = np.array([math.sqrt(rep.sigma2[n]) for n, rep in zip(ns, reps)])
+    a = np.array([rep.a[n] for n, rep in zip(ns, reps)])
+    b = np.array([rep.b[n] for n, rep in zip(ns, reps)])
+    distances = np.array([gaussian_coupling(model, n, p=p, target=target) for n in ns])
+    relative = distances / sigmas
+    profiles_ok = all(rep.a_monotone for rep in reps)
     across_ok = bool(np.all(np.diff(a) >= -1e-9))
-    overshoots = [model.blocking(n, target=target).overshoot for n in ns]
-    b_ok = all(
-        bv <= 2.0 * rep.target + ov + 1e-9
-        for bv, rep, ov in zip(b, reps, overshoots)
-    )
+    b_ok = all(bv <= 2.0 * rep.target + rep.overshoot + 1e-9 for bv, rep in zip(b, reps))
     ok = bounded_max(distances)
     return CouplingScanReport(
         model=model.name,
         p=p,
-        target=float(reps[0].target),
+        target=reps[0].target,
         ns=ns,
         sigmas=sigmas,
         a=a,
         b=b,
         distances=distances,
         relative=relative,
-        sup_distance=float(np.max(distances)),
         a_monotone=bool(profiles_ok and across_ok),
         b_bounded=bool(b_ok),
         verdict=_word(ok, "bounded"),

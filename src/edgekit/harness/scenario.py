@@ -12,14 +12,13 @@ serializer and parses its list options with the same parsers.
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
 from .. import __version__
 from ..models import ChainModel, builtin_model, builtin_model_names, load_chain_spec
-from ..models.families import _centered_builder
 from .scans import (
     scan_assumptions,
     scan_coupling,
@@ -213,8 +212,7 @@ def resolve_model(token):
         )
     spec = load_chain_spec(token)
     name = spec.name or os.path.splitext(os.path.basename(token))[0]
-    builder = _centered_builder(spec.prefix)
-    return ChainModel(name, builder, max_steps=spec.n_steps)
+    return ChainModel(name, spec.prefix, max_steps=spec.n_steps)
 
 
 # -- serialization ------------------------------------------------------------
@@ -271,8 +269,6 @@ def _json_cell(v):
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    config: ScenarioConfig
-    model_name: str
     reports: dict
     files: tuple
     failures: int
@@ -349,8 +345,6 @@ def run_scenario(config, out=None):
     files.insert(0, manifest)
 
     return ScenarioRun(
-        config=replace(config, out=outdir),
-        model_name=model.name,
         reports=reports,
         files=tuple(files),
         failures=failures,

@@ -5,7 +5,6 @@ from .markov import (
     BlockingReport,
     EllipticityReport,
     MarkovChainSpec,
-    PsiMixingResult,
     cumulant_series,
     ellipticity_check,
     exact_distribution,
@@ -28,7 +27,6 @@ __all__ = [
     "LatticeDistribution",
     "MarkovChainSpec",
     "EllipticityReport",
-    "PsiMixingResult",
     "BlockingReport",
     "exact_distribution",
     "cumulant_series",

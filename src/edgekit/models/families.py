@@ -55,10 +55,11 @@ class _CumulantModel:
 class ChainModel(_CumulantModel):
     """Partial sums of observables along a finite-state chain.
 
-    `builder(n)` must return a MarkovChainSpec with n steps whose summed
-    observable is mean zero; results are cached per n. Cumulants and
-    sigma come from `cumulant_series`, which builds no law: one series
-    per n is kept, at the highest order asked for so far.
+    `builder(n)` must return a MarkovChainSpec with n steps; its
+    observables are used as given, since both engines center S_n
+    themselves. Results are cached per n. Cumulants and sigma come from
+    `cumulant_series`, which builds no law: one series per n is kept, at
+    the highest order asked for so far.
     """
 
     kind = "chain"
@@ -167,30 +168,12 @@ class IIDContinuousModel(_CumulantModel):
 # -- builders ----------------------------------------------------------------
 
 
-def _centered_builder(make_spec):
-    """Wrap a spec builder so every step observable has exact mean zero."""
-
-    def build(n):
-        spec = make_spec(n)
-        means = spec.step_means()
-        if np.max(np.abs(means)) == 0.0:
-            return spec
-        centered = {}  # one array per (source observable, step mean), not one per step
-        for f, mu in zip(spec.observables, means):
-            if (id(f), mu) not in centered:
-                centered[id(f), mu] = f - mu if mu != 0.0 else f
-        observables = tuple(centered[id(f), mu] for f, mu in zip(spec.observables, means))
-        return MarkovChainSpec(spec.initial, spec.kernels, observables, name=spec.name)
-
-    return build
-
-
 def decaying_observable_chain(name, kernel, amplitudes, initial=None):
     """Chain with observables a_j * s(X_{j+1}), s = +1 on state 0, -1 elsewhere.
 
     `amplitudes(j)` gives the step-j amplitude (steps numbered from 1).
     The sign pattern keeps every partial sum on a lattice whenever the
-    amplitudes do; means are centered exactly by construction wrapper.
+    amplitudes do.
     """
     kernel = np.asarray(kernel, dtype=float)
     nstates = kernel.shape[0]
@@ -210,7 +193,7 @@ def decaying_observable_chain(name, kernel, amplitudes, initial=None):
             observables.append(shared[a])
         return MarkovChainSpec(initial, (kernel,) * n, tuple(observables), name=name)
 
-    return ChainModel(name, _centered_builder(make))
+    return ChainModel(name, make)
 
 
 def _staircase_amplitude(beta):
@@ -268,7 +251,7 @@ def _flip2_model():
         kernels = tuple(k_a if j % 2 == 0 else k_b for j in range(n))
         return MarkovChainSpec(initial, kernels, (values,) * n, name="flip2")
 
-    return ChainModel("flip2", _centered_builder(make))
+    return ChainModel("flip2", make)
 
 
 def _uniform_model():

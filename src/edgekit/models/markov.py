@@ -25,7 +25,6 @@ from .lattice import LatticeDistribution
 __all__ = [
     "MarkovChainSpec",
     "EllipticityReport",
-    "PsiMixingResult",
     "BlockingReport",
     "exact_distribution",
     "cumulant_series",
@@ -128,13 +127,14 @@ class MarkovChainSpec:
 
     def step_means(self):
         """E f_j(X_j, X_{j+1}) for each step, exactly."""
-        margs = self.marginals()
-        return np.array(
-            [
-                float(margs[j] @ (k * f) @ np.ones(k.shape[1]))
-                for j, (k, f) in enumerate(zip(self.kernels, self.observables))
-            ]
-        )
+        weighted = {}  # K o f once per distinct (kernel, observable) pair
+        out = []
+        for nu, k, f in zip(self.marginals(), self.kernels, self.observables):
+            if (id(k), id(f)) not in weighted:
+                weighted[id(k), id(f)] = (k * f, np.ones(k.shape[1]))
+            kf, ones = weighted[id(k), id(f)]
+            out.append(float(nu @ kf @ ones))
+        return np.array(out)
 
 
 # -- lattice snap ------------------------------------------------------------
@@ -144,17 +144,16 @@ def _common_lattice(observables):
     """Common step d and per-step integer shifts for all observable values.
 
     Values within each step are taken relative to that step's minimum, so
-    only differences need to be commensurable; the per-step base offsets are
-    carried in float. Returns (d, bases, shift_arrays, snaps), snaps[j]
-    being max |diff - k d| of step j. Each distinct observable array is
-    snapped once, and steps whose shifts agree share one shift array, so a
-    sweep can key per-step work on its identity.
+    only differences need to be commensurable. Returns (d, diffs,
+    shift_arrays, snaps): diffs[j] is f_j - min f_j, and snaps[j] is
+    max |diffs[j] - k d| of step j. Each distinct observable array is
+    snapped once, steps that repeat an array share its diff array, and
+    steps whose shifts agree share one shift array, so a sweep can key
+    per-step work on their identity.
     """
     # homogeneous chains repeat one array per step: visit each array once
     distinct = {id(f): f for f in observables}
-    mins = {key: float(f.min()) for key, f in distinct.items()}
-    diffs = {key: f - mins[key] for key, f in distinct.items()}
-    bases = [mins[id(f)] for f in observables]
+    diffs = {key: f - float(f.min()) for key, f in distinct.items()}
     flat = np.concatenate([darr.ravel() for darr in diffs.values()])
     nonzero = flat[np.abs(flat) > _SNAP_TOL]
     step = Fraction(0)
@@ -180,7 +179,8 @@ def _common_lattice(observables):
             raise ValueError("observable values fail the lattice snap at step %g" % d)
         k = k.astype(np.int64)
         snapped[key] = shared.setdefault((k.shape, k.tobytes()), k)
-    return d, bases, [snapped[id(f)] for f in observables], [snap[id(f)] for f in observables]
+    keys = [id(f) for f in observables]
+    return d, [diffs[k] for k in keys], [snapped[k] for k in keys], [snap[k] for k in keys]
 
 
 # -- exact engines -----------------------------------------------------------
@@ -189,26 +189,28 @@ def _common_lattice(observables):
 def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
-    DP over (state, lattice cell); no cell is dropped. The result must
-    have mean 0 within the float error of the sweep (see `_mean_tolerance`)
-    plus the snap error of every step, which moves each value and so the
-    mean by at most that much; otherwise the centering is wrong and the
-    run aborts.
+    DP over (state, lattice cell) of the lattice parts f_j - min f_j; no
+    cell is dropped. Cell 0 sits at -sum_j E[f_j - min f_j], so S_n is
+    centered once, here, and the law never carries the raw size of the
+    observables. The result must have mean 0 within the float error of
+    the sweep (see `_mean_tolerance`) plus the snap error of every step,
+    which moves each value and so the mean by at most that much;
+    otherwise the centering is wrong and the run aborts.
     """
-    d, bases, moves, snaps = _sweep_plan(spec)
+    d, diffs, moves, snaps = _sweep_plan(spec)
     if d == 0.0:
-        # degenerate: S_n is a.s. the constant sum(bases) - sum(means) = 0
+        # degenerate: every f_j is constant, so S_n is a.s. 0
         return LatticeDistribution(0.0, 1.0, [1.0])
-    means = spec.step_means()
     table = spec.initial[:, None].copy()
-    offset = 0.0  # value of cell 0 for the running uncentered lattice sum
-    for j, step in enumerate(moves):
+    for step in moves:
         table = step.apply(table)
-        offset += bases[j] - means[j]
+    origin = 0.0  # value of cell 0
+    for mean in MarkovChainSpec(spec.initial, spec.kernels, diffs).step_means():
+        origin -= mean
     masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
-    dist = LatticeDistribution(offset + d * lo, d, masses[lo : hi_nz + 1])
+    dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
     tol = _mean_tolerance(spec, dist.masses.size) + sum(snaps)
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
@@ -216,7 +218,7 @@ def exact_distribution(spec):
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-step base offsets, move lists and snap errors of one DP sweep.
+    """Lattice step, per-step lattice parts, move lists and snap errors of one DP sweep.
 
     A move list is built once per distinct (kernel, shift array) pair of
     the sweep: homogeneous chains build one. The ids used as keys are
@@ -225,7 +227,7 @@ def _sweep_plan(spec):
     its table could outgrow _CELL_BUDGET: the table of any run of steps
     is at most max(states) * (1 + sum of the steps' widest shifts).
     """
-    d, bases, shifts, snaps = _common_lattice(spec.observables)
+    d, diffs, shifts, snaps = _common_lattice(spec.observables)
     built = {}
     moves = []
     for kernel, shift in zip(spec.kernels, shifts):
@@ -240,35 +242,37 @@ def _sweep_plan(spec):
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, bases, moves, snaps
+    return d, diffs, moves, snaps
 
 
 def _mean_tolerance(spec, cells):
     """First-order forward error bound on the computed mean of S_n.
 
-    n steps, S states, K support cells, F = sum_j max|f_j|, and delta the
-    largest row-sum defect of the initial law and the kernels (at most
-    1e-12 by validation). Every DP entry is a sum of at most S nonnegative
-    products K[x, y] table[x, .], so masses carry relative error
-    <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step keeps
-    that bound: BLAS may sum a group in any order and with fused
+    n steps, S states, K support cells, F = sum_j max|f_j - E f_j|, and
+    delta the largest row-sum defect of the initial law and the kernels
+    (at most 1e-12 by validation). Every DP entry is a sum of at most S
+    nonnegative products K[x, y] table[x, .], so masses carry relative
+    error <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step
+    keeps that bound: BLAS may sum a group in any order and with fused
     multiply-adds, and the group sums then go into the new table, but
     that is still one summation tree over at most S nonnegative products.
     Any such tree errs by at most S eps relative to first order: a term
     meets one rounded product and at most S - 1 rounded additions on its
     path (an FMA rounds once for both), and the zero entries of a group
     matrix add nothing and round nothing.
-    Partial sums of base_j - mean_j stay within 2F, so support values are
-    off by <= (2n+4) eps F. The K-term mean sum adds <= (K+1) eps; the
-    step means, from marginals pushed through the kernels, add
-    <= (nS + 2S + 1) eps F + n delta F. With |value| <= 2F the total is
-    below 4 (n(S+1) eps + (n+1) delta + (K+S+2) eps) F for n, S, K >= 1.
+    The lattice parts f_j - min f_j lie in [0, 2 max|f_j - E f_j|], so
+    partial sums of their means, and the cell values d c, stay within 2F;
+    support values are off by <= (2n+4) eps F. The K-term mean sum adds
+    <= (K+1) eps; the means, from marginals pushed through the kernels,
+    add <= (nS + 2S + 1) eps 2F + n delta 2F. With |value| <= F the total
+    is below 4 (n(S+1) eps + (n+1) delta + (K+S+2) eps) F for n, S, K >= 1.
     """
     n, states = spec.n_steps, max(spec.state_counts)
-    # homogeneous chains repeat one array per step: visit each array once
-    observables = {id(f): f for f in spec.observables}
-    peak = {key: float(np.abs(f).max()) for key, f in observables.items()}
-    scale = sum(peak[id(f)] for f in spec.observables)
+    # rounding is monotone, so max|f - mu| in float is the larger end
+    ends = {key: (float(f.min()), float(f.max()))
+            for key, f in {id(f): f for f in spec.observables}.items()}
+    scale = sum(max(ends[id(f)][1] - mu, mu - ends[id(f)][0])
+                for f, mu in zip(spec.observables, spec.step_means().tolist()))
     kernels = {id(k): k for k in spec.kernels}.values()
     defect = max([abs(float(spec.initial.sum()) - 1.0)]
                  + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])
@@ -500,11 +504,6 @@ def ellipticity_check(spec):
     )
 
 
-@dataclass(frozen=True)
-class PsiMixingResult:
-    value: float
-
-
 def psi_mixing_coefficient(spec, j, gap=1):
     """psi-mixing coefficient between sigma(X_j) and sigma(X_{j+gap}).
 
@@ -526,7 +525,7 @@ def psi_mixing_coefficient(spec, j, gap=1):
     py = joint.sum(axis=0)
     ok = np.outer(px > 0.0, py > 0.0)
     ratio = joint[ok] / np.outer(px, py)[ok]
-    return PsiMixingResult(value=float(np.max(np.abs(ratio - 1.0))))
+    return float(np.max(np.abs(ratio - 1.0)))
 
 
 # -- variance blocking -------------------------------------------------------
@@ -597,12 +596,10 @@ def variance_decomposition(spec, target=None):
 
 def _step_variances(spec):
     margs = spec.marginals()
-    out = []
-    for j, (k, f) in enumerate(zip(spec.kernels, spec.observables)):
-        mu = float(margs[j] @ (k * f) @ np.ones(k.shape[1]))
-        m2 = float(margs[j] @ (k * (f - mu) ** 2) @ np.ones(k.shape[1]))
-        out.append(m2)
-    return np.array(out)
+    return np.array([
+        float(margs[j] @ (k * (f - mu) ** 2) @ np.ones(k.shape[1]))
+        for j, (k, f, mu) in enumerate(zip(spec.kernels, spec.observables, spec.step_means()))
+    ])
 
 
 def _greedy_block_end(steps, start_law, start, target):

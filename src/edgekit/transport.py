@@ -25,7 +25,6 @@ __all__ = [
     "lp_cdf_distance",
     "wasserstein_upper_bound",
     "expectation_via_cdf",
-    "CouplingReport",
     "gaussian_coupling",
 ]
 
@@ -315,42 +314,14 @@ def expectation_via_cdf(cdf, h, h_deriv, tol=1e-7, span=60.0):
 # -- Gaussian coupling through variance blocking ------------------------------
 
 
-@dataclass(frozen=True)
-class CouplingReport:
-    """Cost of replacing S_n by a centered Gaussian with blocked variance.
-
-    a is the variance carried by complete blocks, b the remainder, and
-    distance = W_p(law(S_n), N(0, a)). For a healthy blocking, b stays
-    bounded while a tracks sigma_n^2, so distance/sigma_n vanishes.
-    """
-
-    n: int
-    p: int
-    target: float
-    a: float
-    b: float
-    sigma2: float
-    distance: float
-
-    @property
-    def relative(self):
-        return self.distance / math.sqrt(self.sigma2)
-
-
 def gaussian_coupling(model, n, p=2, target=None):
-    """Couple the exact law of S_n with N(0, a_n) from greedy blocking."""
-    rep = model.blocking(n, target=target)
-    a = float(rep.a[n])
-    b = float(rep.b[n])
+    """W_p(law(S_n), N(0, a_n)), a_n the variance in complete blocks.
+
+    a_n comes from `model.blocking`. For a healthy blocking the remainder
+    b_n stays bounded while a_n tracks sigma_n^2, so the distance over
+    sigma_n vanishes.
+    """
+    a = float(model.blocking(n, target=target).a[n])
     if a <= 0.0:
         raise ValueError("blocking captured no variance; larger n or smaller target")
-    dist = wasserstein_lattice_gaussian(model.distribution(n), GaussianLaw(0.0, math.sqrt(a)), p)
-    return CouplingReport(
-        n=n,
-        p=p,
-        target=float(rep.target),
-        a=a,
-        b=b,
-        sigma2=float(rep.sigma2[n]),
-        distance=float(dist),
-    )
+    return float(wasserstein_lattice_gaussian(model.distribution(n), GaussianLaw(0.0, math.sqrt(a)), p))

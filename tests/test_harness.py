@@ -27,7 +27,7 @@ from edgekit.harness import (
     scenario_presets,
 )
 from edgekit.harness.cli import main
-from edgekit.models import builtin_model, load_chain_spec, save_chain_spec
+from edgekit.models import ChainModel, builtin_model, save_chain_spec
 from edgekit.models.markov import MarkovChainSpec
 
 
@@ -131,6 +131,28 @@ def test_scan_moments_chain_signed_columns_match_at_scale():
     assert rep.signed_verdicts == ("matched",) * 4
     assert rep.passed
     assert float(np.max(rep.scaled_gap)) < 1e-9
+
+
+def test_scan_moments_even_absolute_columns_are_the_signed_ones():
+    # |W|^q = W^q for even q, so both columns read the model's cumulants
+    for name, r in (("rademacher", 0), ("elliptic2", 1), ("uniform", 1)):
+        rep = scan_moments(builtin_model(name), (2, 3, 4), r, (8, 16, 32), m=5)
+        for j in (0, 2):
+            assert np.array_equal(rep.exact_abs[:, j], rep.exact[:, j])
+
+
+def test_scan_moments_even_orders_need_no_law():
+    # steps worth 1 and 1.000001 share a lattice of step 1e-6, whose DP
+    # table the cell budget refuses; even moments come from the series
+    kernel = np.full((2, 2), 0.5)
+    ones = np.array([[0.0, 1.0], [0.0, 1.0]])
+    spec = MarkovChainSpec([0.5, 0.5], (kernel,) * 512, (ones, ones * 1.000001) * 256)
+    model = ChainModel("fine", spec.prefix, max_steps=512)
+    with pytest.raises(ValueError, match="budget"):
+        model.distribution(512)
+    rep = scan_moments(model, (2, 4), 0, (256, 512))
+    assert np.array_equal(rep.exact_abs, rep.exact)
+    assert rep.abs_verdicts[0] == "matched"
 
 
 def test_scan_moments_runs_no_quadrature(monkeypatch):
@@ -291,20 +313,18 @@ def test_resolve_model_from_chain_file(tmp_path):
     assert d1.masses == pytest.approx(d2.masses, abs=1e-14)
 
 
-def test_chain_file_centering_shares_observables(tmp_path):
-    # a homogeneous file chain centers with one array per distinct step mean,
-    # not one per step: its means settle at the stationary value
+def test_chain_file_keeps_one_observable_array(tmp_path):
+    # observables are used as given: a homogeneous file chain whose step
+    # means drift toward the stationary value still shares one array
     rng = np.random.Generator(np.random.PCG64([1, 64]))
     kernel = rng.dirichlet(np.ones(64), size=64)
     obs = rng.integers(-2, 3, size=(64, 64)).astype(float)
     path = tmp_path / "chain64.txt"
     save_chain_spec(MarkovChainSpec.homogeneous(rng.dirichlet(np.ones(64)), kernel, obs, 256), path)
-    means = load_chain_spec(str(path)).step_means()
     spec = resolve_model(str(path)).spec(256)
-    distinct = {id(f): f for f in spec.observables}
-    assert len(distinct) == len(set(means.tolist())) < 64
-    for f, mu in zip(spec.observables, means):
-        assert np.array_equal(f, obs - mu)
+    assert len(set(spec.step_means().tolist())) > 1
+    assert len({id(f) for f in spec.observables}) == 1
+    assert np.array_equal(spec.observables[0], obs)
 
 
 def test_presets_parse_and_validate():

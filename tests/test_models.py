@@ -292,9 +292,9 @@ def test_products_only_for_large_shift_groups():
 def test_sweep_plan_builds_one_move_list_per_kernel_observable_pair():
     homog = builtin_model("elliptic2").spec(64)
     assert len({id(m) for m in _sweep_plan(homog)[2]}) == 1
-    # centering gives flip2 a new observable array per step, all with one shift pattern
+    # flip2 keeps its one observable array under its two kernels
     period2 = builtin_model("flip2").spec(64)
-    assert len({id(f) for f in period2.observables}) > 2
+    assert len({id(f) for f in period2.observables}) == 1
     assert len({id(m) for m in _sweep_plan(period2)[2]}) == 2
     shared = _shared_kernel_chain(3, 9)
     assert len({id(m) for m in _sweep_plan(shared)[2]}) == 3
@@ -596,8 +596,32 @@ def test_psi_mixing_identity_vs_uniform():
     r_ident = psi_mixing_coefficient(ident, 1)
     r_unif = psi_mixing_coefficient(unif, 1)
     # deterministic coupling: P(A and B) = 1/2 while P(A)P(B) = 1/4
-    assert r_ident.value == pytest.approx(1.0, abs=1e-12)
-    assert r_unif.value == pytest.approx(0.0, abs=1e-12)
+    assert r_ident == pytest.approx(1.0, abs=1e-12)
+    assert r_unif == pytest.approx(0.0, abs=1e-12)
+
+
+def test_raw_flip2_law_equals_the_precentered_one():
+    # the DP centers S_n itself: subtracting the step means beforehand
+    # changes no bit of the law
+    for n in (16, 64, 512):
+        spec = builtin_model("flip2").spec(n)
+        means = spec.step_means()
+        centered = MarkovChainSpec(spec.initial, spec.kernels,
+                                   tuple(f - mu for f, mu in zip(spec.observables, means)))
+        raw, pre = exact_distribution(spec), exact_distribution(centered)
+        assert np.array_equal(raw.masses, pre.masses)
+        assert np.array_equal(raw.support, pre.support)
+
+
+def test_exact_distribution_is_shift_invariant():
+    # the law is built from f_j - min f_j alone, so observables of size 1e6
+    # leave no rounding of that size in the support
+    spec = builtin_model("elliptic2").spec(512)
+    shifted = MarkovChainSpec.homogeneous(spec.initial, spec.kernels[0],
+                                          spec.observables[0] + 1e6, 512)
+    base, moved = exact_distribution(spec), exact_distribution(shifted)
+    assert np.array_equal(moved.masses, base.masses)
+    assert np.max(np.abs(moved.support - base.support)) <= 1e-10
 
 
 def test_exact_distribution_rejects_wrong_centering(monkeypatch):
@@ -636,7 +660,7 @@ def test_psi_mixing_is_the_atom_pair_max():
         kernel[np.arange(a), rng.integers(0, b, size=a)] += 0.05  # no empty row
         kernel /= kernel.sum(axis=1, keepdims=True)
         spec = MarkovChainSpec(initial, (kernel,), (np.zeros((a, b)),))
-        got = psi_mixing_coefficient(spec, 0).value
+        got = psi_mixing_coefficient(spec, 0)
         ref = _psi_by_subsets(initial[:, None] * kernel)
         # both sides round a ratio near 1 + psi: compare in its ulps
         assert abs(got - ref) <= 4 * np.spacing(1.0 + ref), (got, ref)
@@ -645,7 +669,7 @@ def test_psi_mixing_is_the_atom_pair_max():
 def test_psi_mixing_decays_with_gap():
     m = builtin_model("elliptic2")
     spec = m.spec(8)
-    vals = [psi_mixing_coefficient(spec, 2, gap=g).value for g in (1, 2, 3)]
+    vals = [psi_mixing_coefficient(spec, 2, gap=g) for g in (1, 2, 3)]
     assert vals[0] > vals[1] > vals[2] > 0.0
     # second-eigenvalue 1/2 drives the decay
     assert vals[1] / vals[0] == pytest.approx(0.5, abs=0.1)

@@ -179,14 +179,19 @@ def test_expectation_via_cdf_gaussian():
 
 def test_gaussian_coupling_shrinks_relatively():
     m = builtin_model("rademacher")
-    reps = [gaussian_coupling(m, n, p=2, target=4.0) for n in (16, 64, 256)]
-    rel = [r.relative for r in reps]
+    ns = (16, 64, 256)
+    rel = [gaussian_coupling(m, n, p=2, target=4.0) / m.sigma(n) for n in ns]
     assert rel[0] > rel[1] > rel[2]
+    reps = [m.blocking(n, target=4.0) for n in ns]
     # remainder variance stays bounded by construction
-    assert all(r.b <= 2.0 * 4.0 + 1e-9 for r in reps)
+    assert all(r.b[n] <= 2.0 * 4.0 + 1e-9 for n, r in zip(ns, reps))
     # a + b add back to the full variance
-    for r in reps:
-        assert r.a + r.b == pytest.approx(r.sigma2, abs=1e-9)
+    for n, r in zip(ns, reps):
+        assert r.a[n] + r.b[n] == pytest.approx(r.sigma2[n], abs=1e-9)
+    # the distance is W_2 to N(0, a_n)
+    law = m.distribution(64)
+    ref = wasserstein_lattice_gaussian(law, GaussianLaw(0.0, math.sqrt(reps[1].a[64])), 2)
+    assert gaussian_coupling(m, 64, p=2, target=4.0) == ref
 
 
 def test_lp_cdf_distance_translation_and_oracle():
