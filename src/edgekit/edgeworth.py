@@ -38,7 +38,6 @@ __all__ = [
     "EdgeworthExpansion",
     "build_expansion",
     "expansion_from_cumulants",
-    "stationary_shape_rates",
 ]
 
 _ORDER_MIN = 3
@@ -251,26 +250,3 @@ def expansion_from_cumulants(kappas):
     scaled = [kappas[l + 1] / sigma2 for l in range(1, m - 1)]
     polys = [correction_polynomial(j, scaled) for j in range(1, m - 1)]
     return EdgeworthExpansion(sigma, polys)
-
-
-# -- stationary-geometry limits ----------------------------------------------
-
-
-def stationary_shape_rates(p, q):
-    """Shape rates from affine cumulant growth kappa_k ~ n p_k + q_k.
-
-    Returns (beta, alpha) with beta_l = p_{l+2}/p_2 and
-    alpha_l = q_{l+2} - q_2 p_{l+2}/p_2, so that the scaled cumulant is
-    exactly beta_l + alpha_l/sigma_n^2 whenever the growth is exactly
-    affine. beta drives the n-free limit polynomials, alpha the 1/sigma^2
-    corrections.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.size != q.size or p.size < 3:
-        raise ValueError("need matching rates up to order 3 at least")
-    if not p[1] > 0.0:
-        raise ValueError("variance rate must be positive")
-    beta = p[2:] / p[1]
-    alpha = q[2:] - q[1] * p[2:] / p[1]
-    return beta, alpha

@@ -18,6 +18,7 @@ import numpy as np
 
 from .. import __version__
 from ..edgeworth import build_expansion
+from ..special import normal_cdf, normal_pdf
 from ..transport import gaussian_coupling
 from .scans import (
     scan_assumptions,
@@ -216,8 +217,8 @@ def cmd_dist(args):
 def cmd_cumulants(args):
     model = resolve_model(args.model)
     n = _single_n(args)
-    if not 1 <= args.m <= 8:
-        raise ScenarioError("--m must be in [1, 8]")
+    if not 1 <= args.m <= 16:
+        raise ScenarioError("--m must be in [1, 16]")
     kappas = model.cumulants(n, args.m)
     sigma = model.sigma(n)
     rows = [(q, kq, kq / sigma**q) for q, kq in enumerate(kappas, start=1)]
@@ -232,10 +233,12 @@ def cmd_expand(args):
     r = args.m - 2 if args.r is None else args.r
     if not 0 <= r <= args.m - 2:
         raise ScenarioError("--r must be in [0, m-2]")
-    exp = build_expansion(model, n, args.m).truncated(r)
     x = np.linspace(-args.grid_max, args.grid_max, 401)
-    cdf = exp.cdf(x)
-    pdf = exp.pdf(x)
+    if r == 0:
+        cdf, pdf = normal_cdf(x), normal_pdf(x)
+    else:
+        exp = build_expansion(model, n, args.m).truncated(r)
+        cdf, pdf = exp.cdf(x), exp.pdf(x)
     rows = [(float(xi), float(ci), float(pi)) for xi, ci, pi in zip(x, cdf, pdf)]
     _emit(args, ("x", "cdf", "pdf"), rows,
           meta={"model": model.name, "n": n, "m": args.m, "r": r,

@@ -32,7 +32,7 @@ from ..cumulants import (
     matched,
     tail_integral_check,
 )
-from ..edgeworth import build_expansion, correction_polynomial, stationary_shape_rates
+from ..edgeworth import build_expansion, correction_polynomial
 from ..special import gaussian_abs_moment, gaussian_moment, normal_cdf, normal_pdf
 from ..transport import (
     GaussianLaw,
@@ -537,7 +537,7 @@ def scan_stationarity(model, m, ns):
             % (fit.rejected_orders,),
             passed=True,
         )
-    beta, _ = stationary_shape_rates(fit.p, fit.q)
+    beta = fit.p[2:] / fit.p[1]  # the limits of kappa_{l+2}(S_n)/sigma_n^2
     limits = [correction_polynomial(j, list(beta)) for j in range(1, m - 1)]
     x = np.linspace(-6.0, 6.0, _SHAPE_POINTS)
     phi = normal_pdf(x)

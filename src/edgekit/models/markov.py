@@ -127,14 +127,24 @@ class MarkovChainSpec:
 
     def step_means(self):
         """E f_j(X_j, X_{j+1}) for each step, exactly."""
-        weighted = {}  # K o f once per distinct (kernel, observable) pair
-        out = []
-        for nu, k, f in zip(self.marginals(), self.kernels, self.observables):
-            if (id(k), id(f)) not in weighted:
-                weighted[id(k), id(f)] = (k * f, np.ones(k.shape[1]))
-            kf, ones = weighted[id(k), id(f)]
-            out.append(float(nu @ kf @ ones))
-        return np.array(out)
+        return _step_means(self, self.observables)[0]
+
+
+def _step_means(spec, *sequences):
+    """E g_j(X_j, X_{j+1}) per step, one array for each sequence g of per-step arrays.
+
+    One walk of the marginals serves every sequence; K o g is formed once
+    per distinct (kernel, array) pair.
+    """
+    weighted = {}
+    out = [[] for _ in sequences]
+    for nu, k, *gs in zip(spec.marginals(), spec.kernels, *sequences):
+        for acc, g in zip(out, gs):
+            if (id(k), id(g)) not in weighted:
+                weighted[id(k), id(g)] = (k * g, np.ones(k.shape[1]))
+            kg, ones = weighted[id(k), id(g)]
+            acc.append(float(nu @ kg @ ones))
+    return [np.array(acc) for acc in out]
 
 
 # -- lattice snap ------------------------------------------------------------
@@ -204,14 +214,15 @@ def exact_distribution(spec):
     table = spec.initial[:, None].copy()
     for step in moves:
         table = step.apply(table)
+    means, lattice_means = _step_means(spec, spec.observables, diffs)
     origin = 0.0  # value of cell 0
-    for mean in MarkovChainSpec(spec.initial, spec.kernels, diffs).step_means():
+    for mean in lattice_means:
         origin -= mean
     masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
-    tol = _mean_tolerance(spec, dist.masses.size) + sum(snaps)
+    tol = _mean_tolerance(spec, means, dist.masses.size) + sum(snaps)
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
@@ -245,14 +256,15 @@ def _sweep_plan(spec):
     return d, diffs, moves, snaps
 
 
-def _mean_tolerance(spec, cells):
+def _mean_tolerance(spec, means, cells):
     """First-order forward error bound on the computed mean of S_n.
 
-    n steps, S states, K support cells, F = sum_j max|f_j - E f_j|, and
-    delta the largest row-sum defect of the initial law and the kernels
-    (at most 1e-12 by validation). Every DP entry is a sum of at most S
-    nonnegative products K[x, y] table[x, .], so masses carry relative
-    error <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step
+    n steps, S states, K support cells, the step means E f_j in `means`,
+    F = sum_j max|f_j - E f_j|, and delta the largest row-sum defect of
+    the initial law and the kernels (at most 1e-12 by validation). Every
+    DP entry is a sum of at most S nonnegative products K[x, y]
+    table[x, .], so masses carry relative error
+    <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step
     keeps that bound: BLAS may sum a group in any order and with fused
     multiply-adds, and the group sums then go into the new table, but
     that is still one summation tree over at most S nonnegative products.
@@ -272,7 +284,7 @@ def _mean_tolerance(spec, cells):
     ends = {key: (float(f.min()), float(f.max()))
             for key, f in {id(f): f for f in spec.observables}.items()}
     scale = sum(max(ends[id(f)][1] - mu, mu - ends[id(f)][0])
-                for f, mu in zip(spec.observables, spec.step_means().tolist()))
+                for f, mu in zip(spec.observables, means.tolist()))
     kernels = {id(k): k for k in spec.kernels}.values()
     defect = max([abs(float(spec.initial.sum()) - 1.0)]
                  + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])

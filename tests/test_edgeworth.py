@@ -12,7 +12,6 @@ from edgekit.edgeworth import (
     enumerate_correction_tuples,
     expansion_from_cumulants,
     hermite_coefficients,
-    stationary_shape_rates,
     tuple_hermite_order,
 )
 from edgekit.models import builtin_model
@@ -272,11 +271,10 @@ def test_gaussian_case_has_no_corrections(j):
 
 
 def test_shape_rates_and_limit_polys():
+    # kappa_k ~ n p_k + q_k: the scaled cumulants tend to beta_l = p_{l+2}/p_2
     p = np.array([0.0, 0.8, 0.3, -0.5])
-    q = np.array([0.0, -0.4, 0.2, 0.1])
-    beta, alpha = stationary_shape_rates(p, q)
+    beta = p[2:] / p[1]
     assert beta == pytest.approx([0.375, -0.625])
-    assert alpha == pytest.approx([0.2 - (-0.4) * 0.375, 0.1 - (-0.4) * (-0.625)])
     h1 = correction_polynomial(1, list(beta))
     assert np.allclose(h1.coeffs, hermite(2).scale(beta[0] / 6.0).coeffs)
 
@@ -287,7 +285,7 @@ def test_iid_limit_polys_are_exact_at_every_n():
     from edgekit.cumulants import fit_stationary
 
     fit = fit_stationary(m, (8, 16, 24, 32, 48), kmax=4)
-    beta, _ = stationary_shape_rates(fit.p, fit.q)
+    beta = fit.p[2:] / fit.p[1]
     e = build_expansion(m, 32, 4)
     for j in (1, 2):
         lim = correction_polynomial(j, list(beta))
@@ -319,7 +317,8 @@ def test_first_poly_distance_to_limit_scales_like_sigma2():
     from edgekit.cumulants import fit_stationary
 
     fit = fit_stationary(m, (8, 12, 16, 24, 32, 48, 64), kmax=3)
-    beta, alpha = stationary_shape_rates(fit.p, fit.q)
+    beta = fit.p[2:] / fit.p[1]
+    alpha = fit.q[2:] - fit.q[1] * beta  # scaled kappa_{l+2} = beta_l + alpha_l/sigma_n^2
     lim = correction_polynomial(1, list(beta))
     for n in (32, 64):
         e = build_expansion(m, n, 3)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -492,6 +493,45 @@ def test_cli_expand_default_order(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "x,cdf,pdf"
     assert len(out) == 402
+
+
+def test_cli_expand_without_corrections_is_the_normal(capsys):
+    from edgekit.special import normal_cdf, normal_pdf
+
+    code = main(["expand", "--model", "builtin:rademacher", "--n", "64", "--m", "4", "--r", "0",
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["meta"]["r"] == 0
+    x, cdf, pdf = np.array(doc["rows"]).T
+    assert np.array_equal(cdf, normal_cdf(x)) and np.array_equal(pdf, normal_pdf(x))
+
+
+def _bernoulli(k):
+    """B_k (B_1 = +1/2) as a Fraction, by the Akiyama-Tanigawa algorithm."""
+    a = [Fraction(0)] * (k + 1)
+    for m in range(k + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+@pytest.mark.parametrize("model, n, kappa, rel", [
+    # kappa_k(X): Rademacher 2^k (2^k - 1) B_k / k, Uniform(-1, 1) 2^k B_k / k
+    ("rademacher", 4096, lambda k: Fraction(2**k * (2**k - 1)) * _bernoulli(k) / k, 0.0),
+    ("uniform", 64, lambda k: Fraction(2**k) * _bernoulli(k) / k, 1e-14),
+])
+def test_cli_cumulants_to_order_16_match_closed_forms(capsys, model, n, kappa, rel):
+    code = main(["cumulants", "--model", "builtin:" + model, "--n", str(n), "--m", "16",
+                 "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r[0] for r in rows] == list(range(1, 17))
+    for k, raw, _ in rows[1:]:
+        exact = float(n * kappa(k))
+        assert abs(raw - exact) <= rel * abs(exact), k
+    assert main(["cumulants", "--model", "builtin:" + model, "--n", str(n), "--m", "17"]) == 2
 
 
 def test_cli_usage_errors(capsys):

@@ -24,7 +24,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import _common_lattice, _Moves, _sweep_plan
-from edgekit.models.piecewise import _TRIM_REL, _shift_poly, _snap_unique
+from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
 from path_enumeration import enumerate_distribution
 
@@ -625,15 +625,19 @@ def test_exact_distribution_is_shift_invariant():
 
 
 def test_exact_distribution_rejects_wrong_centering(monkeypatch):
+    from edgekit.models import markov
+
     spec = builtin_model("elliptic2").spec(64)
-    exact_means = MarkovChainSpec.step_means
+    exact_means = markov._step_means
 
-    def off_by_1e6(self):
-        means = exact_means(self)
-        means[3] += 1e-6
-        return means
+    def off_by_1e6(spec, *sequences):
+        # every sequence's step-3 mean, so the origin is off whichever sequence sets it
+        out = exact_means(spec, *sequences)
+        for means in out:
+            means[3] += 1e-6
+        return out
 
-    monkeypatch.setattr(MarkovChainSpec, "step_means", off_by_1e6)
+    monkeypatch.setattr(markov, "_step_means", off_by_1e6)
     with pytest.raises(ValueError, match="mean"):
         exact_distribution(spec)
 
@@ -726,14 +730,49 @@ def test_iid_sum_moments_match_cumulant_route():
     d.validate()
 
 
+_CHARFN_T = np.array([0.0, 1e-6, 0.3, 1.0, -2.5, 7.77, -31.4, 100.1, -999.9, 1234.5, 9999.75])
+
+
+def test_piecewise_charfn_matches_mpmath_uniform():
+    # the closed form keeps the error at rounding for every t, and
+    # |psi^(k)| <= E|X|^k <= 1 sets the absolute scale
+    mp = pytest.importorskip("mpmath")
+    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
+    with mp.workdps(40):
+        for k in (0, 1, 2, 4, 8, 16):
+            got = u.charfn_deriv(_CHARFN_T, k)
+            ref = np.array([complex(mp.diff(mp.sinc, mp.mpf(float(t)), k)) for t in _CHARFN_T])
+            assert np.max(np.abs(got - ref)) <= 1e-15, "k=%d" % k
+
+
 def test_iid_sum_charfn_deriv_matches_closed_form():
+    # the sum of three Uniform(-1, 1) draws has psi = (sin t / t)^3
+    mp = pytest.importorskip("mpmath")
     d3 = _uniform_sum(3)
-    t = np.array([0.3, 1.7, 4.0])
-    sinc = np.sin(t) / t
-    assert np.allclose(d3.charfn_deriv(t, 0), sinc**3, atol=1e-12)
-    # d/dt of sinc^3 (real for a symmetric density)
-    dsinc = (t * np.cos(t) - np.sin(t)) / t**2
-    assert np.allclose(d3.charfn_deriv(t, 1), 3.0 * sinc**2 * dsinc, atol=1e-11)
+    with mp.workdps(40):
+        for k in (0, 1, 2, 4, 8, 16):
+            got = d3.charfn_deriv(_CHARFN_T, k)
+            ref = np.array([complex(mp.diff(lambda s: mp.sinc(s) ** 3, mp.mpf(float(t)), k))
+                            for t in _CHARFN_T])
+            # |psi^(k)| <= E|S_3|^k <= max(1, E S_3^(k + k mod 2))
+            scale = max(1.0, d3.moment(k + k % 2))
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * scale, "k=%d" % k
+
+
+def test_piecewise_charfn_at_zero_negative_and_scalar_t():
+    # density 2x on [0, 1], over two cells: psi^(k)(0) = i^k E X^k = i^k 2/(k+2),
+    # and a real X has psi^(k)(-t) = (-1)^k conj(psi^(k)(t))
+    d = PiecewisePolyDistribution([0.0, 0.5, 1.0], [[0.5, 2.0], [1.5, 2.0]])
+    t = np.array([0.4, 3.0, 250.0])
+    for k in (0, 1, 3, 16):
+        at0 = d.charfn_deriv(0.0, k)
+        assert isinstance(at0, complex)
+        assert at0 == pytest.approx(1j**k * 2.0 / (k + 2), abs=4e-16)
+        pos, neg = d.charfn_deriv(t, k), d.charfn_deriv(-t, k)
+        assert np.max(np.abs(neg - (-1) ** k * np.conj(pos))) <= 4e-16
+        assert d.charfn_deriv(3.0, k) == pytest.approx(pos[1], abs=4e-16)
+    with pytest.raises(ValueError, match="derivative order"):
+        d.charfn_deriv(0.0, 17)
 
 
 def test_iid_sum_cap():
@@ -800,7 +839,8 @@ def _pair_oracle(p, w, q, h):
     for s_lo, s_hi, upper, lower in regimes:
         if s_hi - s_lo <= 1e-14 * big:
             continue
-        local = _shift_poly(eval_linear(*upper) - eval_linear(*lower), 0.5 * (s_lo + s_hi))
+        local = eval_linear(*upper) - eval_linear(*lower)
+        local = local @ _shift_matrix(local.size, 0.5 * (s_lo + s_hi))
         out.append((s_lo, s_hi, _trim_coeffs(local, 0.5 * (s_hi - s_lo))))
     return out
 
@@ -828,7 +868,7 @@ def _convolve_oracle(a, b):
         for cell in range(il, ih + 1):
             delta = 0.5 * (grid[cell] + grid[cell + 1]) - 0.5 * (lo + hi)
             moved += delta != 0.0 and cf.size > 1
-            cells[cell] = np.polynomial.polynomial.polyadd(cells[cell], _shift_poly(cf, delta))
+            cells[cell] = np.polynomial.polynomial.polyadd(cells[cell], cf @ _shift_matrix(cf.size, delta))
     coeffs = [_trim_coeffs(cf, 0.5 * (grid[i + 1] - grid[i])) for i, cf in enumerate(cells)]
     return grid, coeffs, moved
 
