@@ -127,9 +127,7 @@ class EdgeworthExpansion:
     def __init__(self, sigma, polys):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        order = len(polys) + 2
-        if not _ORDER_MIN <= order <= _ORDER_MAX:
-            raise ValueError("expansion order must be in [%d, %d]" % (_ORDER_MIN, _ORDER_MAX))
+        check_order(len(polys) + 2)
         self.sigma = float(sigma)
         self.polys = tuple(
             p if isinstance(p, DensePolynomial) else DensePolynomial(p) for p in polys
@@ -228,10 +226,15 @@ def _hermite_projection(q, k):
     return float(math.factorial(q) // (2**s * math.factorial(s)))
 
 
-def build_expansion(model, n, m):
-    """Order-m expansion for S_n/sigma_n from exact model cumulants."""
+def check_order(m):
+    """Refuse an expansion order m outside [_ORDER_MIN, _ORDER_MAX]."""
     if not _ORDER_MIN <= m <= _ORDER_MAX:
         raise ValueError("expansion order must be in [%d, %d]" % (_ORDER_MIN, _ORDER_MAX))
+
+
+def build_expansion(model, n, m):
+    """Order-m expansion for S_n/sigma_n from exact model cumulants."""
+    check_order(m)
     kappas = [float(k) for k in model.cumulants(n, m)]
     return expansion_from_cumulants(kappas)
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .. import __version__
-from ..edgeworth import build_expansion
+from ..edgeworth import build_expansion, check_order
 from ..special import normal_cdf, normal_pdf
 from ..transport import gaussian_coupling
 from .scans import (
@@ -230,6 +230,7 @@ def cmd_cumulants(args):
 def cmd_expand(args):
     model = resolve_model(args.model)
     n = _single_n(args)
+    check_order(args.m)
     r = args.m - 2 if args.r is None else args.r
     if not 0 <= r <= args.m - 2:
         raise ScenarioError("--r must be in [0, m-2]")

@@ -32,7 +32,7 @@ from ..cumulants import (
     matched,
     tail_integral_check,
 )
-from ..edgeworth import build_expansion, correction_polynomial
+from ..edgeworth import build_expansion, check_order, correction_polynomial
 from ..special import gaussian_abs_moment, gaussian_moment, normal_cdf, normal_pdf
 from ..transport import (
     GaussianLaw,
@@ -283,6 +283,7 @@ def scan_transport(model, ps, ns, r=0, m=None):
     ns = _check_ns(ns)
     if m is None:
         m = max(r + 2, 3)
+    check_order(m)
     if not 0 <= r <= m - 2:
         raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
     is_lattice = bool(getattr(model, "is_lattice", False))

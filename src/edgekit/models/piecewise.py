@@ -8,8 +8,10 @@ cancel catastrophically already around n = 20.
 
 Evaluation gathers rows of zero-padded coefficient arrays, `_C` for the
 density and `_A` for its antiderivative from each midpoint, and runs one
-Horner pass over them; quantile solves by safeguarded Newton in the cell
-found from the cumulative masses.
+Horner pass over them. The masses left of each cell (`_cum`) and from
+each cell on (`_surv`) give the CDF and the survival mass each from its
+own side. quantile solves by safeguarded Newton in the cell found from
+the cumulative masses.
 
 Convolution works on whole tables too. The pair convolution is linear in
 one factor's coefficients, so the cells of equal halfwidth go through it
@@ -101,8 +103,10 @@ class PiecewisePolyDistribution:
             self._C[i, : c.size] = c
         self._A = np.pad(self._C / np.arange(1, self._C.shape[1] + 1), ((0, 0), (1, 0)))
         self._base = _horner(self._A, -self.halfwidths)  # antiderivative at each left edge
-        masses = _horner(self._A, self.halfwidths) - self._base
+        self._top = _horner(self._A, self.halfwidths)  # and at each right edge
+        masses = self._top - self._base
         self._cum = np.concatenate([[0.0], np.cumsum(masses)])
+        self._surv = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])  # mass from cell i on
 
     @classmethod
     def uniform(cls, lo=-1.0, hi=1.0):
@@ -116,6 +120,18 @@ class PiecewisePolyDistribution:
         """Cell of each x and that cell's row of `rows` evaluated at x."""
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, len(self.coeffs) - 1)
         return idx, _horner(rows[idx], x - self.centers[idx])
+
+    def _cell_eval(self, idx, v):
+        """Density, CDF and survival mass at local coordinates v of cells idx.
+
+        Each tail mass is built from the side it belongs to, the CDF from the
+        masses left of the cell and the survival from those right of it, so
+        neither loses digits to 1 - the other.
+        """
+        anti = _horner(self._A[idx], v)
+        lower = self._cum[idx] + (anti - self._base[idx])
+        upper = self._surv[idx + 1] + (self._top[idx] - anti)
+        return _horner(self._C[idx], v), lower, upper
 
     def density(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

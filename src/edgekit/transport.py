@@ -1,20 +1,30 @@
 """Transport distances between one-dimensional laws.
 
-Wasserstein distances are computed through the quantile coupling
+Wasserstein distances follow the quantile coupling
 
     W_p(F, G)^p = int_0^1 |F^{-1}(u) - G^{-1}(u)|^p du,
 
-exactly where the structure allows it (lattice vs lattice, lattice vs
-Gaussian via partial moments) and by high-accuracy quadrature otherwise.
+by one route per pair of law types:
+
+- lattice vs lattice: exact for any p, over the merged partition of the
+  cumulative masses;
+- lattice vs Gaussian: exact for integer p, through Gaussian partial
+  moments;
+- piecewise-polynomial vs Gaussian: the x-domain cell rule, which
+  integrates |x - G^{-1}(F(x))|^p f(x) dx cell by cell and inverts no
+  quantile;
+- anything else: quadrature in the quantile domain.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_jacobi
 
 from .models.lattice import LatticeDistribution
+from .models.piecewise import PiecewisePolyDistribution
 from .special import gaussian_partial_moments
 
 __all__ = [
@@ -28,8 +38,19 @@ __all__ = [
     "gaussian_coupling",
 ]
 
-_QTAIL = 1e-14  # quantile-domain tail cut; integrand tails are O(|ndtri|^p * _QTAIL)
+# Quantile-domain tail cut. What it drops is not negligible: for the
+# piecewise Irwin-Hall laws at n = 8, 16, 32 the cut tails held 6.6e-10,
+# 8.1e-10 and 7.6e-10 of W_2^2 against N(0, n/3) (an mpmath reference), which
+# is why piecewise/Gaussian pairs take the x-domain cell rule instead.
+_QTAIL = 1e-14
 _GAP_CELL = 0.75  # widest panel of the CDF-gap integral
+_CELL_NODES = 16  # Gauss nodes per panel of the piecewise/Gaussian cell rule
+_SIGN_GRID = 16  # subintervals per cell searched for sign changes of x - T(x)
+_EDGE_NUDGE = 1e-9  # the sign grid's ends sit this share of a halfwidth inside the cell
+_EDGE_RATIO = 0.25  # geometric grading of the two outermost cells
+_EDGE_LEVELS = 64  # at most this many graded panels per edge
+_EDGE_MASS = 1e-14  # grading stops once the mass left at the edge is this share of the cell's
+_NOISE_SHARE = 1e-15  # largest share of W_p^p the left-out noise points may bound
 
 
 @dataclass(frozen=True)
@@ -55,26 +76,27 @@ class GaussianLaw:
 
 
 def wasserstein_distance(a, b, p=1):
-    """W_p between two laws, exact when the pair structure allows.
+    """W_p between two laws, by the route their types allow.
 
-    Finite p >= 1, not necessarily an integer. Exact routes exist for
-    integer p on lattice/lattice and lattice/Gaussian pairs. Anything else
-    uses quantile-domain quadrature and requires `quantile` on both laws.
+    Finite p >= 1, not necessarily an integer; the arguments may come in
+    either order. Lattice/lattice pairs are exact for any p and
+    lattice/Gaussian pairs for integer p. Piecewise-polynomial/Gaussian
+    pairs take the x-domain cell rule. Anything else uses quantile-domain
+    quadrature and requires `quantile` on both laws.
     """
     if not 1 <= p < math.inf:
         raise ValueError("p must be finite and >= 1, got %r" % (p,))
-    if isinstance(p, int) or float(p).is_integer():
-        p_int = int(p)
-        lat_a = isinstance(a, LatticeDistribution)
-        lat_b = isinstance(b, LatticeDistribution)
-        if lat_a and lat_b:
-            return wasserstein_lattice_lattice(a, b, p_int)
-        if lat_a and isinstance(b, GaussianLaw):
-            return wasserstein_lattice_gaussian(a, b, p_int)
-        if lat_b and isinstance(a, GaussianLaw):
-            return wasserstein_lattice_gaussian(b, a, p_int)
-        return _wasserstein_quantile_quadrature(a, b, p_int)
-    return _wasserstein_quantile_quadrature(a, b, float(p))
+    p = int(p) if float(p).is_integer() else float(p)
+    if isinstance(a, GaussianLaw):
+        a, b = b, a
+    if isinstance(a, LatticeDistribution) and isinstance(b, LatticeDistribution):
+        return wasserstein_lattice_lattice(a, b, p)
+    if isinstance(b, GaussianLaw):
+        if isinstance(a, PiecewisePolyDistribution):
+            return _wasserstein_piecewise_gaussian(a, b, p)
+        if isinstance(a, LatticeDistribution) and isinstance(p, int):
+            return wasserstein_lattice_gaussian(a, b, p)
+    return _wasserstein_quantile_quadrature(a, b, p)
 
 
 def wasserstein_lattice_lattice(a, b, p=1):
@@ -137,9 +159,167 @@ def _signed_cell_integral(x, mean, sd, z1, z2, p):
     return acc
 
 
-def _check_normalized(lat):
-    if abs(lat.total_mass - 1.0) > 1e-9:
-        raise ValueError("lattice law is not normalized (mass %r)" % lat.total_mass)
+def _check_normalized(law):
+    if abs(law.total_mass - 1.0) > 1e-9:
+        raise ValueError("law is not normalized (mass %r)" % law.total_mass)
+
+
+def _wasserstein_piecewise_gaussian(pw, gauss, p):
+    """W_p between a piecewise-polynomial law and N(mean, sd^2), in the x domain.
+
+        W_p^p = int |h(x)|^p f(x) dx,   h(x) = x - mean - sd z(x),
+
+    with z = ndtri(F) on the left half and -ndtri(S) on the right, each tail
+    mass taken from its own side of the cell tables. Every cell is cut where
+    h changes sign and integrated by a fixed Gauss rule in its local
+    coordinate; at non-integer p the panels that touch a cut carry
+    |x - x_c|^p as a Gauss-Jacobi weight. z has a log singularity at the
+    support edges, so the outermost cells are graded geometrically until the
+    mass left at the edge is below _EDGE_MASS of the cell; that sliver is the
+    Gaussian tail integral with x frozen at the edge. Far-tail points whose
+    tail mass rounds to <= 0 are rounding noise of the convolution: they are
+    left out, and their contribution, bounded by |f| dx (|x| + |mean| + 40 sd)^p
+    over their Gauss weights (|z| < 40 for any positive double), must stay
+    below _NOISE_SHARE of W_p^p.
+    """
+    _check_normalized(pw)
+    mean, sd = gauss.mean, gauss.sd
+
+    def score(idx, v):
+        """Density, h and whether the tail mass is positive, at local coordinates v of cells idx."""
+        f, lower, upper = pw._cell_eval(idx, v)
+        tail = np.minimum(lower, upper)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(lower <= upper, 1.0, -1.0) * ndtri(tail)
+        return f, pw.centers[idx] + v - mean - sd * z, tail > 0.0
+
+    # panel ends as (cells, local coordinates, whether each is a cut of h)
+    smooth = isinstance(p, int) and p % 2 == 0  # |h|^p = h^p needs no cuts
+    ends = _sign_cuts(score, pw.halfwidths, smooth)
+    edge_ends, tails = _edge_grading(pw, mean)
+    cell, v, is_cut = (np.concatenate(parts) for parts in zip(*(ends + edge_ends)))
+    order = np.lexsort((v, cell))[1:-1]  # the support edges go: their slivers are tails
+    cell, v, is_cut = cell[order], v[order], is_cut[order]
+    panel = (cell[:-1] == cell[1:]) & (v[1:] > v[:-1])
+    pcell, lo, hi = cell[:-1][panel], v[:-1][panel], v[1:][panel]
+    kind = np.zeros(pcell.size, dtype=int)
+    if not isinstance(p, int):
+        kind = is_cut[:-1][panel] + 2 * is_cut[1:][panel]
+
+    total = bound = 0.0
+    for k, (nodes, weights) in enumerate(_cell_rules(p)):
+        sel = kind == k
+        half = 0.5 * (hi[sel] - lo[sel])[:, None]
+        v = 0.5 * (hi[sel] + lo[sel])[:, None] + half * nodes
+        f, h, ok = score(pcell[sel][:, None], v)
+        reach = np.abs(pw.centers[pcell[sel]][:, None] + v) + abs(mean) + 40.0 * sd
+        with np.errstate(invalid="ignore", over="ignore"):
+            total += float(np.sum(np.where(ok, half * weights * np.abs(h) ** p * f, 0.0)))
+        bound += float(np.sum(np.where(ok, 0.0, half * weights * np.abs(f) * reach**p)))
+    for offset, mass, edge in tails:
+        if mass > 0.0:
+            total += _edge_tail(offset, mass, sd, p)
+        else:
+            bound += abs(mass) * (abs(edge) + abs(mean) + 40.0 * sd) ** p
+    if bound > _NOISE_SHARE * total:
+        raise ValueError("points left out as rounding noise may carry %.3g of W_p^p = %.3g" % (bound, total))
+    return total ** (1.0 / p)
+
+
+def _sign_cuts(score, w, smooth):
+    """Panel ends of every cell: its edges and the sign changes of h.
+
+    h is sampled on a per-cell grid whose ends sit just inside the cell, and
+    each bracketed change is bisected; a change across a cell edge makes the
+    edge a cut. A cut near an edge is a branch point of |h|^p just outside
+    the neighbouring cell, so that cell's panels grade geometrically toward
+    it. With smooth set, only the edges are returned.
+    """
+    ncell = w.size
+    cells = np.arange(ncell)
+    if smooth:
+        no = np.zeros(ncell, dtype=bool)
+        return [(cells, -w, no), (cells, w, no)]
+    grid = np.linspace(-1.0, 1.0, _SIGN_GRID + 1)
+    grid[[0, -1]] *= 1.0 - _EDGE_NUDGE
+    grid = grid * w[:, None]
+    sign = np.sign(score(cells[:, None], grid)[1])
+    cell, j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    lo, hi = grid[cell, j], grid[cell, j + 1]
+    while np.any(hi - lo > 4.0 * np.finfo(float).eps * (np.abs(lo) + w[cell])):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(score(cell, mid)[1]) == sign[cell, j]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    zero_cell, zero_j = np.nonzero(sign == 0.0)
+    cut_cell = np.concatenate([cell, zero_cell])
+    cut_v = np.concatenate([0.5 * (lo + hi), grid[zero_cell, zero_j]])
+    across = np.append(sign[:-1, -1] * sign[1:, 0] < 0.0, False)
+    ends = [(cells, -w, np.roll(across, 1)), (cells, w, across),
+            (cut_cell, cut_v, np.ones(cut_cell.size, dtype=bool))]
+    spread = _EDGE_RATIO ** -np.arange(1.0, _EDGE_LEVELS + 1) - 1.0
+    for side in (-1, 1):
+        gap = w[cut_cell] - side * cut_v  # from the cut to its cell's edge on this side
+        nb = cut_cell + side
+        live = (nb >= 0) & (nb < ncell) & (gap > 0.0)
+        nb, gap = nb[live], gap[live]
+        v = -side * (w[nb][:, None] - gap[:, None] * spread)
+        inside = np.abs(v) < w[nb][:, None]
+        nb = np.broadcast_to(nb[:, None], v.shape)[inside]
+        ends.append((nb, v[inside], np.zeros(nb.size, dtype=bool)))
+    return ends
+
+
+def _edge_grading(pw, mean):
+    """Geometric panel ends toward both support edges, and the slivers left.
+
+    The ratio-_EDGE_RATIO points stop at the first whose tail mass is below
+    _EDGE_MASS of its cell's mass, or, earlier, where the tail mass stops
+    falling: there the cell tables are down to their rounding. Each sliver
+    is (edge offset for _edge_tail, tail mass at its inner end, edge).
+    """
+    ends, tails = [], []
+    masses = pw._top - pw._base
+    for cell, side in ((0, -1.0), (len(pw.coeffs) - 1, 1.0)):
+        w = pw.halfwidths[cell]
+        v = side * (w - 2.0 * w * _EDGE_RATIO ** np.arange(1.0, _EDGE_LEVELS + 1))
+        mass = pw._cell_eval(cell, v)[1 if side < 0 else 2]
+        falling = np.logical_and.accumulate((mass > 0.0) & (mass < np.append(np.inf, mass[:-1])))
+        deep = np.flatnonzero(mass <= _EDGE_MASS * masses[cell])
+        last = min(deep[0] if deep.size else _EDGE_LEVELS - 1, max(int(falling.sum()) - 1, 0))
+        ends.append((np.full(last + 1, cell), v[: last + 1], np.zeros(last + 1, dtype=bool)))
+        edge = pw.breaks[0] if side < 0 else pw.breaks[-1]
+        tails.append((side * (mean - edge), mass[last], edge))
+    return ends, tails
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_rules(p):
+    """Gauss rules on [-1, 1] for panels with no cut, a cut at -1, at +1, at both.
+
+    At non-integer p a cut end carries |1 -+ t|^p as a Jacobi weight; the
+    weights come divided by it, so every rule sums weights * |h|^p * f.
+    """
+    rules = [np.polynomial.legendre.leggauss(_CELL_NODES)]
+    if not isinstance(p, int):
+        for alpha, beta in ((0.0, p), (p, 0.0), (p, p)):
+            t, wt = roots_jacobi(_CELL_NODES, alpha, beta)
+            rules.append((t, wt / ((1.0 - t) ** alpha * (1.0 + t) ** beta)))
+    return rules
+
+
+def _edge_tail(offset, mass, sd, p):
+    """int_{-inf}^{z0} |offset - sd z|^p phi(z) dz with z0 = ndtri(mass) < 0.
+
+    The sliver of tail mass `mass` at a support edge `offset` from the
+    Gaussian mean (mirrored for the right edge), with x frozen at the edge.
+    z = z0 - s/|z0| makes it phi(z0)/|z0| int_0^inf e^{-s} e^{-s^2 / 2 z0^2}
+    |offset - sd z|^p ds, a Gauss-Laguerre integral.
+    """
+    z0 = float(ndtri(mass))
+    s, ws = np.polynomial.laguerre.laggauss(_CELL_NODES)
+    z = z0 - s / abs(z0)
+    g = np.exp(-0.5 * (s / z0) ** 2) * np.abs(offset - sd * z) ** p
+    return math.exp(-0.5 * z0 * z0) / (math.sqrt(2.0 * math.pi) * abs(z0)) * float(np.dot(ws, g))
 
 
 def _quantile_panels():

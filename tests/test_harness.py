@@ -548,6 +548,17 @@ def test_cli_usage_errors(capsys):
     assert "edgekit:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--model", "builtin:rademacher", "--n", "64", "--m", "99", "--r", "0"],
+    ["scan-transport", "--model", "builtin:rademacher", "--n", "16,32", "--m", "99", "--r", "0"],
+    ["expand", "--model", "builtin:rademacher", "--n", "64", "--m", "2", "--r", "0"],
+])
+def test_cli_refuses_expansion_orders_outside_range_without_corrections(capsys, argv):
+    # r = 0 builds no expansion, so the order range is checked on its own
+    assert main(argv) == 2
+    assert "expansion order must be in [3, 16]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order", ["inf", "nan", "1,-inf"])
 def test_cli_refuses_non_finite_transport_order(capsys, order):
     start = time.perf_counter()

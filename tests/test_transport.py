@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from edgekit.edgeworth import build_expansion
 from edgekit.harness.scans import scan_transport
-from edgekit.models import LatticeDistribution, builtin_model
+from edgekit.models import LatticeDistribution, PiecewisePolyDistribution, builtin_model
 from edgekit.transport import (
     GaussianLaw,
     expectation_via_cdf,
@@ -23,14 +23,14 @@ from edgekit.transport import (
 def test_point_mass_displacement():
     d0 = LatticeDistribution(0.0, 1.0, [1.0])
     da = LatticeDistribution(0.7, 1.0, [1.0])
-    for p in (1, 2, 3):
+    for p in (1, 1.5, 2, 3):
         assert wasserstein_distance(d0, da, p) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_translated_two_point():
     a = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
     b = LatticeDistribution(0.0, 2.0, [0.5, 0.5])
-    for p in (1, 2, 4):
+    for p in (1, 1.5, 2, 4):
         assert wasserstein_distance(a, b, p) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -157,10 +157,139 @@ def test_piecewise_vs_gaussian_quadrature_route():
     assert 0.0 < w2 < 0.2
 
 
+def _irwin_hall_cells(n):
+    """Left-half cells of the sum of n Uniform(-1, 1), exactly.
+
+    Each is (left edge, right end, integer coefficients of 2^n n! F in
+    t = x - left edge): the exact rational cell over the common denominator,
+    from F(x) = sum_k (-1)^k C(n, k) (x + n - 2k)^n / (2^n n!).
+    """
+    out = []
+    for j in range(n):
+        left = -n + 2 * j
+        if left >= 0:
+            break
+        coef = [sum((-1) ** k * math.comb(n, k) * math.comb(n, m) * (2 * (j - k)) ** (n - m)
+                    for k in range(j + 1)) for m in range(n + 1)]
+        out.append((left, min(left + 2, 0), coef))
+    return out
+
+
+def _exact_poly(mp, coef, t, scale):
+    """sum_m coef[m] t^m / scale at an mpf t >= 0, in exact integer arithmetic."""
+    man, shift = int(t.man), -int(t.exp)
+    if man == 0:
+        return mp.mpf(coef[0]) / scale
+    if shift <= 0:
+        return mp.mpf(sum(c * (man << -shift) ** m for m, c in enumerate(coef))) / scale
+    deg = len(coef) - 1
+    acc = coef[-1]
+    for m in range(deg - 1, -1, -1):
+        acc = acc * man + (coef[m] << (shift * (deg - m)))
+    return mp.ldexp(mp.mpf(acc), -shift * deg) / scale
+
+
+def _normal_score(mp, u):
+    """Phi^{-1}(u) for 0 < u <= 1/2, by Newton steps on log Phi."""
+    from scipy.special import ndtri
+
+    log_u = mp.log(u)
+    z = mp.mpf(float(ndtri(float(u)))) if u > 1e-300 else -mp.sqrt(-2 * log_u)
+    for _ in range(60):
+        cdf = mp.ncdf(z)
+        step = (mp.log(cdf) - log_u) * cdf / mp.npdf(z)
+        z -= step
+        if abs(step) < mp.mpf(10) ** (3 - mp.mp.dps):
+            return z
+    raise AssertionError("no convergence at u = %s" % u)
+
+
+def _irwin_hall_w(mp, n, ps):
+    """W_p(sum of n Uniform(-1, 1), N(0, n/3)) / sigma by per-cell mpmath quadrature.
+
+    By symmetry W_p^p is twice the left half, int |x - sigma Phi^{-1}(F)|^p f
+    dx. Each cell's crossings of x = sigma Phi^{-1}(F(x)) are located by
+    mpmath root finding and split the cell for mp.quad. Cells with F below
+    1e-40 are skipped: they hold under 1e-40 (n + 40 sigma)^p of W_p^p.
+    """
+    with mp.workdps(24):
+        sd = mp.sqrt(mp.mpf(n) / 3)
+        scale = mp.mpf(2**n * math.factorial(n))
+        total = {p: mp.mpf(0) for p in ps}
+        for left, right, coef in _irwin_hall_cells(n):
+            dcoef = [m * c for m, c in enumerate(coef)][1:]
+            if _exact_poly(mp, coef, mp.mpf(right - left), scale) < 1e-40:
+                continue
+            cache = {}
+
+            def h_f(x):
+                if x not in cache:
+                    t = x - left
+                    score = _normal_score(mp, _exact_poly(mp, coef, t, scale))
+                    cache[x] = (x - sd * score, _exact_poly(mp, dcoef, t, scale))
+                return cache[x]
+
+            # the last point sits off x = 0, where h vanishes by symmetry
+            grid = [left + (right - left) * mp.mpf(k) / 16 for k in range(1, 16)]
+            grid.append(right - mp.mpf(10) ** -12)
+            hs = [h_f(x)[0] for x in grid]
+            cuts = [mp.findroot(lambda x: h_f(x)[0], (a, b), solver="anderson")
+                    for a, b, ha, hb in zip(grid, grid[1:], hs, hs[1:]) if ha * hb < 0]
+            for p in ps:
+                total[p] += mp.quad(lambda x: abs(h_f(x)[0]) ** p * h_f(x)[1], [left] + cuts + [right])
+        return {p: float((2 * total[p]) ** (1 / mp.mpf(p)) / sd) for p in ps}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_piecewise_vs_gaussian_matches_mpmath_irwin_hall(n):
+    # w_gaussian of scan_transport: W_p(S_n, N(0, sigma^2)) / sigma
+    mp = pytest.importorskip("mpmath")
+    ps = (1, 1.5, 2)
+    ref = _irwin_hall_w(mp, n, ps)
+    model = builtin_model("uniform")
+    sigma = model.sigma(n)
+    for p in ps:
+        w = wasserstein_distance(model.distribution(n), GaussianLaw(0.0, sigma), p) / sigma
+        assert w == pytest.approx(ref[p], rel=1e-10 if n == 4 or p == 1.5 else 1e-12, abs=0.0)
+
+
+def test_scan_transport_on_piecewise_laws_inverts_no_quantile(monkeypatch):
+    def refuse(self, u):
+        raise AssertionError("quantile inversion on the piecewise/Gaussian route")
+
+    monkeypatch.setattr(PiecewisePolyDistribution, "quantile", refuse)
+    rep = scan_transport(builtin_model("uniform"), (1, 1.5, 2), (4, 8, 16, 32))
+    assert rep.bound_ok and rep.gaussian.shape == (4, 3)
+    # either argument order takes the same route
+    law, g = builtin_model("uniform").distribution(8), GaussianLaw(0.1, 1.5)
+    for p in (1, 1.5, 2, 3):
+        assert wasserstein_distance(g, law, p) == wasserstein_distance(law, g, p)
+
+
+def test_piecewise_vs_gaussian_bounds_noise_cells():
+    model = builtin_model("uniform")
+    law, g = model.distribution(8), GaussianLaw(0.0, model.sigma(8))
+
+    def with_far_cell(density):
+        return PiecewisePolyDistribution(np.append(law.breaks[0] - 2.0, law.breaks),
+                                         [np.array([density])] + law.coeffs)
+
+    # a far cell of negative rounding-size mass is left out, its bound negligible
+    for p in (1, 2):
+        clean = wasserstein_distance(law, g, p)
+        assert wasserstein_distance(with_far_cell(-1e-60), g, p) == pytest.approx(clean, rel=1e-14, abs=0.0)
+    # one that could carry a visible share of W_p^p is refused
+    with pytest.raises(ValueError, match="rounding noise"):
+        wasserstein_distance(with_far_cell(-1e-12), g, 2)
+
+
 def test_normalization_guard():
     bad = LatticeDistribution(0.0, 1.0, [0.5, 0.4])
     with pytest.raises(ValueError):
         wasserstein_lattice_lattice(bad, bad, 1)
+    half = PiecewisePolyDistribution([-1.0, 1.0], [[0.25]])
+    with pytest.raises(ValueError, match="not normalized"):
+        wasserstein_distance(half, GaussianLaw(0.0, 1.0), 2)
 
 
 def test_expectation_via_cdf_matches_exact_moments():
