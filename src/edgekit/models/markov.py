@@ -39,12 +39,25 @@ __all__ = [
 _ROW_TOL = 1e-12
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
-# Largest DP table, in (state, cell) entries, a sweep may allocate. A step
-# holds the old table and the new one; its other temporaries are one row or
-# one product chunk. Two float64 tables of 2**24 cells take 256 MiB.
+# Largest DP table, in (state, cell) entries, a sweep may allocate, with the
+# largest power of a powered run counted beside it. A step holds the old
+# table and the new one; its other temporaries are one row or one product
+# chunk. Two float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
 _BLAS_SERIAL = 2**18
+# and a dot product of at most 10**4 terms (`_convolve_into`)
+_DOT_BLOCK = 2048
+# Route costs in seconds, measured on a 2-core AVX2 Xeon VM: one call of a
+# numpy operation from Python, one multiply-add inside a BLAS product or,
+# with the underflow of far-tail products, inside a dot product, one output
+# of np.convolve, and one row element added in place on a table wider than
+# the L1 cache.
+_CALL = 2e-6
+_GEMM_MAD = 0.05e-9
+_DOT_MAD = 0.3e-9
+_CONV_OUT = 8e-9
+_ROW_ADD = 1.5e-9
 
 
 @dataclass(frozen=True)
@@ -133,18 +146,40 @@ class MarkovChainSpec:
 def _step_means(spec, *sequences):
     """E g_j(X_j, X_{j+1}) per step, one array for each sequence g of per-step arrays.
 
-    One walk of the marginals serves every sequence; K o g is formed once
-    per distinct (kernel, array) pair.
+    The marginals are walked run by run, a run being equal consecutive
+    steps (one kernel and one array of each sequence): within it the laws
+    nu K^i, i < r, come by doubling (`_run_laws`), and (K o g) 1 is formed
+    once per run and array.
     """
-    weighted = {}
     out = [[] for _ in sequences]
-    for nu, k, *gs in zip(spec.marginals(), spec.kernels, *sequences):
-        for acc, g in zip(out, gs):
-            if (id(k), id(g)) not in weighted:
-                weighted[id(k), id(g)] = (k * g, np.ones(k.shape[1]))
-            kg, ones = weighted[id(k), id(g)]
-            acc.append(float(nu @ kg @ ones))
-    return [np.array(acc) for acc in out]
+    law = spec.initial
+    steps = zip(spec.kernels, *sequences)
+    for _, run in itertools.groupby(steps, key=lambda step: tuple(map(id, step))):
+        kernel, *arrays = next(run)
+        laws = _run_laws(law, kernel, 1 + sum(1 for _ in run))
+        for acc, g in zip(out, arrays):
+            acc.append(laws @ (kernel * g).sum(axis=1))
+        law = laws[-1] @ kernel
+    return [np.concatenate(acc) for acc in out]
+
+
+def _run_laws(law, kernel, count):
+    """law K^i for i = 0..count - 1, one per row, in O(log count) products.
+
+    Each doubling appends the rows so far times K^m, m the row count.
+    Squaring doubles the rounding error of a power's row sums at every
+    level (elliptic2's nu K^(2^15) gained 1.1e-12 of mass), so each power's
+    rows are rescaled to sum to 1. That moves K^m by at most m delta
+    relative, delta the kernel's row-sum defect, and leaves row i within
+    i S u of the exact law plus that much, as stepping one kernel at a
+    time would (S states, u the unit roundoff).
+    """
+    laws, power = law[None, :], kernel
+    while laws.shape[0] < count:
+        laws = np.concatenate([laws, laws[: count - laws.shape[0]] @ power])
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+    return laws
 
 
 # -- lattice snap ------------------------------------------------------------
@@ -200,84 +235,109 @@ def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
     DP over (state, lattice cell) of the lattice parts f_j - min f_j; no
-    cell is dropped. Cell 0 sits at -sum_j E[f_j - min f_j], so S_n is
-    centered once, here, and the law never carries the raw size of the
-    observables. The result must have mean 0 within the float error of
-    the sweep (see `_mean_tolerance`) plus the snap error of every step,
-    which moves each value and so the mean by at most that much;
+    cell is dropped. The sweep goes over runs of equal steps: a run is
+    either raised to its length at once by binary powering (`_Power`) or
+    stepped through (`_Moves`), whichever `_sweep_plan` prices lower.
+    Cell 0 sits at -sum_j E[f_j - min f_j], one math.fsum of the per-step
+    means, so S_n is centered once, here, and the law never carries the
+    raw size of the observables.
+
+    Masses carry the relative error bounded in `_mean_tolerance` only
+    while they stay in the normal float range. Masses below about
+    2.2e-308 carry no relative accuracy in either route: stepping rounds
+    them toward the smallest subnormal 5e-324, which sticks (0.8 * 2**-1074
+    rounds back up) even where the exact mass is far smaller, while
+    powering underflows them to 0, so the two routes end the support at
+    different cells. The result must have mean 0 within the float error
+    of the sweep (see `_mean_tolerance`) plus the snap error of every
+    step, which moves each value and so the mean by at most that much;
     otherwise the centering is wrong and the run aborts.
     """
-    d, diffs, moves, snaps = _sweep_plan(spec)
+    d, diffs, runs, snaps = _sweep_plan(spec)
     if d == 0.0:
         # degenerate: every f_j is constant, so S_n is a.s. 0
         return LatticeDistribution(0.0, 1.0, [1.0])
     table = spec.initial[:, None].copy()
-    for step in moves:
-        table = step.apply(table)
+    for step, count in runs:
+        for _ in range(count):
+            table = step.apply(table)
     means, lattice_means = _step_means(spec, spec.observables, diffs)
-    origin = 0.0  # value of cell 0
-    for mean in lattice_means:
-        origin -= mean
+    origin = -math.fsum(lattice_means.tolist())  # value of cell 0
     masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
-    tol = _mean_tolerance(spec, means, dist.masses.size) + sum(snaps)
+    sweep = sum(count * step.error for step, count in runs)
+    tol = _mean_tolerance(spec, means, dist.masses.size, sweep) + sum(snaps)
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-step lattice parts, move lists and snap errors of one DP sweep.
+    """Lattice step, per-step lattice parts, runs and snap errors of one DP sweep.
 
-    A move list is built once per distinct (kernel, shift array) pair of
-    the sweep: homogeneous chains build one. The ids used as keys are
-    safe only while the spec and its shift arrays are alive, so the cache
-    dies with this call. The chain is refused before any table exists if
-    its table could outgrow _CELL_BUDGET: the table of any run of steps
-    is at most max(states) * (1 + sum of the steps' widest shifts).
+    The steps split into runs of equal (kernel, shift array) pairs, and
+    each run becomes one (step, count) pair of the plan: a `_Power` that
+    raises the table through the whole run (count 1), or a `_Moves`
+    applied count times, whichever costs less for the run's shape and the
+    table width it starts from. A move list is built once per distinct
+    (kernel, shift array) pair and a power once per pair and run length:
+    homogeneous chains build one of each. The ids used as keys are safe
+    only while the spec and its shift arrays are alive, so the cache dies
+    with this call. The chain is refused before any table exists if its
+    table, with the largest powered polynomial beside it, could outgrow
+    _CELL_BUDGET: the table of any run of steps is at most max(states) *
+    (1 + sum of the steps' widest shifts), and the powers of a run of r
+    steps hold at most S_in * S_out * (r w / g + 1) cells each.
     """
     d, diffs, shifts, snaps = _common_lattice(spec.observables)
-    built = {}
-    moves = []
-    for kernel, shift in zip(spec.kernels, shifts):
+    moves, powers, runs = {}, {}, []
+    columns, polys = 1, 0
+    steps = zip(spec.kernels, shifts)
+    for _, run in itertools.groupby(steps, key=lambda step: (id(step[0]), id(step[1]))):
+        kernel, shift = next(run)
+        count = 1 + sum(1 for _ in run)
         key = (id(kernel), id(shift))
-        if key not in built:
-            built[key] = _Moves(kernel, shift)
-        moves.append(built[key])
-    cells = max(spec.state_counts) * (1 + sum(m.width for m in moves))
+        if key not in moves:
+            moves[key] = _Moves(kernel, shift)
+        if key + (count,) not in powers:
+            powers[key + (count,)] = _Power(kernel, shift, count)
+        power = powers[key + (count,)]
+        if power.cost(columns) < moves[key].cost(count, columns):
+            runs.append((power, 1))
+            polys = max(polys, power.cells)
+        else:
+            runs.append((moves[key], count))
+        columns += count * moves[key].width
+    cells = max(spec.state_counts) * columns + polys
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, diffs, moves, snaps
+    return d, diffs, runs, snaps
 
 
-def _mean_tolerance(spec, means, cells):
+def _mean_tolerance(spec, means, cells, sweep):
     """First-order forward error bound on the computed mean of S_n.
 
-    n steps, S states, K support cells, the step means E f_j in `means`,
-    F = sum_j max|f_j - E f_j|, and delta the largest row-sum defect of
-    the initial law and the kernels (at most 1e-12 by validation). Every
-    DP entry is a sum of at most S nonnegative products K[x, y]
-    table[x, .], so masses carry relative error
-    <= n(S+1) eps + S eps + (n+1) delta. The shift-grouped step
-    keeps that bound: BLAS may sum a group in any order and with fused
-    multiply-adds, and the group sums then go into the new table, but
-    that is still one summation tree over at most S nonnegative products.
-    Any such tree errs by at most S eps relative to first order: a term
-    meets one rounded product and at most S - 1 rounded additions on its
-    path (an FMA rounds once for both), and the zero entries of a group
-    matrix add nothing and round nothing.
-    The lattice parts f_j - min f_j lie in [0, 2 max|f_j - E f_j|], so
-    partial sums of their means, and the cell values d c, stay within 2F;
-    support values are off by <= (2n+4) eps F. The K-term mean sum adds
-    <= (K+1) eps; the means, from marginals pushed through the kernels,
-    add <= (nS + 2S + 1) eps 2F + n delta 2F. With |value| <= F the total
-    is below 4 (n(S+1) eps + (n+1) delta + (K+S+2) eps) F for n, S, K >= 1.
+    n steps, S states, K support cells, u = eps/2 the unit roundoff, the
+    step means E f_j in `means`, F = sum_j max|f_j - E f_j|, delta the
+    largest row-sum defect of the initial law and the kernels (at most
+    1e-12 by validation), and `sweep` the relative error the sweep's runs
+    add to every mass (`_Moves.error` per step, `_Power.error` per run).
+    The masses carry relative error <= sweep + S u + (n+1) delta after the
+    sum over states. The lattice parts f_j - min f_j lie in
+    [0, 2 max|f_j - E f_j|], so their means, their partial sums and the
+    cell values d c stay within 2F. Each mean comes from a marginal with
+    relative error <= n S u (`_run_laws`) and two S-term sums, so the
+    fsum origin is off by <= ((n + 2) S + 1) u 2F + 2 n delta F, and a
+    support value by 3 u F more. The K-term mean sum adds <= (K+1) u F.
+    With |value| <= F the total is below
+    4 (sweep + (n S / 2 + n) eps + (n+1) delta + (K+S+2) eps) F, which for
+    a sweep of `_Moves` alone is the 4 (n (S+1) eps + ...) F of stepping.
     """
     n, states = spec.n_steps, max(spec.state_counts)
     # rounding is monotone, so max|f - mu| in float is the larger end
@@ -289,7 +349,140 @@ def _mean_tolerance(spec, means, cells):
     defect = max([abs(float(spec.initial.sum()) - 1.0)]
                  + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])
     eps = np.finfo(float).eps
-    return 4.0 * (n * (states + 1) * eps + (n + 1) * defect + (cells + states + 2) * eps) * scale
+    return 4.0 * (sweep + (n * states / 2 + n) * eps + (n + 1) * defect
+                  + (cells + states + 2) * eps) * scale
+
+
+class _Power:
+    """A run of `length` equal steps at once: the table times P(z)^length.
+
+    Row x of the table is the polynomial sum_c table[x, c] z^c, and one
+    step multiplies the row vector by the matrix polynomial
+    P(z) = K o z^D of the kernel K and the integer shifts D. With g the
+    gcd of the live shifts, P(z) = Q(z^g), so each stride phase of the
+    table (the cells c = phi mod g) is a row vector of its own, multiplied
+    by Q(z)^length, whose degree is only length w / g for w the widest
+    live shift. Q is raised by binary powering: v <- v Q^(2^k) for each
+    set bit k of the length, squaring in between. Every polynomial product
+    is a direct convolution of nonnegative coefficients (`_poly_matmul`),
+    so no cancellation happens and the masses keep a relative error bound:
+
+    a product of polynomials with relative errors e_a and e_b, each output
+    coefficient one summation tree over at most S (L + 1) nonnegative
+    products for L the lower degree, errs by <= e_a + e_b + S (L + 1) u.
+    Squaring from Q^m to Q^(2m) so gives e_2m <= 2 e_m + S (m w/g + 1) u,
+    e_(2^b) <= S u (b 2^(b-1) w/g + 2^b - 1), and applying Q^(2^b) to the
+    table adds e_(2^b) + S (2^b w/g + 1) u = S u 2^b ((b/2 + 1) w/g + 1).
+    Over the set bits of r this is at most
+    S r ((B/2 + 1) w/g + 1) u, B = floor(log2 r): `error`.
+    """
+
+    def __init__(self, kernel, shifts, length):
+        self.kernel = kernel
+        live = kernel != 0.0
+        self.stride = max(1, int(np.gcd.reduce(shifts[live])))
+        self.exponents = np.where(live, shifts // self.stride, 0)
+        self.reduced = int(self.exponents.max())
+        self.length = length
+        self.width = self.stride * self.reduced
+        bits = length.bit_length() - 1
+        self.error = (max(kernel.shape) * length * ((bits / 2 + 1) * self.reduced + 1)
+                      * np.finfo(float).eps / 2)
+        self.cells = kernel.size * (length * self.reduced + 1)  # bounds every power of Q
+
+    def cost(self, columns):
+        """Estimated seconds to apply the run to a table `columns` wide."""
+        n_in, n_out = self.kernel.shape
+        phase = -(-columns // self.stride)
+        size, length, total = self.reduced + 1, self.length, 0.0
+        while True:
+            if length & 1:
+                total += self.stride * n_in * n_out * _convolve_cost(phase, size)
+                phase += size - 1
+            length >>= 1
+            if not length:
+                return total
+            total += n_in * n_out * n_out * _convolve_cost(size, size)
+            size = 2 * size - 1
+
+    def apply(self, table):
+        n_in, hi = table.shape
+        g = self.stride
+        # v[phi, x] is row x of stride phase phi
+        if g == 1:
+            v = table[None]
+        else:
+            padded = np.zeros((n_in, -(-hi // g) * g))
+            padded[:, :hi] = table
+            v = np.ascontiguousarray(padded.reshape(n_in, -1, g).transpose(2, 0, 1))
+        # Q(z), built here: the plan prices and budgets a run before any table exists
+        power = np.zeros(self.kernel.shape + (self.reduced + 1,))
+        xs, ys = np.nonzero(self.kernel)
+        power[xs, ys, self.exponents[xs, ys]] = self.kernel[xs, ys]
+        length = self.length
+        while True:
+            if length & 1:
+                v = _poly_matmul(v, power)
+            length >>= 1
+            if not length:
+                break
+            power = _poly_matmul(power, power)
+        out = v.transpose(1, 2, 0).reshape(v.shape[1], -1)
+        return out[:, : hi + self.length * self.width]
+
+
+def _poly_matmul(a, b):
+    """Product of matrices of polynomials, a[x, k] and b[k, y] coefficient arrays.
+
+    out[x, y] = sum_k a[x, k] * b[k, y], each product by `_convolve_into`
+    and the sum in increasing k. Each polynomial is cut to its span of
+    nonzero coefficients first: far tails underflow to exact zeros, which
+    would otherwise be multiplied through every later product.
+    """
+    out = np.zeros((a.shape[0], b.shape[1], a.shape[2] + b.shape[2] - 1))
+    (lo_a, hi_a), (lo_b, hi_b) = _spans(a), _spans(b)
+    for x, row in enumerate(a):
+        for k, p in enumerate(row):
+            i, j = lo_a[x][k], hi_a[x][k]
+            if j:
+                for y, (lo, hi) in enumerate(zip(lo_b[k], hi_b[k])):
+                    if hi:
+                        _convolve_into(out[x, y, i + lo :], p[i:j], b[k, y, lo:hi])
+    return out
+
+
+def _spans(p):
+    """First and one-past-last index of the nonzero coefficients of each p[x, y], as lists.
+
+    An all-zero polynomial gets the span (0, 0).
+    """
+    live = p != 0.0
+    lo = live.argmax(axis=2)
+    hi = np.where(live.any(axis=2), p.shape[2] - live[:, :, ::-1].argmax(axis=2), 0)
+    return lo.tolist(), hi.tolist()
+
+
+def _convolve_into(out, a, b):
+    """Add the coefficients of the polynomial product a * b to out[: a.size + b.size - 1].
+
+    The shorter factor is cut into pieces of at most _DOT_BLOCK
+    coefficients, so np.convolve forms every output from BLAS dot
+    products of at most that many terms: OpenBLAS hands longer dot
+    products to worker threads, which changes the bits with the thread
+    count. Pieces of 2048 coefficients also keep both operands of a dot
+    product in L1; on a 2-core AVX2 VM they ran at 0.13 ns per
+    multiply-add against 0.22 ns uncut.
+    """
+    if a.size < b.size:
+        a, b = b, a
+    for i in range(0, b.size, _DOT_BLOCK):
+        piece = b[i : i + _DOT_BLOCK]
+        out[i : i + a.size + piece.size - 1] += np.convolve(a, piece)
+
+
+def _convolve_cost(m, n):
+    """Estimated seconds of `_convolve_into` on factors of m and n coefficients."""
+    return 2 * _CALL + (m + n) * _CONV_OUT + m * n * _DOT_MAD
 
 
 class _Moves:
@@ -313,11 +506,15 @@ class _Moves:
     calls of a process while the workers woke (0.2 ms on one thread), and
     the thread count changed the last bits of tail masses; chunked, the
     bytes are the same whatever the BLAS thread count.
+
+    Every new entry is one summation tree over at most S_in nonnegative
+    products, so a step adds at most S_in u to the relative error of a
+    mass: `error`.
     """
 
     def __init__(self, kernel, shifts):
         n_in, n_out = kernel.shape
-        self.states = n_out
+        self.states_in, self.states = n_in, n_out
         self.width = int(shifts.max())
         self.chunk = max(1, _BLAS_SERIAL // (n_in * n_out))
         self.dense = []
@@ -332,6 +529,15 @@ class _Moves:
         xs, ys = np.nonzero(sparse)
         self.sparse = list(zip(xs.tolist(), ys.tolist(),
                                shifts[xs, ys].tolist(), kernel[xs, ys].tolist()))
+        self.error = n_in * np.finfo(float).eps / 2
+
+    def cost(self, count, columns):
+        """Estimated seconds of `count` steps from a table `columns` wide."""
+        n_in, n_out = self.states_in, self.states
+        per_column = (len(self.dense) * (n_in * n_out * _GEMM_MAD + n_out * _ROW_ADD)
+                      + len(self.sparse) * _ROW_ADD)
+        calls = len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
+        return count * (calls * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
 
     def apply(self, table):
         hi = table.shape[1]

@@ -751,6 +751,25 @@ def test_cli_import_leaves_quadrature_and_signal_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_dist_bytes_do_not_depend_on_the_blas_thread_count():
+    # the powered law at this size multiplies polynomials whose nonzero
+    # spans pass the 10**4 terms past which OpenBLAS splits a dot product
+    # across its threads; at n = 32768 the spans stay below that
+    import edgekit
+
+    argv = [sys.executable, "-m", "edgekit.harness.cli", "dist", "--model", "builtin:elliptic2",
+            "--n", "100000"]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(edgekit.__file__)))
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert len(outs[0].splitlines()) == 20424  # header and 20,423 cells
+    assert outs[0] == outs[1]
+
+
 def test_cli_chain_file_roundtrip(tmp_path, capsys):
     spec = builtin_model("elliptic2").spec(8)
     path = tmp_path / "chain8.txt"

@@ -23,10 +23,11 @@ from edgekit.models import (
     variance_decomposition,
     variance_profile,
 )
-from edgekit.models.markov import _common_lattice, _Moves, _sweep_plan
+from edgekit.models.markov import _common_lattice, _Moves, _Power, _sweep_plan
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
 from path_enumeration import enumerate_distribution
+from reference_dp import powered_error_bound, reference_law, textbook_step
 
 
 # -- lattice basics ----------------------------------------------------------
@@ -189,18 +190,6 @@ def test_dp_total_mass_and_mean():
 # -- shift-grouped DP step vs the textbook S^2 loop ---------------------------
 
 
-def _loop_step(table, kernel, shifts):
-    """The textbook recursion new[y, c] += K[x, y] table[x, c - s(x, y)], pair by pair."""
-    hi = table.shape[1]
-    new = np.zeros((kernel.shape[1], hi + int(shifts.max())))
-    for x in range(kernel.shape[0]):
-        for y in range(kernel.shape[1]):
-            if kernel[x, y] != 0.0:
-                s = int(shifts[x, y])
-                new[y, s : s + hi] += kernel[x, y] * table[x]
-    return new
-
-
 def _sparse_kernel(rng, rows, cols, zero_frac):
     k = rng.random((rows, cols)) * (rng.random((rows, cols)) >= zero_frac)
     k[np.arange(rows), rng.integers(0, cols, size=rows)] += 0.1  # no empty row
@@ -254,13 +243,55 @@ _LOOP_CHAINS = {
 @pytest.mark.parametrize("name", sorted(_LOOP_CHAINS))
 def test_grouped_dp_matches_loop(name):
     spec = _LOOP_CHAINS[name]()
-    moves = _sweep_plan(spec)[2]
     shifts = _common_lattice(spec.observables)[2]
     table = ref = spec.initial[:, None]
-    for step, kernel, shift in zip(moves, spec.kernels, shifts):
-        table, ref = step.apply(table), _loop_step(ref, kernel, shift)
+    for kernel, shift in zip(spec.kernels, shifts):
+        table, ref = _Moves(kernel, shift).apply(table), textbook_step(ref, kernel, shift)
         assert table.shape == ref.shape
         assert np.max(np.abs(table - ref)) <= 1e-15
+
+
+def _runs(spec, shifts):
+    """(kernel, shift array, length) of each run of equal consecutive steps."""
+    out = []
+    for kernel, shift in zip(spec.kernels, shifts):
+        if out and out[-1][0] is kernel and out[-1][1] is shift:
+            out[-1][2] += 1
+        else:
+            out.append([kernel, shift, 1])
+    return out
+
+
+# squaring a 64-state run costs 64^3 convolutions, a route no sweep picks for it
+@pytest.mark.parametrize("name", sorted(set(_LOOP_CHAINS) - {"s64"}))
+def test_powered_run_matches_loop(name):
+    # every run raised at once, whichever route the sweep would pick:
+    # stride phases, rectangular single steps, zero kernel entries
+    spec = _LOOP_CHAINS[name]()
+    shifts = _common_lattice(spec.observables)[2]
+    table = ref = spec.initial[:, None]
+    bound = 0.0
+    for kernel, shift, length in _runs(spec, shifts):
+        power = _Power(kernel, shift, length)
+        table = power.apply(table)
+        for _ in range(length):
+            ref = textbook_step(ref, kernel, shift)
+        bound += power.error + length * max(kernel.shape) * _U
+        live = ref > 0.0
+        assert table.shape[0] == ref.shape[0]
+        assert table.shape[1] <= ref.shape[1] and not ref[:, table.shape[1]:].any()
+        assert np.all(np.abs(table - ref[:, : table.shape[1]]) <= bound * ref[:, : table.shape[1]])
+        assert np.array_equal(table > 0.0, live[:, : table.shape[1]])
+
+
+def test_powered_error_bound_is_the_derived_one():
+    # S r ((B/2 + 1) w/g + 1) u for a run of r steps, B = floor(log2 r)
+    kernel = np.full((3, 3), 1.0 / 3.0)
+    shifts = np.array([[0, 4, 8], [4, 0, 4], [8, 8, 0]])
+    for r, bits in ((1, 0), (2, 1), (3, 1), (4096, 12), (5000, 12)):
+        power = _Power(kernel, shifts, r)
+        assert (power.stride, power.reduced, power.width) == (4, 2, 8)
+        assert power.error == 3 * r * ((bits / 2 + 1) * 2 + 1) * _U
 
 
 def test_grouped_step_paths_and_zero_rows():
@@ -278,26 +309,34 @@ def test_grouped_step_paths_and_zero_rows():
         if n_in >= 16:
             assert moves.dense and moves.sparse
         got = moves.apply(table)
-        assert np.max(np.abs(got - _loop_step(table, kernel, shifts))) <= 1e-15
+        assert np.max(np.abs(got - textbook_step(table, kernel, shifts))) <= 1e-15
+
+
+def _step_moves(spec):
+    shifts = _common_lattice(spec.observables)[2]
+    return [_Moves(kernel, shift) for kernel, shift in zip(spec.kernels, shifts)]
 
 
 def test_products_only_for_large_shift_groups():
-    # S = 2 groups stay pairs in loop order, so the builtin laws keep the
-    # loop's exact arithmetic; a few large groups become products
+    # S = 2 groups stay pairs in loop order, so a stepped S = 2 run keeps
+    # the loop's exact arithmetic; a few large groups become products
     for spec in (builtin_model("elliptic2").spec(8), _homogeneous_chain(16, 2, distinct_shifts=True)):
-        assert all(not m.dense for m in _sweep_plan(spec)[2])
-    assert all(not m.sparse for m in _sweep_plan(_homogeneous_chain(64, 2))[2])
+        assert all(not m.dense for m in _step_moves(spec))
+    assert all(not m.sparse for m in _step_moves(_homogeneous_chain(64, 2)))
 
 
 def test_sweep_plan_builds_one_move_list_per_kernel_observable_pair():
+    # one run per homogeneous chain, one step object per distinct
+    # (kernel, shift array) pair and run length
     homog = builtin_model("elliptic2").spec(64)
-    assert len({id(m) for m in _sweep_plan(homog)[2]}) == 1
+    assert [count for _, count in _sweep_plan(homog)[2]] == [1]
     # flip2 keeps its one observable array under its two kernels
     period2 = builtin_model("flip2").spec(64)
     assert len({id(f) for f in period2.observables}) == 1
-    assert len({id(m) for m in _sweep_plan(period2)[2]}) == 2
+    runs = _sweep_plan(period2)[2]
+    assert len(runs) == 64 and len({id(step) for step, _ in runs}) == 2
     shared = _shared_kernel_chain(3, 9)
-    assert len({id(m) for m in _sweep_plan(shared)[2]}) == 3
+    assert len({id(step) for step, _ in _sweep_plan(shared)[2]}) == 3
 
 
 def test_fine_lattice_refused_before_allocating():
@@ -627,7 +666,6 @@ def test_exact_distribution_is_shift_invariant():
 def test_exact_distribution_rejects_wrong_centering(monkeypatch):
     from edgekit.models import markov
 
-    spec = builtin_model("elliptic2").spec(64)
     exact_means = markov._step_means
 
     def off_by_1e6(spec, *sequences):
@@ -637,9 +675,124 @@ def test_exact_distribution_rejects_wrong_centering(monkeypatch):
             means[3] += 1e-6
         return out
 
-    monkeypatch.setattr(markov, "_step_means", off_by_1e6)
-    with pytest.raises(ValueError, match="mean"):
+    # elliptic2 is one powered run; an S = 32 chain is stepped
+    for spec, route in ((builtin_model("elliptic2").spec(64), _Power), (_perfbench_chain(32, 64), _Moves)):
+        assert [type(step) for step, _ in _sweep_plan(spec)[2]] == [route]
         exact_distribution(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_step_means", off_by_1e6)
+            with pytest.raises(ValueError, match="mean"):
+                exact_distribution(spec)
+
+
+def _perfbench_chain(states, n, seed=7):
+    """A chain shaped like the benchmark's chain files: Dirichlet rows, values in -2..2."""
+    rng = np.random.Generator(np.random.PCG64([seed, states]))
+    initial = rng.dirichlet(np.ones(states))
+    kernel = rng.dirichlet(np.ones(states), size=states)
+    obs = rng.integers(-2, 3, size=(states, states)).astype(float)
+    obs.flat[:3] = (-2.0, 2.0, 1.0)
+    return MarkovChainSpec.homogeneous(initial, kernel, obs, n)
+
+
+def test_routes_power_the_builtins_and_step_wide_chains():
+    # the cost comparison powers every run of equal S = 2 steps long enough
+    # to matter and steps the 32- and 64-state chains
+    for name, n in (("rademacher", 4096), ("elliptic2", 4096), ("symmetric2", 8192),
+                    ("decay:0.25", 8192), ("elliptic2", 100000)):
+        runs = _sweep_plan(builtin_model(name).spec(n))[2]
+        lengths = [step.length if type(step) is _Power else count for step, count in runs]
+        assert all(type(step) is _Power for (step, _), r in zip(runs, lengths) if r >= 64), name
+        assert sum(r for (step, _), r in zip(runs, lengths) if type(step) is _Power) > 0.99 * n, name
+    for states in (32, 64):
+        assert [type(step) for step, _ in _sweep_plan(_perfbench_chain(states, 256))[2]] == [_Moves]
+
+
+def _seeded_chain(states, width, n):
+    """Homogeneous chain with Dirichlet rows and integer values 0..width, step 1."""
+    rng = np.random.Generator(np.random.PCG64([23, states, width]))
+    kernel = rng.dirichlet(np.ones(states), size=states)
+    obs = rng.integers(0, width + 1, size=(states, states)).astype(float)
+    obs.flat[:3] = (0.0, float(width), 1.0)
+    return MarkovChainSpec.homogeneous(rng.dirichlet(np.ones(states)), kernel, obs, n)
+
+
+_ORACLE_CASES = (
+    [(name, n) for name in ("rademacher", "elliptic2", "symmetric2", "flip2", "decay:0.25")
+     for n in (1, 2, 3, 64, 4096)]
+    + [("symmetric2", 8192)]
+    + [(name, n) for name in ("seeded-s2-w4", "seeded-s3-w2") for n in (1, 3, 64, 4096)]
+)
+
+
+@pytest.mark.parametrize("name,n", _ORACLE_CASES)
+def test_exact_distribution_matches_reference_dp(name, n):
+    if name.startswith("seeded"):
+        states, width = (int(part[1:]) for part in name.split("-")[1:])
+        spec = _seeded_chain(states, width, n)
+    else:
+        spec = builtin_model(name).spec(n)
+    d, _, shifts, _ = _common_lattice(spec.observables)
+    origin, ref = reference_law(spec, d, shifts)
+    dist = exact_distribution(spec)
+    lo = round((dist.offset - origin) / d)
+    assert 0 <= lo and lo + dist.masses.size <= ref.size
+    got = np.zeros(ref.size)
+    got[lo : lo + dist.masses.size] = dist.masses
+    # both sides' derived bounds; below the normal range neither side has one
+    bound = powered_error_bound(spec, shifts) + n * max(spec.state_counts) * _U
+    live = ref > 1e-300
+    assert np.all(np.abs(got[live] - ref[live]) <= bound * ref[live])
+    assert np.all(got[~live] <= 1e-300)
+
+
+def _mp_lattice_origin(spec):
+    """-sum_j E[f_j - min f_j] from a 40-digit walk of the marginals."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        law = [mpmath.mpf(float(v)) for v in spec.initial]
+        total = mpmath.mpf(0)
+        steps = {}
+        for kernel, f in zip(spec.kernels, spec.observables):
+            if (id(kernel), id(f)) not in steps:
+                k = [[mpmath.mpf(float(v)) for v in row] for row in kernel]
+                g = f - float(f.min())
+                h = [mpmath.fdot(row, [mpmath.mpf(float(v)) for v in grow]) for row, grow in zip(k, g)]
+                steps[id(kernel), id(f)] = list(zip(*k)), h
+            columns, h = steps[id(kernel), id(f)]
+            total += mpmath.fdot(law, h)
+            law = [mpmath.fdot(law, col) for col in columns]
+        return -total
+
+
+@pytest.mark.parametrize("case", ["elliptic2-512", "elliptic2-32768", "chain8-4096"])
+def test_support_origin_is_one_rounding_of_the_step_means(case):
+    from edgekit.models import markov
+
+    name, n = case.rsplit("-", 1)
+    n = int(n)
+    spec = builtin_model(name).spec(n) if name == "elliptic2" else _perfbench_chain(8, n)
+    d, diffs = _common_lattice(spec.observables)[:2]
+    dist = exact_distribution(spec)
+    means = markov._step_means(spec, diffs)[0]
+    origin = -sum(Fraction(m) for m in means.tolist())
+    # the offset is cell lo: one rounding of the exact sum of the step means,
+    # then one more when d * lo is added
+    lo = round((Fraction(dist.offset) - origin) / Fraction(d))
+    assert abs(Fraction(dist.offset) - origin - lo * Fraction(d)) <= Fraction(math.ulp(float(origin))) / 2 \
+        + Fraction(math.ulp(dist.offset)) / 2
+    if name == "elliptic2":
+        # a stationary start: every lattice mean is 0.4 up to the kernel's
+        # binary rounding, which leaks 1.1e-17 of mass per step
+        assert abs(float(origin) + 0.4 * n) <= 2 * math.ulp(0.4 * n)
+    # each mean is within (j S + 2 S + 1) u of its exact value (`_run_laws`),
+    # far inside the n-ulp drift of a running sum
+    states = max(spec.state_counts)
+    if n <= 4096:
+        ref = _mp_lattice_origin(spec)
+        slack = sum((j * states + 2 * states + 1) * _U * abs(m) for j, m in enumerate(means.tolist()))
+        assert abs(float(origin - Fraction(str(ref)))) <= slack + math.ulp(float(origin))
 
 
 def _psi_by_subsets(joint):
