@@ -165,6 +165,13 @@ class EdgeworthExpansion:
         out = normal_cdf(xa) - normal_pdf(xa) * self.correction_sum(xa, self.polys)
         return out if out.size > 1 else float(out[0])
 
+    def sf(self, x):
+        """1 - cdf(x) as Phi(-x) plus the corrections, with no cancellation in the upper tail."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        xa = np.clip(x, -_X_CLAMP, _X_CLAMP)
+        out = normal_cdf(-xa) + normal_pdf(xa) * self.correction_sum(xa, self.polys)
+        return out if out.size > 1 else float(out[0])
+
     def pdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xa = np.clip(x, -_X_CLAMP, _X_CLAMP)

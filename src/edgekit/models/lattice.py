@@ -32,6 +32,7 @@ class LatticeDistribution:
         self.masses = np.clip(masses, 0.0, None)
         self.masses.flags.writeable = False
         self._cum = np.concatenate([[0.0], np.cumsum(self.masses)])
+        self._tail = np.append(np.cumsum(self.masses[::-1])[::-1], 0.0)  # suffix sums
 
     # -- basic structure ----------------------------------------------------
 
@@ -78,6 +79,12 @@ class LatticeDistribution:
         """P(X < x), the left limit of the CDF."""
         idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="left")
         out = self._cum[idx]
+        return out if out.ndim else float(out)
+
+    def sf(self, x):
+        """P(X > x) from the suffix sums: past the median, 1 - cdf(x) is rounding noise."""
+        idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
+        out = self._tail[idx]
         return out if out.ndim else float(out)
 
     def quantile(self, u):

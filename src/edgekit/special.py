@@ -176,26 +176,30 @@ def gaussian_partial_moments(kmax, a, b):
         M_0 = Phi(b) - Phi(a)
         M_1 = phi(a) - phi(b)
         M_k = a^{k-1} phi(a) - b^{k-1} phi(b) + (k-1) M_{k-2}
-    Infinite endpoints are allowed (their boundary terms vanish).
+    Infinite endpoints are allowed (their boundary terms vanish). a and b
+    broadcast against each other; the result has shape (kmax + 1,) + their
+    shape, so scalar endpoints give a vector of kmax + 1 moments.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    a = float(a)
-    b = float(b)
-    if not a <= b:
-        raise ValueError("need a <= b, got (%g, %g)" % (a, b))
-    phi_a = 0.0 if np.isinf(a) else float(normal_pdf(a))
-    phi_b = 0.0 if np.isinf(b) else float(normal_pdf(b))
-    cdf_a = 0.0 if a == -np.inf else 1.0 if a == np.inf else float(normal_cdf(a))
-    cdf_b = 1.0 if b == np.inf else 0.0 if b == -np.inf else float(normal_cdf(b))
-    out = np.empty(kmax + 1)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bad = ~(a <= b)
+    if np.any(bad):
+        raise ValueError("need a <= b, got (%g, %g)" % (a[bad].flat[0], b[bad].flat[0]))
+    fin_a, fin_b = np.isfinite(a), np.isfinite(b)
+    a0, b0 = np.where(fin_a, a, 0.0), np.where(fin_b, b, 0.0)
+    phi_a = np.where(fin_a, normal_pdf(a0), 0.0)
+    phi_b = np.where(fin_b, normal_pdf(b0), 0.0)
+    cdf_a = np.where(fin_a, normal_cdf(a0), a > 0.0)
+    cdf_b = np.where(fin_b, normal_cdf(b0), b > 0.0)
+    out = np.empty((kmax + 1,) + a.shape)
     out[0] = cdf_b - cdf_a
     if kmax >= 1:
         out[1] = phi_a - phi_b
     pow_a, pow_b = 1.0, 1.0
     for k in range(2, kmax + 1):
-        pow_a = 0.0 if np.isinf(a) else pow_a * a
-        pow_b = 0.0 if np.isinf(b) else pow_b * b
+        pow_a = pow_a * a0
+        pow_b = pow_b * b0
         out[k] = pow_a * phi_a - pow_b * phi_b + (k - 1) * out[k - 2]
     return out
 

@@ -239,6 +239,18 @@ def test_cdf_tails_saturate():
     assert np.isfinite(e.pdf(1e8))
 
 
+def test_sf_complements_cdf_and_keeps_the_upper_tail():
+    e = build_expansion(builtin_model("elliptic2"), 16, 4)
+    x = np.linspace(-6.0, 6.0, 121)
+    assert np.max(np.abs(e.sf(x) + e.cdf(x) - 1.0)) < 1e-15
+    # past x = 8.3 the cdf rounds to 1, while the tail keeps its relative accuracy
+    assert e.cdf(9.0) == 1.0
+    mp = pytest.importorskip("mpmath")
+    corr = float(e.correction_sum(np.array([9.0]), e.polys)[0])
+    ref = mp.ncdf(-9) + mp.npdf(9) * corr
+    assert 0.0 < e.sf(9.0) == pytest.approx(float(ref), rel=1e-13)
+
+
 # -- gaussian-correction structure, property style ---------------------------
 
 

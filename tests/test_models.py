@@ -43,6 +43,15 @@ def test_lattice_moments_and_cdf():
     assert d.abs_moment(1) == pytest.approx(0.5)
 
 
+def test_lattice_sf_is_the_suffix_sum():
+    d = LatticeDistribution(offset=-1.0, step=1.0, masses=[0.25, 0.5, 0.25, 1e-20])
+    assert d.sf(-2.0) == d.total_mass
+    assert d.sf(0.0) == 0.25 + 1e-20  # 1 - cdf(0.0) would be 0.25
+    assert d.sf(1.5) == 1e-20  # 1 - cdf(1.5) rounds to 0
+    assert d.sf(2.0) == 0.0
+    assert np.array_equal(d.sf(np.array([[-1.0], [0.5]])), [[0.75 + 1e-20], [0.25 + 1e-20]])
+
+
 def test_lattice_convolution_is_binomial():
     d = LatticeDistribution(offset=0.0, step=1.0, masses=[0.5, 0.5])
     acc = d

@@ -1,0 +1,187 @@
+"""The array-at-once transport integrals against their per-cell loops.
+
+The lattice/Gaussian W_p and the CDF-gap integral evaluate every cell or
+panel in one pass over arrays. The loops below take one cell or one panel
+at a time, as a running total would, and serve as oracles: the array code
+must reproduce them bit for bit. The CDF-gap integral must also not lift
+the rounding noise of the masses: laws that differ by about 1e-16 give
+bounds that differ by less than 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from edgekit import transport
+from edgekit.edgeworth import build_expansion
+from edgekit.models import LatticeDistribution, builtin_model
+from edgekit.special import gaussian_partial_moments
+from edgekit.transport import (
+    GaussianLaw,
+    lp_cdf_distance,
+    wasserstein_lattice_gaussian,
+    wasserstein_upper_bound,
+)
+
+NS = (16, 64, 512)
+PS = (1, 2, 3, 4)
+
+
+def _cell_integral(x, mean, sd, z1, z2, p):
+    moms = gaussian_partial_moments(p, z1, z2)
+    c = mean - x
+    acc = 0.0
+    for k in range(p + 1):
+        acc += math.comb(p, k) * sd**k * c ** (p - k) * moms[k]
+    return acc
+
+
+def _lattice_gaussian_per_cell(lat, gauss, p):
+    cums = np.concatenate([[0.0], np.cumsum(lat.masses)])
+    cums[-1] = 1.0
+    with np.errstate(divide="ignore"):
+        zs = transport.ndtri(np.clip(cums, 0.0, 1.0))
+    total = 0.0
+    sd, mean = gauss.sd, gauss.mean
+    for i in range(lat.masses.size):
+        if lat.masses[i] <= 0.0:
+            continue
+        x = lat.offset + lat.step * i
+        z1, z2 = zs[i], zs[i + 1]
+        zc = (x - mean) / sd
+        if p % 2 and z1 < zc < z2:
+            total += abs(_cell_integral(x, mean, sd, z1, zc, p))
+            total += abs(_cell_integral(x, mean, sd, zc, z2, p))
+        elif p % 2:
+            total += abs(_cell_integral(x, mean, sd, z1, z2, p))
+        else:
+            total += _cell_integral(x, mean, sd, z1, z2, p)
+    return total ** (1.0 / p)
+
+
+def _gap_integral_per_panel(a, b, expo):
+    lo, hi = transport._support_window(b, transport._support_window(a, (-12.0, 12.0)))
+    edges = transport._gap_edges(a, b, lo, hi)
+    refined = [edges[0]]
+    for x1, x2 in zip(edges[:-1], edges[1:]):
+        parts = max(1, int(math.ceil((x2 - x1) / transport._GAP_CELL)))
+        refined.extend(x1 + (x2 - x1) * (k + 1) / parts for k in range(parts))
+    edges = np.asarray(refined)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    tails = hasattr(a, "sf") and hasattr(b, "sf")
+    total = 0.0
+    for x1, x2 in zip(edges[:-1], edges[1:]):
+        if x2 - x1 <= 0.0:
+            continue
+        mid = 0.5 * (x1 + x2)
+        half = 0.5 * (x2 - x1)
+        x = mid + half * nodes
+        fa = np.asarray(a.cdf(x), dtype=float)
+        gap = np.abs(fa - np.asarray(b.cdf(x), dtype=float))
+        if tails:
+            # past the median of a, the gap of the survival functions
+            upper = np.abs(np.asarray(a.sf(x), dtype=float) - np.asarray(b.sf(x), dtype=float))
+            gap = np.where(fa > 0.5, upper, gap)
+        total += half * float(np.sum(weights * gap**expo))
+    return total
+
+
+def _standardized(model, n):
+    sigma = model.sigma(n)
+    return model.distribution(n).scale(1.0 / sigma), sigma
+
+
+@pytest.mark.parametrize("name", ["rademacher", "elliptic2"])
+@pytest.mark.parametrize("n", NS)
+def test_lattice_gaussian_equals_per_cell_loop(name, n):
+    model = builtin_model(name)
+    dist, sigma = model.distribution(n), model.sigma(n)
+    norm = dist.scale(1.0 / sigma)
+    for p in PS:
+        for lat, gauss in ((dist, GaussianLaw(0.0, sigma)), (norm, GaussianLaw(0.0, 1.0)),
+                           (norm, GaussianLaw(0.3, 1.1))):
+            assert wasserstein_lattice_gaussian(lat, gauss, p) == _lattice_gaussian_per_cell(lat, gauss, p)
+
+
+@pytest.mark.parametrize("name", ["rademacher", "elliptic2"])
+@pytest.mark.parametrize("n", NS)
+def test_gap_integral_equals_per_panel_loop(name, n):
+    model = builtin_model(name)
+    norm, _ = _standardized(model, n)
+    gauss = GaussianLaw(0.0, 1.0)
+    for p in PS:
+        assert wasserstein_upper_bound(norm, gauss, p) == _gap_integral_per_panel(norm, gauss, 1.0 / p)
+    assert lp_cdf_distance(norm, gauss, 2) == _gap_integral_per_panel(norm, gauss, 2.0) ** 0.5
+
+
+@pytest.mark.parametrize("n", NS)
+def test_gap_integral_against_expansion_equals_per_panel_loop(n):
+    model = builtin_model("elliptic2")
+    norm, _ = _standardized(model, n)
+    exp = build_expansion(model, n, 4).truncated(2)
+    for p in PS:
+        assert wasserstein_upper_bound(norm, exp, p) == _gap_integral_per_panel(norm, exp, 1.0 / p)
+
+
+def test_interior_zero_masses_equal_loops():
+    lat = LatticeDistribution(-1.3, 0.7, [0.2, 0.0, 0.3, 0.0, 0.0, 0.15, 0.0, 0.35])
+    for gauss in (GaussianLaw(0.0, 1.0), GaussianLaw(0.4, 0.6), GaussianLaw(-2.0, 3.0)):
+        for p in PS:
+            assert wasserstein_lattice_gaussian(lat, gauss, p) == _lattice_gaussian_per_cell(lat, gauss, p)
+            assert wasserstein_upper_bound(lat, gauss, p) == _gap_integral_per_panel(lat, gauss, 1.0 / p)
+
+
+def test_gap_integral_blocks_do_not_change_the_bits(monkeypatch):
+    norm, _ = _standardized(builtin_model("elliptic2"), 64)
+    exp = build_expansion(builtin_model("elliptic2"), 64, 4).truncated(2)
+    pairs = [(norm, GaussianLaw(0.0, 1.0)), (norm, exp)]
+    whole = [wasserstein_upper_bound(a, b, p) for a, b in pairs for p in (1, 2, 3)]
+    monkeypatch.setattr(transport, "_GAP_BLOCK", 7)
+    assert [wasserstein_upper_bound(a, b, p) for a, b in pairs for p in (1, 2, 3)] == whole
+
+
+def test_partial_moments_broadcast_equal_scalar_calls():
+    ends = [-np.inf, -40.0, -7.5, -1.0, -0.25, 0.0, 0.3, 1.0, 2.5, 9.0, np.inf]
+    a, b = (np.array(v) for v in zip(*[(x, y) for x in ends for y in ends if x <= y]))
+    assert np.any(a == b) and np.any(np.isinf(a)) and np.any(np.isinf(b))
+    for kmax in (0, 1, 2, 5, 8):
+        arr = gaussian_partial_moments(kmax, a, b)
+        assert arr.shape == (kmax + 1, a.size)
+        for i in range(a.size):
+            scalar = gaussian_partial_moments(kmax, float(a[i]), float(b[i]))
+            assert scalar.shape == (kmax + 1,)
+            assert np.array_equal(arr[:, i], scalar)
+    # broadcasting keeps the endpoints' shape after the moment axis
+    grid = gaussian_partial_moments(3, np.array([[-1.0], [0.0]]), np.array([0.5, 1.0, np.inf]))
+    assert grid.shape == (4, 2, 3)
+    assert np.array_equal(grid[:, 1, 2], gaussian_partial_moments(3, 0.0, np.inf))
+    with pytest.raises(ValueError, match="a <= b"):
+        gaussian_partial_moments(2, np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+def test_upper_tail_edges_come_from_suffix_sums():
+    norm, _ = _standardized(builtin_model("elliptic2"), 512)
+    edges = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0)
+    suffix = np.cumsum(norm.masses[::-1])[::-1][1:]  # P(X > x_i)
+    suffix = suffix[(suffix > 1e-15) & (suffix < 0.5)]
+    assert np.isin(-transport.ndtri(suffix), edges).all()
+    assert edges.max() > 7.5  # levels down to 1e-15 reach past the old 1 - 1e-15 cut
+
+
+@pytest.mark.parametrize("n", [128, 256, 1024])
+def test_gap_bound_does_not_lift_rounding_noise_of_the_masses(n):
+    # binomial masses by per-step convolution: within 2.2e-15 of the
+    # model's, with a total that differs from it by up to 8e-16
+    model = builtin_model("rademacher")
+    law = model.distribution(n)
+    masses = np.array([1.0])
+    for _ in range(n):
+        masses = np.convolve(masses, [0.5, 0.5])
+    assert np.allclose(masses, law.masses, rtol=3e-15, atol=0.0)
+    sigma = model.sigma(n)
+    gauss = GaussianLaw(0.0, 1.0)
+    other = LatticeDistribution(law.offset, law.step, masses).scale(1.0 / sigma)
+    for p in (2, 3):
+        base = wasserstein_upper_bound(law.scale(1.0 / sigma), gauss, p)
+        assert wasserstein_upper_bound(other, gauss, p) == pytest.approx(base, rel=1e-12, abs=0.0)
