@@ -11,7 +11,6 @@ costs at desk scale.
 __version__ = "0.1.0"
 
 from .special import (
-    DensePolynomial,
     gaussian_derivative,
     hermite,
     normal_cdf,
@@ -19,7 +18,6 @@ from .special import (
 )
 
 __all__ = [
-    "DensePolynomial",
     "hermite",
     "normal_cdf",
     "normal_pdf",

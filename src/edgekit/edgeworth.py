@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .special import (
-    DensePolynomial,
     gaussian_moment,
     gaussian_partial_moments,
     hermite,
@@ -92,26 +92,27 @@ def correction_polynomial(j, scaled_cumulants):
     """
     if len(scaled_cumulants) < j:
         raise ValueError("weight %d needs scaled cumulants up to order %d" % (j, j + 2))
-    acc = DensePolynomial((0.0,))
+    acc = np.zeros(3 * j)  # He_{k-1} with k <= 3j
     for tup in enumerate_correction_tuples(j):
         coef = float(correction_coefficient(tup))
         for l, k in enumerate(tup, start=1):
             coef *= scaled_cumulants[l - 1] ** k
         if coef != 0.0:
-            acc = acc + hermite(tuple_hermite_order(tup) - 1).scale(coef)
-    return acc
+            he = hermite(tuple_hermite_order(tup) - 1).coef
+            acc[: he.size] += coef * he
+    return Polynomial(acc).trim()
 
 
 def hermite_coefficients(poly):
     """Expand a polynomial over He_0, He_1, ... (exact triangular solve)."""
-    residual = list(poly.coeffs)
+    residual = poly.coef.tolist()
     out = {}
     for deg in range(len(residual) - 1, -1, -1):
         c = residual[deg]
         if c == 0.0:
             continue
         out[deg] = c
-        for exp, hc in enumerate(hermite(deg).coeffs):
+        for exp, hc in enumerate(hermite(deg).coef.tolist()):
             residual[exp] -= c * hc
     return out
 
@@ -119,9 +120,9 @@ def hermite_coefficients(poly):
 class EdgeworthExpansion:
     """Order-m corrected Gaussian approximation for a normalized sum.
 
-    Holds the correction polynomials H_1..H_{m-2} and the scale sigma_n;
-    evaluation never re-derives them, so a truncation shares the exact
-    coefficients of the full build.
+    Holds the correction polynomials H_1..H_{m-2} (numpy Polynomials) and
+    the scale sigma_n; evaluation never re-derives them, so a truncation
+    shares the exact coefficients of the full build.
     """
 
     def __init__(self, sigma, polys):
@@ -129,13 +130,11 @@ class EdgeworthExpansion:
             raise ValueError("sigma must be positive")
         check_order(len(polys) + 2)
         self.sigma = float(sigma)
-        self.polys = tuple(
-            p if isinstance(p, DensePolynomial) else DensePolynomial(p) for p in polys
-        )
-        x = DensePolynomial((0.0, 1.0))
+        self.polys = tuple(polys)
+        x = Polynomial((0.0, 1.0))
         # pdf(x) = phi(x) [1 + sum_j sigma^-j (x H_j - H_j')], from
         # He_k = x He_{k-1} - He_{k-1}'
-        self.density_polys = tuple(x * h - h.derivative() for h in self.polys)
+        self.density_polys = tuple(x * h - h.deriv() for h in self.polys)
         self._hermite_coefs = tuple(hermite_coefficients(d) for d in self.density_polys)
 
     @property
@@ -215,12 +214,12 @@ class EdgeworthExpansion:
         q = int(q)
         if q % 2 == 0:
             return self.moment(q)
-        deg = max(p.degree for p in self.density_polys)
+        deg = max(p.degree() for p in self.density_polys)
         half = gaussian_partial_moments(q + deg, 0.0, np.inf)
         total = 2.0 * half[q]
         for j, poly in enumerate(self.density_polys, start=1):
             w = self.sigma ** (-j)
-            for i, d in enumerate(poly.coeffs[::2]):
+            for i, d in enumerate(poly.coef[::2]):
                 total += w * 2.0 * d * half[q + 2 * i]
         return total
 

@@ -11,7 +11,6 @@ configuration error.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -288,7 +287,7 @@ def cmd_couple(args):
     _emit(args, ("k", "var_s_k", "block_var", "remainder"), rows,
           meta={"model": model.name, "n": n, "p": _json_cell(args.p),
                 "target": float(prof.target), "blocks": len(prof.blocks),
-                "distance": distance, "relative": distance / math.sqrt(float(prof.sigma2[n]))})
+                "distance": distance, "relative": distance / model.sigma(n)})
     return 0
 
 

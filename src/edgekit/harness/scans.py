@@ -612,7 +612,7 @@ class CouplingScanReport(_Verdict):
 def scan_coupling(model, ns, p=2, target=None):
     ns = _check_ns(ns)
     reps = [model.blocking(n, target=target) for n in ns]
-    sigmas = np.array([math.sqrt(rep.sigma2[n]) for n, rep in zip(ns, reps)])
+    sigmas = np.array([model.sigma(n) for n in ns])
     a = np.array([rep.a[n] for n, rep in zip(ns, reps)])
     b = np.array([rep.b[n] for n, rep in zip(ns, reps)])
     distances = np.array([gaussian_coupling(model, n, p=p, target=target) for n in ns])

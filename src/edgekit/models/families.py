@@ -168,19 +168,18 @@ class IIDContinuousModel(_CumulantModel):
 # -- builders ----------------------------------------------------------------
 
 
-def decaying_observable_chain(name, kernel, amplitudes, initial=None):
+def decaying_observable_chain(name, kernel, amplitudes):
     """Chain with observables a_j * s(X_{j+1}), s = +1 on state 0, -1 elsewhere.
 
     `amplitudes(j)` gives the step-j amplitude (steps numbered from 1).
-    The sign pattern keeps every partial sum on a lattice whenever the
-    amplitudes do.
+    The chain starts uniform. The sign pattern keeps every partial sum on
+    a lattice whenever the amplitudes do.
     """
     kernel = np.asarray(kernel, dtype=float)
     nstates = kernel.shape[0]
     signs = -np.ones(nstates)
     signs[0] = 1.0
-    if initial is None:
-        initial = np.full(nstates, 1.0 / nstates)
+    initial = np.full(nstates, 1.0 / nstates)
 
     shared = {}  # one observable array per amplitude, not one per step
 

@@ -872,9 +872,11 @@ def save_chain_spec(spec, path):
     lines.append("")
     lines.append("[initial]")
     lines.append(" ".join("%.17g" % v for v in spec.initial))
-    groups = _group_repeats(list(zip(spec.kernels, spec.observables)))
     idx = 1
-    for (kernel, obs), count in groups:
+    pairs = zip(spec.kernels, spec.observables)
+    for _, run in itertools.groupby(pairs, key=lambda pair: tuple(map(id, pair))):
+        (kernel, obs), *rest = run
+        count = 1 + len(rest)
         for tag, mat in (("kernel", kernel), ("observable", obs)):
             lines.append("")
             lines.append("[%s.%d]" % (tag, idx))
@@ -885,16 +887,6 @@ def save_chain_spec(spec, path):
         idx += count
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _group_repeats(pairs):
-    out = []
-    for kernel, obs in pairs:
-        if out and out[-1][0][0] is kernel and out[-1][0][1] is obs:
-            out[-1][1] += 1
-        else:
-            out.append([(kernel, obs), 1])
-    return [(pair, count) for pair, count in out]
 
 
 def _read_sections(path):

@@ -19,6 +19,7 @@ as one block, and the sub-pieces are placed on the new grid, recentered
 and summed as arrays.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -31,15 +32,13 @@ _CHARFN_DERIV_CAP = 16
 _TRIM_REL = 1e-17
 _NEWTON_CAP = 128  # steps per quantile; bisection alone needs ~52
 
-_binom_cache = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _binom_matrix(n):
-    """B[k, j] = C(k, j) for j <= k, else 0, as floats."""
-    if n not in _binom_cache:
-        ks = range(n)
-        _binom_cache[n] = np.array([[math.comb(k, j) for j in ks] for k in ks], dtype=float)
-    return _binom_cache[n]
+    """B[k, j] = C(k, j) for j <= k, else 0, as read-only floats."""
+    out = np.array([[math.comb(k, j) for j in range(n)] for k in range(n)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _shift_matrix(d, delta):

@@ -1,4 +1,4 @@
-"""Dense polynomials, Hermite polynomials and Gaussian primitives.
+"""Hermite polynomials and Gaussian primitives.
 
 Everything downstream (correction polynomials, expansion evaluation,
 quantile coupling) reduces to polynomial algebra against the standard
@@ -7,13 +7,13 @@ Hermite polynomials are the probabilists' family: He_{k+1} = x He_k - k He_{k-1}
 """
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import special as _sp
 
 __all__ = [
-    "DensePolynomial",
     "hermite",
     "hermite_value",
     "normal_pdf",
@@ -27,76 +27,8 @@ __all__ = [
 _HERMITE_MAX = 64
 
 
-@dataclass(frozen=True)
-class DensePolynomial:
-    """Polynomial sum_k coeffs[k] * x**k with dense ascending coefficients.
-
-    Immutable; trailing exact zeros are stripped on construction so that
-    degree == len(coeffs) - 1 always holds (the zero polynomial keeps a
-    single 0.0 coefficient).
-    """
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        cs = [float(c) for c in coeffs]
-        if not cs:
-            cs = [0.0]
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out if out.ndim else float(out)
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] = self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return DensePolynomial(a)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + _as_poly(other).scale(-1.0)
-
-    def scale(self, c):
-        return DensePolynomial([c * a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return self.scale(float(other))
-        other = _as_poly(other)
-        return DensePolynomial(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        if len(self.coeffs) == 1:
-            return DensePolynomial([0.0])
-        return DensePolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-
-def _as_poly(p):
-    if isinstance(p, DensePolynomial):
-        return p
-    if np.isscalar(p):
-        return DensePolynomial([float(p)])
-    raise TypeError("expected DensePolynomial or scalar, got %r" % (p,))
-
-
 def hermite(k):
-    """Probabilists' Hermite polynomial He_k as a DensePolynomial.
+    """Probabilists' Hermite polynomial He_k as a numpy Polynomial.
 
     Coefficients are built with integer arithmetic before conversion to
     float, so they are exact as long as they fit a double (k <= 64 is
@@ -105,17 +37,20 @@ def hermite(k):
     """
     if not 0 <= k <= _HERMITE_MAX:
         raise ValueError("hermite order must be in [0, %d], got %r" % (_HERMITE_MAX, k))
-    hk_prev = [1]
-    if k == 0:
-        return DensePolynomial(hk_prev)
-    hk = [0, 1]
-    for j in range(1, k):
-        # He_{j+1} = x He_j - j He_{j-1}, exact in int
-        nxt = [0] + hk
-        for i, c in enumerate(hk_prev):
+    return Polynomial(_hermite_coef(k))
+
+
+@lru_cache(maxsize=None)
+def _hermite_coef(k):
+    """Ascending coefficients of He_k, exact in int until one rounding to float."""
+    prev, cur = [0], [1]
+    for j in range(k):
+        # He_{j+1} = x He_j - j He_{j-1}
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
             nxt[i] -= j * c
-        hk_prev, hk = hk, nxt
-    return DensePolynomial(hk)
+        prev, cur = cur, nxt
+    return tuple(float(c) for c in cur)
 
 
 def hermite_value(k, x):

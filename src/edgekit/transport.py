@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_jacobi
+from scipy.special import ndtr, ndtri
 
 from .models.lattice import LatticeDistribution
 from .models.piecewise import PiecewisePolyDistribution
@@ -210,7 +210,7 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
         kind = is_cut[:-1][panel] + 2 * is_cut[1:][panel]
 
     total = bound = 0.0
-    for k, (nodes, weights) in enumerate(_cell_rules(p)):
+    for k, (nodes, weights) in enumerate(_cell_rules(p, _CELL_NODES)):
         sel = kind == k
         half = 0.5 * (hi[sel] - lo[sel])[:, None]
         v = 0.5 * (hi[sel] + lo[sel])[:, None] + half * nodes
@@ -306,18 +306,34 @@ def _gauss_rule(family, n):
 
 
 @functools.lru_cache(maxsize=16)
-def _cell_rules(p):
-    """Gauss rules on [-1, 1] for panels with no cut, a cut at -1, at +1, at both.
+def _cell_rules(p, n):
+    """n-point Gauss rules on [-1, 1] for panels with no cut, a cut at -1, at +1, at both.
 
     At non-integer p a cut end carries |1 -+ t|^p as a Jacobi weight; the
     weights come divided by it, so every rule sums weights * |h|^p * f.
     """
-    rules = [_gauss_rule("legendre", _CELL_NODES)]
+    rules = [_gauss_rule("legendre", n)]
     if not isinstance(p, int):
         for alpha, beta in ((0.0, p), (p, 0.0), (p, p)):
-            t, wt = roots_jacobi(_CELL_NODES, alpha, beta)
+            t, wt = _gauss_jacobi(n, alpha, beta)
             rules.append((t, wt / ((1.0 - t) ** alpha * (1.0 + t) ** beta)))
     return rules
+
+
+def _gauss_jacobi(n, alpha, beta):
+    """n-point Gauss rule for the weight (1 - t)^alpha (1 + t)^beta, by Golub-Welsch.
+
+    numpy's eigh, not scipy's roots_jacobi, which imports scipy.linalg (7 MB, 90 ms).
+    """
+    ab = alpha + beta
+    k = np.arange(1.0, n)
+    s = 2.0 * k + ab
+    diag = np.concatenate([[(beta - alpha) / (ab + 2.0)], (beta**2 - alpha**2) / (s * (s + 2.0))])
+    off = 2.0 / s * np.sqrt(k * (k + alpha) * (k + beta) * (k + ab) / ((s + 1.0) * (s - 1.0)))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0) / math.gamma(ab + 2.0)
+    w = v[0] ** 2
+    return t, mass * w / w.sum()
 
 
 def _edge_tail(offset, mass, sd, p):
@@ -432,8 +448,12 @@ def _support_window(dist, fallback):
 
 
 def _gap_edges(a, b, lo, hi):
-    """Panel edges: support breakpoints plus CDF crossing locations."""
-    pts = [np.array([lo, hi])]
+    """Panel edges (support breakpoints, CDF crossings) and which edges are crossings.
+
+    Only a Gaussian crossing a lattice level strictly inside its flat stretch
+    x_k < x_c < x_{k+1} counts: there |F - G| vanishes like |x - x_c|.
+    """
+    pts, cuts = [np.array([lo, hi])], [np.empty(0)]
     for d in (a, b):
         if isinstance(d, LatticeDistribution):
             pts.append(d.support)
@@ -447,48 +467,56 @@ def _gap_edges(a, b, lo, hi):
     for lat, other in ((a, b), (b, a)):
         if isinstance(lat, LatticeDistribution) and hasattr(other, "quantile"):
             left, right = lat._cum[1:], lat._tail[1:]
-            keep = np.minimum(left, right) > 1e-15
-            left, right = left[keep], right[keep]
+            k = np.flatnonzero(np.minimum(left, right) > 1e-15)  # level k is flat on [x_k, x_{k+1})
+            left, right = left[k], right[k]
             if isinstance(other, GaussianLaw):
                 upper = right < left
                 z = ndtri(np.where(upper, right, left))
                 x = other.mean + other.sd * np.where(upper, -z, z)
+                s = lat.support
+                cuts.append(x[(s[k] < x) & (x < s[k + 1])])
             else:
                 x = np.atleast_1d(np.asarray(other.quantile(left), dtype=float))
             pts.append(x[(lo < x) & (x < hi)])
     edges = np.unique(np.concatenate(pts))
-    return edges[(lo <= edges) & (edges <= hi)]
+    edges = edges[(lo <= edges) & (edges <= hi)]
+    return edges, np.isin(edges, np.concatenate(cuts))
 
 
 def _gap_integral(a, b, expo):
     """int |F_a(x) - F_b(x)|^expo dx over kink-aware panels.
 
     The window covers [-12, 12] and both supports (9 sd for a Gaussian).
-    Panels go through the fixed Gauss rule _GAP_BLOCK at a time, with one
+    Panels go through a fixed Gauss rule _GAP_BLOCK at a time, with one
     call per side and function per block; the panel values are summed in
-    panel order. When both sides have survival functions and the same
-    total mass, the gap past the median of a is |S_a - S_b|: there
-    1 - F is rounding noise, which |.|^(1/p) would lift to about
-    1e-8 per unit length at p = 2.
+    panel order. At non-integer expo a panel end at a crossing carries
+    |x - x_c|^expo as a Gauss-Jacobi weight. When both sides have
+    survival functions and the same total mass, the gap past the median
+    of a is |S_a - S_b|: there 1 - F is rounding noise, which |.|^(1/p)
+    would lift to about 1e-8 per unit length at p = 2.
     """
     lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
-    edges = _gap_edges(a, b, lo, hi)
+    edges, cut = _gap_edges(a, b, lo, hi)
+    rules = _cell_rules(int(expo) if float(expo).is_integer() else expo, _GAP_NODES)
+    cut &= len(rules) > 1  # an integer power of |F - G| needs no end weight
     # wide panels (tails, sparse breakpoints) get split so the fixed
     # Gauss rule keeps resolving the integrand's curvature
     x1, width = edges[:-1], np.diff(edges)
     parts = np.maximum(1, np.ceil(width / _GAP_CELL).astype(int))
     seg = np.repeat(np.arange(parts.size), parts)
     k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    kind = (cut[:-1][seg] & (k == 0)) + 2 * (cut[1:][seg] & (k == parts[seg] - 1))
     edges = np.concatenate([edges[:1], x1[seg] + width[seg] * (k + 1) / parts[seg]])
     x1, x2 = edges[:-1], edges[1:]
     keep = x2 - x1 > 0.0
-    mid, half = 0.5 * (x1 + x2)[keep], 0.5 * (x2 - x1)[keep]
-    nodes, weights = _gauss_rule("legendre", _GAP_NODES)
+    mid, half, kind = 0.5 * (x1 + x2)[keep], 0.5 * (x2 - x1)[keep], kind[keep]
+    nodes, weights = (np.stack(col) for col in zip(*rules))
     tails = hasattr(a, "sf") and hasattr(b, "sf") and _mass_gap(a, b) <= 1e-9
     values = []
     for start in range(0, half.size, _GAP_BLOCK):
-        h = half[start : start + _GAP_BLOCK, None]
-        x = (mid[start : start + _GAP_BLOCK, None] + h * nodes).ravel()
+        block = slice(start, start + _GAP_BLOCK)
+        h = half[block, None]
+        x = (mid[block, None] + h * nodes[kind[block]]).ravel()
         fa = np.asarray(a.cdf(x), dtype=float)
         up = tails & (fa > 0.5)
         gap = np.empty(x.size)
@@ -496,7 +524,7 @@ def _gap_integral(a, b, expo):
             gap[~up] = np.abs(fa[~up] - np.asarray(b.cdf(x[~up]), dtype=float))
         if up.any():
             gap[up] = np.abs(np.asarray(a.sf(x[up]), dtype=float) - np.asarray(b.sf(x[up]), dtype=float))
-        values.append(h[:, 0] * np.sum(weights * gap.reshape(-1, _GAP_NODES) ** expo, axis=1))
+        values.append(h[:, 0] * np.sum(weights[kind[block]] * gap.reshape(-1, _GAP_NODES) ** expo, axis=1))
     return float(np.cumsum(np.concatenate([[0.0]] + values))[-1])
 
 

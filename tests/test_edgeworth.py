@@ -15,8 +15,9 @@ from edgekit.edgeworth import (
     tuple_hermite_order,
 )
 from edgekit.models import builtin_model
+from numpy.polynomial import Polynomial
+
 from edgekit.special import (
-    DensePolynomial,
     gaussian_abs_moment,
     gaussian_moment,
     gaussian_partial_moments,
@@ -28,7 +29,7 @@ from edgekit.transport import expectation_via_cdf
 
 def coefficient_distance(a, b):
     """Max absolute coefficient difference of two polynomials."""
-    ca, cb = list(a.coeffs), list(b.coeffs)
+    ca, cb = a.coef.tolist(), b.coef.tolist()
     width = max(len(ca), len(cb))
     ca += [0.0] * (width - len(ca))
     cb += [0.0] * (width - len(cb))
@@ -81,22 +82,22 @@ def test_classical_coefficients():
 def test_first_corrections_match_classical_forms():
     c1, c2 = 0.37, -1.4  # gamma3/sigma^2, gamma4/sigma^2
     h1 = correction_polynomial(1, [c1])
-    assert np.allclose(h1.coeffs, (c1 / 6.0) * np.array(hermite(2).coeffs))
+    assert np.allclose(h1.coef, (c1 / 6.0) * hermite(2).coef)
     h2 = correction_polynomial(2, [c1, c2])
-    ref = hermite(3).scale(c2 / 24.0) + hermite(5).scale(c1**2 / 72.0)
-    assert np.allclose(h2.coeffs, ref.coeffs)
+    ref = (c2 / 24.0) * hermite(3) + (c1**2 / 72.0) * hermite(5)
+    assert np.allclose(h2.coef, ref.coef)
 
 
 def test_hermite_coefficients_roundtrip():
-    p = hermite(5).scale(0.3) + hermite(2).scale(-1.1) + DensePolynomial((0.25,))
+    p = 0.3 * hermite(5) - 1.1 * hermite(2) + 0.25
     coefs = hermite_coefficients(p)
     assert coefs[5] == pytest.approx(0.3)
     assert coefs[2] == pytest.approx(-1.1)
     assert coefs[0] == pytest.approx(0.25)
-    back = DensePolynomial((0.0,))
+    back = Polynomial([0.0])
     for k, c in coefs.items():
-        back = back + hermite(k).scale(c)
-    assert np.allclose(back.coeffs, p.coeffs)
+        back = back + c * hermite(k)
+    assert np.allclose(back.coef, p.coef)
 
 
 # -- expansions --------------------------------------------------------------
@@ -117,7 +118,7 @@ def test_skewed_model_first_poly():
     n = 16
     e = build_expansion(m, n, 3)
     c1 = m.cumulant(n, 3) / m.sigma2(n)
-    ref = hermite(2).scale(c1 / 6.0)
+    ref = (c1 / 6.0) * hermite(2)
     assert coefficient_distance(e.polys[0], ref) < 1e-14
 
 
@@ -155,11 +156,11 @@ def test_moment_matching_through_order():
 
 def _abs_moment_scale(e, q):
     """2 M_q + sum_j sigma^-j sum_i 2 |d_ji| M_{q+i}: the size of the closed form's terms."""
-    deg = max(p.degree for p in e.density_polys)
+    deg = max(p.degree() for p in e.density_polys)
     half = gaussian_partial_moments(q + deg, 0.0, np.inf)
     total = 2.0 * half[q]
     for j, poly in enumerate(e.density_polys, start=1):
-        total += sum(2.0 * abs(c) * half[q + i] for i, c in enumerate(poly.coeffs)) * e.sigma ** (-j)
+        total += sum(2.0 * abs(c) * half[q + i] for i, c in enumerate(poly.coef)) * e.sigma ** (-j)
     return total
 
 
@@ -176,10 +177,10 @@ def test_abs_moment_matches_mpmath_and_cdf_quadrature():
     for name, e in _abs_moment_cases():
         with mp.workdps(20):
             # psi(x) + psi(-x) = 2 phi(x) (1 + sum_j sigma^-j even part of D_j(x))
-            even = [mp.mpf(0)] * (1 + max(p.degree for p in e.density_polys))
+            even = [mp.mpf(0)] * (1 + max(p.degree() for p in e.density_polys))
             even[0] = mp.mpf(1)
             for j, poly in enumerate(e.density_polys, start=1):
-                for i, c in enumerate(poly.coeffs[::2]):
+                for i, c in enumerate(poly.coef[::2]):
                     even[2 * i] += mp.mpf(c) * mp.mpf(e.sigma) ** (-j)
         for q in range(1, 7):
             got = e.abs_moment(q)
@@ -276,7 +277,7 @@ def test_density_transform_pair_consistency(c1, c2, sigma2):
 def test_gaussian_case_has_no_corrections(j):
     # all scaled cumulants zero: H_j = 0 identically
     p = correction_polynomial(j, [0.0] * j)
-    assert p.degree == 0 and p.coeffs[0] == 0.0
+    assert p.coef.tolist() == [0.0]
 
 
 # -- stationary geometry -----------------------------------------------------
@@ -288,7 +289,7 @@ def test_shape_rates_and_limit_polys():
     beta = p[2:] / p[1]
     assert beta == pytest.approx([0.375, -0.625])
     h1 = correction_polynomial(1, list(beta))
-    assert np.allclose(h1.coeffs, hermite(2).scale(beta[0] / 6.0).coeffs)
+    assert np.allclose(h1.coef, (beta[0] / 6.0) * hermite(2).coef)
 
 
 def test_iid_limit_polys_are_exact_at_every_n():
@@ -335,5 +336,5 @@ def test_first_poly_distance_to_limit_scales_like_sigma2():
     for n in (32, 64):
         e = build_expansion(m, n, 3)
         gap = coefficient_distance(e.polys[0], lim)
-        pred = abs(alpha[0]) / m.sigma2(n) / 6.0 * max(abs(c) for c in hermite(2).coeffs)
+        pred = abs(alpha[0]) / m.sigma2(n) / 6.0 * max(abs(c) for c in hermite(2).coef)
         assert gap == pytest.approx(pred, rel=2e-2)

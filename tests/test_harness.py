@@ -440,6 +440,20 @@ def test_report_failed_rules():
     assert not assumptions.corrections_supported and not assumptions.failed()
 
 
+def test_bundle_tables_share_one_sigma(tmp_path):
+    # every table of a bundle reports sigma_n = model.sigma(n), to the last bit
+    run_scenario(load_scenario("elliptic2-stationary"), out=str(tmp_path))
+    seen = {}
+    for path in sorted(tmp_path.glob("*.csv")):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        if "sigma" not in header:
+            continue
+        col = header.index("sigma")
+        for row in rows:
+            seen.setdefault(row[0], set()).add(row[col])
+    assert seen and all(len(values) == 1 for values in seen.values()), seen
+
+
 def test_run_scenario_json_format(tmp_path):
     cfg = parse_scenario_text(
         "model = builtin:rademacher\nm = 3\nr = 0\nn = 16,32,64,128\nformat = json\n"

@@ -2,10 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from edgekit.special import (
-    DensePolynomial,
     gaussian_derivative,
     gaussian_partial_moments,
     hermite,
@@ -17,43 +15,25 @@ from edgekit.special import (
 XGRID = np.linspace(-8.0, 8.0, 161)
 
 
-# --- polynomial container ---------------------------------------------------
-
-def test_poly_trailing_zeros_stripped():
-    p = DensePolynomial([1.0, 2.0, 0.0, 0.0])
-    assert p.coeffs == (1.0, 2.0)
-    assert p.degree == 1
-    z = DensePolynomial([0.0, 0.0])
-    assert z.coeffs == (0.0,)
-    assert z.degree == 0
-
-
-@given(
-    st.lists(st.floats(-5, 5), min_size=1, max_size=6),
-    st.lists(st.floats(-5, 5), min_size=1, max_size=6),
-    st.floats(-3, 3),
-)
-def test_poly_ring_ops_pointwise(a, b, x):
-    p, q = DensePolynomial(a), DensePolynomial(b)
-    assert np.isclose((p + q)(x), p(x) + q(x), rtol=1e-9, atol=1e-9)
-    assert np.isclose((p * q)(x), p(x) * q(x), rtol=1e-9, atol=1e-7)
-    assert np.isclose(p.scale(2.5)(x), 2.5 * p(x), rtol=1e-12, atol=1e-12)
-
-
-def test_poly_derivative_antiderivative():
-    p = DensePolynomial([3.0, 0.0, 1.0])  # 3 + x^2
-    assert p.derivative().coeffs == (0.0, 2.0)
-
-
 # --- hermite family ---------------------------------------------------------
 
 def test_hermite_low_orders_exact():
-    assert hermite(0).coeffs == (1.0,)
-    assert hermite(1).coeffs == (0.0, 1.0)
-    assert hermite(2).coeffs == (-1.0, 0.0, 1.0)
-    assert hermite(3).coeffs == (0.0, -3.0, 0.0, 1.0)
+    assert hermite(0).coef.tolist() == [1.0]
+    assert hermite(1).coef.tolist() == [0.0, 1.0]
+    assert hermite(2).coef.tolist() == [-1.0, 0.0, 1.0]
+    assert hermite(3).coef.tolist() == [0.0, -3.0, 0.0, 1.0]
     # He_4 = x^4 - 6x^2 + 3
-    assert hermite(4).coeffs == (3.0, 0.0, -6.0, 0.0, 1.0)
+    assert hermite(4).coef.tolist() == [3.0, 0.0, -6.0, 0.0, 1.0]
+
+
+def test_hermite_coefficients_are_the_rounded_closed_form():
+    # He_k = sum_j (-1)^j k! / (2^j j! (k - 2j)!) x^(k - 2j), each coefficient rounded once
+    for k in range(65):
+        want = [0.0] * (k + 1)
+        for j in range(k // 2 + 1):
+            c = math.factorial(k) // (2**j * math.factorial(j) * math.factorial(k - 2 * j))
+            want[k - 2 * j] = float((-1) ** j * c)
+        assert hermite(k).coef.tolist() == want, k
 
 
 def test_hermite_cap():

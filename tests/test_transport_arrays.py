@@ -62,18 +62,26 @@ def _lattice_gaussian_per_cell(lat, gauss, p):
 
 def _gap_integral_per_panel(a, b, expo):
     lo, hi = transport._support_window(b, transport._support_window(a, (-12.0, 12.0)))
-    edges = transport._gap_edges(a, b, lo, hi)
-    refined = [edges[0]]
-    for x1, x2 in zip(edges[:-1], edges[1:]):
+    edges, cut = transport._gap_edges(a, b, lo, hi)
+    # rules for no crossing, a crossing at the left end, the right end, both
+    rules = [np.polynomial.legendre.leggauss(48)]
+    for alpha, beta in ((0.0, expo), (expo, 0.0), (expo, expo)):
+        t, wt = transport._gauss_jacobi(48, alpha, beta)
+        rules.append((t, wt / ((1.0 - t) ** alpha * (1.0 + t) ** beta)))
+    if float(expo).is_integer():
+        cut[:] = False
+    refined, kinds = [edges[0]], []
+    for i, (x1, x2) in enumerate(zip(edges[:-1], edges[1:])):
         parts = max(1, int(math.ceil((x2 - x1) / transport._GAP_CELL)))
         refined.extend(x1 + (x2 - x1) * (k + 1) / parts for k in range(parts))
+        kinds.extend(int(cut[i] and k == 0) + 2 * int(cut[i + 1] and k == parts - 1) for k in range(parts))
     edges = np.asarray(refined)
-    nodes, weights = np.polynomial.legendre.leggauss(48)
     tails = hasattr(a, "sf") and hasattr(b, "sf")
     total = 0.0
-    for x1, x2 in zip(edges[:-1], edges[1:]):
+    for x1, x2, kind in zip(edges[:-1], edges[1:], kinds):
         if x2 - x1 <= 0.0:
             continue
+        nodes, weights = rules[kind]
         mid = 0.5 * (x1 + x2)
         half = 0.5 * (x2 - x1)
         x = mid + half * nodes
@@ -162,7 +170,7 @@ def test_partial_moments_broadcast_equal_scalar_calls():
 
 def test_upper_tail_edges_come_from_suffix_sums():
     norm, _ = _standardized(builtin_model("elliptic2"), 512)
-    edges = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0)
+    edges, _ = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0)
     suffix = np.cumsum(norm.masses[::-1])[::-1][1:]  # P(X > x_i)
     suffix = suffix[(suffix > 1e-15) & (suffix < 0.5)]
     assert np.isin(-transport.ndtri(suffix), edges).all()
@@ -185,3 +193,58 @@ def test_gap_bound_does_not_lift_rounding_noise_of_the_masses(n):
     for p in (2, 3):
         base = wasserstein_upper_bound(law.scale(1.0 / sigma), gauss, p)
         assert wasserstein_upper_bound(other, gauss, p) == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_gap_edges_weight_only_crossings_inside_a_flat_stretch():
+    norm, _ = _standardized(builtin_model("rademacher"), 16)
+    edges, cut = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0)
+    first = transport.ndtri(norm.masses[0])  # left of the first atom: F = 0 there, no zero of |F - G|
+    assert first < norm.support[0] and first in edges and not cut[edges == first][0]
+    inner = edges[cut]
+    assert inner.size > 0
+    k = np.searchsorted(norm.support, inner) - 1
+    assert np.all((norm.support[k] < inner) & (inner < norm.support[k + 1]))
+
+
+@pytest.mark.parametrize("name, n, p", [("rademacher", 16, 2), ("rademacher", 16, 3), ("elliptic2", 64, 2)])
+def test_gap_bound_matches_mpmath_at_non_integer_exponent(name, n, p):
+    # int |F - Phi|^(1/p) dx in 30 digits, split at the atoms and at the
+    # crossings; survival functions past the median, as the bound takes them
+    mp = pytest.importorskip("mpmath")
+    model = builtin_model(name)
+    norm, _ = _standardized(model, n)
+    with mp.workdps(30):
+        xs = [mp.mpf(float(v)) for v in norm.support]
+        ws = [mp.mpf(float(v)) for v in norm.masses]
+        pts = {min(mp.mpf(-12), xs[0]), max(mp.mpf(12), xs[-1])} | set(xs)
+        for k in range(len(xs) - 1):
+            low, high = mp.fsum(ws[: k + 1]), mp.fsum(ws[k + 1:])
+            xc = mp.sqrt(2) * mp.erfinv(2 * min(low, high) - 1) * (1 if low <= high else -1)
+            if xs[k] < xc < xs[k + 1]:
+                pts.add(xc)
+        pts = sorted(pts)
+        ref = mp.mpf(0)
+        for a, b in zip(pts[:-1], pts[1:]):
+            low = mp.fsum(w for x, w in zip(xs, ws) if x <= (a + b) / 2)
+            high = mp.fsum(w for x, w in zip(xs, ws) if x > (a + b) / 2)
+            if low <= high:
+                ref += mp.quad(lambda x: abs(low - mp.ncdf(x)) ** (mp.mpf(1) / p), [a, b])
+            else:
+                ref += mp.quad(lambda x: abs(high - mp.ncdf(-x)) ** (mp.mpf(1) / p), [a, b])
+    got = wasserstein_upper_bound(norm, GaussianLaw(0.0, 1.0), p)
+    assert abs(got - float(ref)) <= 1e-14 * float(ref)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.5), (0.5, 0.0), (1 / 3, 1 / 3), (0.0, 2.5), (0.0, 0.0)])
+def test_gauss_jacobi_rule_is_exact_to_degree_2n_minus_1(n, alpha, beta):
+    mp = pytest.importorskip("mpmath")
+    t, w = transport._gauss_jacobi(n, alpha, beta)
+    assert np.all(np.diff(t) > 0.0) and -1.0 < t[0] and t[-1] < 1.0 and np.all(w > 0.0)
+    with mp.workdps(30):
+        mass = float(mp.quad(lambda x: (1 - x) ** alpha * (1 + x) ** beta, [-1, 0, 1]))
+    for j in (0, 1, 2, 7, 2 * n - 1):
+        with mp.workdps(30):
+            ref = mp.quad(lambda x: (1 - x) ** alpha * (1 + x) ** beta * x**j, [-1, 0, 1])
+        # a node off by a few ulps moves t^j by j times that, relative to the weight's mass
+        assert abs(float(np.dot(w, t**j)) - float(ref)) <= 1e-15 * (j + 1) * mass, j
