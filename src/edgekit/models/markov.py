@@ -58,6 +58,21 @@ _GEMM_MAD = 0.05e-9
 _DOT_MAD = 0.3e-9
 _CONV_OUT = 8e-9
 _ROW_ADD = 1.5e-9
+# Coefficients per power of z that a batch of order-2 rows may hold
+_ROW_FLOATS = 2**16
+# Shorter runs of equal steps are walked one step at a time, not doubled:
+# at S = 3 doubling starts to pay at runs of 40 to 48 steps
+_SHORT_RUN = 40
+# Greedy blocking: a lockstep window holds this many coefficients per power
+# of z of candidate rows (512 rows at S = 2). On a 2-core x86 VM a batched
+# round costs about 40 us per distinct step series among the rows plus
+# 0.4 us per row at S = 2, and a lone step 18 us, so on a homogeneous
+# chain lockstep spends about 0.4 B us per chain step on blocks of B
+# steps: a block that has run _LOCKSTEP_AGE steps (fewer where the rows
+# meet several step series) walks on alone, and so do the blocks after
+# one that long.
+_LOCKSTEP_FLOATS = 1024
+_LOCKSTEP_AGE = 32
 
 
 @dataclass(frozen=True)
@@ -146,21 +161,31 @@ class MarkovChainSpec:
 def _step_means(spec, *sequences):
     """E g_j(X_j, X_{j+1}) per step, one array for each sequence g of per-step arrays.
 
-    The marginals are walked run by run, a run being equal consecutive
-    steps (one kernel and one array of each sequence): within it the laws
-    nu K^i, i < r, come by doubling (`_run_laws`), and (K o g) 1 is formed
-    once per run and array.
+    (K o g) 1 is formed once per run of equal steps (`_runs`) and array.
     """
     out = [[] for _ in sequences]
-    law = spec.initial
-    steps = zip(spec.kernels, *sequences)
-    for _, run in itertools.groupby(steps, key=lambda step: tuple(map(id, step))):
-        kernel, *arrays = next(run)
-        laws = _run_laws(law, kernel, 1 + sum(1 for _ in run))
+    for kernel, arrays, laws in _runs(spec, *sequences):
         for acc, g in zip(out, arrays):
             acc.append(laws @ (kernel * g).sum(axis=1))
-        law = laws[-1] @ kernel
     return [np.concatenate(acc) for acc in out]
+
+
+def _runs(spec, *sequences):
+    """(kernel, arrays, laws) for each run of equal consecutive steps.
+
+    A run is one kernel and one array of each sequence of per-step
+    arrays; `laws` holds the law of X_j at each step j of the run, one
+    per row, by doubling within the run (`_run_laws`).
+    """
+    law, first = spec.initial, 0
+    keys = zip(map(id, spec.kernels), *(map(id, seq) for seq in sequences))
+    for _, run in itertools.groupby(keys):
+        count = len(list(run))
+        kernel = spec.kernels[first]
+        laws = _run_laws(law, kernel, count)
+        yield kernel, [seq[first] for seq in sequences], laws
+        law = laws[-1] @ kernel
+        first += count
 
 
 def _run_laws(law, kernel, count):
@@ -577,11 +602,6 @@ def cumulant_series(spec, kmax):
     return [0.0] + [math.fsum(t[k] for t in acc[1]) for k in range(1, kmax)]
 
 
-def variance_profile(spec):
-    """Var(S_k) for k = 1..n, the per-prefix order-2 series (index 0 holds 0.0)."""
-    return np.array([0.0] + list(_running_variances(_step_series(spec, 2), spec.initial)))
-
-
 def _step_series(spec, kmax):
     """M_j(z) for every step, shape (kmax + 1, S_in, S_out).
 
@@ -594,15 +614,17 @@ def _step_series(spec, kmax):
     for f in {id(f): f for f in spec.observables}.values():
         g = f - 0.5 * (float(f.max()) + float(f.min()))
         shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
-    out = []
-    for kernel, f in zip(spec.kernels, spec.observables):
-        g = shifted[id(f)]
+    out, first = [], 0
+    for _, run in itertools.groupby(zip(map(id, spec.kernels), map(id, spec.observables))):
+        count = sum(1 for _ in run)
+        kernel, g = spec.kernels[first], shifted[id(spec.observables[first])]
         if (id(kernel), id(g)) not in built:
             coeffs = [kernel]
             for b in range(1, kmax + 1):
                 coeffs.append(coeffs[-1] * g / b)
             built[id(kernel), id(g)] = np.stack(coeffs)
-        out.append(built[id(kernel), id(g)])
+        out += [built[id(kernel), id(g)]] * count
+        first += count
     return out
 
 
@@ -647,30 +669,152 @@ def _scaled_mul(a, b):
     return q, ([2.0 * t for t in a[1]] if a is b else a[1] + b[1]) + [log]
 
 
-def _running_variances(steps, law):
-    """Var of the sum over steps[0..j], j = 0, 1, .., from X at law `law`.
+def variance_profile(spec):
+    """Var(S_k) for k = 0..n (index 0 holds 0.0), from the order-2 series.
 
-    The order-2 case of `_scaled_mul`, written out because it runs once
-    per step: the row series v(z) times M(z) is divided by its total
-    s(z), and log s adds 2 s_2/s_0 - (s_1/s_0)^2 to the variance. The
-    terms are summed with Neumaier compensation, so values keep their
-    digits however long the run.
+    Every prefix comes by doubling within each run of equal steps
+    (`_prefix_variances`); no law is built.
     """
-    v = np.zeros((3, law.size))
-    v[0] = law
-    total = comp = 0.0
-    for series in steps:
-        r = np.matmul(v, series)  # r[b, i] = v_i M_b
-        p = (r[0, 0], r[0, 1] + r[1, 0], r[0, 2] + r[1, 1] + r[2, 0])
-        s0, s1, s2 = (float(c.sum()) for c in p)
-        q0 = p[0] / s0
-        q1 = (p[1] - s1 * q0) / s0
-        v = np.stack((q0, q1, (p[2] - s1 * q1 - s2 * q0) / s0))
+    return _prefix_variances(_series_runs(_step_series(spec, 2)), spec.initial)
+
+
+def _series_runs(steps):
+    """(series, count) for each run of one step series object in `steps`."""
+    return [(run[0], len(run)) for run in (list(g) for _, g in itertools.groupby(steps, key=id))]
+
+
+def _prefix_variances(runs, law):
+    """Var of the sum over steps 0..k-1 for every k, from X_0 at `law`; index 0 holds 0.0.
+
+    `runs` holds (M(z), count) pairs of order-2 step series. Within a run
+    the rows v M^i, each divided by its total (`_order2_rows`), come by
+    doubling as in `_run_laws`: rows [m, 2m) are rows [0, m) times P_m,
+    the normalized M^m of `_scaled_mul`. A row's log terms are then those
+    of its source row, those of P_m and the one its own division adds.
+    The terms of P_m are doubled exactly and fsum'd to a pair (H, E)
+    whose sum is theirs to within u^2, and each row carries its variance
+    as such a pair, added to by vectorised TwoSum, so Var(S_k) keeps its
+    digits however long the run. A block of rows holds at most
+    _ROW_FLOATS coefficients per power of z and is doubled from the last
+    row of the block before it. A run shorter than _SHORT_RUN steps does
+    not pay for its powers and is walked one step at a time (`_walk`).
+    """
+    out = np.zeros(1 + sum(count for _, count in runs))
+    row = np.zeros((3, 1, law.size))
+    row[0, 0] = law
+    hi = lo = 0.0
+    k = 1
+    for series, count in runs:
+        if count < _SHORT_RUN:
+            for row, hi, lo in _walk(row, hi, lo, itertools.repeat(series, count)):
+                out[k] = hi + lo
+                k += 1
+            continue
+        cap = max(2, _ROW_FLOATS // max(series.shape[1:]))
+        powers, pair = [], (series, [])
+        done = 0
+        while done < count:
+            size = min(cap, count - done + 1)
+            rows, his, los = row, np.array([hi]), np.array([lo])
+            while his.size < size:
+                m = his.size  # a power of two: 2**level
+                level = m.bit_length() - 1
+                if level == len(powers):
+                    if powers:
+                        pair = _scaled_mul(pair, pair)
+                    terms = [t[1] for t in pair[1]]
+                    big = math.fsum(terms)
+                    powers.append((pair[0], big, math.fsum(terms + [-big])))
+                power, big, small = powers[level]
+                take = min(m, size - m)
+                q, totals = _order2_rows(rows[:, :take], power)
+                x = _log_variance(totals)
+                h, e1 = _two_sum(his[:take], big)
+                h, e2 = _two_sum(h, x)
+                his = np.concatenate([his, h])
+                los = np.concatenate([los, los[:take] + small + e1 + e2])
+                # the last level needs no sources after it
+                rows = q if his.size == size else np.concatenate([rows, q], axis=1)
+            out[k : k + size - 1] = his[1:] + los[1:]
+            k += size - 1
+            row, hi, lo = rows[:, -1:], float(his[-1]), float(los[-1])
+            done += size - 1
+    return out
+
+
+def _walk(row, total, comp, steps):
+    """(row, total, comp) after each of `steps`, walked one at a time from a lone row.
+
+    `row` has shape (3, 1, width >= S_in of the first step) and (total,
+    comp) is its variance as a Neumaier sum in Python floats. Each step
+    is `_order2_rows` on the row and the log term of its totals: the
+    bits a batch of rows gives that row.
+    """
+    for m in steps:
+        row, totals = _order2_rows(row[:, :, : m.shape[1]], m)
+        s0, s1, s2 = totals.ravel().tolist()
         x = 2.0 * s2 / s0 - (s1 / s0) ** 2
         t = total + x
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
-        yield total + comp
+        yield row, total, comp
+
+
+def _order2_rows(v, series):
+    """Rows v_r(z) = v[0, r] + v[1, r] z + v[2, r] z^2 times M(z), each divided by its total.
+
+    Returns the quotients, shape (3, rows, S_out), and the totals s(z),
+    shape (3, rows). Row r gets the same bits whatever rows sit beside
+    it: a row of a BLAS product does not depend on the other rows, and
+    every other operation is elementwise or a sum along one row.
+    """
+    _, n_rows, n_in = v.shape
+    prod = _rows_matmul(v.reshape(-1, n_in), series).reshape(3, 3, n_rows, -1)
+    # prod[b, i] = v_i M_b; p_k = sum over b + i = k, turned in place into the quotient
+    p = prod[0]
+    p0, p1, p2 = p
+    tail = p[1:]
+    tail += prod[1, :2]
+    p2 += prod[2, 0]
+    s = p.sum(axis=2)
+    s0, s1, s2 = s[:, :, None]
+    p0 /= s0
+    p1 -= s1 * p0
+    p1 /= s0
+    p2 -= s1 * p1
+    p2 -= s2 * p0
+    p2 /= s0
+    return p, s
+
+
+def _log_variance(s):
+    """2 s_2/s_0 - (s_1/s_0)^2 for each column of totals s(z): the variance log s adds.
+
+    The square is libm's pow, which Python's float ** 2 calls, so a row
+    gets the bits `_walk` gives it; numpy's square rounds
+    differently in about one case in 1,200.
+    """
+    s0, s1, s2 = s
+    square = np.fromiter(map(math.pow, (s1 / s0).tolist(), itertools.repeat(2.0)), float, s0.size)
+    return 2.0 * s2 / s0 - square
+
+
+def _rows_matmul(rows, series):
+    """rows @ series[b] for each b, stacked, in products of at most _BLAS_SERIAL multiply-adds."""
+    chunk = max(1, _BLAS_SERIAL // (series.shape[1] * series.shape[2]))
+    if rows.shape[0] <= chunk:
+        return np.matmul(rows, series)
+    out = np.empty((series.shape[0], rows.shape[0], series.shape[2]))
+    for i in range(0, rows.shape[0], chunk):
+        np.matmul(rows[i : i + chunk], series, out=out[:, i : i + chunk])
+    return out
+
+
+def _two_sum(a, b):
+    """a + b and its rounding error, exactly, elementwise (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 # -- structural checks -------------------------------------------------------
@@ -772,34 +916,36 @@ class BlockingReport:
 def variance_decomposition(spec, target=None):
     """Greedy variance blocking of `spec`; see BlockingReport.
 
-    Var(S_k) and every block variance come from order-2 transfer-operator
-    series (`variance_profile`, `_greedy_block_end`); no law is built.
+    One walk over the runs of equal order-2 step series (`_runs`) gives
+    the law of each X_j and the step variances behind the default
+    target. Var(S_k) comes from `variance_profile`, the blocks from
+    walking every candidate start in lockstep (`_greedy_blocks`); no law
+    of S_k is built.
     """
+    if target is not None and not (math.isfinite(target) and target > 0.0):
+        raise ValueError("blocking target must be finite and positive, got %r" % target)
+    n = spec.n_steps
+    steps = _step_series(spec, 2)
+    laws = np.zeros((n, max(spec.state_counts)))
+    step_var, first = 0.0, 0
+    for kernel, (m,), run in _runs(spec, steps):
+        laws[first : first + run.shape[0], : kernel.shape[0]] = run
+        first += run.shape[0]
+        # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
+        spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
+        step_var = max(step_var, float(spread.max()))
     sigma2 = variance_profile(spec)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
-    step_vars = _step_variances(spec)
     if target is None:
-        target = 4.0 * float(np.max(step_vars)) + 1.0
-    if target <= 0.0:
-        raise ValueError("blocking target must be positive")
-    steps = _step_series(spec, 2)
-    margs = spec.marginals()
-    blocks = []
-    block_vars = []
-    start = 0
-    n = spec.n_steps
-    while start < n:
-        end, var = _greedy_block_end(steps, margs[start], start, target)
-        if var is None:  # tail too small to reach the target: stays in b
-            break
-        blocks.append((start, end))
-        block_vars.append(var)
-        start = end + 1
+        target = 4.0 * step_var + 1.0
+    blocks, block_vars = _greedy_blocks(steps, laws, target)
     overshoot = max([v - 2.0 * target for v in block_vars], default=0.0)
-    a = np.zeros(n + 1)
-    for _, end in blocks:  # a_k is Var(S) at the end of the last block done by step k
-        a[end + 1 :] = sigma2[end + 1]
+    # a_k is Var(S) at the end of the last block done by step k (sigma2[0] = 0)
+    done = np.zeros(n + 1, dtype=np.int64)
+    for _, end in blocks:
+        done[end + 1] = end + 1
+    a = sigma2[np.maximum.accumulate(done)]
     return BlockingReport(
         target=float(target),
         blocks=tuple(blocks),
@@ -812,25 +958,101 @@ def variance_decomposition(spec, target=None):
     )
 
 
-def _step_variances(spec):
-    margs = spec.marginals()
-    return np.array([
-        float(margs[j] @ (k * (f - mu) ** 2) @ np.ones(k.shape[1]))
-        for j, (k, f, mu) in enumerate(zip(spec.kernels, spec.observables, spec.step_means()))
-    ])
+def _greedy_blocks(steps, laws, target):
+    """Greedy blocks (start, end), inclusive, and their variances.
 
+    A block starts at step 0, or right after the block before it, and
+    ends at the first step where the variance of its own sum, from
+    X_start at its law `laws[start]`, reaches `target`; a block that runs
+    off the end is dropped. `steps` are the chain's order-2 step series.
+    Each block's variances are those of walking it one step at a time:
+    `_order2_rows` on its row, Neumaier-summed.
 
-def _greedy_block_end(steps, start_law, start, target):
-    """Extend a block from `start` until its own variance reaches the target.
-
-    `steps` are the chain's order-2 step series and `start_law` the law of
-    X_start; block variances are shift invariant, so they refer to the
-    same functional the chain-level decomposition uses.
+    The walks run in lockstep: every candidate start c of a window walks
+    its own block at once, round t taking row c through step c + t with
+    one batched `_order2_rows` per distinct step series among the rows.
+    From the head start h, the next start is the end of h's block plus
+    one, so the chain is read off the rows as they resolve. Row c retires
+    when it reaches the target, runs off the end, or can start no block:
+    when c < h, or when h < c <= h + t + 1 while h's block, walked
+    through step h + t, is still below the target. A round costs one
+    batched product per distinct step series among the rows, so a window
+    whose rows meet g distinct series allows blocks of _LOCKSTEP_AGE // g
+    steps: once the head's block has run that long the other rows go and
+    its row walks on alone (`_walk`), and so do the blocks after a
+    block that long until one is shorter.
     """
-    for j, var in enumerate(_running_variances(steps[start:], start_law), start):
-        if var >= target:
-            return j, var
-    return None, None
+    runs, index = _series_runs(steps), {}
+    for m, _ in runs:
+        index.setdefault(id(m), (len(index), m))
+    series = [m for _, m in index.values()]
+    code = np.repeat([index[id(m)][0] for m, _ in runs], [count for _, count in runs])
+    n, width = code.size, laws.shape[1]
+    blocks, block_vars = [], []
+    window = max(1, _LOCKSTEP_FLOATS // width)
+    head = span = 0  # span: steps after the start of the last block
+    while head < n:
+        lo = head
+        limit = _LOCKSTEP_AGE
+        if len(series) > 1:
+            limit //= np.unique(code[lo : lo + window]).size
+        starts = np.arange(lo, min(n, lo + (window if span < limit else 1)))
+        last = int(starts[-1])
+        state = np.zeros((3, starts.size, width))
+        state[0] = laws[starts]
+        total = np.zeros(starts.size)
+        comp = np.zeros(starts.size)
+        ends = np.full(starts.size, -2)  # -2 walking, -1 ran off the end
+        found = np.zeros(starts.size)
+        for age in itertools.count():
+            if last + age >= n:  # rows whose block runs off the end go
+                live = int(np.searchsorted(starts, n - age))
+                ends[starts[live:] - lo] = -1
+                if not live:  # the head's among them
+                    return blocks, block_vars
+                starts, state, total, comp = starts[:live], state[:, :live], total[:live], comp[:live]
+                last = int(starts[-1])
+            if starts.size == 1:  # the head walks on alone; -1: it ran off the end
+                ahead = map(steps.__getitem__, range(head + age, n))
+                walk = enumerate(_walk(state, float(total[0]), float(comp[0]), ahead), head + age)
+                ends[head - lo], found[head - lo] = next(
+                    ((end, t + c) for end, (_, t, c) in walk if t + c >= target), (-1, 0.0))
+                hit = None
+            else:
+                at = starts + age
+                kinds = code[at]
+                if kinds[0] == kinds[-1] and (len(series) == 1 or (kinds == kinds[0]).all()):
+                    groups = ((kinds[0], slice(None)),)
+                else:
+                    groups = [(kind, np.flatnonzero(kinds == kind)) for kind in np.unique(kinds)]
+                x = np.empty(starts.size)
+                for kind, idx in groups:
+                    m = series[kind]
+                    q, totals = _order2_rows(state[:, idx, : m.shape[1]], m)
+                    state[:, idx, : m.shape[2]] = q
+                    x[idx] = _log_variance(totals)
+                t = total + x
+                comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+                total = t
+                var = total + comp
+                hit = var >= target
+                ends[starts[hit] - lo] = at[hit]
+                found[starts[hit] - lo] = var[hit]
+            while head - lo < ends.size and ends[head - lo] != -2:
+                end = int(ends[head - lo])
+                if end < 0:
+                    return blocks, block_vars
+                blocks.append((head, end))
+                block_vars.append(float(found[head - lo]))
+                span = end - head
+                head = end + 1
+            if hit is None or head - lo >= ends.size:
+                break
+            keep = ~hit & ((starts == head) | ((starts > head + age + 1) & (age < limit)))
+            if not keep.all():
+                starts, state, total, comp = starts[keep], state[:, keep], total[keep], comp[keep]
+                last = int(starts[-1])
+    return blocks, block_vars
 
 
 # -- chain spec files --------------------------------------------------------

@@ -668,6 +668,13 @@ def test_cli_couple_single_n_table(capsys):
     assert len(out) == 18
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0"])
+def test_cli_couple_refuses_a_target_that_is_not_finite_and_positive(target, capsys):
+    code = main(["couple", "--model", "builtin:elliptic2", "--n", "64", "--target=" + target])
+    assert code == 2
+    assert "blocking target must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_couple_runs_one_dp_sweep(monkeypatch, capsys):
     from edgekit.models import markov
 

@@ -23,10 +23,13 @@ from edgekit.models import (
     variance_decomposition,
     variance_profile,
 )
-from edgekit.models.markov import _common_lattice, _Moves, _Power, _sweep_plan
+from edgekit.models.markov import (
+    _common_lattice, _Moves, _Power, _runs as _law_runs, _step_series, _sweep_plan,
+)
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
 from path_enumeration import enumerate_distribution
+from reference_blocking import reference_blocks, reference_profile
 from reference_dp import powered_error_bound, reference_law, textbook_step
 
 
@@ -576,6 +579,71 @@ def test_long_variance_profile_keeps_its_digits():
     spec = builtin_model("elliptic2").spec(20_000)
     kappa2 = cumulant_series(spec, 2)[1]
     assert abs(variance_profile(spec)[-1] - kappa2) <= 4 * np.finfo(float).eps * kappa2
+
+
+@pytest.mark.parametrize("name", ["elliptic2", "symmetric2"])
+def test_variance_profile_keeps_its_digits_at_1e5(name):
+    spec = builtin_model(name).spec(100_000)
+    kappa2 = cumulant_series(spec, 2)[1]
+    assert abs(variance_profile(spec)[-1] - kappa2) <= 4 * np.finfo(float).eps * kappa2
+
+
+def _alternating_fine_chain():
+    # the spec of test_fine_lattice_refused_before_allocating
+    kernel = np.full((2, 2), 0.5)
+    ones = np.array([[0.0, 1.0], [0.0, 1.0]])
+    return MarkovChainSpec([0.5, 0.5], (kernel,) * 512, (ones, ones * 1.000001) * 256)
+
+
+_BLOCKING_CASES = {
+    "elliptic2": lambda: builtin_model("elliptic2").spec(1024),
+    "rademacher": lambda: builtin_model("rademacher").spec(256),
+    "flip2": lambda: builtin_model("flip2").spec(256),
+    "symmetric2": lambda: builtin_model("symmetric2").spec(2048),
+    "decay:0.3": lambda: builtin_model("decay:0.3").spec(1024),
+    "alternating-fine": _alternating_fine_chain,
+    "rectangular": lambda: _rectangular_chain(3, [2, 5, 1, 3, 16, 4, 64, 7, 3] * 8 + [2]),
+    "rectangular-widest-last": lambda: _rectangular_chain(4, [3, 2, 4, 1, 3] * 6 + [9]),
+    "random-kernels": lambda: _random_chain(11, n=300),
+    "seeded-S8": lambda: _seeded_chain(8, 4, 600),
+    "seeded-S32": lambda: _seeded_chain(32, 4, 200),
+}
+
+
+@pytest.mark.parametrize("target", [None, 2.5])
+@pytest.mark.parametrize("case", sorted(_BLOCKING_CASES))
+def test_blocking_matches_the_per_start_walk(case, target):
+    spec = _BLOCKING_CASES[case]()
+    rep = variance_decomposition(spec, target=target)
+    steps = _step_series(spec, 2)
+    laws = [law for _, _, run in _law_runs(spec) for law in run]
+    blocks, block_vars = reference_blocks(steps, laws, rep.target)
+    assert rep.blocks == tuple(blocks) and rep.block_variances == tuple(block_vars)
+    # the old blocking started each block from spec.marginals(), one nu @ K per step;
+    # the doubled laws of the seeded chains differ from those in the last bits
+    old_blocks, old_vars = reference_blocks(steps, spec.marginals(), rep.target)
+    assert old_blocks == blocks
+    if case.startswith("seeded"):
+        assert np.all(np.abs(np.subtract(old_vars, block_vars)) <= 2 * np.spacing(old_vars))
+    else:
+        assert old_vars == block_vars
+    walked = reference_profile(steps, spec.initial)
+    assert np.array_equal(rep.sigma2, variance_profile(spec))
+    assert np.all(np.abs(rep.sigma2 - walked) <= 2 * np.spacing(walked))
+
+
+def test_blocking_walks_a_chain_of_distinct_steps_once(monkeypatch):
+    # a lockstep round costs one batched product per distinct step series among
+    # its rows, so where no two steps share one the blocks walk alone, and the
+    # profile walks its runs of one step: each step is taken once by each
+    from edgekit.models import markov
+
+    calls = []
+    order2_rows = markov._order2_rows
+    monkeypatch.setattr(markov, "_order2_rows", lambda v, m: calls.append(1) or order2_rows(v, m))
+    spec = _random_chain(11, n=2000)
+    variance_decomposition(spec)
+    assert len(calls) == 2 * spec.n_steps
 
 
 def test_chain_model_serves_lower_orders_from_one_series(monkeypatch):
