@@ -41,21 +41,26 @@ _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
 # Largest DP table, in (state, cell) entries, a sweep may allocate, with the
 # largest power of a powered run counted beside it. A step holds the old
-# table and the new one; its other temporaries are one row or one product
-# chunk. Two float64 tables of 2**24 cells take 256 MiB.
+# table and the new one, and a stepped run with products also the table it
+# started from; its other temporaries are one row or one product chunk. A
+# powered product adds up to two more accumulators of its output size.
+# Two float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
 _BLAS_SERIAL = 2**18
 # and a dot product of at most 10**4 terms (`_convolve_into`)
 _DOT_BLOCK = 2048
+# Powered products lift polynomial tails below 2**-511 by 2**563 (`_pieces`)
+_LIFT_AT = 2.0**-511
+_LIFT = 2.0**563
+_UNLIFT = 2.0**-563
 # Route costs in seconds, measured on a 2-core AVX2 Xeon VM: one call of a
-# numpy operation from Python, one multiply-add inside a BLAS product or,
-# with the underflow of far-tail products, inside a dot product, one output
-# of np.convolve, and one row element added in place on a table wider than
-# the L1 cache.
+# numpy operation from Python, one multiply-add inside a BLAS product or
+# inside a dot product, one output of np.convolve, and one row element
+# added in place on a table wider than the L1 cache.
 _CALL = 2e-6
 _GEMM_MAD = 0.05e-9
-_DOT_MAD = 0.3e-9
+_DOT_MAD = 0.15e-9
 _CONV_OUT = 8e-9
 _ROW_ADD = 1.5e-9
 # Coefficients per power of z that a batch of order-2 rows may hold
@@ -92,8 +97,14 @@ class MarkovChainSpec:
 
     def __init__(self, initial, kernels, observables, name=""):
         initial = np.asarray(initial, dtype=float)
-        kernels = tuple(np.asarray(k, dtype=float) for k in kernels)
-        observables = tuple(np.asarray(f, dtype=float) for f in observables)
+        given = tuple(kernels), tuple(observables)
+        # homogeneous chains repeat one object per step: convert and check
+        # each distinct one once; `given` holds them, so their ids stay unique
+        everything = given[0] + given[1]
+        arrays = dict(zip(map(id, everything), everything))
+        arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
+        kernels, observables = (
+            tuple(map(arrays.__getitem__, map(id, seq))) for seq in given)
         if len(kernels) == 0:
             raise ValueError("need at least one step")
         if len(kernels) != len(observables):
@@ -104,19 +115,22 @@ class MarkovChainSpec:
             raise ValueError("initial law must be a vector")
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
-        size = initial.size
-        checked = set()  # homogeneous chains repeat one kernel: check each once
-        for j, (k, f) in enumerate(zip(kernels, observables)):
-            if k.ndim != 2 or k.shape[0] != size:
-                raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
-            if f.shape != k.shape:
-                raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
-            if id(k) not in checked:
-                checked.add(id(k))
-                rows = k.sum(axis=1)
-                if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
-                    raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
-            size = k.shape[1]
+        size, shapes, checked = initial.size, {}, set()
+        for j, key in enumerate(zip(map(id, kernels), map(id, observables))):
+            shape = shapes.get(key)
+            if shape is None or shape[0] != size:
+                k, f = kernels[j], observables[j]
+                if k.ndim != 2 or k.shape[0] != size:
+                    raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
+                if f.shape != k.shape:
+                    raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
+                if id(k) not in checked:
+                    checked.add(id(k))
+                    rows = k.sum(axis=1)
+                    if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
+                        raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
+                shapes[key] = shape = k.shape
+            size = shape[1]
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "observables", observables)
@@ -262,7 +276,8 @@ def exact_distribution(spec):
     DP over (state, lattice cell) of the lattice parts f_j - min f_j; no
     cell is dropped. The sweep goes over runs of equal steps: a run is
     either raised to its length at once by binary powering (`_Power`) or
-    stepped through (`_Moves`), whichever `_sweep_plan` prices lower.
+    stepped through (`_Moves`), whichever `_sweep_plan` prices lower;
+    either way one call applies the whole run.
     Cell 0 sits at -sum_j E[f_j - min f_j], one math.fsum of the per-step
     means, so S_n is centered once, here, and the law never carries the
     raw size of the observables.
@@ -270,13 +285,15 @@ def exact_distribution(spec):
     Masses carry the relative error bounded in `_mean_tolerance` only
     while they stay in the normal float range. Masses below about
     2.2e-308 carry no relative accuracy in either route: stepping rounds
-    them toward the smallest subnormal 5e-324, which sticks (0.8 * 2**-1074
-    rounds back up) even where the exact mass is far smaller, while
-    powering underflows them to 0, so the two routes end the support at
-    different cells. The result must have mean 0 within the float error
-    of the sweep (see `_mean_tolerance`) plus the snap error of every
-    step, which moves each value and so the mean by at most that much;
-    otherwise the centering is wrong and the run aborts.
+    them at every step, toward the smallest subnormal 5e-324, which
+    sticks (0.8 * 2**-1074 rounds back up) even where the exact mass is
+    far smaller, while each powered product rounds them once (its tails
+    are lifted out of the subnormal range, `_poly_matmul`), so the two
+    routes end the support at different cells. The result must have
+    mean 0 within the float error of the sweep (see `_mean_tolerance`)
+    plus the snap error of every step, which moves each value and so the
+    mean by at most that much; otherwise the centering is wrong and the
+    run aborts.
     """
     d, diffs, runs, snaps = _sweep_plan(spec)
     if d == 0.0:
@@ -284,8 +301,7 @@ def exact_distribution(spec):
         return LatticeDistribution(0.0, 1.0, [1.0])
     table = spec.initial[:, None].copy()
     for step, count in runs:
-        for _ in range(count):
-            table = step.apply(table)
+        table = step.run(table, count)
     means, lattice_means = _step_means(spec, spec.observables, diffs)
     origin = -math.fsum(lattice_means.tolist())  # value of cell 0
     masses = table.sum(axis=0)
@@ -400,6 +416,12 @@ class _Power:
     table adds e_(2^b) + S (2^b w/g + 1) u = S u 2^b ((b/2 + 1) w/g + 1).
     Over the set bits of r this is at most
     S r ((B/2 + 1) w/g + 1) u, B = floor(log2 r): `error`.
+
+    The lifted tails of `_poly_matmul` leave this bound as it is: each
+    output is still one summation tree over the same nonnegative
+    products, a product of lifted factors is the exact product times a
+    power of two, and scaling by a power of two is exact, so only an
+    output below 2**-1022 rounds once more, as a subnormal product would.
     """
 
     def __init__(self, kernel, shifts, length):
@@ -455,35 +477,73 @@ class _Power:
         out = v.transpose(1, 2, 0).reshape(v.shape[1], -1)
         return out[:, : hi + self.length * self.width]
 
+    def run(self, table, count):
+        """The table after `count` applications of the whole run; a plan's count is 1."""
+        for _ in range(count):
+            table = self.apply(table)
+        return table
+
 
 def _poly_matmul(a, b):
     """Product of matrices of polynomials, a[x, k] and b[k, y] coefficient arrays.
 
     out[x, y] = sum_k a[x, k] * b[k, y], each product by `_convolve_into`
-    and the sum in increasing k. Each polynomial is cut to its span of
-    nonzero coefficients first: far tails underflow to exact zeros, which
-    would otherwise be multiplied through every later product.
+    and the sum in increasing k. Each polynomial enters as its `_pieces`:
+    a head and tails lifted by 2**563, so no product of two pieces falls
+    below 2**-1022, where each one would cost a microcode assist. The
+    products of each lift level (0, 1 or 2 lifted factors) add up apart
+    and are scaled back once per output, level 2 as
+    (level 2 * 2**-563 + level 1) * 2**-563. Outputs that no tail reaches
+    keep the bits of one convolution of whole spans per pair.
     """
-    out = np.zeros((a.shape[0], b.shape[1], a.shape[2] + b.shape[2] - 1))
-    (lo_a, hi_a), (lo_b, hi_b) = _spans(a), _spans(b)
-    for x, row in enumerate(a):
-        for k, p in enumerate(row):
-            i, j = lo_a[x][k], hi_a[x][k]
-            if j:
-                for y, (lo, hi) in enumerate(zip(lo_b[k], hi_b[k])):
-                    if hi:
-                        _convolve_into(out[x, y, i + lo :], p[i:j], b[k, y, lo:hi])
+    shape = (a.shape[0], b.shape[1], a.shape[2] + b.shape[2] - 1)
+    levels = [np.zeros(shape)]
+    pieces_a = _pieces(a)
+    pieces_b = pieces_a if b is a else _pieces(b)
+    for x, row in enumerate(pieces_a):
+        for k, factor in enumerate(row):
+            for y, other in enumerate(pieces_b[k]):
+                for (i, p, lift_p), (j, q, lift_q) in itertools.product(factor, other):
+                    while len(levels) <= lift_p + lift_q:
+                        levels.append(np.zeros(shape))
+                    _convolve_into(levels[lift_p + lift_q][x, y, i + j :], p, q)
+    out = levels[0]
+    if len(levels) > 1:
+        lifted = levels[1] if len(levels) == 2 else levels[2] * _UNLIFT + levels[1]
+        out += lifted * _UNLIFT
     return out
 
 
-def _spans(p):
-    """First and one-past-last index of the nonzero coefficients of each p[x, y], as lists.
+def _pieces(p):
+    """(offset, coefficients, lift) pieces of each polynomial p[x, y], as nested lists.
 
-    An all-zero polynomial gets the span (0, 0).
+    The head runs from the first coefficient >= _LIFT_AT to the last one;
+    the nonzero coefficients around it are the tails, times 2**563 (lift
+    1). Coefficients are probabilities, so lifted tails lie in
+    [2**-511, 2**52) and no product of two pieces' ends falls below
+    2**-1022. An all-zero polynomial has no pieces.
     """
-    live = p != 0.0
+    lo, hi = _spans(p != 0.0)
+    head_lo, head_hi = _spans(p >= _LIFT_AT)
+    out = []
+    for x, row in enumerate(p):
+        out.append([])
+        for y, poly in enumerate(row):
+            i, j = lo[x][y], hi[x][y]
+            a, b = (head_lo[x][y], head_hi[x][y]) if head_hi[x][y] else (j, j)
+            pieces = [(a, poly[a:b], 0)] if a < b else []
+            pieces += [(s, poly[s:e] * _LIFT, 1) for s, e in ((i, a), (b, j)) if s < e]
+            out[-1].append(pieces)
+    return out
+
+
+def _spans(live):
+    """First and one-past-last index of the True entries of each live[x, y], as lists.
+
+    A row with none gets the span (0, 0).
+    """
     lo = live.argmax(axis=2)
-    hi = np.where(live.any(axis=2), p.shape[2] - live[:, :, ::-1].argmax(axis=2), 0)
+    hi = np.where(live.any(axis=2), live.shape[2] - live[:, :, ::-1].argmax(axis=2), 0)
     return lo.tolist(), hi.tolist()
 
 
@@ -549,7 +609,7 @@ class _Moves:
         for s, nnz in zip(values.tolist(), counts.tolist()):
             if 16 * nnz >= n_out * (16 + n_in):
                 group = live & (shifts == s)
-                self.dense.append((s, np.where(group, kernel, 0.0).T.copy()))
+                self.dense.append((s, np.where(group, kernel, 0.0)))
                 sparse &= ~group
         xs, ys = np.nonzero(sparse)
         self.sparse = list(zip(xs.tolist(), ys.tolist(),
@@ -565,15 +625,40 @@ class _Moves:
         return count * (calls * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
 
     def apply(self, table):
-        hi = table.shape[1]
-        new = np.zeros((self.states, hi + self.width))
-        for s, mt in self.dense:
-            dst = new[:, s : s + hi]
+        return self.run(table, 1)
+
+    def run(self, table, count):
+        """The table after `count` steps.
+
+        A run with products goes cells-major: the table is transposed once
+        in and once out, and each step walks column chunks in the outer
+        loop and shift groups in the inner one, so each product lands in
+        one reused temporary and is added to a contiguous block of rows.
+        A run of pairs alone stays state-major, in the loop's (x, y) order.
+        """
+        if not self.dense:
+            for _ in range(count):
+                hi = table.shape[1]
+                new = np.zeros((self.states, hi + self.width))
+                for x, y, s, p in self.sparse:
+                    new[y, s : s + hi] += p * table[x]
+                table = new
+            return table
+        cells = table.T.copy()
+        tmp = np.empty((self.chunk, self.states))
+        for _ in range(count):
+            hi = cells.shape[0]
+            new = np.zeros((hi + self.width, self.states))
             for c in range(0, hi, self.chunk):
-                dst[:, c : c + self.chunk] += mt @ table[:, c : c + self.chunk]
-        for x, y, s, p in self.sparse:
-            new[y, s : s + hi] += p * table[x]
-        return new
+                # no name outlives the step holding a view of the old table
+                product = tmp[: min(self.chunk, hi - c)]
+                for s, m in self.dense:
+                    np.matmul(cells[c : c + self.chunk], m, out=product)
+                    new[c + s : c + s + product.shape[0]] += product
+            for x, y, s, p in self.sparse:
+                new[s : s + hi, y] += p * cells[:, x]
+            cells = new
+        return cells.T.copy()
 
 
 # -- transfer-operator series ------------------------------------------------

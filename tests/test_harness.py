@@ -787,7 +787,7 @@ def test_cli_dist_bytes_do_not_depend_on_the_blas_thread_count():
         proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
-    assert len(outs[0].splitlines()) == 20424  # header and 20,423 cells
+    assert len(outs[0].splitlines()) == 20510  # header and 20,509 cells
     assert outs[0] == outs[1]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -24,7 +25,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import (
-    _common_lattice, _Moves, _Power, _runs as _law_runs, _step_series, _sweep_plan,
+    _common_lattice, _Moves, _poly_matmul, _Power, _runs as _law_runs, _step_series, _sweep_plan,
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
@@ -306,11 +307,51 @@ def test_powered_error_bound_is_the_derived_one():
         assert power.error == 3 * r * ((bits / 2 + 1) * 2 + 1) * _U
 
 
+def _tailed(rng, shape, size):
+    """Polynomials falling from about 1 in the middle to 1e-320 at both ends, with zeros inside."""
+    p = rng.uniform(0.5, 1.0, shape + (size,)) * 10.0 ** (-320 * np.abs(np.linspace(-1, 1, size)))
+    p[..., size // 2 + 3] = 0.0  # in the head
+    p[..., 2] = 0.0  # in a tail
+    return p
+
+
+def test_lifted_tail_products_match_exact_convolution():
+    # factors spanning 1 down to 1e-320: outputs in the normal range are
+    # within S (L + 1) u of the exact rational product, where unlifted
+    # products below 2**-1022 would have lost them; a subnormal output
+    # rounds once more, by at most half its spacing 2**-1074
+    rng = np.random.Generator(np.random.PCG64(5))
+    tiny, normal = Fraction(2) ** -1074, Fraction(2) ** -1022
+    for a, b in [(_tailed(rng, (1, 1), 41), _tailed(rng, (1, 1), 33)),
+                 (_tailed(rng, (2, 2), 29), _tailed(rng, (2, 3), 37)),
+                 (_tailed(rng, (2, 2), 25), rng.uniform(0.5, 1.0, (2, 2, 9)))]:
+        got = _poly_matmul(a, b)
+        bound = a.shape[1] * min(a.shape[2], b.shape[2]) * _U
+        seen = set()
+        for x, y in itertools.product(range(a.shape[0]), range(b.shape[1])):
+            exact = [Fraction(0)] * got.shape[2]
+            for k in range(a.shape[1]):
+                for i, p in enumerate(a[x, k].tolist()):
+                    for j, q in enumerate(b[k, y].tolist()):
+                        exact[i + j] += Fraction(p) * Fraction(q)
+            for g, e in zip(got[x, y].tolist(), exact):
+                slack = 0 if e >= normal else tiny / 2
+                assert abs(Fraction(g) - e) <= Fraction(bound) * e + slack
+                seen.add((e >= normal, 0 < e < Fraction(2) ** -900))
+        assert (True, True) in seen and (False, True) in seen
+    # factors without tails take one convolution per pair, with its bits
+    a, b = rng.uniform(0.5, 1.0, (2, 2, 300)), rng.uniform(0.5, 1.0, (2, 2, 700))
+    got = _poly_matmul(a, b)
+    for x, y in itertools.product(range(2), range(2)):
+        assert np.array_equal(got[x, y], np.convolve(a[x, 0], b[0, y]) + np.convolve(a[x, 1], b[1, y]))
+
+
 def test_grouped_step_paths_and_zero_rows():
     # both the product and the pair path run, and zero rows of the table
-    # and zero kernel entries contribute nothing
+    # and zero kernel entries contribute nothing; a run of r steps, cells-major
+    # where it has products, matches r textbook steps within r S_in u
     rng = np.random.Generator(np.random.PCG64(17))
-    for n_in, n_out, span in [(64, 64, 3), (16, 40, 2), (3, 5, 4), (1, 4, 2), (5, 1, 3)]:
+    for n_in, n_out, span in [(64, 64, 3), (16, 40, 2), (3, 5, 4), (1, 4, 2), (5, 1, 3), (3, 3, 3)]:
         kernel = _sparse_kernel(rng, n_in, n_out, 0.4)
         # shift 0 almost everywhere: one large group, a few small ones
         rare = rng.random(kernel.shape) < 0.05
@@ -322,6 +363,25 @@ def test_grouped_step_paths_and_zero_rows():
             assert moves.dense and moves.sparse
         got = moves.apply(table)
         assert np.max(np.abs(got - textbook_step(table, kernel, shifts))) <= 1e-15
+        _assert_run_matches_steps(moves, table, kernel, shifts, 3 if n_in == n_out else 1)
+    # products alone, over tables of one and of several 256-cell chunks
+    kernel = rng.dirichlet(np.ones(32), size=32)
+    shifts = rng.integers(0, 3, size=kernel.shape)
+    moves = _Moves(kernel, shifts)
+    assert len(moves.dense) == 3 and not moves.sparse
+    for width in (1, 700):
+        table = rng.random((32, width))
+        table[::5] = 0.0
+        _assert_run_matches_steps(moves, table, kernel, shifts, 5)
+
+
+def _assert_run_matches_steps(moves, table, kernel, shifts, count):
+    ref = table
+    for _ in range(count):
+        ref = textbook_step(ref, kernel, shifts)
+    got = moves.run(table, count)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert np.all(np.abs(got - ref) <= count * kernel.shape[0] * _U * ref)
 
 
 def _step_moves(spec):
@@ -429,9 +489,14 @@ def test_spec_checks_each_kernel_once_and_names_the_first_bad_step():
         MarkovChainSpec([0.5, 0.5], (good,) * 3 + (bad,) * 4, (f,) * 7)
     with pytest.raises(ValueError, match="kernel 2 has shape"):
         MarkovChainSpec([0.5, 0.5], (good, good, np.full((3, 3), 1 / 3)) + (bad,), (f,) * 4)
+    with pytest.raises(ValueError, match="observable 1 shape"):
+        MarkovChainSpec([0.5, 0.5], (good,) * 3, (f, np.zeros((2, 3)), f))
     start = time.perf_counter()
     MarkovChainSpec.homogeneous([0.5, 0.5], good, f, 100_000)
     assert time.perf_counter() - start < 0.5
+    # one object given for every step becomes one array
+    spec = MarkovChainSpec([0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]]] * 5, [[[0, 1], [1, 0]]] * 5)
+    assert len({id(k) for k in spec.kernels}) == len({id(f) for f in spec.observables}) == 1
 
 
 def test_decaying_chain_shares_one_observable_per_amplitude():
