@@ -41,9 +41,10 @@ _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
 # Largest DP table, in (state, cell) entries, a sweep may allocate, with the
 # largest power of a powered run counted beside it. A step holds the old
-# table and the new one, and a stepped run with products also the table it
-# started from; its other temporaries are one row or one product chunk. A
-# powered product adds up to two more accumulators of its output size.
+# table and the new one, and a cells-major run (`_Moves.run`) also the
+# table it started from; its other temporaries are one row or one product
+# chunk. A powered product holds its factors, its output and, where tails
+# are lifted, up to two more arrays of its output's size, not charged here.
 # Two float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
@@ -100,11 +101,9 @@ class MarkovChainSpec:
         given = tuple(kernels), tuple(observables)
         # homogeneous chains repeat one object per step: convert and check
         # each distinct one once; `given` holds them, so their ids stay unique
-        everything = given[0] + given[1]
-        arrays = dict(zip(map(id, everything), everything))
+        arrays = {id(a): a for a in given[0] + given[1]}
         arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
-        kernels, observables = (
-            tuple(map(arrays.__getitem__, map(id, seq))) for seq in given)
+        kernels, observables = (tuple(arrays[id(a)] for a in seq) for seq in given)
         if len(kernels) == 0:
             raise ValueError("need at least one step")
         if len(kernels) != len(observables):
@@ -452,35 +451,32 @@ class _Power:
             total += n_in * n_out * n_out * _convolve_cost(size, size)
             size = 2 * size - 1
 
-    def apply(self, table):
-        n_in, hi = table.shape
-        g = self.stride
-        # v[phi, x] is row x of stride phase phi
-        if g == 1:
-            v = table[None]
-        else:
-            padded = np.zeros((n_in, -(-hi // g) * g))
-            padded[:, :hi] = table
-            v = np.ascontiguousarray(padded.reshape(n_in, -1, g).transpose(2, 0, 1))
-        # Q(z), built here: the plan prices and budgets a run before any table exists
-        power = np.zeros(self.kernel.shape + (self.reduced + 1,))
-        xs, ys = np.nonzero(self.kernel)
-        power[xs, ys, self.exponents[xs, ys]] = self.kernel[xs, ys]
-        length = self.length
-        while True:
-            if length & 1:
-                v = _poly_matmul(v, power)
-            length >>= 1
-            if not length:
-                break
-            power = _poly_matmul(power, power)
-        out = v.transpose(1, 2, 0).reshape(v.shape[1], -1)
-        return out[:, : hi + self.length * self.width]
-
     def run(self, table, count):
-        """The table after `count` applications of the whole run; a plan's count is 1."""
+        """The table after `count` passes of the whole run; a plan makes one."""
+        # Q(z), built here: the plan prices and budgets a run before any table exists
+        q = np.zeros(self.kernel.shape + (self.reduced + 1,))
+        xs, ys = np.nonzero(self.kernel)
+        q[xs, ys, self.exponents[xs, ys]] = self.kernel[xs, ys]
+        g = self.stride
         for _ in range(count):
-            table = self.apply(table)
+            n_in, hi = table.shape
+            # v[phi, x] is row x of stride phase phi
+            if g == 1:
+                v = table[None]
+            else:
+                padded = np.zeros((n_in, -(-hi // g) * g))
+                padded[:, :hi] = table
+                v = np.ascontiguousarray(padded.reshape(n_in, -1, g).transpose(2, 0, 1))
+            power, length = q, self.length
+            while True:
+                if length & 1:
+                    v = _poly_matmul(v, power)
+                length >>= 1
+                if not length:
+                    break
+                power = _poly_matmul(power, power)
+            out = v.transpose(1, 2, 0).reshape(v.shape[1], -1)
+            table = out[:, : hi + self.length * self.width]
         return table
 
 
@@ -507,24 +503,29 @@ def _poly_matmul(a, b):
                     while len(levels) <= lift_p + lift_q:
                         levels.append(np.zeros(shape))
                     _convolve_into(levels[lift_p + lift_q][x, y, i + j :], p, q)
-    out = levels[0]
+    out, lifted = levels[0], levels[-1]
+    if len(levels) == 3:
+        lifted *= _UNLIFT
+        lifted += levels[1]
     if len(levels) > 1:
-        lifted = levels[1] if len(levels) == 2 else levels[2] * _UNLIFT + levels[1]
-        out += lifted * _UNLIFT
+        lifted *= _UNLIFT
+        out += lifted
     return out
 
 
 def _pieces(p):
     """(offset, coefficients, lift) pieces of each polynomial p[x, y], as nested lists.
 
-    The head runs from the first coefficient >= _LIFT_AT to the last one;
-    the nonzero coefficients around it are the tails, times 2**563 (lift
-    1). Coefficients are probabilities, so lifted tails lie in
-    [2**-511, 2**52) and no product of two pieces' ends falls below
-    2**-1022. An all-zero polynomial has no pieces.
+    The head runs from the first coefficient of magnitude >= _LIFT_AT to
+    the last one; the nonzero coefficients around it are the tails, times
+    2**563 (lift 1). Coefficients are probabilities, or within 1e-15 of 0
+    below it (kernel and initial entries pass down to -1e-15), so the
+    nonzero coefficients of a lifted tail and the ends of a head have
+    magnitudes in [2**-511, 2**52): no product of two of them falls below
+    2**-1022 or overflows. An all-zero polynomial has no pieces.
     """
     lo, hi = _spans(p != 0.0)
-    head_lo, head_hi = _spans(p >= _LIFT_AT)
+    head_lo, head_hi = _spans(np.abs(p) >= _LIFT_AT)
     out = []
     for x, row in enumerate(p):
         out.append([])
@@ -624,22 +625,27 @@ class _Moves:
         calls = len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
         return count * (calls * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
 
-    def apply(self, table):
-        return self.run(table, 1)
-
     def run(self, table, count):
         """The table after `count` steps.
 
-        A run with products goes cells-major: the table is transposed once
-        in and once out, and each step walks column chunks in the outer
-        loop and shift groups in the inner one, so each product lands in
-        one reused temporary and is added to a contiguous block of rows.
-        A run of pairs alone stays state-major, in the loop's (x, y) order.
+        A run of products alone goes cells-major: the table is transposed
+        once in and once out, and each step walks row chunks of the
+        transposed table in the outer loop and shift groups in the inner
+        one, so each product lands in one reused temporary and is added to
+        a contiguous block of rows. A run with pairs stays state-major,
+        each pair added along a row in the loop's (x, y) order: on the
+        2-core VM a pair's pass down a column of a transposed table of 16
+        to 64 states and 3000 or more cells took 3 to 14 ns per cell,
+        against 1 to 2 ns along a row.
         """
-        if not self.dense:
+        if self.sparse:
             for _ in range(count):
                 hi = table.shape[1]
                 new = np.zeros((self.states, hi + self.width))
+                for s, m in self.dense:
+                    dst = new[:, s : s + hi]
+                    for c in range(0, hi, self.chunk):
+                        dst[:, c : c + self.chunk] += m.T @ table[:, c : c + self.chunk]
                 for x, y, s, p in self.sparse:
                     new[y, s : s + hi] += p * table[x]
                 table = new
@@ -655,8 +661,6 @@ class _Moves:
                 for s, m in self.dense:
                     np.matmul(cells[c : c + self.chunk], m, out=product)
                     new[c + s : c + s + product.shape[0]] += product
-            for x, y, s, p in self.sparse:
-                new[s : s + hi, y] += p * cells[:, x]
             cells = new
         return cells.T.copy()
 

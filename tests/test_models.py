@@ -259,7 +259,7 @@ def test_grouped_dp_matches_loop(name):
     shifts = _common_lattice(spec.observables)[2]
     table = ref = spec.initial[:, None]
     for kernel, shift in zip(spec.kernels, shifts):
-        table, ref = _Moves(kernel, shift).apply(table), textbook_step(ref, kernel, shift)
+        table, ref = _Moves(kernel, shift).run(table, 1), textbook_step(ref, kernel, shift)
         assert table.shape == ref.shape
         assert np.max(np.abs(table - ref)) <= 1e-15
 
@@ -286,7 +286,7 @@ def test_powered_run_matches_loop(name):
     bound = 0.0
     for kernel, shift, length in _runs(spec, shifts):
         power = _Power(kernel, shift, length)
-        table = power.apply(table)
+        table = power.run(table, 1)
         for _ in range(length):
             ref = textbook_step(ref, kernel, shift)
         bound += power.error + length * max(kernel.shape) * _U
@@ -317,28 +317,42 @@ def _tailed(rng, shape, size):
 
 def test_lifted_tail_products_match_exact_convolution():
     # factors spanning 1 down to 1e-320: outputs in the normal range are
-    # within S (L + 1) u of the exact rational product, where unlifted
-    # products below 2**-1022 would have lost them; a subnormal output
-    # rounds once more, by at most half its spacing 2**-1074
+    # within S (L + 1) u of the exact rational product (of the sum of
+    # |products| where signs mix), where unlifted products below 2**-1022
+    # would have lost them; a subnormal output rounds once more, by at
+    # most half its spacing 2**-1074
     rng = np.random.Generator(np.random.PCG64(5))
     tiny, normal = Fraction(2) ** -1074, Fraction(2) ** -1022
+    signed = _tailed(rng, (2, 2), 27) * rng.choice([-1.0, 1.0], size=(2, 2, 27))
     for a, b in [(_tailed(rng, (1, 1), 41), _tailed(rng, (1, 1), 33)),
                  (_tailed(rng, (2, 2), 29), _tailed(rng, (2, 3), 37)),
-                 (_tailed(rng, (2, 2), 25), rng.uniform(0.5, 1.0, (2, 2, 9)))]:
+                 (_tailed(rng, (2, 2), 25), rng.uniform(0.5, 1.0, (2, 2, 9))),
+                 (signed, signed)]:
         got = _poly_matmul(a, b)
         bound = a.shape[1] * min(a.shape[2], b.shape[2]) * _U
         seen = set()
         for x, y in itertools.product(range(a.shape[0]), range(b.shape[1])):
             exact = [Fraction(0)] * got.shape[2]
+            scale = [Fraction(0)] * got.shape[2]
             for k in range(a.shape[1]):
                 for i, p in enumerate(a[x, k].tolist()):
                     for j, q in enumerate(b[k, y].tolist()):
                         exact[i + j] += Fraction(p) * Fraction(q)
-            for g, e in zip(got[x, y].tolist(), exact):
-                slack = 0 if e >= normal else tiny / 2
-                assert abs(Fraction(g) - e) <= Fraction(bound) * e + slack
-                seen.add((e >= normal, 0 < e < Fraction(2) ** -900))
+                        scale[i + j] += abs(Fraction(p) * Fraction(q))
+            for g, e, m in zip(got[x, y].tolist(), exact, scale):
+                slack = 0 if m >= normal else tiny / 2
+                assert abs(Fraction(g) - e) <= Fraction(bound) * m + slack
+                seen.add((m >= normal, 0 < m < Fraction(2) ** -900))
         assert (True, True) in seen and (False, True) in seen
+    # kernel entries just below 0, as the spec lets through, are lifted by
+    # magnitude too: two of them multiply to a finite level-2 product
+    kernel = np.array([[1 + 4e-16, -4e-16], [-4e-16, 1 + 4e-16]])
+    shifts, table = np.array([[0, 1], [1, 0]]), np.array([[0.5], [0.5]])
+    power = _Power(kernel, shifts, 64)
+    got, ref, scale = power.run(table, 1), table, table
+    for _ in range(64):
+        ref, scale = textbook_step(ref, kernel, shifts), textbook_step(scale, np.abs(kernel), shifts)
+    assert np.all(np.abs(got - ref) <= (power.error + 64 * 2 * _U) * scale + 2.0**-1022)
     # factors without tails take one convolution per pair, with its bits
     a, b = rng.uniform(0.5, 1.0, (2, 2, 300)), rng.uniform(0.5, 1.0, (2, 2, 700))
     got = _poly_matmul(a, b)
@@ -349,7 +363,7 @@ def test_lifted_tail_products_match_exact_convolution():
 def test_grouped_step_paths_and_zero_rows():
     # both the product and the pair path run, and zero rows of the table
     # and zero kernel entries contribute nothing; a run of r steps, cells-major
-    # where it has products, matches r textbook steps within r S_in u
+    # where it has products alone, matches r textbook steps within r S_in u
     rng = np.random.Generator(np.random.PCG64(17))
     for n_in, n_out, span in [(64, 64, 3), (16, 40, 2), (3, 5, 4), (1, 4, 2), (5, 1, 3), (3, 3, 3)]:
         kernel = _sparse_kernel(rng, n_in, n_out, 0.4)
@@ -361,7 +375,7 @@ def test_grouped_step_paths_and_zero_rows():
         moves = _Moves(kernel, shifts)
         if n_in >= 16:
             assert moves.dense and moves.sparse
-        got = moves.apply(table)
+        got = moves.run(table, 1)
         assert np.max(np.abs(got - textbook_step(table, kernel, shifts))) <= 1e-15
         _assert_run_matches_steps(moves, table, kernel, shifts, 3 if n_in == n_out else 1)
     # products alone, over tables of one and of several 256-cell chunks
