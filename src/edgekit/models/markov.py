@@ -14,6 +14,7 @@ Everything is deterministic.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,12 +41,12 @@ _ROW_TOL = 1e-12
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
 # Largest DP table, in (state, cell) entries, a sweep may allocate, with the
-# largest power of a powered run counted beside it. A step holds the old
-# table and the new one, and a cells-major run (`_Moves.run`) also the
-# table it started from; its other temporaries are one row or one product
-# chunk. A powered product holds its factors, its output and, where tails
-# are lifted, up to two more arrays of its output's size, not charged here.
-# Two float64 tables of 2**24 cells take 256 MiB.
+# most one product of a powered run holds counted beside it: each factor
+# and its lifted tails, the output and up to two lift arrays of the
+# output's size (`_Power.price`). A step holds the old table and the new
+# one, and a cells-major run (`_Moves.run`) also the table it started
+# from; its other temporaries are one row or one product chunk. Two
+# float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
 _BLAS_SERIAL = 2**18
@@ -89,50 +90,61 @@ class MarkovChainSpec:
     row-stochastic; observables[j] has the same shape and holds the
     per-transition values f_j(x, y). Homogeneous chains are built by
     repeating one kernel/observable reference, so memory stays flat.
+
+    `runs`, the run form, is the one place steps are split into runs: a
+    (kernel, observable, count) for each maximal stretch of steps sharing
+    both objects. Engines do their Python work once per run, not per step.
+    Kernel and initial entries in [-1e-15, 0) are clipped to 0.0 in a copy.
     """
 
     initial: np.ndarray
     kernels: tuple
     observables: tuple
+    runs: tuple
     name: str = ""
 
     def __init__(self, initial, kernels, observables, name=""):
         initial = np.asarray(initial, dtype=float)
         given = tuple(kernels), tuple(observables)
-        # homogeneous chains repeat one object per step: convert and check
-        # each distinct one once; `given` holds them, so their ids stay unique
-        arrays = {id(a): a for a in given[0] + given[1]}
-        arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
-        kernels, observables = (tuple(arrays[id(a)] for a in seq) for seq in given)
-        if len(kernels) == 0:
+        if len(given[0]) == 0:
             raise ValueError("need at least one step")
-        if len(kernels) != len(observables):
-            raise ValueError(
-                "%d kernels but %d observables" % (len(kernels), len(observables))
-            )
+        if len(given[0]) != len(given[1]):
+            raise ValueError("%d kernels but %d observables" % tuple(map(len, given)))
         if initial.ndim != 1:
             raise ValueError("initial law must be a vector")
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
-        size, shapes, checked = initial.size, {}, set()
-        for j, key in enumerate(zip(map(id, kernels), map(id, observables))):
+        # homogeneous chains repeat one object per step: convert and check
+        # each distinct one once; `given` holds them, so their ids stay unique
+        arrays = {id(a): a for a in given[0] + given[1]}
+        arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
+        size, shapes, clipped, starts, last = initial.size, {}, {}, [], None
+        for j, key in enumerate(zip(map(id, given[0]), map(id, given[1]))):
+            if key != last:
+                starts.append(j)
+                last = key
             shape = shapes.get(key)
             if shape is None or shape[0] != size:
-                k, f = kernels[j], observables[j]
+                k, f = arrays[key[0]], arrays[key[1]]
                 if k.ndim != 2 or k.shape[0] != size:
                     raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
                 if f.shape != k.shape:
                     raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
-                if id(k) not in checked:
-                    checked.add(id(k))
+                if key[0] not in clipped:
                     rows = k.sum(axis=1)
                     if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
                         raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
+                    clipped[key[0]] = np.maximum(k, 0.0) if k.min() < 0.0 else k
                 shapes[key] = shape = k.shape
             size = shape[1]
-        object.__setattr__(self, "initial", initial)
+        kernels = tuple(clipped[id(a)] for a in given[0])
+        observables = tuple(arrays[id(a)] for a in given[1])
+        ends = starts[1:] + [len(kernels)]
+        runs = tuple((kernels[j], observables[j], end - j) for j, end in zip(starts, ends))
+        object.__setattr__(self, "initial", np.maximum(initial, 0.0) if initial.min() < 0.0 else initial)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "observables", observables)
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "name", name)
 
     @property
@@ -145,8 +157,6 @@ class MarkovChainSpec:
 
     @classmethod
     def homogeneous(cls, initial, kernel, observable, n, name=""):
-        kernel = np.asarray(kernel, dtype=float)
-        observable = np.asarray(observable, dtype=float)
         return cls(initial, (kernel,) * n, (observable,) * n, name=name)
 
     def prefix(self, n):
@@ -168,73 +178,81 @@ class MarkovChainSpec:
 
     def step_means(self):
         """E f_j(X_j, X_{j+1}) for each step, exactly."""
-        return _step_means(self, self.observables)[0]
+        return _step_means(self, [f for _, f, _ in self.runs])[0]
+
+
+def _max_states(spec):
+    """The most states at any time of the chain."""
+    return max([spec.initial.size] + [k.shape[1] for k, _, _ in spec.runs])
+
+
+def _merged(runs):
+    """(object, ..., count) runs with adjacent runs of the same objects merged.
+
+    Engines key runs on objects coarser than the spec's (shift arrays or
+    shifted observables interned by bytes); merged, their runs and bits
+    are those of a split on their own key.
+    """
+    out = []
+    for run in runs:
+        if out and all(map(operator.is_, out[-1][:-1], run[:-1])):
+            out[-1][-1] += run[-1]
+        else:
+            out.append(list(run))
+    return out
 
 
 def _step_means(spec, *sequences):
-    """E g_j(X_j, X_{j+1}) per step, one array for each sequence g of per-step arrays.
+    """E g_j(X_j, X_{j+1}) per step, for each sequence g of one array per run of `spec.runs`.
 
-    (K o g) 1 is formed once per run of equal steps (`_runs`) and array.
+    (K o g) 1 is formed once per run and array and taken against the
+    laws of the run's steps (`_laws`) in one product.
     """
     out = [[] for _ in sequences]
-    for kernel, arrays, laws in _runs(spec, *sequences):
+    laws = _laws(spec.initial, [(kernel, count) for kernel, _, count in spec.runs])
+    for (kernel, _, _), run, *arrays in zip(spec.runs, laws, *sequences):
         for acc, g in zip(out, arrays):
-            acc.append(laws @ (kernel * g).sum(axis=1))
+            acc.append(run @ (kernel * g).sum(axis=1))
     return [np.concatenate(acc) for acc in out]
 
 
-def _runs(spec, *sequences):
-    """(kernel, arrays, laws) for each run of equal consecutive steps.
+def _laws(law, runs):
+    """Laws of X_j at the steps of each (kernel, count) run from X_0 at `law`: one array per run.
 
-    A run is one kernel and one array of each sequence of per-step
-    arrays; `laws` holds the law of X_j at each step j of the run, one
-    per row, by doubling within the run (`_run_laws`).
+    Row i of a run's array is its first law times K^i, in O(log count)
+    products: each doubling appends the rows so far times K^m, m the row
+    count. Squaring doubles the rounding error of a power's row sums at
+    every level (elliptic2's nu K^(2^15) gained 1.1e-12 of mass), so each
+    power's rows are rescaled to sum to 1. That moves K^m by at most m
+    delta relative, delta the kernel's row-sum defect, and leaves the law
+    of step j within j S u of the exact law plus that much, as stepping
+    one kernel at a time would (S states, u the unit roundoff).
     """
-    law, first = spec.initial, 0
-    keys = zip(map(id, spec.kernels), *(map(id, seq) for seq in sequences))
-    for _, run in itertools.groupby(keys):
-        count = len(list(run))
-        kernel = spec.kernels[first]
-        laws = _run_laws(law, kernel, count)
-        yield kernel, [seq[first] for seq in sequences], laws
+    for kernel, count in runs:
+        laws, power = law[None, :], kernel
+        while laws.shape[0] < count:
+            laws = np.concatenate([laws, laws[: count - laws.shape[0]] @ power])
+            power = power @ power
+            power /= power.sum(axis=1, keepdims=True)
+        yield laws
         law = laws[-1] @ kernel
-        first += count
-
-
-def _run_laws(law, kernel, count):
-    """law K^i for i = 0..count - 1, one per row, in O(log count) products.
-
-    Each doubling appends the rows so far times K^m, m the row count.
-    Squaring doubles the rounding error of a power's row sums at every
-    level (elliptic2's nu K^(2^15) gained 1.1e-12 of mass), so each power's
-    rows are rescaled to sum to 1. That moves K^m by at most m delta
-    relative, delta the kernel's row-sum defect, and leaves row i within
-    i S u of the exact law plus that much, as stepping one kernel at a
-    time would (S states, u the unit roundoff).
-    """
-    laws, power = law[None, :], kernel
-    while laws.shape[0] < count:
-        laws = np.concatenate([laws, laws[: count - laws.shape[0]] @ power])
-        power = power @ power
-        power /= power.sum(axis=1, keepdims=True)
-    return laws
 
 
 # -- lattice snap ------------------------------------------------------------
 
 
 def _common_lattice(observables):
-    """Common step d and per-step integer shifts for all observable values.
+    """Common step d and integer shifts for the values of every observable array given.
 
-    Values within each step are taken relative to that step's minimum, so
-    only differences need to be commensurable. Returns (d, diffs,
-    shift_arrays, snaps): diffs[j] is f_j - min f_j, and snaps[j] is
-    max |diffs[j] - k d| of step j. Each distinct observable array is
-    snapped once, steps that repeat an array share its diff array, and
-    steps whose shifts agree share one shift array, so a sweep can key
-    per-step work on their identity.
+    Values within each array are taken relative to its minimum, so only
+    differences need to be commensurable. Returns (d, diffs,
+    shift_arrays, snaps): diffs[i] is f_i - min f_i, and snaps[i] is
+    max |diffs[i] - k d| of array i. Each distinct array is snapped
+    once, entries that repeat an array share its diff array, and arrays
+    whose shifts agree share one shift array, so a sweep can key its work
+    on their identity.
     """
-    # homogeneous chains repeat one array per step: visit each array once
+    # one array may stand for several entries: visit each once
     distinct = {id(f): f for f in observables}
     diffs = {key: f - float(f.min()) for key, f in distinct.items()}
     flat = np.concatenate([darr.ravel() for darr in diffs.values()])
@@ -252,9 +270,7 @@ def _common_lattice(observables):
             step.denominator * fr.denominator,
         )
     d = float(step)
-    shared = {}
-    snapped = {}
-    snap = {}
+    shared, snapped, snap = {}, {}, {}
     for key, darr in diffs.items():
         k = np.rint(darr / d) if d else np.zeros(darr.shape)
         snap[key] = float(np.max(np.abs(darr - k * d)))
@@ -273,13 +289,14 @@ def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
     DP over (state, lattice cell) of the lattice parts f_j - min f_j; no
-    cell is dropped. The sweep goes over runs of equal steps: a run is
+    cell is dropped. The sweep goes over the runs of the spec's run form
+    (`MarkovChainSpec.runs`, the one place runs are split): a run is
     either raised to its length at once by binary powering (`_Power`) or
     stepped through (`_Moves`), whichever `_sweep_plan` prices lower;
-    either way one call applies the whole run.
-    Cell 0 sits at -sum_j E[f_j - min f_j], one math.fsum of the per-step
-    means, so S_n is centered once, here, and the law never carries the
-    raw size of the observables.
+    either way one call applies the whole run, and every other pass is
+    one per run. Cell 0 sits at -sum_j E[f_j - min f_j], one math.fsum
+    of the per-step means, so S_n is centered once, here, and the law
+    never carries the raw size of the observables.
 
     Masses carry the relative error bounded in `_mean_tolerance` only
     while they stay in the normal float range. Masses below about
@@ -294,31 +311,33 @@ def exact_distribution(spec):
     mean by at most that much; otherwise the centering is wrong and the
     run aborts.
     """
-    d, diffs, runs, snaps = _sweep_plan(spec)
+    d, diffs, plan, snap = _sweep_plan(spec)
     if d == 0.0:
         # degenerate: every f_j is constant, so S_n is a.s. 0
         return LatticeDistribution(0.0, 1.0, [1.0])
     table = spec.initial[:, None].copy()
-    for step, count in runs:
+    for step, count in plan:
         table = step.run(table, count)
-    means, lattice_means = _step_means(spec, spec.observables, diffs)
+    means, lattice_means = _step_means(spec, [f for _, f, _ in spec.runs], diffs)
     origin = -math.fsum(lattice_means.tolist())  # value of cell 0
     masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
-    sweep = sum(count * step.error for step, count in runs)
-    tol = _mean_tolerance(spec, means, dist.masses.size, sweep) + sum(snaps)
+    sweep = sum(count * step.error for step, count in plan)
+    tol = _mean_tolerance(spec, means, dist.masses.size, sweep) + snap
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-step lattice parts, runs and snap errors of one DP sweep.
+    """Lattice step, per-run lattice parts, plan and summed snap error of one DP sweep.
 
-    The steps split into runs of equal (kernel, shift array) pairs, and
-    each run becomes one (step, count) pair of the plan: a `_Power` that
+    Runs come from the spec's run form (`MarkovChainSpec.runs`), the one
+    place runs are split: `_common_lattice` snaps one observable per run,
+    and adjacent runs of one (kernel, shift array) pair merge (`_merged`).
+    Each run becomes one (step, count) pair of the plan: a `_Power` that
     raises the table through the whole run (count 1), or a `_Moves`
     applied count times, whichever costs less for the run's shape and the
     table width it starts from. A move list is built once per distinct
@@ -326,38 +345,32 @@ def _sweep_plan(spec):
     homogeneous chains build one of each. The ids used as keys are safe
     only while the spec and its shift arrays are alive, so the cache dies
     with this call. The chain is refused before any table exists if its
-    table, with the largest powered polynomial beside it, could outgrow
-    _CELL_BUDGET: the table of any run of steps is at most max(states) *
-    (1 + sum of the steps' widest shifts), and the powers of a run of r
-    steps hold at most S_in * S_out * (r w / g + 1) cells each.
+    table, with the most cells one powered product holds beside it
+    (`_Power.price`), could outgrow _CELL_BUDGET: the table of any run of
+    steps is at most max(states) * (1 + sum of the steps' widest shifts).
     """
-    d, diffs, shifts, snaps = _common_lattice(spec.observables)
-    moves, powers, runs = {}, {}, []
-    columns, polys = 1, 0
-    steps = zip(spec.kernels, shifts)
-    for _, run in itertools.groupby(steps, key=lambda step: (id(step[0]), id(step[1]))):
-        kernel, shift = next(run)
-        count = 1 + sum(1 for _ in run)
+    d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs])
+    moves, powers, plan = {}, {}, []
+    columns, held = 1, 0
+    for kernel, shift, count in _merged((k, s, c) for (k, _, c), s in zip(spec.runs, shifts)):
         key = (id(kernel), id(shift))
-        if key not in moves:
-            moves[key] = _Moves(kernel, shift)
-        if key + (count,) not in powers:
-            powers[key + (count,)] = _Power(kernel, shift, count)
-        power = powers[key + (count,)]
-        if power.cost(columns) < moves[key].cost(count, columns):
-            runs.append((power, 1))
-            polys = max(polys, power.cells)
+        moves[key] = moves.get(key) or _Moves(kernel, shift)
+        power = powers[key, count] = powers.get((key, count)) or _Power(kernel, shift, count)
+        seconds, cells = power.price(columns)
+        if seconds < moves[key].cost(count, columns):
+            plan.append((power, 1))
+            held = max(held, cells)
         else:
-            runs.append((moves[key], count))
+            plan.append((moves[key], count))
         columns += count * moves[key].width
-    cells = max(spec.state_counts) * columns + polys
+    cells = _max_states(spec) * columns + held
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, diffs, runs, snaps
+    return d, diffs, plan, sum(count * e for (_, _, count), e in zip(spec.runs, snaps))
 
 
 def _mean_tolerance(spec, means, cells, sweep):
@@ -372,20 +385,19 @@ def _mean_tolerance(spec, means, cells, sweep):
     sum over states. The lattice parts f_j - min f_j lie in
     [0, 2 max|f_j - E f_j|], so their means, their partial sums and the
     cell values d c stay within 2F. Each mean comes from a marginal with
-    relative error <= n S u (`_run_laws`) and two S-term sums, so the
+    relative error <= n S u (`_laws`) and two S-term sums, so the
     fsum origin is off by <= ((n + 2) S + 1) u 2F + 2 n delta F, and a
     support value by 3 u F more. The K-term mean sum adds <= (K+1) u F.
     With |value| <= F the total is below
     4 (sweep + (n S / 2 + n) eps + (n+1) delta + (K+S+2) eps) F, which for
     a sweep of `_Moves` alone is the 4 (n (S+1) eps + ...) F of stepping.
     """
-    n, states = spec.n_steps, max(spec.state_counts)
+    n, states = spec.n_steps, _max_states(spec)
     # rounding is monotone, so max|f - mu| in float is the larger end
-    ends = {key: (float(f.min()), float(f.max()))
-            for key, f in {id(f): f for f in spec.observables}.items()}
-    scale = sum(max(ends[id(f)][1] - mu, mu - ends[id(f)][0])
-                for f, mu in zip(spec.observables, means.tolist()))
-    kernels = {id(k): k for k in spec.kernels}.values()
+    counts = [count for _, _, count in spec.runs]
+    lo, hi = (np.repeat([float(end(f)) for _, f, _ in spec.runs], counts) for end in (np.min, np.max))
+    scale = float(np.maximum(hi - means, means - lo).sum())
+    kernels = {id(k): k for k, _, _ in spec.runs}.values()
     defect = max([abs(float(spec.initial.sum()) - 1.0)]
                  + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])
     eps = np.finfo(float).eps
@@ -434,21 +446,29 @@ class _Power:
         bits = length.bit_length() - 1
         self.error = (max(kernel.shape) * length * ((bits / 2 + 1) * self.reduced + 1)
                       * np.finfo(float).eps / 2)
-        self.cells = kernel.size * (length * self.reduced + 1)  # bounds every power of Q
 
-    def cost(self, columns):
-        """Estimated seconds to apply the run to a table `columns` wide."""
+    def price(self, columns):
+        """Estimated seconds to apply the run to a table `columns` wide, and the most cells a product holds.
+
+        `_poly_matmul` holds each factor and its lifted tails, its output
+        and up to two lift arrays of the output's size.
+        """
         n_in, n_out = self.kernel.shape
-        phase = -(-columns // self.stride)
-        size, length, total = self.reduced + 1, self.length, 0.0
+        g = self.stride
+        phase = -(-columns // g)
+        size, length, seconds, held = self.reduced + 1, self.length, 0.0, 0
         while True:
             if length & 1:
-                total += self.stride * n_in * n_out * _convolve_cost(phase, size)
+                seconds += g * n_in * n_out * _convolve_cost(phase, size)
+                held = max(held, 2 * (g * n_in * phase + n_in * n_out * size)
+                           + 3 * g * n_out * (phase + size - 1))
                 phase += size - 1
             length >>= 1
             if not length:
-                return total
-            total += n_in * n_out * n_out * _convolve_cost(size, size)
+                return seconds, held
+            # a square's factors are one array
+            seconds += n_in * n_out * n_out * _convolve_cost(size, size)
+            held = max(held, 2 * n_in * n_out * size + 3 * n_in * n_out * (2 * size - 1))
             size = 2 * size - 1
 
     def run(self, table, count):
@@ -672,49 +692,45 @@ def cumulant_series(spec, kmax):
     """kappa_1..kappa_kmax of S_n from the perturbed transfer operator.
 
     E exp(z S_n) = nu_0 prod_j M_j(z) 1, M_j(z) = K_j o exp(z F_j), each a
-    power series truncated at z^kmax; a run of equal steps is raised to
-    its length by binary powering. Every product is divided by a scalar
-    series whose log joins an accumulator (`_scaled_mul`), so no raw
-    moment of S_n is formed, and kappa_k = k! [z^k] of the logs summed by
-    math.fsum. kappa_1 is 0.0: S_n is centered by definition. Coefficient
-    k depends only on coefficients <= k, so kappa_k has the same bits
-    whatever kmax is asked for.
+    power series truncated at z^kmax; a run of equal steps (`_step_series`)
+    is raised to its length by binary powering. Every product is divided
+    by a scalar series whose log joins an accumulator (`_scaled_mul`), so
+    no raw moment of S_n is formed, and kappa_k = k! [z^k] of the logs
+    summed by math.fsum. kappa_1 is 0.0: S_n is centered by definition.
+    Coefficient k depends only on coefficients <= k, so kappa_k has the
+    same bits whatever kmax is asked for.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     v = np.zeros((kmax + 1, 1, spec.initial.size))
     v[0, 0] = spec.initial
     acc = (v, [])
-    for _, run in itertools.groupby(_step_series(spec, kmax), key=id):
-        run = list(run)
-        acc = _scaled_mul(acc, _series_power((run[0], []), len(run), _scaled_mul))
+    for series, count in _step_series(spec, kmax):
+        acc = _scaled_mul(acc, _series_power((series, []), count, _scaled_mul))
     return [0.0] + [math.fsum(t[k] for t in acc[1]) for k in range(1, kmax)]
 
 
 def _step_series(spec, kmax):
-    """M_j(z) for every step, shape (kmax + 1, S_in, S_out).
+    """(M(z), count) for each run of equal step series, M of shape (kmax + 1, S_in, S_out).
 
     Each observable is shifted by its midrange first: kappa_k, k >= 2, is
     shift invariant, and the z^k coefficient stays within (range/2)^k / k!.
-    Steps whose kernel and shifted observable agree share one array, so a
-    run of equal steps is a run of one object.
+    Runs of `spec.runs` whose kernel and shifted observable agree share
+    one array, and adjacent ones merge (`_merged`).
     """
-    shifted, interned, built = {}, {}, {}
-    for f in {id(f): f for f in spec.observables}.values():
-        g = f - 0.5 * (float(f.max()) + float(f.min()))
-        shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
-    out, first = [], 0
-    for _, run in itertools.groupby(zip(map(id, spec.kernels), map(id, spec.observables))):
-        count = sum(1 for _ in run)
-        kernel, g = spec.kernels[first], shifted[id(spec.observables[first])]
-        if (id(kernel), id(g)) not in built:
+    shifted, interned, built, out = {}, {}, {}, []
+    for kernel, f, count in spec.runs:
+        if id(f) not in shifted:
+            g = f - 0.5 * (float(f.max()) + float(f.min()))
+            shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
+        key = id(kernel), id(shifted[id(f)])
+        if key not in built:
             coeffs = [kernel]
             for b in range(1, kmax + 1):
-                coeffs.append(coeffs[-1] * g / b)
-            built[id(kernel), id(g)] = np.stack(coeffs)
-        out += [built[id(kernel), id(g)]] * count
-        first += count
-    return out
+                coeffs.append(coeffs[-1] * shifted[id(f)] / b)
+            built[key] = np.stack(coeffs)
+        out.append((built[key], count))
+    return _merged(out)
 
 
 def _series_mul(a, b, op=np.matmul):
@@ -762,14 +778,9 @@ def variance_profile(spec):
     """Var(S_k) for k = 0..n (index 0 holds 0.0), from the order-2 series.
 
     Every prefix comes by doubling within each run of equal steps
-    (`_prefix_variances`); no law is built.
+    (`_step_series`, `_prefix_variances`); no law is built.
     """
-    return _prefix_variances(_series_runs(_step_series(spec, 2)), spec.initial)
-
-
-def _series_runs(steps):
-    """(series, count) for each run of one step series object in `steps`."""
-    return [(run[0], len(run)) for run in (list(g) for _, g in itertools.groupby(steps, key=id))]
+    return _prefix_variances(_step_series(spec, 2), spec.initial)
 
 
 def _prefix_variances(runs, law):
@@ -777,7 +788,7 @@ def _prefix_variances(runs, law):
 
     `runs` holds (M(z), count) pairs of order-2 step series. Within a run
     the rows v M^i, each divided by its total (`_order2_rows`), come by
-    doubling as in `_run_laws`: rows [m, 2m) are rows [0, m) times P_m,
+    doubling as in `_laws`: rows [m, 2m) are rows [0, m) times P_m,
     the normalized M^m of `_scaled_mul`. A row's log terms are then those
     of its source row, those of P_m and the one its own division adds.
     The terms of P_m are doubled exactly and fsum'd to a pair (H, E)
@@ -1005,21 +1016,22 @@ class BlockingReport:
 def variance_decomposition(spec, target=None):
     """Greedy variance blocking of `spec`; see BlockingReport.
 
-    One walk over the runs of equal order-2 step series (`_runs`) gives
-    the law of each X_j and the step variances behind the default
-    target. Var(S_k) comes from `variance_profile`, the blocks from
+    One walk over the runs of equal order-2 step series (`_step_series`,
+    `_laws`) gives the law of each X_j and the step variances behind the
+    default target. Var(S_k) comes from `variance_profile`, the blocks from
     walking every candidate start in lockstep (`_greedy_blocks`); no law
     of S_k is built.
     """
     if target is not None and not (math.isfinite(target) and target > 0.0):
         raise ValueError("blocking target must be finite and positive, got %r" % target)
     n = spec.n_steps
-    steps = _step_series(spec, 2)
-    laws = np.zeros((n, max(spec.state_counts)))
+    runs = _step_series(spec, 2)
+    laws = np.zeros((n, _max_states(spec)))
     step_var, first = 0.0, 0
-    for kernel, (m,), run in _runs(spec, steps):
-        laws[first : first + run.shape[0], : kernel.shape[0]] = run
-        first += run.shape[0]
+    # m[0] is the run's kernel
+    for (m, count), run in zip(runs, _laws(spec.initial, [(m[0], count) for m, count in runs])):
+        laws[first : first + count, : m.shape[1]] = run
+        first += count
         # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
         spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
         step_var = max(step_var, float(spread.max()))
@@ -1028,7 +1040,7 @@ def variance_decomposition(spec, target=None):
         raise ValueError("degenerate functional: Var(S_n) = 0")
     if target is None:
         target = 4.0 * step_var + 1.0
-    blocks, block_vars = _greedy_blocks(steps, laws, target)
+    blocks, block_vars = _greedy_blocks(runs, laws, target)
     overshoot = max([v - 2.0 * target for v in block_vars], default=0.0)
     # a_k is Var(S) at the end of the last block done by step k (sigma2[0] = 0)
     done = np.zeros(n + 1, dtype=np.int64)
@@ -1047,13 +1059,13 @@ def variance_decomposition(spec, target=None):
     )
 
 
-def _greedy_blocks(steps, laws, target):
+def _greedy_blocks(runs, laws, target):
     """Greedy blocks (start, end), inclusive, and their variances.
 
     A block starts at step 0, or right after the block before it, and
     ends at the first step where the variance of its own sum, from
     X_start at its law `laws[start]`, reaches `target`; a block that runs
-    off the end is dropped. `steps` are the chain's order-2 step series.
+    off the end is dropped. `runs` are the chain's `_step_series` pairs.
     Each block's variances are those of walking it one step at a time:
     `_order2_rows` on its row, Neumaier-summed.
 
@@ -1071,11 +1083,9 @@ def _greedy_blocks(steps, laws, target):
     its row walks on alone (`_walk`), and so do the blocks after a
     block that long until one is shorter.
     """
-    runs, index = _series_runs(steps), {}
-    for m, _ in runs:
-        index.setdefault(id(m), (len(index), m))
-    series = [m for _, m in index.values()]
-    code = np.repeat([index[id(m)][0] for m, _ in runs], [count for _, count in runs])
+    series = list({id(m): m for m, _ in runs}.values())
+    index = {id(m): i for i, m in enumerate(series)}
+    code = np.repeat([index[id(m)] for m, _ in runs], [count for _, count in runs])
     n, width = code.size, laws.shape[1]
     blocks, block_vars = [], []
     window = max(1, _LOCKSTEP_FLOATS // width)
@@ -1102,7 +1112,7 @@ def _greedy_blocks(steps, laws, target):
                 starts, state, total, comp = starts[:live], state[:, :live], total[:live], comp[:live]
                 last = int(starts[-1])
             if starts.size == 1:  # the head walks on alone; -1: it ran off the end
-                ahead = map(steps.__getitem__, range(head + age, n))
+                ahead = map(series.__getitem__, code[head + age :])
                 walk = enumerate(_walk(state, float(total[0]), float(comp[0]), ahead), head + age)
                 ends[head - lo], found[head - lo] = next(
                     ((end, t + c) for end, (_, t, c) in walk if t + c >= target), (-1, 0.0))
@@ -1176,25 +1186,14 @@ def load_chain_spec(path):
 
 
 def save_chain_spec(spec, path):
-    lines = ["[meta]"]
-    if spec.name:
-        lines.append("name = %s" % spec.name)
-    lines.append("steps = %d" % spec.n_steps)
-    lines.append("")
-    lines.append("[initial]")
-    lines.append(" ".join("%.17g" % v for v in spec.initial))
+    """Write `spec` as a chain file: one [kernel.J] / [observable.J] pair per run of `spec.runs`."""
+    lines = ["[meta]"] + (["name = %s" % spec.name] if spec.name else [])
+    lines += ["steps = %d" % spec.n_steps, "", "[initial]", " ".join("%.17g" % v for v in spec.initial)]
     idx = 1
-    pairs = zip(spec.kernels, spec.observables)
-    for _, run in itertools.groupby(pairs, key=lambda pair: tuple(map(id, pair))):
-        (kernel, obs), *rest = run
-        count = 1 + len(rest)
+    for kernel, obs, count in spec.runs:
         for tag, mat in (("kernel", kernel), ("observable", obs)):
-            lines.append("")
-            lines.append("[%s.%d]" % (tag, idx))
-            for row in mat:
-                lines.append(" ".join("%.17g" % v for v in row))
-            if count > 1:
-                lines.append("repeat = %d" % count)
+            lines += ["", "[%s.%d]" % (tag, idx)] + [" ".join("%.17g" % v for v in row) for row in mat]
+            lines += ["repeat = %d" % count] if count > 1 else []
         idx += count
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,7 +25,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import (
-    _common_lattice, _Moves, _poly_matmul, _Power, _runs as _law_runs, _step_series, _sweep_plan,
+    _common_lattice, _laws, _merged, _Moves, _poly_matmul, _Power, _step_series, _sweep_plan,
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
@@ -440,6 +440,39 @@ def test_fine_lattice_refused_before_allocating():
     assert rep.sigma2[-1] == pytest.approx(64.0 * (1.0 + 1.000001**2), rel=1e-14)
 
 
+def test_powered_run_refused_when_one_product_outgrows_the_budget(monkeypatch):
+    from edgekit.models import markov
+
+    # elliptic2 is one powered run; record what each product holds: each
+    # factor and its lifted tails, the output and two lift arrays of its size
+    spec = builtin_model("elliptic2").spec(4096)
+    assert [type(step) for step, _ in _sweep_plan(spec)[2]] == [_Power]
+    held, powers = [], []
+    poly_matmul = markov._poly_matmul
+
+    def counted(a, b):
+        out = poly_matmul(a, b)
+        held.append(2 * (a.size + (0 if b is a else b.size)) + 3 * out.size)
+        powers.append(b.size)
+        return out
+
+    monkeypatch.setattr(markov, "_poly_matmul", counted)
+    dist = exact_distribution(spec)
+    table = max(spec.state_counts) * dist.masses.size
+    # the table and the largest power fit: only the products' holdings exceed
+    monkeypatch.setattr(markov, "_CELL_BUDGET", max(held) - 1)
+    assert markov._CELL_BUDGET >= table + max(powers)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(markov, "_poly_matmul", no_table)
+    monkeypatch.setattr(_Power, "run", no_table)
+    monkeypatch.setattr(_Moves, "run", no_table)
+    with pytest.raises(ValueError, match="needs up to .* DP cells, above the budget"):
+        exact_distribution(spec)
+
+
 # -- builtin models, frozen values -------------------------------------------
 
 
@@ -511,6 +544,99 @@ def test_spec_checks_each_kernel_once_and_names_the_first_bad_step():
     # one object given for every step becomes one array
     spec = MarkovChainSpec([0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]]] * 5, [[[0, 1], [1, 0]]] * 5)
     assert len({id(k) for k in spec.kernels}) == len({id(f) for f in spec.observables}) == 1
+
+
+def test_rounding_below_zero_in_kernels_and_initial_is_clipped_in_a_copy():
+    # entries down to -1e-15 pass validation as rounding; the law refuses
+    # negative masses, so the spec clips them, never in the caller's array
+    kernel = np.array([[1 + 4e-16, -4e-16], [-4e-16, 1 + 4e-16]])
+    initial = np.array([1.0, -1e-16])
+    obs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for n in (8, 64):
+        spec = MarkovChainSpec.homogeneous(initial, kernel, obs, n)
+        assert spec.kernels[0] is not kernel and spec.kernels[0].min() == 0.0
+        assert spec.initial.min() == 0.0 and spec.kernels[0][0, 0] == kernel[0, 0]
+        dist = exact_distribution(spec)  # raises unless the mean check passes
+        assert np.all(dist.masses >= 0.0) and dist.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert kernel[0, 1] == -4e-16 and initial[1] == -1e-16
+    # a kernel with no negative entry is kept as converted
+    good = np.full((2, 2), 0.5)
+    assert MarkovChainSpec.homogeneous([0.5, 0.5], good, obs, 3).kernels[0] is good
+
+
+_REPEAT_FILE = """[meta]
+name = cycle
+steps = 9
+
+[initial]
+0.25 0.75
+
+[kernel.1]
+0.5 0.5
+0.25 0.75
+repeat = 4
+
+[observable.1]
+0 1
+1 -1
+repeat = 4
+
+[kernel.5]
+0.125 0.875
+1 0
+
+[observable.5]
+0 1
+1 -1
+
+[kernel.6]
+0.5 0.5
+0.25 0.75
+repeat = 4
+
+[observable.6]
+0 2
+2 0
+repeat = 4
+"""
+
+
+def test_run_form_expands_to_the_steps(tmp_path):
+    path = tmp_path / "cycle.chain"
+    path.write_text(_REPEAT_FILE)
+    loaded = load_chain_spec(path)
+    assert [count for _, _, count in loaded.runs] == [4, 1, 4]
+    for spec in (builtin_model("flip2").spec(9), builtin_model("symmetric2").spec(300),
+                 _shared_kernel_chain(3, 9), loaded):
+        pairs = [(kernel, f) for kernel, f, count in spec.runs for _ in range(count)]
+        assert len(pairs) == spec.n_steps
+        assert all(k is a and f is b for (k, f), a, b in zip(pairs, spec.kernels, spec.observables))
+        # maximal: adjacent runs differ in an object
+        assert all(a[0] is not b[0] or a[1] is not b[1] for a, b in zip(spec.runs, spec.runs[1:]))
+    assert len(builtin_model("flip2").spec(9).runs) == 9
+    assert len(builtin_model("elliptic2").spec(100).runs) == 1
+    # loaded and saved again, the file keeps its bytes
+    save_chain_spec(loaded, tmp_path / "again.chain")
+    assert (tmp_path / "again.chain").read_bytes() == path.read_bytes()
+
+
+def test_observables_one_apart_share_the_sweep_and_the_series():
+    # under one kernel, f and f + 1 have one shift array and one
+    # midrange-shifted series, so their runs merge as one shared f's do
+    rng = np.random.Generator(np.random.PCG64(17))
+    kernel = _sparse_kernel(rng, 3, 3, 0.2)
+    f = rng.integers(-2, 3, size=(3, 3)).astype(float)
+    f.flat[:2] = (-2.0, 2.0)
+    initial = np.full(3, 1.0 / 3.0)
+    n, pair = 200, (f, f + 1.0)
+    moved = MarkovChainSpec(initial, (kernel,) * n, tuple(pair[(j // 3) % 2] for j in range(n)))
+    shared = MarkovChainSpec.homogeneous(initial, kernel, f, n)
+    assert len(moved.runs) == 67
+    plan, alone = _sweep_plan(moved)[2], _sweep_plan(shared)[2]
+    assert len(plan) == 1 and [type(step) for step, _ in plan] == [type(step) for step, _ in alone]
+    assert cumulant_series(moved, 8) == cumulant_series(shared, 8)
+    assert np.array_equal(variance_profile(moved), variance_profile(shared))
+    assert np.array_equal(exact_distribution(moved).masses, exact_distribution(shared).masses)
 
 
 def test_decaying_chain_shares_one_observable_per_amplitude():
@@ -694,8 +820,9 @@ _BLOCKING_CASES = {
 def test_blocking_matches_the_per_start_walk(case, target):
     spec = _BLOCKING_CASES[case]()
     rep = variance_decomposition(spec, target=target)
-    steps = _step_series(spec, 2)
-    laws = [law for _, _, run in _law_runs(spec) for law in run]
+    steps = [m for m, count in _step_series(spec, 2) for _ in range(count)]
+    # laws doubled within each run of one kernel
+    laws = [law for run in _laws(spec.initial, _merged((k, c) for k, _, c in spec.runs)) for law in run]
     blocks, block_vars = reference_blocks(steps, laws, rep.target)
     assert rep.blocks == tuple(blocks) and rep.block_variances == tuple(block_vars)
     # the old blocking started each block from spec.marginals(), one nu @ K per step;
@@ -929,7 +1056,7 @@ def test_support_origin_is_one_rounding_of_the_step_means(case):
     name, n = case.rsplit("-", 1)
     n = int(n)
     spec = builtin_model(name).spec(n) if name == "elliptic2" else _perfbench_chain(8, n)
-    d, diffs = _common_lattice(spec.observables)[:2]
+    d, diffs = _common_lattice([f for _, f, _ in spec.runs])[:2]
     dist = exact_distribution(spec)
     means = markov._step_means(spec, diffs)[0]
     origin = -sum(Fraction(m) for m in means.tolist())
@@ -942,7 +1069,7 @@ def test_support_origin_is_one_rounding_of_the_step_means(case):
         # a stationary start: every lattice mean is 0.4 up to the kernel's
         # binary rounding, which leaks 1.1e-17 of mass per step
         assert abs(float(origin) + 0.4 * n) <= 2 * math.ulp(0.4 * n)
-    # each mean is within (j S + 2 S + 1) u of its exact value (`_run_laws`),
+    # each mean is within (j S + 2 S + 1) u of its exact value (`_laws`),
     # far inside the n-ulp drift of a running sum
     states = max(spec.state_counts)
     if n <= 4096:
