@@ -610,6 +610,8 @@ class CouplingScanReport(_Verdict):
 
 
 def scan_coupling(model, ns, p=2, target=None):
+    if not 1 <= p < math.inf:
+        raise ValueError("transport order must be finite and >= 1, got %r" % (p,))
     ns = _check_ns(ns)
     reps = [model.blocking(n, target=target) for n in ns]
     sigmas = np.array([model.sigma(n) for n in ns])

@@ -167,19 +167,6 @@ class MarkovChainSpec:
             self.initial, self.kernels[:n], self.observables[:n], name=self.name
         )
 
-    def marginals(self):
-        """Law of X_j for j = 0..n."""
-        out = [self.initial]
-        nu = self.initial
-        for k in self.kernels:
-            nu = nu @ k
-            out.append(nu)
-        return out
-
-    def step_means(self):
-        """E f_j(X_j, X_{j+1}) for each step, exactly."""
-        return _step_means(self, [f for _, f, _ in self.runs])[0]
-
 
 def _max_states(spec):
     """The most states at any time of the chain."""
@@ -484,9 +471,9 @@ class _Power:
             if g == 1:
                 v = table[None]
             else:
-                padded = np.zeros((n_in, -(-hi // g) * g))
-                padded[:, :hi] = table
-                v = np.ascontiguousarray(padded.reshape(n_in, -1, g).transpose(2, 0, 1))
+                v = np.zeros((g, n_in, -(-hi // g)))
+                for phase in range(g):
+                    v[phase, :, : -(-(hi - phase) // g)] = table[:, phase::g]
             power, length = q, self.length
             while True:
                 if length & 1:
@@ -694,9 +681,10 @@ def cumulant_series(spec, kmax):
     E exp(z S_n) = nu_0 prod_j M_j(z) 1, M_j(z) = K_j o exp(z F_j), each a
     power series truncated at z^kmax; a run of equal steps (`_step_series`)
     is raised to its length by binary powering. Every product is divided
-    by a scalar series whose log joins an accumulator (`_scaled_mul`), so
-    no raw moment of S_n is formed, and kappa_k = k! [z^k] of the logs
-    summed by math.fsum. kappa_1 is 0.0: S_n is centered by definition.
+    by a scalar series whose log joins one list for the whole chain
+    (`_scaled_mul`), so no raw moment of S_n is formed and no term is
+    copied per run, and kappa_k = k! [z^k] of the logs summed by
+    math.fsum. kappa_1 is 0.0: S_n is centered by definition.
     Coefficient k depends only on coefficients <= k, so kappa_k has the
     same bits whatever kmax is asked for.
     """
@@ -704,10 +692,11 @@ def cumulant_series(spec, kmax):
         raise ValueError("kmax must be >= 1")
     v = np.zeros((kmax + 1, 1, spec.initial.size))
     v[0, 0] = spec.initial
-    acc = (v, [])
+    logs = []
     for series, count in _step_series(spec, kmax):
-        acc = _scaled_mul(acc, _series_power((series, []), count, _scaled_mul))
-    return [0.0] + [math.fsum(t[k] for t in acc[1]) for k in range(1, kmax)]
+        v, terms = _scaled_mul((v, []), _series_power((series, []), count, _scaled_mul))
+        logs += terms
+    return [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
 
 
 def _step_series(spec, kmax):
@@ -979,7 +968,9 @@ def psi_mixing_coefficient(spec, j, gap=1):
         raise ValueError("gap must be >= 1")
     if not 0 <= j <= spec.n_steps - gap:
         raise ValueError("no pair (X_%d, X_%d) in this chain" % (j, j + gap))
-    px = spec.marginals()[j]
+    px = spec.initial
+    for kernel in spec.kernels[:j]:
+        px = px @ kernel
     trans = spec.kernels[j]
     for step in range(j + 1, j + gap):
         trans = trans @ spec.kernels[step]

@@ -4,16 +4,16 @@ Wasserstein distances follow the quantile coupling
 
     W_p(F, G)^p = int_0^1 |F^{-1}(u) - G^{-1}(u)|^p du,
 
-by one route per pair of law types:
+by one route per pair of law types; any other pair is refused:
 
 - lattice vs lattice: exact for any p, over the merged partition of the
   cumulative masses;
 - lattice vs Gaussian: exact for integer p, through Gaussian partial
-  moments;
+  moments; at other p, Gauss rules over the quantile cells, cut where
+  each cell's integrand has its branch point;
 - piecewise-polynomial vs Gaussian: the x-domain cell rule, which
   integrates |x - G^{-1}(F(x))|^p f(x) dx cell by cell and inverts no
-  quantile;
-- anything else: quadrature in the quantile domain.
+  quantile.
 """
 
 import functools
@@ -38,18 +38,13 @@ __all__ = [
     "gaussian_coupling",
 ]
 
-# Quantile-domain tail cut. What it drops is not negligible: for the
-# piecewise Irwin-Hall laws at n = 8, 16, 32 the cut tails held 6.6e-10,
-# 8.1e-10 and 7.6e-10 of W_2^2 against N(0, n/3) (an mpmath reference), which
-# is why piecewise/Gaussian pairs take the x-domain cell rule instead.
-_QTAIL = 1e-14
 _GAP_CELL = 0.75  # widest panel of the CDF-gap integral
 _GAP_NODES = 48  # Gauss nodes per panel of the CDF-gap integral
 _GAP_BLOCK = 4096  # panels per cdf call of the CDF-gap integral: bounds the temporaries
-_CELL_NODES = 16  # Gauss nodes per panel of the piecewise/Gaussian cell rule
+_CELL_NODES = 16  # Gauss nodes per panel of the cell rules against a Gaussian
 _SIGN_GRID = 16  # subintervals per cell searched for sign changes of x - T(x)
 _EDGE_NUDGE = 1e-9  # the sign grid's ends sit this share of a halfwidth inside the cell
-_EDGE_RATIO = 0.25  # geometric grading of the two outermost cells
+_EDGE_RATIO = 0.25  # geometric grading of the outermost cells and toward branch points
 _EDGE_LEVELS = 64  # at most this many graded panels per edge
 _EDGE_MASS = 1e-14  # grading stops once the mass left at the edge is this share of the cell's
 _NOISE_SHARE = 1e-15  # largest share of W_p^p the left-out noise points may bound
@@ -75,33 +70,31 @@ class GaussianLaw:
     def quantile(self, u):
         return self.mean + self.sd * ndtri(np.asarray(u, dtype=float))
 
-    def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
 
 def wasserstein_distance(a, b, p=1):
-    """W_p between two laws, by the route their types allow.
+    """W_p between two laws, by the route their types allow (see the module docstring).
 
     Finite p >= 1, not necessarily an integer; the arguments may come in
-    either order. Lattice/lattice pairs are exact for any p and
-    lattice/Gaussian pairs for integer p. Piecewise-polynomial/Gaussian
-    pairs take the x-domain cell rule. Anything else uses quantile-domain
-    quadrature and requires `quantile` on both laws.
+    either order. A pair with no route is refused.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1, got %r" % (p,))
-    p = int(p) if float(p).is_integer() else float(p)
+    p = _order(p)
     if isinstance(a, GaussianLaw):
         a, b = b, a
     if isinstance(a, LatticeDistribution) and isinstance(b, LatticeDistribution):
         return wasserstein_lattice_lattice(a, b, p)
-    if isinstance(b, GaussianLaw):
-        if isinstance(a, PiecewisePolyDistribution):
-            return _wasserstein_piecewise_gaussian(a, b, p)
-        if isinstance(a, LatticeDistribution) and isinstance(p, int):
-            return wasserstein_lattice_gaussian(a, b, p)
-    return _wasserstein_quantile_quadrature(a, b, p)
+    if isinstance(a, LatticeDistribution) and isinstance(b, GaussianLaw):
+        route = wasserstein_lattice_gaussian if isinstance(p, int) else _wasserstein_quantile_quadrature
+        return route(a, b, p)
+    if isinstance(a, PiecewisePolyDistribution) and isinstance(b, GaussianLaw):
+        return _wasserstein_piecewise_gaussian(a, b, p)
+    raise ValueError("no W_p route between %s and %s" % (type(a).__name__, type(b).__name__))
+
+
+def _order(p):
+    """A transport order: an int when p is integral; refused unless finite and >= 1."""
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be finite and >= 1, got %r" % (p,))
+    return int(p) if float(p).is_integer() else float(p)
 
 
 def wasserstein_lattice_lattice(a, b, p=1):
@@ -221,7 +214,7 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
         bound += float(np.sum(np.where(ok, 0.0, half * weights * np.abs(f) * reach**p)))
     for offset, mass, edge in tails:
         if mass > 0.0:
-            total += _edge_tail(offset, mass, sd, p)
+            total += _edge_tail(offset, ndtri(mass), sd, p)
         else:
             bound += abs(mass) * (abs(edge) + abs(mean) + 40.0 * sd) ** p
     if bound > _NOISE_SHARE * total:
@@ -336,68 +329,74 @@ def _gauss_jacobi(n, alpha, beta):
     return t, mass * w / w.sum()
 
 
-def _edge_tail(offset, mass, sd, p):
-    """int_{-inf}^{z0} |offset - sd z|^p phi(z) dz with z0 = ndtri(mass) < 0.
+def _edge_tail(offset, z0, sd, p):
+    """int_{-inf}^{z0} |offset - sd z|^p phi(z) dz, z0 < 0: a Gaussian sliver against a point.
 
-    The sliver of tail mass `mass` at a support edge `offset` from the
-    Gaussian mean (mirrored for the right edge), with x frozen at the edge.
     z = z0 - s/|z0| makes it phi(z0)/|z0| int_0^inf e^{-s} e^{-s^2 / 2 z0^2}
-    |offset - sd z|^p ds, a Gauss-Laguerre integral.
+    |offset - sd z|^p ds, a Gauss-Laguerre integral. Only for slivers: a
+    point just past z0 is a branch point the rule misses (1.8e-8 of a
+    tail from z0 = -4.17 with offset / sd = -4).
     """
-    z0 = float(ndtri(mass))
+    z0 = float(z0)
     s, ws = _gauss_rule("laguerre", _CELL_NODES)
     z = z0 - s / abs(z0)
     g = np.exp(-0.5 * (s / z0) ** 2) * np.abs(offset - sd * z) ** p
     return math.exp(-0.5 * z0 * z0) / (math.sqrt(2.0 * math.pi) * abs(z0)) * float(np.dot(ws, g))
 
 
-def _quantile_panels():
-    """Log-spaced symmetric partition of (0,1) resolving both tails."""
-    lows = [_QTAIL * 10.0**k for k in range(13)]  # 1e-14 .. 1e-2
-    left = lows + [0.05, 0.1, 0.2, 0.35, 0.5]
-    right = [1.0 - u for u in reversed(left[:-1])]
-    return np.array(left + right)
+def _wasserstein_quantile_quadrature(lat, gauss, p):
+    """W_p between a lattice law and N(mean, sd^2), any p >= 1, over the quantile cells.
+
+    W_p^p = sd^p sum_c int |z - s_c|^p phi(z) dz over [z_c, z_{c+1}], s_c = (x_c - mean) / sd,
+    with edges z_c = ndtri(F) below the median and -ndtri(S) of the suffix
+    sums above it. Cells are cut at s_c, where panels take |z - s_c|^p as a
+    Gauss-Jacobi weight; other panels grade geometrically toward s_c. The
+    outer cells are cut where the Gaussian mass beyond falls by
+    _EDGE_RATIO, down to _EDGE_MASS of the cell's, and the sliver left is
+    `_edge_tail`.
+    """
+    _check_normalized(lat)
+    live = np.flatnonzero(lat.masses > 0.0)
+    s = (lat.offset + lat.step * live - gauss.mean) / gauss.sd
+    cells = np.arange(live.size)
+    ends = np.append(live, live[-1] + 1)
+    below, above = lat._cum[ends], lat._tail[ends]
+    z = np.where(below <= above, ndtri(below), -ndtri(above))  # -inf and inf at the two ends
+    shares = _EDGE_RATIO ** np.arange(1.0, min(math.log(_EDGE_MASS, _EDGE_RATIO), _EDGE_LEVELS) + 1)
+    tails = [ndtri(lat.masses[live[0]] * shares), -ndtri(lat.masses[live[-1]] * shares)]
+    inside = (z[:-1] < s) & (s < z[1:])
+    cell = np.concatenate([cells, cells, np.zeros(shares.size, dtype=int),
+                           np.full(shares.size, cells[-1]), cells[inside]])
+    v = np.concatenate([z[:-1], z[1:]] + tails + [s[inside]])
+    cell, v, first = _panels(cell[np.isfinite(v)], v[np.isfinite(v)])
+    # panels with s_c outside: ends at ratio-_EDGE_RATIO distances from s_c
+    pc, lo, hi = cell[first], v[first], v[first + 1]
+    free = (lo != s[pc]) & (hi != s[pc])
+    near = np.where(s[pc] < lo, lo, hi)[free] - s[pc][free]
+    count = np.log1p((hi - lo)[free] / np.abs(near)) // -math.log(_EDGE_RATIO)
+    count = np.minimum(count, _EDGE_LEVELS).astype(int)
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1.0
+    graded = np.repeat(pc[free], count)
+    cell, v, first = _panels(np.concatenate([cell, graded]),
+                             np.concatenate([v, s[graded] + np.repeat(near, count) * _EDGE_RATIO ** -rank]))
+    pc, lo, hi = cell[first], v[first], v[first + 1]
+    kind = (lo == s[pc]) + 2 * (hi == s[pc])  # which end is a cut; never both
+    total = 0.0
+    for j, (nodes, weights) in enumerate(_cell_rules(float(p), _CELL_NODES)):
+        sel = kind == j
+        half = 0.5 * (hi - lo)[sel, None]
+        z = 0.5 * (hi + lo)[sel, None] + half * nodes
+        total += float(np.sum(half * weights * np.abs(z - s[pc[sel], None]) ** p * np.exp(-0.5 * z * z)))
+    sd = gauss.sd
+    total = total * sd**p / math.sqrt(2.0 * math.pi) + _edge_tail(sd * s[0], v[0], sd, p)
+    return (total + _edge_tail(-sd * s[-1], -v[-1], sd, p)) ** (1.0 / p)
 
 
-def _wasserstein_quantile_quadrature(a, b, p):
-    edges = _quantile_panels()
-    for d in (a, b):
-        edges = np.union1d(edges, _quantile_jump_levels(d))
-    nodes, weights = _gauss_rule("legendre", 32)
-
-    def gl(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        u = mid + half * nodes
-        qa = np.asarray(a.quantile(u), dtype=float)
-        qb = np.asarray(b.quantile(u), dtype=float)
-        return half * float(np.sum(weights * np.abs(qa - qb) ** p))
-
-    coarse = [gl(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    # quantile functions may jump inside a panel (atoms of a or b);
-    # refine until each panel's estimate stabilizes
-    tol = 1e-11 * max(sum(coarse), 1e-300)
-
-    def refine(lo, hi, val, depth):
-        mid = 0.5 * (lo + hi)
-        v1, v2 = gl(lo, mid), gl(mid, hi)
-        if depth >= 38 or abs(v1 + v2 - val) <= tol * max(1.0, (hi - lo) / (edges[-1] - edges[0])):
-            return v1 + v2
-        return refine(lo, mid, v1, depth + 1) + refine(mid, hi, v2, depth + 1)
-
-    total = sum(
-        refine(lo, hi, v, 0) for (lo, hi), v in zip(zip(edges[:-1], edges[1:]), coarse)
-    )
-    return total ** (1.0 / p)
-
-
-def _quantile_jump_levels(d):
-    """Interior CDF levels where a law's quantile function jumps."""
-    masses = getattr(d, "masses", None)
-    if masses is None:
-        return np.empty(0)
-    cums = np.cumsum(np.asarray(masses, dtype=float))
-    return cums[(cums > _QTAIL) & (cums < 1.0 - _QTAIL)]
+def _panels(cell, v):
+    """Ends sorted by cell and position, and the left end of each panel (two distinct ends of a cell)."""
+    order = np.lexsort((v, cell))
+    cell, v = cell[order], v[order]
+    return cell, v, np.flatnonzero((cell[:-1] == cell[1:]) & (v[1:] > v[:-1]))
 
 
 # -- CDF-gap functionals -----------------------------------------------------
@@ -409,8 +408,7 @@ def lp_cdf_distance(a, b, p=1):
     At p = 1 this is also W_1; for larger p it measures how the pointwise
     CDF discrepancy accumulates in an average rather than uniform sense.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1, got %r" % (p,))
+    p = _order(p)
     return _gap_integral(a, b, float(p)) ** (1.0 / p)
 
 
@@ -422,8 +420,7 @@ def wasserstein_upper_bound(a, b, p=1):
     expansion), which is the route that extends transport estimates past
     proper probability laws. Both sides must carry the same total mass.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1, got %r" % (p,))
+    p = _order(p)
     if _mass_gap(a, b) > 1e-9:
         raise ValueError("total masses differ by %r; the bound needs F(inf) = G(inf)" % _mass_gap(a, b))
     return _gap_integral(a, b, 1.0 / float(p))
@@ -563,9 +560,10 @@ def gaussian_coupling(model, n, p=2, target=None):
 
     a_n comes from `model.blocking`. For a healthy blocking the remainder
     b_n stays bounded while a_n tracks sigma_n^2, so the distance over
-    sigma_n vanishes.
+    sigma_n vanishes. p is checked before any law or blocking is built.
     """
+    p = _order(p)
     a = float(model.blocking(n, target=target).a[n])
     if a <= 0.0:
         raise ValueError("blocking captured no variance; larger n or smaller target")
-    return float(wasserstein_lattice_gaussian(model.distribution(n), GaussianLaw(0.0, math.sqrt(a)), p))
+    return float(wasserstein_distance(model.distribution(n), GaussianLaw(0.0, math.sqrt(a)), p))

@@ -3,6 +3,25 @@
 import numpy as np
 
 
+def marginals(spec):
+    """Laws of X_0..X_n, the initial law stepped one kernel at a time."""
+    laws = [spec.initial]
+    for kernel in spec.kernels:
+        laws.append(laws[-1] @ kernel)
+    return laws
+
+
+def step_means(spec):
+    """E f_j(X_j, X_{j+1}) for each step, from `marginals`.
+
+    Computed here rather than by the engines' `_step_means`, which also
+    places the DP's support origin: a centering fault there cannot cancel
+    against the oracle.
+    """
+    steps = zip(marginals(spec), spec.kernels, spec.observables)
+    return np.array([float(law @ (k * f).sum(axis=1)) for law, k, f in steps])
+
+
 def enumerate_distribution(spec):
     """Brute-force path enumeration oracle (small chains only).
 
@@ -13,7 +32,7 @@ def enumerate_distribution(spec):
     n = spec.n_steps
     if np.prod([float(s) for s in sizes]) > 5e5:
         raise ValueError("path enumeration is for small chains only")
-    means = spec.step_means()
+    means = step_means(spec)
     acc = {}
 
     def walk(j, x, prob, total):

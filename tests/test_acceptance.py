@@ -35,7 +35,7 @@ from edgekit.models import (
 from edgekit.special import gaussian_derivative, hermite_value, normal_pdf
 from edgekit.transport import GaussianLaw, expectation_via_cdf, wasserstein_distance
 
-from path_enumeration import enumerate_distribution
+from path_enumeration import enumerate_distribution, step_means
 
 _NS_FULL = (16, 32, 64, 128, 256, 512)
 
@@ -57,7 +57,7 @@ def _chain_corpus():
                     kernels.append(k)
                     observables.append(rng.integers(-2, 3, size=(states, states)).astype(float))
                 spec = MarkovChainSpec(initial, tuple(kernels), tuple(observables))
-                means = spec.step_means()
+                means = step_means(spec)
                 observables = [f - mu for f, mu in zip(observables, means)]
                 specs.append(MarkovChainSpec(initial, tuple(kernels), tuple(observables)))
     for name in ("elliptic2", "flip2", "symmetric2", "rademacher"):

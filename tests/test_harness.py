@@ -30,6 +30,9 @@ from edgekit.harness import (
 from edgekit.harness.cli import main
 from edgekit.models import ChainModel, builtin_model, save_chain_spec
 from edgekit.models.markov import MarkovChainSpec
+from edgekit.transport import GaussianLaw, gaussian_coupling, wasserstein_distance
+
+from path_enumeration import step_means
 
 
 # -- nonuniform error scans ---------------------------------------------------
@@ -323,7 +326,7 @@ def test_chain_file_keeps_one_observable_array(tmp_path):
     path = tmp_path / "chain64.txt"
     save_chain_spec(MarkovChainSpec.homogeneous(rng.dirichlet(np.ones(64)), kernel, obs, 256), path)
     spec = resolve_model(str(path)).spec(256)
-    assert len(set(spec.step_means().tolist())) > 1
+    assert len(set(step_means(spec).tolist())) > 1
     assert len({id(f) for f in spec.observables}) == 1
     assert np.array_equal(spec.observables[0], obs)
 
@@ -673,6 +676,33 @@ def test_cli_couple_refuses_a_target_that_is_not_finite_and_positive(target, cap
     code = main(["couple", "--model", "builtin:elliptic2", "--n", "64", "--target=" + target])
     assert code == 2
     assert "blocking target must be finite and positive" in capsys.readouterr().err
+
+
+def test_couple_serves_non_integer_p(capsys):
+    # the coupling's W_p takes wasserstein_distance's route for the order:
+    # partial moments at integer p, Gauss rules over the quantile cells otherwise
+    model = builtin_model("elliptic2")
+    law, a = model.distribution(256), model.blocking(256).a[256]
+    for p in (1.5, 2):
+        ref = wasserstein_distance(law, GaussianLaw(0.0, math.sqrt(a)), p)
+        assert gaussian_coupling(model, 256, p=p) == ref
+    assert scan_coupling(model, (128, 256), p=1.5).distances[-1] == gaussian_coupling(model, 256, p=1.5)
+    assert main(["couple", "--model", "builtin:elliptic2", "--n", "256", "--p", "1.5", "--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["p"] == 1.5 and meta["distance"] == gaussian_coupling(model, 256, p=1.5)
+
+
+@pytest.mark.parametrize("p", ["0.5", "inf", "nan"])
+@pytest.mark.parametrize("ns", ["64", "32,64"])
+def test_cli_couple_refuses_bad_p_before_any_law_or_blocking(p, ns, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law or a blocking was built")
+
+    monkeypatch.setattr(ChainModel, "distribution", refuse)
+    monkeypatch.setattr(ChainModel, "blocking", refuse)
+    code = main(["couple", "--model", "builtin:elliptic2", "--n", ns, "--p=" + p])
+    assert code == 2
+    assert "finite and >= 1" in capsys.readouterr().err
 
 
 def test_cli_couple_runs_one_dp_sweep(monkeypatch, capsys):

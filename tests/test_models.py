@@ -29,7 +29,7 @@ from edgekit.models.markov import (
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
-from path_enumeration import enumerate_distribution
+from path_enumeration import enumerate_distribution, marginals, step_means
 from reference_blocking import reference_blocks, reference_profile
 from reference_dp import powered_error_bound, reference_law, textbook_step
 
@@ -174,7 +174,7 @@ def _random_chain(seed, n=5, states=3):
         k /= k.sum(axis=1, keepdims=True)
         kernels.append(k)
         observables.append(np.rint(rng.integers(-2, 3, size=(states, states))).astype(float))
-    means = MarkovChainSpec(initial, tuple(kernels), tuple(observables)).step_means()
+    means = step_means(MarkovChainSpec(initial, tuple(kernels), tuple(observables)))
     observables = [f - mu for f, mu in zip(observables, means)]
     return MarkovChainSpec(initial, tuple(kernels), tuple(observables), name="random")
 
@@ -825,9 +825,9 @@ def test_blocking_matches_the_per_start_walk(case, target):
     laws = [law for run in _laws(spec.initial, _merged((k, c) for k, _, c in spec.runs)) for law in run]
     blocks, block_vars = reference_blocks(steps, laws, rep.target)
     assert rep.blocks == tuple(blocks) and rep.block_variances == tuple(block_vars)
-    # the old blocking started each block from spec.marginals(), one nu @ K per step;
+    # the old blocking started each block from the marginals stepped one nu @ K at a time;
     # the doubled laws of the seeded chains differ from those in the last bits
-    old_blocks, old_vars = reference_blocks(steps, spec.marginals(), rep.target)
+    old_blocks, old_vars = reference_blocks(steps, marginals(spec), rep.target)
     assert old_blocks == blocks
     if case.startswith("seeded"):
         assert np.all(np.abs(np.subtract(old_vars, block_vars)) <= 2 * np.spacing(old_vars))
@@ -927,7 +927,7 @@ def test_raw_flip2_law_equals_the_precentered_one():
     # changes no bit of the law
     for n in (16, 64, 512):
         spec = builtin_model("flip2").spec(n)
-        means = spec.step_means()
+        means = step_means(spec)
         centered = MarkovChainSpec(spec.initial, spec.kernels,
                                    tuple(f - mu for f, mu in zip(spec.observables, means)))
         raw, pre = exact_distribution(spec), exact_distribution(centered)

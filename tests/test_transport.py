@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgekit import transport
 from edgekit.edgeworth import build_expansion
 from edgekit.harness.scans import scan_transport
 from edgekit.models import LatticeDistribution, PiecewisePolyDistribution, builtin_model
@@ -42,14 +43,18 @@ def test_lattice_lattice_partial_overlap():
     assert wasserstein_lattice_lattice(a, b, 2) == pytest.approx(0.5, abs=1e-14)
 
 
-def test_gaussian_shift_and_scale():
-    g1 = GaussianLaw(0.0, 1.0)
-    g2 = GaussianLaw(0.6, 1.0)
-    g3 = GaussianLaw(0.0, 2.0)
-    assert wasserstein_distance(g1, g2, 1) == pytest.approx(0.6, abs=1e-10)
-    assert wasserstein_distance(g1, g2, 2) == pytest.approx(0.6, abs=1e-10)
-    # equal means: W2 = |sd1 - sd2|
-    assert wasserstein_distance(g1, g3, 2) == pytest.approx(1.0, abs=1e-9)
+def test_pairs_with_no_route_are_refused():
+    # no scan builds these pairs; each is refused by name, in either order
+    g = GaussianLaw(0.0, 1.0)
+    lat = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
+    pw = PiecewisePolyDistribution([-1.0, 1.0], [[0.5]])
+    for a, b, names in ((g, GaussianLaw(0.6, 1.0), "GaussianLaw and GaussianLaw"),
+                        (lat, pw, "LatticeDistribution and PiecewisePolyDistribution"),
+                        (pw, lat, "PiecewisePolyDistribution and LatticeDistribution"),
+                        (pw, pw, "PiecewisePolyDistribution and PiecewisePolyDistribution")):
+        for p in (1, 1.5):
+            with pytest.raises(ValueError, match="no W_p route between " + names):
+                wasserstein_distance(a, b, p)
 
 
 def test_two_point_vs_gaussian_closed_forms():
@@ -77,17 +82,13 @@ def test_w1_equals_cdf_gap_area():
 
 def test_odd_p_cell_splitting():
     # mean shifted so lattice points fall inside Gaussian mass: exercises
-    # the sign-flip split for odd p against the quantile quadrature route
+    # the sign-flip split for odd p against the Gauss rules over the
+    # quantile cells, which serve any p
     lat = LatticeDistribution(-0.5, 1.0, [0.3, 0.4, 0.3])
     g = GaussianLaw(0.1, 0.8)
-
-    class _Wrap:
-        def quantile(self, u):
-            return lat.quantile(u)
-
     exact = wasserstein_lattice_gaussian(lat, g, 3)
-    quad = wasserstein_distance(_Wrap(), g, 3)
-    assert exact == pytest.approx(quad, rel=1e-8)
+    quad = transport._wasserstein_quantile_quadrature(lat, g, 3)
+    assert exact == pytest.approx(quad, rel=1e-13)
 
 
 def test_upper_bound_dominates_distance():
@@ -251,6 +252,72 @@ def test_piecewise_vs_gaussian_matches_mpmath_irwin_hall(n):
     for p in ps:
         w = wasserstein_distance(model.distribution(n), GaussianLaw(0.0, sigma), p) / sigma
         assert w == pytest.approx(ref[p], rel=1e-10 if n == 4 or p == 1.5 else 1e-12, abs=0.0)
+
+
+def _mp_lattice_gaussian(mp, lat, sd, ps):
+    """W_p(lat, N(0, sd^2)) for each p by mpmath, one quantile cell at a time.
+
+    Edges come from the exact left sums below the median and the exact
+    suffix sums above it (Fractions of the float masses), each solved for z
+    by Newton's method on mp.ncdf. Each cell is split at z* = x_c / sd when
+    z* lies in it. A finite cell whose mass times sd^p |z* - z|^p at its far
+    end is below 1e-20 is left out; those bounds must add up to less than
+    1e-16 of every W_p^p. Returns ({p: W_p}, z* and edges of the first cell).
+    """
+    from fractions import Fraction
+
+    live = np.flatnonzero(lat.masses > 0.0)
+    masses = [Fraction(float(m)) for m in lat.masses[live]]
+    left = [Fraction(0)]
+    for m in masses:
+        left.append(left[-1] + m)
+    right = [left[-1] - c for c in left]  # the suffix sums, exact as well
+    with mp.workdps(20):
+
+        def solve(level):
+            z = mp.mpf(float(transport.ndtri(float(level))))
+            level = mp.mpf(level.numerator) / level.denominator
+            for _ in range(6):
+                z -= (mp.ncdf(z) - level) / mp.npdf(z)
+            return z
+
+        edges = [-mp.inf if lo == 0 else mp.inf if up == 0 else solve(lo) if lo <= up else -solve(up)
+                 for lo, up in zip(left, right)]
+        stars = [mp.mpf(float(x)) / sd for x in lat.support[live]]
+        root = mp.sqrt(2 * mp.pi)
+        out = {}
+        for p in ps:
+            total = left_out = mp.mpf(0)
+            for c, star in enumerate(stars):
+                a, b = edges[c], edges[c + 1]
+                if mp.isfinite(a) and mp.isfinite(b):
+                    bound = float(masses[c]) * sd**p * float(max(abs(star - a), abs(star - b))) ** p
+                    if bound < 1e-20:
+                        left_out += bound
+                        continue
+                cuts = [a, star, b] if a < star < b else [a, b]
+                total += mp.quad(lambda z: abs(star - z) ** p * mp.exp(-z * z / 2) / root, cuts) * mp.mpf(sd) ** p
+            assert left_out < 1e-16 * total
+            out[p] = float(total ** (1 / mp.mpf(p)))
+        return out, (float(stars[0]), float(edges[0]), float(edges[1]))
+
+
+@pytest.mark.parametrize("name, n", [("rademacher", 4), ("rademacher", 16), ("rademacher", 64),
+                                     ("elliptic2", 8), ("elliptic2", 64), ("elliptic2", 512),
+                                     ("symmetric2", 256)])
+def test_lattice_gaussian_at_non_integer_p_matches_mpmath(name, n):
+    # scan_transport's w_gaussian pair, W_p(S_n, N(0, sigma^2)), at the
+    # orders that take Gauss rules over the quantile cells
+    mp = pytest.importorskip("mpmath")
+    model = builtin_model(name)
+    law, sigma = model.distribution(n), model.sigma(n)
+    ps = (1.5, 2.5, 3.5)
+    ref, (star, lo, hi) = _mp_lattice_gaussian(mp, law, sigma, ps)
+    if n <= 8:
+        assert lo < star < hi  # z* of the first atom lies in the infinite left cell
+    for p in ps:
+        got = wasserstein_distance(law, GaussianLaw(0.0, sigma), p)
+        assert abs(got - ref[p]) <= 1e-13 * ref[p], p
 
 
 def test_scan_transport_on_piecewise_laws_inverts_no_quantile(monkeypatch):
