@@ -1009,9 +1009,9 @@ def variance_decomposition(spec, target=None):
 
     One walk over the runs of equal order-2 step series (`_step_series`,
     `_laws`) gives the law of each X_j and the step variances behind the
-    default target. Var(S_k) comes from `variance_profile`, the blocks from
-    walking every candidate start in lockstep (`_greedy_blocks`); no law
-    of S_k is built.
+    default target. Var(S_k) comes from the same runs (`_prefix_variances`,
+    as in `variance_profile`), the blocks from walking every candidate
+    start in lockstep (`_greedy_blocks`); no law of S_k is built.
     """
     if target is not None and not (math.isfinite(target) and target > 0.0):
         raise ValueError("blocking target must be finite and positive, got %r" % target)
@@ -1026,7 +1026,7 @@ def variance_decomposition(spec, target=None):
         # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
         spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
         step_var = max(step_var, float(spread.max()))
-    sigma2 = variance_profile(spec)
+    sigma2 = _prefix_variances(runs, spec.initial)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     if target is None:

@@ -8,9 +8,9 @@ by one route per pair of law types; any other pair is refused:
 
 - lattice vs lattice: exact for any p, over the merged partition of the
   cumulative masses;
-- lattice vs Gaussian: exact for integer p, through Gaussian partial
-  moments; at other p, Gauss rules over the quantile cells, cut where
-  each cell's integrand has its branch point;
+- lattice vs Gaussian: Gauss rules over the quantile cells at every p,
+  cut where each cell's integrand has its branch point; Legendre at
+  integer p, Gauss-Jacobi ends and geometric grading at other p;
 - piecewise-polynomial vs Gaussian: the x-domain cell rule, which
   integrates |x - G^{-1}(F(x))|^p f(x) dx cell by cell and inverts no
   quantile.
@@ -25,7 +25,6 @@ from scipy.special import ndtr, ndtri
 
 from .models.lattice import LatticeDistribution
 from .models.piecewise import PiecewisePolyDistribution
-from .special import gaussian_partial_moments
 
 __all__ = [
     "GaussianLaw",
@@ -75,7 +74,8 @@ def wasserstein_distance(a, b, p=1):
     """W_p between two laws, by the route their types allow (see the module docstring).
 
     Finite p >= 1, not necessarily an integer; the arguments may come in
-    either order. A pair with no route is refused.
+    either order. Every lattice/Gaussian pair goes to
+    `wasserstein_lattice_gaussian`; a pair with no route is refused.
     """
     p = _order(p)
     if isinstance(a, GaussianLaw):
@@ -83,8 +83,7 @@ def wasserstein_distance(a, b, p=1):
     if isinstance(a, LatticeDistribution) and isinstance(b, LatticeDistribution):
         return wasserstein_lattice_lattice(a, b, p)
     if isinstance(a, LatticeDistribution) and isinstance(b, GaussianLaw):
-        route = wasserstein_lattice_gaussian if isinstance(p, int) else _wasserstein_quantile_quadrature
-        return route(a, b, p)
+        return wasserstein_lattice_gaussian(a, b, p)
     if isinstance(a, PiecewisePolyDistribution) and isinstance(b, GaussianLaw):
         return _wasserstein_piecewise_gaussian(a, b, p)
     raise ValueError("no W_p route between %s and %s" % (type(a).__name__, type(b).__name__))
@@ -114,45 +113,11 @@ def wasserstein_lattice_lattice(a, b, p=1):
 
 
 def wasserstein_lattice_gaussian(lat, gauss, p=1):
-    """Exact W_p between a lattice law and N(mean, sd^2).
+    """W_p between a lattice law and N(mean, sd^2), any finite p >= 1.
 
-    On each quantile cell the lattice side is the constant x_i while the
-    Gaussian side runs over [z_{i-1}, z_i]; the cell integral reduces to
-    Gaussian partial moments, taken for all cells at once. Odd p splits a
-    cell at z = x_i where the sign of the difference flips. The cell terms
-    are summed in cell order (a split cell's two halves one after the
-    other), as a running total would.
+    Gauss rules over the quantile cells; see `_wasserstein_quantile_quadrature`.
     """
-    _check_normalized(lat)
-    if not (isinstance(p, int) and p >= 1):
-        raise ValueError("p must be a positive integer")
-    cums = np.concatenate([[0.0], np.cumsum(lat.masses)])
-    cums[-1] = 1.0
-    with np.errstate(divide="ignore"):
-        zs = ndtri(np.clip(cums, 0.0, 1.0))  # cell edges in standard units
-    sd, mean = gauss.sd, gauss.mean
-    live = np.flatnonzero(lat.masses > 0.0)
-    x = lat.offset + lat.step * live
-    z1, z2 = zs[live], zs[live + 1]
-    if p % 2 == 0:
-        return float(np.cumsum(_signed_cell_integral(x, mean, sd, z1, z2, p))[-1]) ** (1.0 / p)
-    zc = (x - mean) / sd  # standardized cut where the difference changes sign
-    split = (z1 < zc) & (zc < z2)
-    cut = np.where(split, zc, z2)
-    terms = np.zeros((live.size, 2))
-    terms[:, 0] = np.abs(_signed_cell_integral(x, mean, sd, z1, cut, p))
-    terms[split, 1] = np.abs(_signed_cell_integral(x[split], mean, sd, zc[split], z2[split], p))
-    return float(np.cumsum(terms.ravel())[-1]) ** (1.0 / p)
-
-
-def _signed_cell_integral(x, mean, sd, z1, z2, p):
-    """int_{z1}^{z2} (mean + sd w - x)^p phi(w) dw, elementwise over the arrays."""
-    moms = gaussian_partial_moments(p, z1, z2)
-    c = (mean - x).astype(object)  # float's own pow: numpy's vectorised power rounds differently
-    acc = 0.0
-    for k in range(p + 1):
-        acc = acc + math.comb(p, k) * sd**k * (c ** (p - k)).astype(float) * moms[k]
-    return acc
+    return _wasserstein_quantile_quadrature(lat, gauss, _order(p))
 
 
 def _check_normalized(law):
@@ -198,9 +163,7 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
     cell, v, is_cut = cell[order], v[order], is_cut[order]
     panel = (cell[:-1] == cell[1:]) & (v[1:] > v[:-1])
     pcell, lo, hi = cell[:-1][panel], v[:-1][panel], v[1:][panel]
-    kind = np.zeros(pcell.size, dtype=int)
-    if not isinstance(p, int):
-        kind = is_cut[:-1][panel] + 2 * is_cut[1:][panel]
+    kind = (is_cut[:-1][panel] + 2 * is_cut[1:][panel]) * (not isinstance(p, int))
 
     total = bound = 0.0
     for k, (nodes, weights) in enumerate(_cell_rules(p, _CELL_NODES)):
@@ -229,7 +192,7 @@ def _sign_cuts(score, w, smooth):
     each bracketed change is bisected; a change across a cell edge makes the
     edge a cut. A cut near an edge is a branch point of |h|^p just outside
     the neighbouring cell, so that cell's panels grade geometrically toward
-    it. With smooth set, only the edges are returned.
+    it (`_graded`). With smooth set, only the edges are returned.
     """
     ncell = w.size
     cells = np.arange(ncell)
@@ -252,16 +215,14 @@ def _sign_cuts(score, w, smooth):
     across = np.append(sign[:-1, -1] * sign[1:, 0] < 0.0, False)
     ends = [(cells, -w, np.roll(across, 1)), (cells, w, across),
             (cut_cell, cut_v, np.ones(cut_cell.size, dtype=bool))]
-    spread = _EDGE_RATIO ** -np.arange(1.0, _EDGE_LEVELS + 1) - 1.0
     for side in (-1, 1):
         gap = w[cut_cell] - side * cut_v  # from the cut to its cell's edge on this side
         nb = cut_cell + side
         live = (nb >= 0) & (nb < ncell) & (gap > 0.0)
         nb, gap = nb[live], gap[live]
-        v = -side * (w[nb][:, None] - gap[:, None] * spread)
-        inside = np.abs(v) < w[nb][:, None]
-        nb = np.broadcast_to(nb[:, None], v.shape)[inside]
-        ends.append((nb, v[inside], np.zeros(nb.size, dtype=bool)))
+        panel, v = _graded(-w[nb], w[nb], -side * (w[nb] + gap))
+        inside = np.abs(v) < w[nb][panel]
+        ends.append((nb[panel][inside], v[inside], np.zeros(int(inside.sum()), dtype=bool)))
     return ends
 
 
@@ -298,7 +259,7 @@ def _gauss_rule(family, n):
     return rule
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _cell_rules(p, n):
     """n-point Gauss rules on [-1, 1] for panels with no cut, a cut at -1, at +1, at both.
 
@@ -349,11 +310,12 @@ def _wasserstein_quantile_quadrature(lat, gauss, p):
 
     W_p^p = sd^p sum_c int |z - s_c|^p phi(z) dz over [z_c, z_{c+1}], s_c = (x_c - mean) / sd,
     with edges z_c = ndtri(F) below the median and -ndtri(S) of the suffix
-    sums above it. Cells are cut at s_c, where panels take |z - s_c|^p as a
-    Gauss-Jacobi weight; other panels grade geometrically toward s_c. The
-    outer cells are cut where the Gaussian mass beyond falls by
-    _EDGE_RATIO, down to _EDGE_MASS of the cell's, and the sliver left is
-    `_edge_tail`.
+    sums above it. Cells are cut at s_c; at integer p every panel takes
+    the Legendre rule, at other p panels ending at s_c take |z - s_c|^p as
+    a Gauss-Jacobi weight and the others grade geometrically toward s_c
+    (`_graded`). The outer cells are cut where the Gaussian mass beyond
+    falls by _EDGE_RATIO, down to _EDGE_MASS of the cell's, and the sliver
+    left is `_edge_tail`.
     """
     _check_normalized(lat)
     live = np.flatnonzero(lat.masses > 0.0)
@@ -368,21 +330,16 @@ def _wasserstein_quantile_quadrature(lat, gauss, p):
     cell = np.concatenate([cells, cells, np.zeros(shares.size, dtype=int),
                            np.full(shares.size, cells[-1]), cells[inside]])
     v = np.concatenate([z[:-1], z[1:]] + tails + [s[inside]])
-    cell, v, first = _panels(cell[np.isfinite(v)], v[np.isfinite(v)])
-    # panels with s_c outside: ends at ratio-_EDGE_RATIO distances from s_c
-    pc, lo, hi = cell[first], v[first], v[first + 1]
-    free = (lo != s[pc]) & (hi != s[pc])
-    near = np.where(s[pc] < lo, lo, hi)[free] - s[pc][free]
-    count = np.log1p((hi - lo)[free] / np.abs(near)) // -math.log(_EDGE_RATIO)
-    count = np.minimum(count, _EDGE_LEVELS).astype(int)
-    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1.0
-    graded = np.repeat(pc[free], count)
-    cell, v, first = _panels(np.concatenate([cell, graded]),
-                             np.concatenate([v, s[graded] + np.repeat(near, count) * _EDGE_RATIO ** -rank]))
-    pc, lo, hi = cell[first], v[first], v[first + 1]
-    kind = (lo == s[pc]) + 2 * (hi == s[pc])  # which end is a cut; never both
+    cell, v, pc, lo, hi = _panels(cell[np.isfinite(v)], v[np.isfinite(v)])
+    rules = _cell_rules(p, _CELL_NODES)
+    jacobi = len(rules) > 1  # |z - s_c|^p has a branch point at s_c
+    if jacobi:
+        free = (lo != s[pc]) & (hi != s[pc])
+        panel, graded = _graded(lo[free], hi[free], s[pc][free])
+        cell, v, pc, lo, hi = _panels(np.concatenate([cell, pc[free][panel]]), np.concatenate([v, graded]))
+    kind = ((lo == s[pc]) + 2 * (hi == s[pc])) * jacobi  # which end is a cut; never both
     total = 0.0
-    for j, (nodes, weights) in enumerate(_cell_rules(float(p), _CELL_NODES)):
+    for j, (nodes, weights) in enumerate(rules):
         sel = kind == j
         half = 0.5 * (hi - lo)[sel, None]
         z = 0.5 * (hi + lo)[sel, None] + half * nodes
@@ -392,11 +349,25 @@ def _wasserstein_quantile_quadrature(lat, gauss, p):
     return (total + _edge_tail(-sd * s[-1], -v[-1], sd, p)) ** (1.0 / p)
 
 
+def _graded(lo, hi, point):
+    """The panel of each end and the ends, graded toward a branch point outside each panel [lo, hi].
+
+    Ends sit at ratio-_EDGE_RATIO distances from the point, at most _EDGE_LEVELS per panel.
+    """
+    near = np.where(point < lo, lo, hi) - point
+    count = np.log1p((hi - lo) / np.abs(near)) // -math.log(_EDGE_RATIO)
+    count = np.minimum(count, _EDGE_LEVELS).astype(int)
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1.0
+    panel = np.repeat(np.arange(lo.size), count)
+    return panel, point[panel] + near[panel] * _EDGE_RATIO ** -rank
+
+
 def _panels(cell, v):
-    """Ends sorted by cell and position, and the left end of each panel (two distinct ends of a cell)."""
+    """Ends sorted by cell and position, then each panel's cell and ends (two distinct ends of a cell)."""
     order = np.lexsort((v, cell))
     cell, v = cell[order], v[order]
-    return cell, v, np.flatnonzero((cell[:-1] == cell[1:]) & (v[1:] > v[:-1]))
+    first = np.flatnonzero((cell[:-1] == cell[1:]) & (v[1:] > v[:-1]))
+    return cell, v, cell[first], v[first], v[first + 1]
 
 
 # -- CDF-gap functionals -----------------------------------------------------
@@ -431,26 +402,27 @@ def _mass_gap(a, b):
 
 
 def _support_window(dist, fallback):
-    lo = hi = None
     if isinstance(dist, LatticeDistribution):
-        s = dist.support
-        lo, hi = float(s[0]), float(s[-1])
+        lo, hi = float(dist.support[0]), float(dist.support[-1])
     elif isinstance(dist, GaussianLaw):
         lo, hi = dist.mean - 9.0 * dist.sd, dist.mean + 9.0 * dist.sd
     elif hasattr(dist, "breaks"):
         lo, hi = float(dist.breaks[0]), float(dist.breaks[-1])
-    if lo is None:
+    else:
         return fallback
     return min(lo, fallback[0]), max(hi, fallback[1])
 
 
-def _gap_edges(a, b, lo, hi):
-    """Panel edges (support breakpoints, CDF crossings) and which edges are crossings.
+def _gap_edges(a, b, lo, hi, expo):
+    """Panel edges (support breakpoints, CDF crossings) and which edges take an end weight.
 
-    Only a Gaussian crossing a lattice level strictly inside its flat stretch
-    x_k < x_c < x_{k+1} counts: there |F - G| vanishes like |x - x_c|.
+    At non-integer expo, a Gaussian crossing a lattice level strictly
+    inside its flat stretch x_k < x_c < x_{k+1} takes one: there |F - G|
+    vanishes like |x - x_c|. A crossing just past its stretch is a branch
+    point of |F - G|^expo just outside the stretch's last panel, which
+    grades geometrically toward it (`_graded`).
     """
-    pts, cuts = [np.array([lo, hi])], [np.empty(0)]
+    pts, cuts, past = [np.array([lo, hi])], np.empty(0), (np.empty(0), np.empty(0))
     for d in (a, b):
         if isinstance(d, LatticeDistribution):
             pts.append(d.support)
@@ -471,13 +443,20 @@ def _gap_edges(a, b, lo, hi):
                 z = ndtri(np.where(upper, right, left))
                 x = other.mean + other.sd * np.where(upper, -z, z)
                 s = lat.support
-                cuts.append(x[(s[k] < x) & (x < s[k + 1])])
+                cuts = x[(s[k] < x) & (x < s[k + 1])]
+                beyond = (x < s[k]) | (s[k + 1] < x)  # with the atom on the crossing's side
+                past = np.where(x < s[k], s[k], s[k + 1])[beyond], x[beyond]
             else:
                 x = np.atleast_1d(np.asarray(other.quantile(left), dtype=float))
             pts.append(x[(lo < x) & (x < hi)])
     edges = np.unique(np.concatenate(pts))
     edges = edges[(lo <= edges) & (edges <= hi)]
-    return edges, np.isin(edges, np.concatenate(cuts))
+    if float(expo).is_integer():  # an integer power of |F - G| needs no end weight and no grading
+        return edges, np.zeros(edges.size, dtype=bool)
+    atom, x = past
+    j = np.searchsorted(edges, atom) - (x > atom)  # the stretch's panel that ends at that atom
+    edges = np.union1d(edges, _graded(edges[j], edges[j + 1], x)[1])
+    return edges, np.isin(edges, cuts)
 
 
 def _gap_integral(a, b, expo):
@@ -493,9 +472,8 @@ def _gap_integral(a, b, expo):
     would lift to about 1e-8 per unit length at p = 2.
     """
     lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
-    edges, cut = _gap_edges(a, b, lo, hi)
+    edges, cut = _gap_edges(a, b, lo, hi, expo)
     rules = _cell_rules(int(expo) if float(expo).is_integer() else expo, _GAP_NODES)
-    cut &= len(rules) > 1  # an integer power of |F - G| needs no end weight
     # wide panels (tails, sparse breakpoints) get split so the fixed
     # Gauss rule keeps resolving the integrand's curvature
     x1, width = edges[:-1], np.diff(edges)

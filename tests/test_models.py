@@ -852,6 +852,20 @@ def test_blocking_walks_a_chain_of_distinct_steps_once(monkeypatch):
     assert len(calls) == 2 * spec.n_steps
 
 
+def test_blocking_builds_its_step_series_once(monkeypatch):
+    # the laws, the profile and the blocks all read one build of the order-2 series
+    from edgekit.models import markov
+
+    calls = []
+    step_series = markov._step_series
+    monkeypatch.setattr(markov, "_step_series", lambda spec, kmax: calls.append(kmax) or step_series(spec, kmax))
+    spec = _random_chain(11, n=300)
+    rep = variance_decomposition(spec)
+    assert calls == [2]
+    monkeypatch.undo()
+    assert np.array_equal(rep.sigma2, variance_profile(spec))
+
+
 def test_chain_model_serves_lower_orders_from_one_series(monkeypatch):
     from edgekit.models import families
 

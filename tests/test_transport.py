@@ -20,6 +20,9 @@ from edgekit.transport import (
     wasserstein_upper_bound,
 )
 
+_THREE_ATOMS = LatticeDistribution(-0.5, 1.0, [0.3, 0.4, 0.3])
+_INTERIOR_ZERO = LatticeDistribution(-1.3, 0.7, [0.2, 0.0, 0.3, 0.0, 0.0, 0.15, 0.0, 0.35])
+
 
 def test_point_mass_displacement():
     d0 = LatticeDistribution(0.0, 1.0, [1.0])
@@ -81,14 +84,28 @@ def test_w1_equals_cdf_gap_area():
 
 
 def test_odd_p_cell_splitting():
-    # mean shifted so lattice points fall inside Gaussian mass: exercises
-    # the sign-flip split for odd p against the Gauss rules over the
-    # quantile cells, which serve any p
-    lat = LatticeDistribution(-0.5, 1.0, [0.3, 0.4, 0.3])
-    g = GaussianLaw(0.1, 0.8)
-    exact = wasserstein_lattice_gaussian(lat, g, 3)
-    quad = transport._wasserstein_quantile_quadrature(lat, g, 3)
-    assert exact == pytest.approx(quad, rel=1e-13)
+    # mean shifted so lattice points fall inside Gaussian mass: at odd p
+    # the cut at z* is the kink of |z - z*|^p
+    mp = pytest.importorskip("mpmath")
+    lat, g = _THREE_ATOMS, GaussianLaw(0.1, 0.8)
+    z = transport.ndtri(np.cumsum(lat.masses))[:-1]
+    stars = (lat.support - g.mean) / g.sd
+    assert np.any((np.append(-np.inf, z) < stars) & (stars < np.append(z, np.inf)))
+    ref, _ = _mp_lattice_gaussian(mp, lat, g, (3,))
+    assert wasserstein_lattice_gaussian(lat, g, 3) == pytest.approx(ref[3], rel=1e-13, abs=0.0)
+
+
+def test_cell_rules_are_cached_by_the_type_of_p():
+    # 3 == 3.0: an untyped cache hands the piecewise route's Legendre-only
+    # rules for p = 3 to a later call at p = 3.0, which needs the Jacobi ends
+    mp = pytest.importorskip("mpmath")
+    transport._cell_rules.cache_clear()
+    uniform = builtin_model("uniform")
+    wasserstein_distance(uniform.distribution(4), GaussianLaw(0.0, uniform.sigma(4)), 3)
+    lat, g = _THREE_ATOMS, GaussianLaw(0.1, 0.8)
+    ref, _ = _mp_lattice_gaussian(mp, lat, g, (3,))
+    for p in (3, 3.0):
+        assert transport._wasserstein_quantile_quadrature(lat, g, p) == pytest.approx(ref[3], rel=1e-13, abs=0.0)
 
 
 def test_upper_bound_dominates_distance():
@@ -254,15 +271,18 @@ def test_piecewise_vs_gaussian_matches_mpmath_irwin_hall(n):
         assert w == pytest.approx(ref[p], rel=1e-10 if n == 4 or p == 1.5 else 1e-12, abs=0.0)
 
 
-def _mp_lattice_gaussian(mp, lat, sd, ps):
-    """W_p(lat, N(0, sd^2)) for each p by mpmath, one quantile cell at a time.
+def _mp_lattice_gaussian(mp, lat, gauss, ps):
+    """W_p(lat, N(mean, sd^2)) for each p by mpmath, one quantile cell at a time.
 
     Edges come from the exact left sums below the median and the exact
     suffix sums above it (Fractions of the float masses), each solved for z
-    by Newton's method on mp.ncdf. Each cell is split at z* = x_c / sd when
-    z* lies in it. A finite cell whose mass times sd^p |z* - z|^p at its far
-    end is below 1e-20 is left out; those bounds must add up to less than
-    1e-16 of every W_p^p. Returns ({p: W_p}, z* and edges of the first cell).
+    by Newton's method on mp.ncdf in 40 digits. Each cell is split at
+    z* = (x_c - mean) / sd when z* lies in it. At integer p a piece is
+    the binomial sum of (z - z*)^p over closed-form Gaussian partial
+    moments in 40 digits, at other p an mp.quad in 20. A finite cell
+    whose mass times sd^p |z* - z|^p at its far end is below 1e-24 is left
+    out; those bounds must add up to less than 1e-16 of every W_p^p.
+    Returns ({p: W_p}, z* and edges of the first cell).
     """
     from fractions import Fraction
 
@@ -272,7 +292,7 @@ def _mp_lattice_gaussian(mp, lat, sd, ps):
     for m in masses:
         left.append(left[-1] + m)
     right = [left[-1] - c for c in left]  # the suffix sums, exact as well
-    with mp.workdps(20):
+    with mp.workdps(40):
 
         def solve(level):
             z = mp.mpf(float(transport.ndtri(float(level))))
@@ -281,9 +301,22 @@ def _mp_lattice_gaussian(mp, lat, sd, ps):
                 z -= (mp.ncdf(z) - level) / mp.npdf(z)
             return z
 
+        def power(a, b, star, p):
+            """int_a^b (z - star)^p phi(z) dz, star outside (a, b), through the partial moments."""
+
+            def end(x, k):
+                return 0 if mp.isinf(x) else x ** (k - 1) * mp.npdf(x)
+
+            # M_0 from the tail on the cell's side of 0, M_k = (k - 1) M_{k-2} + [x^{k-1} phi]_b^a
+            moms = [mp.ncdf(b) - mp.ncdf(a) if a + b <= 0 else mp.ncdf(-a) - mp.ncdf(-b), end(a, 1) - end(b, 1)]
+            for k in range(2, p + 1):
+                moms.append((k - 1) * moms[k - 2] + end(a, k) - end(b, k))
+            return mp.fsum(mp.binomial(p, k) * (-star) ** (p - k) * moms[k] for k in range(p + 1))
+
+        sd = mp.mpf(float(gauss.sd))
         edges = [-mp.inf if lo == 0 else mp.inf if up == 0 else solve(lo) if lo <= up else -solve(up)
                  for lo, up in zip(left, right)]
-        stars = [mp.mpf(float(x)) / sd for x in lat.support[live]]
+        stars = [(mp.mpf(float(x)) - float(gauss.mean)) / sd for x in lat.support[live]]
         root = mp.sqrt(2 * mp.pi)
         out = {}
         for p in ps:
@@ -291,12 +324,17 @@ def _mp_lattice_gaussian(mp, lat, sd, ps):
             for c, star in enumerate(stars):
                 a, b = edges[c], edges[c + 1]
                 if mp.isfinite(a) and mp.isfinite(b):
-                    bound = float(masses[c]) * sd**p * float(max(abs(star - a), abs(star - b))) ** p
-                    if bound < 1e-20:
+                    bound = float(masses[c]) * float(sd) ** p * float(max(abs(star - a), abs(star - b))) ** p
+                    if bound < 1e-24:
                         left_out += bound
                         continue
                 cuts = [a, star, b] if a < star < b else [a, b]
-                total += mp.quad(lambda z: abs(star - z) ** p * mp.exp(-z * z / 2) / root, cuts) * mp.mpf(sd) ** p
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    if isinstance(p, int):
+                        total += abs(power(lo, hi, star, p)) * sd**p
+                    else:
+                        with mp.workdps(20):
+                            total += mp.quad(lambda z: abs(star - z) ** p * mp.exp(-z * z / 2) / root, [lo, hi]) * sd**p
             assert left_out < 1e-16 * total
             out[p] = float(total ** (1 / mp.mpf(p)))
         return out, (float(stars[0]), float(edges[0]), float(edges[1]))
@@ -306,18 +344,54 @@ def _mp_lattice_gaussian(mp, lat, sd, ps):
                                      ("elliptic2", 8), ("elliptic2", 64), ("elliptic2", 512),
                                      ("symmetric2", 256)])
 def test_lattice_gaussian_at_non_integer_p_matches_mpmath(name, n):
-    # scan_transport's w_gaussian pair, W_p(S_n, N(0, sigma^2)), at the
-    # orders that take Gauss rules over the quantile cells
+    # scan_transport's w_gaussian pair, W_p(S_n, N(0, sigma^2)), at
+    # orders where the quantile cells take Gauss-Jacobi ends and grading
     mp = pytest.importorskip("mpmath")
     model = builtin_model(name)
     law, sigma = model.distribution(n), model.sigma(n)
     ps = (1.5, 2.5, 3.5)
-    ref, (star, lo, hi) = _mp_lattice_gaussian(mp, law, sigma, ps)
+    ref, (star, lo, hi) = _mp_lattice_gaussian(mp, law, GaussianLaw(0.0, sigma), ps)
     if n <= 8:
         assert lo < star < hi  # z* of the first atom lies in the infinite left cell
     for p in ps:
         got = wasserstein_distance(law, GaussianLaw(0.0, sigma), p)
         assert abs(got - ref[p]) <= 1e-13 * ref[p], p
+
+
+_SMALL_PAIRS = {
+    "interior-zero-0": (_INTERIOR_ZERO, GaussianLaw(0.0, 1.0)),
+    "interior-zero-1": (_INTERIOR_ZERO, GaussianLaw(0.4, 0.6)),
+    "interior-zero-2": (_INTERIOR_ZERO, GaussianLaw(-2.0, 3.0)),
+    "three-atoms": (_THREE_ATOMS, GaussianLaw(0.1, 0.8)),
+}
+
+
+@pytest.mark.parametrize("pair", ["rademacher-16", "rademacher-256", "elliptic2-32", "elliptic2-512",
+                                  "symmetric2-512", *_SMALL_PAIRS])
+def test_lattice_gaussian_at_integer_p_matches_mpmath(pair):
+    # the Legendre rule over the quantile cells, cut at z*, against closed-form partial moments
+    mp = pytest.importorskip("mpmath")
+    if pair in _SMALL_PAIRS:
+        law, gauss = _SMALL_PAIRS[pair]
+    else:
+        name, n = pair.split("-")
+        model = builtin_model(name)
+        law, gauss = model.distribution(int(n)), GaussianLaw(0.0, model.sigma(int(n)))
+    ps = (1, 2, 3, 4)
+    ref, _ = _mp_lattice_gaussian(mp, law, gauss, ps)
+    for p in ps:
+        got = wasserstein_lattice_gaussian(law, gauss, p)
+        assert abs(got - ref[p]) <= 1e-13 * ref[p], p
+        assert wasserstein_distance(gauss, law, p) == got
+
+
+def test_w4_of_symmetric2_at_n_8192_keeps_its_digits():
+    # _mp_lattice_gaussian(mpmath, law, GaussianLaw(0.0, sigma), (4,)) for
+    # law, sigma = symmetric2 at n = 8192 gives 0.06797156337764733 (15 s);
+    # binomial sums over float partial moments gave 0.0729548
+    model = builtin_model("symmetric2")
+    law, sigma = model.distribution(8192), model.sigma(8192)
+    assert wasserstein_distance(law, GaussianLaw(0.0, sigma), 4) == pytest.approx(0.06797156337764733, rel=1e-13, abs=0.0)
 
 
 def test_scan_transport_on_piecewise_laws_inverts_no_quantile(monkeypatch):
@@ -430,7 +504,8 @@ def test_metric_axioms_on_samples():
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
-@pytest.mark.parametrize("fn", [wasserstein_distance, lp_cdf_distance, wasserstein_upper_bound])
+@pytest.mark.parametrize("fn", [wasserstein_distance, wasserstein_lattice_gaussian, lp_cdf_distance,
+                                wasserstein_upper_bound])
 def test_transport_orders_must_be_finite_and_at_least_one(fn, p):
     a = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
     with pytest.raises(ValueError, match="finite and >= 1"):
