@@ -13,13 +13,12 @@ configuration error.
 import argparse
 import sys
 
-import numpy as np
-
 from .. import __version__
 from ..edgeworth import build_expansion, check_order
 from ..special import normal_cdf, normal_pdf
 from ..transport import gaussian_coupling
 from .scans import (
+    _x_grid,
     scan_assumptions,
     scan_coupling,
     scan_moments,
@@ -233,7 +232,7 @@ def cmd_expand(args):
     r = args.m - 2 if args.r is None else args.r
     if not 0 <= r <= args.m - 2:
         raise ScenarioError("--r must be in [0, m-2]")
-    x = np.linspace(-args.grid_max, args.grid_max, 401)
+    x = _x_grid(args.grid_max)
     if r == 0:
         cdf, pdf = normal_cdf(x), normal_pdf(x)
     else:

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 _LATTICE_FLAG = "lattice CDF jumps of size ~1/sigma defeat corrections past order 0"
-_GRID_POINTS = 401  # x grid of the weighted sup gap
+_GRID_POINTS = 401  # x grid of the weighted sup gap and of `expand`
 _SHAPE_POINTS = 601  # x grid of the stationary shape gap, |x| <= 6
 _BOUND_TOL = 1e-5  # slack of W_p <= CDF-gap integral for quadrature error
 
@@ -139,8 +139,14 @@ class ErrorScanReport(_Verdict):
         return not self.passed and not self.flagged
 
 
-def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, is_lattice):
-    x = np.linspace(-grid_max, grid_max, _GRID_POINTS)
+def _x_grid(grid_max):
+    """_GRID_POINTS evenly spaced points on [-grid_max, grid_max]; grid_max must be finite and positive."""
+    if not (math.isfinite(grid_max) and grid_max > 0.0):
+        raise ValueError("grid_max must be finite and positive, got %r" % (grid_max,))
+    return np.linspace(-grid_max, grid_max, _GRID_POINTS)
+
+
+def _weighted_sup_gap(dist, sigma, psi_cdf, m, x, is_lattice):
     gap = np.abs(np.asarray(dist.cdf(sigma * x), dtype=float) - np.asarray(psi_cdf(x), dtype=float))
     best = float(np.max((1.0 + np.abs(x)) ** m * gap))
     if is_lattice:
@@ -148,7 +154,7 @@ def _weighted_sup_gap(dist, sigma, psi_cdf, m, grid_max, is_lattice):
         # both one-sided limits at every atom inside the window
         v = np.asarray(dist.support, dtype=float)
         xs = v / sigma
-        keep = (xs >= -grid_max) & (xs <= grid_max)
+        keep = (xs >= x[0]) & (xs <= x[-1])
         v, xs = v[keep], xs[keep]
         if v.size:
             pv = np.asarray(psi_cdf(xs), dtype=float)
@@ -172,6 +178,7 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     if not 0 <= r <= m - 2:
         raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
     ns = _check_ns(ns)
+    x = _x_grid(grid_max)
     is_lattice = bool(getattr(model, "is_lattice", False))
     sigmas = np.empty(len(ns))
     raw = np.empty(len(ns))
@@ -181,7 +188,7 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
         sigma = model.sigma(n)
         psi_cdf, _ = _psi(model, n, m, r)
         d = _weighted_sup_gap(
-            model.distribution(n), sigma, psi_cdf, m, grid_max, is_lattice
+            model.distribution(n), sigma, psi_cdf, m, x, is_lattice
         )
         sigmas[i] = sigma
         raw[i] = d

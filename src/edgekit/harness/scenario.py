@@ -92,8 +92,8 @@ class ScenarioConfig:
             raise ScenarioError("field 'q': moment orders must be >= 1")
         if self.target is not None and not self.target > 0.0:
             raise ScenarioError("field 'target': must be positive when given")
-        if not self.grid_max > 0.0:
-            raise ScenarioError("field 'grid_max': must be positive")
+        if not 0.0 < self.grid_max < math.inf:
+            raise ScenarioError("field 'grid_max': must be finite and positive")
         if self.fmt not in ("csv", "json"):
             raise ScenarioError("field 'format': must be csv or json, got %r" % (self.fmt,))
         return self

@@ -12,6 +12,7 @@ operator as truncated power series, with no lattice and no table.
 Everything is deterministic.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -95,6 +96,7 @@ class MarkovChainSpec:
     (kernel, observable, count) for each maximal stretch of steps sharing
     both objects. Engines do their Python work once per run, not per step.
     Kernel and initial entries in [-1e-15, 0) are clipped to 0.0 in a copy.
+    Every entry must be finite (NaN passes every other check).
     """
 
     initial: np.ndarray
@@ -112,13 +114,15 @@ class MarkovChainSpec:
             raise ValueError("%d kernels but %d observables" % tuple(map(len, given)))
         if initial.ndim != 1:
             raise ValueError("initial law must be a vector")
+        if not np.isfinite(initial).all():
+            raise ValueError("initial law has a non-finite entry")
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
         # homogeneous chains repeat one object per step: convert and check
         # each distinct one once; `given` holds them, so their ids stay unique
         arrays = {id(a): a for a in given[0] + given[1]}
         arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
-        size, shapes, clipped, starts, last = initial.size, {}, {}, [], None
+        size, shapes, clipped, finite, starts, last = initial.size, {}, {}, set(), [], None
         for j, key in enumerate(zip(map(id, given[0]), map(id, given[1]))):
             if key != last:
                 starts.append(j)
@@ -130,7 +134,13 @@ class MarkovChainSpec:
                     raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
                 if f.shape != k.shape:
                     raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
+                if key[1] not in finite:
+                    if not np.isfinite(f).all():
+                        raise ValueError("observable %d has a non-finite entry" % j)
+                    finite.add(key[1])
                 if key[0] not in clipped:
+                    if not np.isfinite(k).all():
+                        raise ValueError("kernel %d has a non-finite entry" % j)
                     rows = k.sum(axis=1)
                     if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
                         raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
@@ -189,6 +199,20 @@ def _merged(runs):
     return out
 
 
+def _squarings(base, square):
+    """base, base^2, base^4, ...: each square built only when the next power is asked for.
+
+    The one doubling schedule of the chain engines. Binary powering zips
+    the bits of a length, lowest first, with it, and zip stops at the
+    last bit; a doubling of prefixes takes the powers it needs. `square`
+    passes its argument twice as one object, which `_poly_matmul` and
+    `_scaled_mul` test for.
+    """
+    while True:
+        yield base
+        base = square(base)
+
+
 def _step_means(spec, *sequences):
     """E g_j(X_j, X_{j+1}) per step, for each sequence g of one array per run of `spec.runs`.
 
@@ -208,19 +232,24 @@ def _laws(law, runs):
 
     Row i of a run's array is its first law times K^i, in O(log count)
     products: each doubling appends the rows so far times K^m, m the row
-    count. Squaring doubles the rounding error of a power's row sums at
-    every level (elliptic2's nu K^(2^15) gained 1.1e-12 of mass), so each
-    power's rows are rescaled to sum to 1. That moves K^m by at most m
-    delta relative, delta the kernel's row-sum defect, and leaves the law
-    of step j within j S u of the exact law plus that much, as stepping
-    one kernel at a time would (S states, u the unit roundoff).
+    count, the next power of `_squarings`. Squaring doubles the rounding
+    error of a power's row sums at every level (elliptic2's nu K^(2^15)
+    gained 1.1e-12 of mass), so each square's rows are rescaled to sum
+    to 1. That moves K^m by at most m delta relative, delta the kernel's
+    row-sum defect, and leaves the law of step j within j S u of the
+    exact law plus that much, as stepping one kernel at a time would (S
+    states, u the unit roundoff).
     """
+
+    def square(power):
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+        return power
+
     for kernel, count in runs:
-        laws, power = law[None, :], kernel
-        while laws.shape[0] < count:
+        laws = law[None, :]
+        for power in itertools.islice(_squarings(kernel, square), (count - 1).bit_length()):
             laws = np.concatenate([laws, laws[: count - laws.shape[0]] @ power])
-            power = power @ power
-            power /= power.sum(axis=1, keepdims=True)
         yield laws
         law = laws[-1] @ kernel
 
@@ -401,10 +430,13 @@ class _Power:
     gcd of the live shifts, P(z) = Q(z^g), so each stride phase of the
     table (the cells c = phi mod g) is a row vector of its own, multiplied
     by Q(z)^length, whose degree is only length w / g for w the widest
-    live shift. Q is raised by binary powering: v <- v Q^(2^k) for each
-    set bit k of the length, squaring in between. Every polynomial product
-    is a direct convolution of nonnegative coefficients (`_poly_matmul`),
-    so no cancellation happens and the masses keep a relative error bound:
+    live shift. Q is raised by binary powering over `_squarings`: v <- v
+    Q^(2^k) for each set bit k of the length, lowest first. The squares'
+    sizes and costs do not depend on the table, so they are priced once,
+    when the power is built, from the same levels the run reads. Every
+    polynomial product is a direct convolution of nonnegative
+    coefficients (`_poly_matmul`), so no cancellation happens and the
+    masses keep a relative error bound:
 
     a product of polynomials with relative errors e_a and e_b, each output
     coefficient one summation tree over at most S (L + 1) nonnegative
@@ -433,6 +465,16 @@ class _Power:
         bits = length.bit_length() - 1
         self.error = (max(kernel.shape) * length * ((bits / 2 + 1) * self.reduced + 1)
                       * np.finfo(float).eps / 2)
+        # (bit k of the length, size of Q^(2^k), seconds of the square after
+        # it, none after the top) per level k, lowest first, and the most a
+        # square holds; a square's factors are one array
+        n_in, n_out = kernel.shape
+        digits = (length >> k & 1 for k in range(length.bit_length()))
+        sizes = _squarings(self.reduced + 1, lambda s: 2 * s - 1)
+        self.levels = [(bit, size, n_in * n_out * n_out * _convolve_cost(size, size) if k < bits else 0.0)
+                       for k, (bit, size) in enumerate(zip(digits, sizes))]
+        self.held = max([2 * n_in * n_out * size + 3 * n_in * n_out * (2 * size - 1)
+                         for _, size, _ in self.levels[:-1]], default=0)
 
     def price(self, columns):
         """Estimated seconds to apply the run to a table `columns` wide, and the most cells a product holds.
@@ -443,20 +485,16 @@ class _Power:
         n_in, n_out = self.kernel.shape
         g = self.stride
         phase = -(-columns // g)
-        size, length, seconds, held = self.reduced + 1, self.length, 0.0, 0
-        while True:
-            if length & 1:
+        seconds, held = 0.0, self.held
+        # in the run's order: each level's application, then the square after it
+        for bit, size, square in self.levels:
+            if bit:
                 seconds += g * n_in * n_out * _convolve_cost(phase, size)
                 held = max(held, 2 * (g * n_in * phase + n_in * n_out * size)
                            + 3 * g * n_out * (phase + size - 1))
                 phase += size - 1
-            length >>= 1
-            if not length:
-                return seconds, held
-            # a square's factors are one array
-            seconds += n_in * n_out * n_out * _convolve_cost(size, size)
-            held = max(held, 2 * n_in * n_out * size + 3 * n_in * n_out * (2 * size - 1))
-            size = 2 * size - 1
+            seconds += square
+        return seconds, held
 
     def run(self, table, count):
         """The table after `count` passes of the whole run; a plan makes one."""
@@ -474,14 +512,9 @@ class _Power:
                 v = np.zeros((g, n_in, -(-hi // g)))
                 for phase in range(g):
                     v[phase, :, : -(-(hi - phase) // g)] = table[:, phase::g]
-            power, length = q, self.length
-            while True:
-                if length & 1:
+            for (bit, _, _), power in zip(self.levels, _squarings(q, lambda p: _poly_matmul(p, p))):
+                if bit:
                     v = _poly_matmul(v, power)
-                length >>= 1
-                if not length:
-                    break
-                power = _poly_matmul(power, power)
             out = v.transpose(1, 2, 0).reshape(v.shape[1], -1)
             table = out[:, : hi + self.length * self.width]
         return table
@@ -680,11 +713,12 @@ def cumulant_series(spec, kmax):
 
     E exp(z S_n) = nu_0 prod_j M_j(z) 1, M_j(z) = K_j o exp(z F_j), each a
     power series truncated at z^kmax; a run of equal steps (`_step_series`)
-    is raised to its length by binary powering. Every product is divided
-    by a scalar series whose log joins one list for the whole chain
-    (`_scaled_mul`), so no raw moment of S_n is formed and no term is
-    copied per run, and kappa_k = k! [z^k] of the logs summed by
-    math.fsum. kappa_1 is 0.0: S_n is centered by definition.
+    is raised to its length by binary powering over `_squarings`
+    (`_series_power`). Every product is divided by a scalar series whose
+    log joins one list for the whole chain (`_scaled_mul`), so no raw
+    moment of S_n is formed and no term is copied per run, and kappa_k =
+    k! [z^k] of the logs summed by math.fsum. kappa_1 is 0.0: S_n is
+    centered by definition.
     Coefficient k depends only on coefficients <= k, so kappa_k has the
     same bits whatever kmax is asked for.
     """
@@ -733,15 +767,9 @@ def _series_mul(a, b, op=np.matmul):
 
 
 def _series_power(base, length, mul):
-    """base**length (length >= 1) by binary powering under the product `mul`."""
-    out = None
-    while True:
-        if length & 1:
-            out = base if out is None else mul(out, base)
-        length >>= 1
-        if not length:
-            return out
-        base = mul(base, base)
+    """base**length (length >= 1): the set-bit powers of `_squarings`, multiplied lowest first by `mul`."""
+    bits = (length >> k & 1 for k in range(length.bit_length()))
+    return functools.reduce(mul, (p for bit, p in zip(bits, _squarings(base, lambda p: mul(p, p))) if bit))
 
 
 def _scaled_mul(a, b):
@@ -778,8 +806,9 @@ def _prefix_variances(runs, law):
     `runs` holds (M(z), count) pairs of order-2 step series. Within a run
     the rows v M^i, each divided by its total (`_order2_rows`), come by
     doubling as in `_laws`: rows [m, 2m) are rows [0, m) times P_m,
-    the normalized M^m of `_scaled_mul`. A row's log terms are then those
-    of its source row, those of P_m and the one its own division adds.
+    the normalized M^m of `_scaled_mul` that `_squarings` yields next. A
+    row's log terms are then those of its source row, those of P_m and
+    the one its own division adds.
     The terms of P_m are doubled exactly and fsum'd to a pair (H, E)
     whose sum is theirs to within u^2, and each row carries its variance
     as such a pair, added to by vectorised TwoSum, so Var(S_k) keeps its
@@ -800,7 +829,7 @@ def _prefix_variances(runs, law):
                 k += 1
             continue
         cap = max(2, _ROW_FLOATS // max(series.shape[1:]))
-        powers, pair = [], (series, [])
+        powers, squares = [], _squarings((series, []), lambda p: _scaled_mul(p, p))
         done = 0
         while done < count:
             size = min(cap, count - done + 1)
@@ -809,8 +838,7 @@ def _prefix_variances(runs, law):
                 m = his.size  # a power of two: 2**level
                 level = m.bit_length() - 1
                 if level == len(powers):
-                    if powers:
-                        pair = _scaled_mul(pair, pair)
+                    pair = next(squares)
                     terms = [t[1] for t in pair[1]]
                     big = math.fsum(terms)
                     powers.append((pair[0], big, math.fsum(terms + [-big])))

@@ -70,6 +70,10 @@ def test_scan_nonuniform_validates_inputs():
         scan_nonuniform(m, 3, 2, (8, 16))
     with pytest.raises(ValueError):
         scan_nonuniform(m, 3, 0, (16, 8))
+    # a grid that is empty, reversed or a single point judges no jump
+    for grid_max in (-3.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid_max must be finite and positive"):
+            scan_nonuniform(m, 3, 0, (8, 16), grid_max=grid_max)
 
 
 # -- transport scans ----------------------------------------------------------
@@ -288,6 +292,7 @@ def test_parse_scenario_text_full():
         ("model = builtin:rademacher\nseed = 0\n", "seed"),
         ("model = builtin:rademacher\np = 1,inf\n", "'p'"),
         ("model = builtin:rademacher\np = nan\n", "'p'"),
+        ("model = builtin:rademacher\ngrid_max = inf\n", "'grid_max'"),
     ],
 )
 def test_parse_scenario_text_errors(text, needle):
@@ -586,6 +591,17 @@ def test_cli_refuses_non_finite_transport_order(capsys, order):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan-be", "--model", "builtin:rademacher", "--n", "8,16", "--grid-max", "-3"],
+    ["scan-edgeworth", "--model", "builtin:uniform", "--n", "4,8", "--grid-max", "0"],
+    ["expand", "--model", "builtin:rademacher", "--n", "8", "--grid-max", "-2"],
+    ["expand", "--model", "builtin:rademacher", "--n", "8", "--grid-max", "inf"],
+])
+def test_cli_refuses_a_grid_max_that_is_not_finite_and_positive(capsys, argv):
+    assert main(argv) == 2
+    assert "grid_max must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_unknown_model_message(capsys):
     code = main(["scan-be", "--model", "builtin:wat", "--n", "8,16"])
     assert code == 2
@@ -759,6 +775,16 @@ def test_cli_off_lattice_chains_get_cumulants_and_law(tmp_path, capsys, pair):
     binomial = np.array([math.comb(64, k) for k in range(65)]) / 2.0**64
     # DP masses carry relative error below n (S + 2) u (see markov._mean_tolerance)
     assert np.all(np.abs(masses - binomial) <= 64 * 4 * np.finfo(float).eps * binomial)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["dist", "cumulants"])
+def test_cli_refuses_a_chain_file_with_non_finite_entries(tmp_path, capsys, value, command):
+    path = tmp_path / "chain.txt"
+    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 4\n\n"
+                    "[observable.1]\n%s -1\n1 -1\nrepeat = 4\n" % value)
+    assert main([command, "--model", str(path), "--n", "4"]) == 2
+    assert "observable 0 has a non-finite entry" in capsys.readouterr().err
 
 
 def test_cli_fine_lattice_refusal_names_the_table_free_commands(tmp_path, capsys):

@@ -307,6 +307,41 @@ def test_powered_error_bound_is_the_derived_one():
         assert power.error == 3 * r * ((bits / 2 + 1) * 2 + 1) * _U
 
 
+def _price_cases():
+    # elliptic2's kernel, the stride-4 kernel above and a rectangular single step
+    elliptic2, rectangular = builtin_model("elliptic2").spec(1), _rectangular_chain(3, [2, 5])
+    kernels = {
+        "elliptic2": (elliptic2.kernels[0], _common_lattice(elliptic2.observables)[2][0]),
+        "stride4": (np.full((3, 3), 1.0 / 3.0), np.array([[0, 4, 8], [4, 0, 4], [8, 8, 0]])),
+    }
+    for columns in (1, 5, 33):
+        for (name, (kernel, shifts)), length in itertools.product(kernels.items(), (1, 2, 3, 5, 7, 64, 100, 4097)):
+            yield pytest.param(kernel, shifts, length, columns, id="%s-r%d-w%d" % (name, length, columns))
+        shifts = _common_lattice(rectangular.observables)[2][0]
+        yield pytest.param(rectangular.kernels[0], shifts, 1, columns, id="2x5-r1-w%d" % columns)
+
+
+@pytest.mark.parametrize("kernel,shifts,length,columns", _price_cases())
+def test_power_price_holds_what_its_run_holds(kernel, shifts, length, columns, monkeypatch):
+    # the run squares once per level below the top and applies each set
+    # bit, and the most one product holds is what `price` charges the budget
+    from edgekit.models import markov
+
+    held = []
+    poly_matmul = markov._poly_matmul
+
+    def counted(a, b):
+        out = poly_matmul(a, b)
+        held.append(2 * (a.size + (0 if b is a else b.size)) + 3 * out.size)
+        return out
+
+    monkeypatch.setattr(markov, "_poly_matmul", counted)
+    power = _Power(kernel, shifts, length)
+    power.run(np.full((kernel.shape[0], columns), 1.0 / columns), 1)
+    assert len(held) == bin(length).count("1") + length.bit_length() - 1
+    assert max(held) == power.price(columns)[1]
+
+
 def _tailed(rng, shape, size):
     """Polynomials falling from about 1 in the middle to 1e-320 at both ends, with zeros inside."""
     p = rng.uniform(0.5, 1.0, shape + (size,)) * 10.0 ** (-320 * np.abs(np.linspace(-1, 1, size)))
@@ -544,6 +579,23 @@ def test_spec_checks_each_kernel_once_and_names_the_first_bad_step():
     # one object given for every step becomes one array
     spec = MarkovChainSpec([0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]]] * 5, [[[0, 1], [1, 0]]] * 5)
     assert len({id(k) for k in spec.kernels}) == len({id(f) for f in spec.observables}) == 1
+
+
+def test_spec_refuses_non_finite_entries_and_names_the_step():
+    # NaN passes every comparison of the other checks; a NaN observable
+    # once read as a constant one and gave a point mass at 0
+    good, f = np.full((2, 2), 0.5), np.zeros((2, 2))
+    nan_kernel = np.array([[np.nan, 0.5], [0.5, 0.5]])
+    for initial, kernels, observables, needle in (
+        ([0.5, 0.5], (good, good, nan_kernel), (f,) * 3, "kernel 2 has a non-finite entry"),
+        ([0.5, 0.5], (good,) * 3, (f, np.array([[np.nan, -1.0], [1.0, -1.0]]), f),
+         "observable 1 has a non-finite entry"),
+        ([0.5, 0.5], (good,) * 4, (f,) * 3 + (np.array([[np.inf, -1.0], [1.0, -1.0]]),),
+         "observable 3 has a non-finite entry"),
+        ([np.nan, 1.0], (good,) * 2, (f,) * 2, "initial law has a non-finite entry"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            MarkovChainSpec(initial, kernels, observables)
 
 
 def test_rounding_below_zero_in_kernels_and_initial_is_clipped_in_a_copy():
