@@ -77,6 +77,7 @@ def tuple_hermite_order(tup):
     return sum((l + 2) * k for l, k in enumerate(tup, start=1))
 
 
+@lru_cache(maxsize=None)
 def correction_coefficient(tup):
     """Exact combinatorial weight prod 1/(k_l! ((l+2)!)^k_l)."""
     c = Fraction(1)

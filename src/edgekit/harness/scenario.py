@@ -9,6 +9,7 @@ line front end prints and writes its tables through the same
 serializer and parses its list options with the same parsers.
 """
 
+import functools
 import json
 import math
 import os
@@ -90,8 +91,8 @@ class ScenarioConfig:
             raise ScenarioError("field 'p': transport orders must be finite and >= 1")
         if not self.qs or any(q < 1 for q in self.qs):
             raise ScenarioError("field 'q': moment orders must be >= 1")
-        if self.target is not None and not self.target > 0.0:
-            raise ScenarioError("field 'target': must be positive when given")
+        if self.target is not None and not 0.0 < self.target < math.inf:
+            raise ScenarioError("field 'target': must be finite and positive when given")
         if not 0.0 < self.grid_max < math.inf:
             raise ScenarioError("field 'grid_max': must be finite and positive")
         if self.fmt not in ("csv", "json"):
@@ -223,21 +224,33 @@ def format_real(v):
     return "%.17g" % float(v)
 
 
-def _fmt_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "yes" if v else "no"
-    if isinstance(v, (int, np.integer)):
-        return "%d" % v
-    if isinstance(v, str):
-        return v
-    return format_real(v)
+def _fmt_cell(kind):
+    """%-conversion of a table cell of type `kind`; a bool cell is passed as yes or no."""
+    if issubclass(kind, (bool, np.bool_)):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, str):
+        return "%s"
+    return "%.17g"  # format_real's form; %-formatting takes float(v) itself
+
+
+@functools.lru_cache(maxsize=None)
+def _row_template(kinds):
+    """One %-template for a CSV row of cells of these types, and the positions of its bools."""
+    flags = tuple(i for i, kind in enumerate(kinds) if issubclass(kind, (bool, np.bool_)))
+    return ",".join(map(_fmt_cell, kinds)), flags
 
 
 def format_table(header, rows, meta=None, fmt="csv"):
     """Text of one report table; CSV by default, JSON (with meta) on request."""
     if fmt == "csv":
         lines = [",".join(str(h) for h in header)]
-        lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+        for row in map(tuple, rows):
+            template, flags = _row_template(tuple(map(type, row)))
+            if flags:
+                row = tuple(("yes" if v else "no") if i in flags else v for i, v in enumerate(row))
+            lines.append(template % row)
         return "\n".join(lines) + "\n"
     doc = {
         "header": list(header),

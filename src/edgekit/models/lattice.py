@@ -177,11 +177,8 @@ class LatticeDistribution:
 
     def csv_rows(self):
         """(value, mass) pairs for export, zero-mass cells skipped."""
-        return [
-            (float(v), float(m))
-            for v, m in zip(self.support, self.masses)
-            if m > 0.0
-        ]
+        live = self.masses > 0.0
+        return list(zip(self.support[live].tolist(), self.masses[live].tolist()))
 
 
 def _equispaced(t):

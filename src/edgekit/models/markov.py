@@ -118,17 +118,21 @@ class MarkovChainSpec:
             raise ValueError("initial law has a non-finite entry")
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
-        # homogeneous chains repeat one object per step: convert and check
-        # each distinct one once; `given` holds them, so their ids stay unique
-        arrays = {id(a): a for a in given[0] + given[1]}
-        arrays = {key: np.asarray(a, dtype=float) for key, a in arrays.items()}
-        size, shapes, clipped, finite, starts, last = initial.size, {}, {}, set(), [], None
-        for j, key in enumerate(zip(map(id, given[0]), map(id, given[1]))):
-            if key != last:
-                starts.append(j)
-                last = key
-            shape = shapes.get(key)
-            if shape is None or shape[0] != size:
+        # homogeneous chains repeat one object per step: find where runs of
+        # equal objects start first, then convert and check each distinct
+        # object once; `given` holds them, so their ids stay unique
+        n = len(given[0])
+        ids = [np.fromiter(map(id, objs), np.uint64, n) for objs in given]
+        starts = (np.flatnonzero((ids[0][1:] != ids[0][:-1]) | (ids[1][1:] != ids[1][:-1])) + 1).tolist()
+        arrays, checked, clipped, finite, runs = {}, {}, {}, set(), []
+        size = initial.size
+        for j, end in zip([0] + starts, starts + [n]):
+            key = id(given[0][j]), id(given[1][j])
+            run = checked.get(key)
+            if run is None or run[2] != size:
+                for i, a in zip(key, (given[0][j], given[1][j])):
+                    if i not in arrays:
+                        arrays[i] = np.asarray(a, dtype=float)
                 k, f = arrays[key[0]], arrays[key[1]]
                 if k.ndim != 2 or k.shape[0] != size:
                     raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
@@ -137,6 +141,9 @@ class MarkovChainSpec:
                 if key[1] not in finite:
                     if not np.isfinite(f).all():
                         raise ValueError("observable %d has a non-finite entry" % j)
+                    if not math.isfinite(float(f.max()) - float(f.min())):
+                        # f - min f, which every engine takes, would overflow
+                        raise ValueError("observable %d has values further apart than the float range" % j)
                     finite.add(key[1])
                 if key[0] not in clipped:
                     if not np.isfinite(k).all():
@@ -145,12 +152,15 @@ class MarkovChainSpec:
                     if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
                         raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
                     clipped[key[0]] = np.maximum(k, 0.0) if k.min() < 0.0 else k
-                shapes[key] = shape = k.shape
-            size = shape[1]
-        kernels = tuple(clipped[id(a)] for a in given[0])
-        observables = tuple(arrays[id(a)] for a in given[1])
-        ends = starts[1:] + [len(kernels)]
-        runs = tuple((kernels[j], observables[j], end - j) for j, end in zip(starts, ends))
+                checked[key] = run = (clipped[key[0]], f, *k.shape)
+            kernel, f, rows, size = run
+            if end - j > 1 and rows != size:
+                # the run's second step starts from the first one's columns
+                raise ValueError("kernel %d has shape %r, expected %d rows" % (j + 1, (rows, size), size))
+            runs.append((kernel, f, end - j))
+        kernels = tuple(map(clipped.__getitem__, ids[0].tolist()))
+        observables = tuple(map(arrays.__getitem__, ids[1].tolist()))
+        runs = tuple(runs)
         object.__setattr__(self, "initial", np.maximum(initial, 0.0) if initial.min() < 0.0 else initial)
         object.__setattr__(self, "kernels", kernels)
         object.__setattr__(self, "observables", observables)
@@ -310,37 +320,52 @@ def exact_distribution(spec):
     either raised to its length at once by binary powering (`_Power`) or
     stepped through (`_Moves`), whichever `_sweep_plan` prices lower;
     either way one call applies the whole run, and every other pass is
-    one per run. Cell 0 sits at -sum_j E[f_j - min f_j], one math.fsum
-    of the per-step means, so S_n is centered once, here, and the law
-    never carries the raw size of the observables.
+    one per run. A trailing stretch of stepped runs may instead be swept
+    backward from the all-ones column and joined to the forward table by
+    one polynomial product (`_backward_half`), so that each sweep ends
+    about half as wide. Cell 0 sits at -sum_j E[f_j - min f_j], one
+    math.fsum of the per-step means, so S_n is centered once, here, and
+    the law never carries the raw size of the observables.
 
     Masses carry the relative error bounded in `_mean_tolerance` only
-    while they stay in the normal float range. Masses below about
-    2.2e-308 carry no relative accuracy in either route: stepping rounds
-    them at every step, toward the smallest subnormal 5e-324, which
-    sticks (0.8 * 2**-1074 rounds back up) even where the exact mass is
-    far smaller, while each powered product rounds them once (its tails
-    are lifted out of the subnormal range, `_poly_matmul`), so the two
-    routes end the support at different cells. The result must have
-    mean 0 within the float error of the sweep (see `_mean_tolerance`)
-    plus the snap error of every step, which moves each value and so the
-    mean by at most that much; otherwise the centering is wrong and the
-    run aborts.
+    while they stay in the normal float range. Without a backward half
+    that is the runs' `error` summed, plus S u for the sum over states.
+    With one it is the forward runs' `error` plus the backward steps'
+    `error` plus S (min(L_fwd, L_bwd) + 1) u, the join's: each output is
+    one summation tree over at most S (L + 1) nonnegative products, L + 1
+    the shorter table's width and S the states at the cut. Masses below
+    about 2.2e-308 carry no relative accuracy in any route: stepping
+    rounds them at every step, toward the smallest subnormal 5e-324,
+    which sticks (0.8 * 2**-1074 rounds back up) even where the exact
+    mass is far smaller, while each powered product and the join round
+    them once (their tails are lifted out of the subnormal range,
+    `_poly_matmul`), so the routes end the support at different cells.
+    The result must have mean 0 within the float error of the sweep (see
+    `_mean_tolerance`) plus the snap error of every step, which moves
+    each value and so the mean by at most that much; otherwise the
+    centering is wrong and the run aborts.
     """
-    d, diffs, plan, snap = _sweep_plan(spec)
+    d, diffs, plan, back, snap = _sweep_plan(spec)
     if d == 0.0:
         # degenerate: every f_j is constant, so S_n is a.s. 0
         return LatticeDistribution(0.0, 1.0, [1.0])
     table = spec.initial[:, None].copy()
     for step, count in plan:
         table = step.run(table, count)
+    sweep = sum(count * step.error for step, count in plan + back)
+    if back:
+        column = np.ones((back[0][0].states_in, 1))
+        for step, count in back:
+            column = step.run(column, count)
+        masses = _poly_matmul(table[None], column[:, None])[0, 0]
+        sweep += table.shape[0] * (min(table.shape[1], column.shape[1]) + 1) * np.finfo(float).eps / 2
+    else:
+        masses = table.sum(axis=0)
     means, lattice_means = _step_means(spec, [f for _, f, _ in spec.runs], diffs)
     origin = -math.fsum(lattice_means.tolist())  # value of cell 0
-    masses = table.sum(axis=0)
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
-    sweep = sum(count * step.error for step, count in plan)
     tol = _mean_tolerance(spec, means, dist.masses.size, sweep) + snap
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
@@ -348,7 +373,7 @@ def exact_distribution(spec):
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-run lattice parts, plan and summed snap error of one DP sweep.
+    """Lattice step, per-run lattice parts, forward and backward plans and summed snap error of one DP sweep.
 
     Runs come from the spec's run form (`MarkovChainSpec.runs`), the one
     place runs are split: `_common_lattice` snaps one observable per run,
@@ -364,9 +389,11 @@ def _sweep_plan(spec):
     table, with the most cells one powered product holds beside it
     (`_Power.price`), could outgrow _CELL_BUDGET: the table of any run of
     steps is at most max(states) * (1 + sum of the steps' widest shifts).
+    The backward plan (`_backward_half`) is empty unless it is taken; it
+    is taken only if its join fits the budget beside the table.
     """
     d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs])
-    moves, powers, plan = {}, {}, []
+    moves, powers, plan, stepped = {}, {}, [], []
     columns, held = 1, 0
     for kernel, shift, count in _merged((k, s, c) for (k, _, c), s in zip(spec.runs, shifts)):
         key = (id(kernel), id(shift))
@@ -376,17 +403,72 @@ def _sweep_plan(spec):
         if seconds < moves[key].cost(count, columns):
             plan.append((power, 1))
             held = max(held, cells)
+            stepped = []
         else:
             plan.append((moves[key], count))
+            stepped.append((kernel, shift, columns))
         columns += count * moves[key].width
-    cells = _max_states(spec) * columns + held
+    states = _max_states(spec)
+    plan, back, joined = _backward_half(plan, stepped, columns, _CELL_BUDGET - states * columns)
+    cells = states * columns + max(held, joined)
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, diffs, plan, sum(count * e for (_, _, count), e in zip(spec.runs, snaps))
+    return d, diffs, plan, back, sum(count * e for (_, _, count), e in zip(spec.runs, snaps))
+
+
+def _backward_half(plan, stepped, columns, room):
+    """(forward plan, backward plan, cells the join holds) of a sweep from both ends.
+
+    The law factors at any step h into the forward table alpha_h =
+    nu P_1(z) ... P_h(z) and the backward column beta_h =
+    P_(h+1)(z) ... P_n(z) 1: the mass of cell c is
+    sum_x sum_(a+b=c) alpha_h[x, a] beta_h[x, b] (the forward-backward
+    factorization of Baum, Petrie, Soules and Weiss, Ann. Math. Statist.
+    41, 1970). A backward step is new[x, c] = sum_y K[x, y]
+    old[y, c - D[x, y]], a `_Moves` of (K^T, D^T), built once per
+    (kernel, shift array) pair. `stepped` holds (kernel, shift array,
+    start columns) of the trailing stepped runs of `plan`, whose widths
+    add up to `columns` - 1. The backward half takes them from the
+    chain's end to the midpoint of the total width, splitting the run the
+    midpoint lands in, and lists them in the order they are applied.
+    Powered runs are never cut or transposed: their products cost by
+    nonzero spans, which `_Power.price` does not see, so only the linear
+    `_Moves.cost` and `_convolve_cost` price the split. It is taken when
+    the backward steps from one column plus the join cost less than the
+    same steps forward and the join (`_poly_matmul`: both tables and
+    their lifted tails, the output and two lift arrays) fits in `room`
+    cells; otherwise the plan comes back whole with no backward half.
+    """
+    half = (columns - 1) // 2
+    forward, back, transposed = list(plan), [], {}
+    width, saved, spent = 0, 0.0, 0.0
+    for kernel, shift, start in reversed(stepped):
+        if width >= half:
+            break
+        moves, count = forward.pop()
+        take = min(count, -(-(half - width) // moves.width)) if moves.width else count
+        if take < count:
+            forward.append((moves, count - take))
+        key = (id(kernel), id(shift))
+        # in C order, as the forward groups are: with a transposed view's
+        # F-order groups, chain64's backward steps ran 10-30% slower
+        step = transposed[key] = transposed.get(key) or _Moves(*map(np.ascontiguousarray, (kernel.T, shift.T)))
+        saved += moves.cost(take, start + (count - take) * moves.width)
+        spent += step.cost(take, width + 1)
+        back.append((step, take))
+        width += take * moves.width
+    if not back:
+        return plan, [], 0
+    cut = back[-1][0].states  # states at the cut: rows of the first kernel past it
+    spent += cut * _convolve_cost(columns - width, width + 1)
+    joined = 2 * cut * (columns + 1) + 3 * columns
+    if spent >= saved or joined > room:
+        return plan, [], 0
+    return forward, back, joined
 
 
 def _mean_tolerance(spec, means, cells, sweep):
@@ -396,9 +478,11 @@ def _mean_tolerance(spec, means, cells, sweep):
     step means E f_j in `means`, F = sum_j max|f_j - E f_j|, delta the
     largest row-sum defect of the initial law and the kernels (at most
     1e-12 by validation), and `sweep` the relative error the sweep's runs
-    add to every mass (`_Moves.error` per step, `_Power.error` per run).
-    The masses carry relative error <= sweep + S u + (n+1) delta after the
-    sum over states. The lattice parts f_j - min f_j lie in
+    add to every mass (`_Moves.error` per step, `_Power.error` per run,
+    and the join's S (min(L_fwd, L_bwd) + 1) u where a backward half is
+    swept). The masses carry relative error <= sweep + S u + (n+1) delta
+    after the sum over states (a join sums over states itself, so there
+    the S u is counted twice). The lattice parts f_j - min f_j lie in
     [0, 2 max|f_j - E f_j|], so their means, their partial sums and the
     cell values d c stay within 2F. Each mean comes from a marginal with
     relative error <= n S u (`_laws`) and two S-term sums, so the
@@ -741,10 +825,12 @@ def _step_series(spec, kmax):
     Runs of `spec.runs` whose kernel and shifted observable agree share
     one array, and adjacent ones merge (`_merged`).
     """
-    shifted, interned, built, out = {}, {}, {}, []
+    shifted, interned, built, out, j = {}, {}, {}, [], 0
     for kernel, f, count in spec.runs:
         if id(f) not in shifted:
             g = f - 0.5 * (float(f.max()) + float(f.min()))
+            if not np.isfinite(g).all():
+                raise ValueError("observable %d overflows when shifted by its midrange" % j)
             shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
         key = id(kernel), id(shifted[id(f)])
         if key not in built:
@@ -753,6 +839,7 @@ def _step_series(spec, kmax):
                 coeffs.append(coeffs[-1] * shifted[id(f)] / b)
             built[key] = np.stack(coeffs)
         out.append((built[key], count))
+        j += count
     return _merged(out)
 
 

@@ -293,6 +293,7 @@ def test_parse_scenario_text_full():
         ("model = builtin:rademacher\np = 1,inf\n", "'p'"),
         ("model = builtin:rademacher\np = nan\n", "'p'"),
         ("model = builtin:rademacher\ngrid_max = inf\n", "'grid_max'"),
+        ("model = builtin:rademacher\ntarget = inf\n", "'target'"),
     ],
 )
 def test_parse_scenario_text_errors(text, needle):
@@ -785,6 +786,17 @@ def test_cli_refuses_a_chain_file_with_non_finite_entries(tmp_path, capsys, valu
                     "[observable.1]\n%s -1\n1 -1\nrepeat = 4\n" % value)
     assert main([command, "--model", str(path), "--n", "4"]) == 2
     assert "observable 0 has a non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dist", "cumulants"])
+def test_cli_refuses_a_chain_file_whose_values_overflow(tmp_path, capsys, command):
+    # 1e308 - (-1e308) is inf: the law's f - min f and the series'
+    # midrange shift would carry it into a traceback or a nan table
+    path = tmp_path / "chain.txt"
+    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 4\n\n"
+                    "[observable.1]\n1e308 -1e308\n1 -1\nrepeat = 4\n")
+    assert main([command, "--model", str(path), "--n", "4"]) == 2
+    assert "observable 0 has values further apart than the float range" in capsys.readouterr().err
 
 
 def test_cli_fine_lattice_refusal_names_the_table_free_commands(tmp_path, capsys):

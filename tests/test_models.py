@@ -458,6 +458,10 @@ def test_sweep_plan_builds_one_move_list_per_kernel_observable_pair():
     assert len(runs) == 64 and len({id(step) for step, _ in runs}) == 2
     shared = _shared_kernel_chain(3, 9)
     assert len({id(step) for step, _ in _sweep_plan(shared)[2]}) == 3
+    # swept from both ends, each half builds one step object per pair
+    plan, back = _sweep_plan(builtin_model("flip2").spec(4096))[2:4]
+    assert len(plan) + len(back) == 4096
+    assert len({id(step) for step, _ in plan}) == len({id(step) for step, _ in back}) == 2
 
 
 def test_fine_lattice_refused_before_allocating():
@@ -571,6 +575,11 @@ def test_spec_checks_each_kernel_once_and_names_the_first_bad_step():
         MarkovChainSpec([0.5, 0.5], (good,) * 3 + (bad,) * 4, (f,) * 7)
     with pytest.raises(ValueError, match="kernel 2 has shape"):
         MarkovChainSpec([0.5, 0.5], (good, good, np.full((3, 3), 1 / 3)) + (bad,), (f,) * 4)
+    # a (kernel, observable) pair seen before is checked again where the
+    # state count it meets has changed
+    wide, square3, g = np.full((2, 3), 1 / 3), np.full((3, 3), 1 / 3), np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"kernel 3 has shape \(2, 3\), expected 3 rows"):
+        MarkovChainSpec([0.5, 0.5], (good, wide, square3, wide), (f, g, np.zeros((3, 3)), g))
     with pytest.raises(ValueError, match="observable 1 shape"):
         MarkovChainSpec([0.5, 0.5], (good,) * 3, (f, np.zeros((2, 3)), f))
     start = time.perf_counter()
@@ -593,9 +602,17 @@ def test_spec_refuses_non_finite_entries_and_names_the_step():
         ([0.5, 0.5], (good,) * 4, (f,) * 3 + (np.array([[np.inf, -1.0], [1.0, -1.0]]),),
          "observable 3 has a non-finite entry"),
         ([np.nan, 1.0], (good,) * 2, (f,) * 2, "initial law has a non-finite entry"),
+        ([0.5, 0.5], (good,) * 3, (f, f, np.array([[1e308, -1e308], [1.0, -1.0]])),
+         "observable 2 has values further apart than the float range"),
     ):
         with pytest.raises(ValueError, match=needle):
             MarkovChainSpec(initial, kernels, observables)
+    # values 7e307 apart pass, but their midrange 1.35e308 overflows on the
+    # way: the series refuses them by step instead of printing nan
+    huge = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+    spec = MarkovChainSpec([0.5, 0.5], (good,) * 3, (f, huge, huge))
+    with pytest.raises(ValueError, match="observable 1 overflows when shifted by its midrange"):
+        cumulant_series(spec, 4)
 
 
 def test_rounding_below_zero_in_kernels_and_initial_is_clipped_in_a_copy():
@@ -1024,9 +1041,14 @@ def test_exact_distribution_rejects_wrong_centering(monkeypatch):
             means[3] += 1e-6
         return out
 
-    # elliptic2 is one powered run; an S = 32 chain is stepped
-    for spec, route in ((builtin_model("elliptic2").spec(64), _Power), (_perfbench_chain(32, 64), _Moves)):
-        assert [type(step) for step, _ in _sweep_plan(spec)[2]] == [route]
+    # elliptic2 is one powered run; an S = 32 chain is stepped, from one
+    # end at n = 16 and from both at n = 256
+    for spec, route, back in ((builtin_model("elliptic2").spec(64), _Power, []),
+                              (_perfbench_chain(32, 16), _Moves, []),
+                              (_perfbench_chain(32, 256), _Moves, [_Moves])):
+        plan = _sweep_plan(spec)
+        assert [type(step) for step, _ in plan[2]] == [route]
+        assert [type(step) for step, _ in plan[3]] == back
         exact_distribution(spec)
         with monkeypatch.context() as patch:
             patch.setattr(markov, "_step_means", off_by_1e6)
@@ -1054,7 +1076,8 @@ def test_routes_power_the_builtins_and_step_wide_chains():
         assert all(type(step) is _Power for (step, _), r in zip(runs, lengths) if r >= 64), name
         assert sum(r for (step, _), r in zip(runs, lengths) if type(step) is _Power) > 0.99 * n, name
     for states in (32, 64):
-        assert [type(step) for step, _ in _sweep_plan(_perfbench_chain(states, 256))[2]] == [_Moves]
+        plan, back = _sweep_plan(_perfbench_chain(states, 256))[2:4]
+        assert [type(step) for step, _ in plan] == [type(step) for step, _ in back] == [_Moves]
 
 
 def _seeded_chain(states, width, n):
@@ -1093,6 +1116,127 @@ def test_exact_distribution_matches_reference_dp(name, n):
     live = ref > 1e-300
     assert np.all(np.abs(got[live] - ref[live]) <= bound * ref[live])
     assert np.all(got[~live] <= 1e-300)
+
+
+# -- sweeps from both ends ----------------------------------------------------
+
+
+def _stepped_powered_stepped(n_power, n_step):
+    """Distinct S = 2 steps, a homogeneous run the sweep powers, then distinct steps again."""
+    rng = np.random.Generator(np.random.PCG64(31))
+    kernel = np.array([[0.7, 0.3], [0.4, 0.6]])
+    obs = np.array([[0.0, 1.0], [1.0, 2.0]])
+    kernels = rng.random((2 * n_step, 2, 2)) + 0.1
+    kernels = list(kernels / kernels.sum(axis=2, keepdims=True))
+    values = list(rng.integers(0, 3, size=(2 * n_step, 2, 2)).astype(float))
+    return MarkovChainSpec([0.5, 0.5], tuple(kernels[:n_step] + [kernel] * n_power + kernels[n_step:]),
+                           tuple(values[:n_step] + [obs] * n_power + values[n_step:]))
+
+
+_SPLIT_CHAINS = {
+    **{"flip2-%d" % n: (lambda n=n: builtin_model("flip2").spec(n)) for n in (2, 3, 64, 4096)},
+    **{"random-%d" % n: (lambda n=n: _random_chain(11, n)) for n in (2, 3, 64, 4096)},
+    "chain32-256": lambda: _perfbench_chain(32, 256),
+    "chain64-256": lambda: _perfbench_chain(64, 256),
+    "rectangular": lambda: _rectangular_chain(3, [2, 5, 3, 4] * 30),
+    "stepped-powered-stepped": lambda: _stepped_powered_stepped(2000, 40),
+}
+
+
+def _split_bound(plan, back):
+    """The relative bound `exact_distribution` states for a two-ended sweep: both halves' steps, then the join."""
+    widths = [1 + sum(count * getattr(step, "length", 1) * step.width for step, count in half)
+              for half in (plan, back)]
+    return sum(count * step.error for step, count in plan + back) + back[-1][0].states * (min(widths) + 1) * _U
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_CHAINS))
+def test_two_ended_sweep_matches_reference_dp(name, monkeypatch):
+    from edgekit.models import markov
+
+    spec = _SPLIT_CHAINS[name]()
+    _, _, plan, back, _ = _sweep_plan(spec)
+    n = spec.n_steps
+    # on the short chains the join costs more than the steps it saves
+    assert bool(back) == (name not in ("flip2-2", "flip2-3", "flip2-64", "random-2", "random-3"))
+    # the backward half steps transposed kernels only, never a powered run
+    assert all(type(step) is _Moves for step, _ in back)
+    assert sum(count for _, count in back) + sum(getattr(step, "length", count) for step, count in plan) == n
+    sweeps = []
+    tolerance = markov._mean_tolerance
+
+    def recorded(spec, means, cells, sweep):
+        sweeps.append(sweep)
+        return tolerance(spec, means, cells, sweep)
+
+    monkeypatch.setattr(markov, "_mean_tolerance", recorded)
+    dist = exact_distribution(spec)
+    d, _, shifts, _ = _common_lattice(spec.observables)
+    origin, ref = reference_law(spec, d, shifts)
+    lo = round((dist.offset - origin) / d)
+    assert 0 <= lo and lo + dist.masses.size <= ref.size
+    got = np.zeros(ref.size)
+    got[lo : lo + dist.masses.size] = dist.masses
+    if back:
+        bound = _split_bound(plan, back)
+        # the mean check is told the join's error too
+        assert sweeps == [pytest.approx(bound, rel=1e-12, abs=0.0)]
+    else:
+        bound = powered_error_bound(spec, shifts)
+    # plus the textbook DP's own n S u; below the normal range neither side has a bound
+    bound += n * max(spec.state_counts) * _U
+    live = ref > 1e-300
+    assert np.all(np.abs(got[live] - ref[live]) <= bound * ref[live])
+    assert np.all(got[~live] <= 1e-300)
+
+
+def test_powered_runs_are_swept_forward_whole():
+    # the width midpoint lies inside the powered run, so the backward half
+    # takes the trailing stepped stretch whole and stops at the power
+    spec = _stepped_powered_stepped(2000, 40)
+    _, _, plan, back, _ = _sweep_plan(spec)
+    assert [type(step) for step, _ in plan] == [_Moves] * 40 + [_Power]
+    assert plan[-1][0].length == 2000
+    assert [type(step) for step, _ in back] == [_Moves] * 40
+    # each distinct (kernel, shift array) pair is transposed once
+    homog = _sweep_plan(_perfbench_chain(8, 256))
+    assert [count for _, count in homog[2]] == [128] and [count for _, count in homog[3]] == [128]
+
+
+@pytest.mark.parametrize("name,n", [("rademacher", 4096), ("rademacher", 100000), ("elliptic2", 4096),
+                                    ("elliptic2", 100000), ("symmetric2", 4096), ("symmetric2", 8192),
+                                    ("symmetric2", 16384), ("symmetric2", 100000)])
+def test_powered_builtins_take_no_backward_half(name, n):
+    # their plans end in powered runs (or in a stepped stretch too short
+    # to pay for a join), so the law is the forward table's column sum
+    spec = builtin_model(name).spec(n)
+    _, _, plan, back, _ = _sweep_plan(spec)
+    assert back == []
+    table = spec.initial[:, None].copy()
+    for step, count in plan:
+        table = step.run(table, count)
+    masses = table.sum(axis=0)
+    dist = exact_distribution(spec)
+    lo = int(np.nonzero(masses)[0][0])
+    assert np.array_equal(dist.masses, masses[lo : lo + dist.masses.size])
+
+
+def test_join_is_charged_to_the_cell_budget(monkeypatch):
+    from edgekit.models import markov
+
+    # chain64 at n = 256: a table of 64 x 1025 cells, split at 513 + 513;
+    # the join holds both tables and their lifted tails, its output and
+    # two lift arrays of 1025 cells
+    spec = _perfbench_chain(64, 256)
+    table, join = 64 * 1025, 2 * 64 * 1026 + 3 * 1025
+    monkeypatch.setattr(markov, "_CELL_BUDGET", table + join)
+    split = exact_distribution(spec)
+    assert _sweep_plan(spec)[3]
+    monkeypatch.setattr(markov, "_CELL_BUDGET", table + join - 1)
+    assert _sweep_plan(spec)[3] == []
+    forward = exact_distribution(spec)
+    # the two routes agree within both bounds
+    assert np.allclose(split.masses, forward.masses, rtol=1e-12, atol=0.0)
 
 
 def _mp_lattice_origin(spec):
