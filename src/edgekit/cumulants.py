@@ -1,8 +1,9 @@
 """Cumulant calculus and log-characteristic-function diagnostics.
 
 Everything here works on numbers or on a duck-typed model exposing
-`sigma(n)`, `cumulant(n, k)`, and `charfn_deriv(n, t, k)`; no model
-classes are imported, the engines live in `edgekit.models`.
+`sigma(n)`, `cumulant(n, k)`, and `charfn_deriv(n, t, k)` (k an order
+or a sequence of orders); no model classes are imported, the engines
+live in `edgekit.models`.
 """
 
 import math
@@ -135,9 +136,8 @@ def log_charfn_profile(model, n, jmax, eps=None, floor=None):
     if tmax <= 0.0:
         raise ValueError("empty t window")
     t = np.linspace(-tmax, tmax, _T_POINTS)
-    fder = np.stack(
-        [np.atleast_1d(model.charfn_deriv(n, t / sigma, k)) / sigma**k for k in range(jmax + 1)]
-    )
+    rows = model.charfn_deriv(n, t / sigma, range(jmax + 1))
+    fder = np.stack([row / sigma**k for k, row in enumerate(rows)])
     # keep the largest symmetric window around 0 where |f| stays workable
     mag = np.abs(fder[0])
     hi = _T_POINTS // 2

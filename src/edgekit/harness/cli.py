@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .. import __version__
-from ..edgeworth import build_expansion, check_order
+from ..edgeworth import check_order
 from ..special import normal_cdf, normal_pdf
 from ..transport import gaussian_coupling
 from .scans import (
@@ -236,7 +236,7 @@ def cmd_expand(args):
     if r == 0:
         cdf, pdf = normal_cdf(x), normal_pdf(x)
     else:
-        exp = build_expansion(model, n, args.m).truncated(r)
+        exp = model.expansion(n, args.m, r)
         cdf, pdf = exp.cdf(x), exp.pdf(x)
     rows = [(float(xi), float(ci), float(pi)) for xi, ci, pi in zip(x, cdf, pdf)]
     _emit(args, ("x", "cdf", "pdf"), rows,

@@ -32,7 +32,7 @@ from ..cumulants import (
     matched,
     tail_integral_check,
 )
-from ..edgeworth import build_expansion, check_order, correction_polynomial
+from ..edgeworth import check_order, correction_polynomial
 from ..special import gaussian_abs_moment, gaussian_moment, normal_cdf, normal_pdf
 from ..transport import (
     GaussianLaw,
@@ -93,11 +93,16 @@ def _check_ns(ns):
 
 
 def _psi(model, n, m, r):
-    """Corrected CDF of order r sliced out of the full order-m build."""
+    """Corrected CDF of order r sliced out of the full order-m build (the model's kept build)."""
     if r == 0:
         return normal_cdf, None
-    exp = build_expansion(model, n, m).truncated(r)
+    exp = model.expansion(n, m, r)
     return exp.cdf, exp
+
+
+def _moment_order(qs, r):
+    """Build order of `scan_moments` when none is given: above every moment order."""
+    return max(max(qs) + 1, r + 2, 3)
 
 
 # -- weighted sup of the CDF gap ----------------------------------------------
@@ -426,7 +431,7 @@ def scan_moments(model, qs, r, ns, m=None):
         raise ValueError("moment orders must be positive integers")
     ns = _check_ns(ns)
     if m is None:
-        m = max(max(qs) + 1, r + 2, 3)
+        m = _moment_order(qs, r)
     if not 0 <= r <= m - 2:
         raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
     if max(qs) >= m:
@@ -551,7 +556,7 @@ def scan_stationarity(model, m, ns):
     phi = normal_pdf(x)
     scaled = np.empty((len(ns), m - 2))
     for i, n in enumerate(ns):
-        exp = build_expansion(model, n, m)
+        exp = model.expansion(n, m, m - 2)
         for j in range(1, m - 1):
             gap = np.abs(exp.polys[j - 1](x) - limits[j - 1](x))
             scaled[i, j - 1] = sigmas[i] ** 2 * float(np.max(phi * gap))

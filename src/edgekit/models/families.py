@@ -8,18 +8,22 @@ transfer-operator series, and iid sums of a piecewise-polynomial base
 density evaluated by exact convolution.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from ..cumulants import cumulants_to_moments, moments_to_cumulants
+from ..edgeworth import build_expansion
 from .markov import (
     MarkovChainSpec,
+    _cumulant_series,
     _series_mul,
     _series_power,
-    cumulant_series,
+    _SeriesStore,
+    _squarings,
+    _variance_decomposition,
     exact_distribution,
-    variance_decomposition,
 )
 from .piecewise import PiecewisePolyDistribution
 
@@ -33,11 +37,26 @@ __all__ = [
 
 
 class _CumulantModel:
-    """sigma and signed moments of S_n from the model's `cumulants(n, kmax)`.
+    """sigma, signed moments and expansions of S_n from the model's `cumulants(n, kmax)`.
 
     Only the law (and through it |S_n|^q) comes from the engine that
-    builds it.
+    builds it. One expansion per n is kept, at the highest order asked
+    for so far, and each truncation of it is made once: corrections
+    1..r of any build have the same bits (kappa_k does not depend on the
+    order asked for), so a scan gets the numbers its own build would give.
     """
+
+    def expansion(self, n, m, r):
+        """Corrections 1..r of the order-m expansion of S_n/sigma_n (`build_expansion`)."""
+        # the build of each n is kept under n, its truncations under (n, r)
+        top = self._expansions.get(n)
+        if top is None or top.order < m:
+            top = self._expansions[n] = build_expansion(self, n, m)
+        if r == top.corrections:
+            return top
+        if (n, r) not in self._expansions:
+            self._expansions[n, r] = top.truncated(r)
+        return self._expansions[n, r]
 
     def cumulant(self, n, k):
         return self.cumulants(n, k)[k - 1]
@@ -59,7 +78,9 @@ class ChainModel(_CumulantModel):
     observables are used as given, since both engines center S_n
     themselves. Results are cached per n. Cumulants and sigma come from
     `cumulant_series`, which builds no law: one series per n is kept, at
-    the highest order asked for so far.
+    the highest order asked for so far. The model's series engines
+    (cumulants, blocking) share one `_SeriesStore`, so every n reads one
+    step series per run and one set of its squares.
     """
 
     kind = "chain"
@@ -72,7 +93,10 @@ class ChainModel(_CumulantModel):
         self._specs = {}
         self._dists = {}
         self._kappas = {}
+        self._expansions = {}
         self._blockings = {}
+        # keyed by ids of arrays the specs hold; it keeps them alive itself
+        self._store = _SeriesStore()
 
     def spec(self, n):
         if n < 1 or (self.max_steps is not None and n > self.max_steps):
@@ -92,17 +116,17 @@ class ChainModel(_CumulantModel):
 
     def cumulants(self, n, kmax):
         if len(self._kappas.get(n, ())) < kmax:
-            self._kappas[n] = cumulant_series(self.spec(n), kmax)
+            self._kappas[n] = _cumulant_series(self.spec(n), kmax, self._store)
         return self._kappas[n][:kmax]
 
     def charfn_deriv(self, n, t, k=0):
-        """Derivatives of the characteristic function of the n-step sum."""
+        """Derivatives of the characteristic function of the n-step sum; a sequence k gives a row per order."""
         return self.distribution(n).charfn_deriv(t, k)
 
     def blocking(self, n, target=None):
         key = (n, target)
         if key not in self._blockings:
-            self._blockings[key] = variance_decomposition(self.spec(n), target=target)
+            self._blockings[key] = _variance_decomposition(self.spec(n), target, self._store)
         return self._blockings[key]
 
 
@@ -126,6 +150,7 @@ class IIDContinuousModel(_CumulantModel):
             base = base.shift(-mu)
         self.base = base
         self._dists = {1: base}
+        self._expansions = {}
         self._base_moment_cache = {}
 
     def distribution(self, n):
@@ -155,14 +180,20 @@ class IIDContinuousModel(_CumulantModel):
 
         The Taylor series of psi about each t, truncated at h^k, is raised
         to the n by binary powering. No logarithms, so zeros of psi on the
-        t grid are harmless.
+        t grid are harmless. A sequence k gives one row per order from one
+        power at the top order: coefficient j of a truncated product does
+        not depend on the truncation.
         """
+        orders, shape = np.atleast_1d(k), np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         base = np.stack([np.atleast_1d(self.base.charfn_deriv(t, j)) / math.factorial(j)
-                         for j in range(k + 1)])
-        power = _series_power(base, n, lambda a, b: _series_mul(a, b, np.multiply))
-        out = math.factorial(k) * power[k]
-        return out if out.size > 1 else complex(out[0])
+                         for j in range(int(orders.max()) + 1)])
+        mul = functools.partial(_series_mul, op=np.multiply)
+        power = _series_power(_squarings(base, lambda p: mul(p, p)), n, mul)
+        out = np.stack([math.factorial(j) * power[j] for j in orders.tolist()])
+        if np.ndim(k):
+            return out.reshape(orders.shape + shape)
+        return out[0] if out[0].size > 1 else complex(out[0, 0])
 
 
 # -- builders ----------------------------------------------------------------

@@ -267,7 +267,7 @@ def _laws(law, runs):
 # -- lattice snap ------------------------------------------------------------
 
 
-def _common_lattice(observables):
+def _common_lattice(observables, steps):
     """Common step d and integer shifts for the values of every observable array given.
 
     Values within each array are taken relative to its minimum, so only
@@ -276,8 +276,11 @@ def _common_lattice(observables):
     max |diffs[i] - k d| of array i. Each distinct array is snapped
     once, entries that repeat an array share its diff array, and arrays
     whose shifts agree share one shift array, so a sweep can key its work
-    on their identity.
+    on their identity. An array spanning more than 2^53 steps d is
+    refused, named by steps[i], the step of its first entry i: past 2^53
+    the shifts are no longer exact integers, and int64 wraps at 2^63.
     """
+    keys = [id(f) for f in observables]
     # one array may stand for several entries: visit each once
     distinct = {id(f): f for f in observables}
     diffs = {key: f - float(f.min()) for key, f in distinct.items()}
@@ -299,12 +302,16 @@ def _common_lattice(observables):
     shared, snapped, snap = {}, {}, {}
     for key, darr in diffs.items():
         k = np.rint(darr / d) if d else np.zeros(darr.shape)
+        if float(k.max()) > 2.0**53:
+            raise ValueError(
+                "observable %d spans %.3g lattice steps of %g, past 2^53"
+                % (steps[keys.index(key)], float(k.max()), d)
+            )
         snap[key] = float(np.max(np.abs(darr - k * d)))
         if snap[key] > _SNAP_TOL:
             raise ValueError("observable values fail the lattice snap at step %g" % d)
         k = k.astype(np.int64)
         snapped[key] = shared.setdefault((k.shape, k.tobytes()), k)
-    keys = [id(f) for f in observables]
     return d, [diffs[k] for k in keys], [snapped[k] for k in keys], [snap[k] for k in keys]
 
 
@@ -392,7 +399,8 @@ def _sweep_plan(spec):
     The backward plan (`_backward_half`) is empty unless it is taken; it
     is taken only if its join fits the budget beside the table.
     """
-    d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs])
+    starts = [0, *itertools.accumulate(count for _, _, count in spec.runs)]
+    d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs], starts)
     moves, powers, plan, stepped = {}, {}, [], []
     columns, held = 1, 0
     for kernel, shift, count in _merged((k, s, c) for (k, _, c), s in zip(spec.runs, shifts)):
@@ -804,41 +812,88 @@ def cumulant_series(spec, kmax):
     k! [z^k] of the logs summed by math.fsum. kappa_1 is 0.0: S_n is
     centered by definition.
     Coefficient k depends only on coefficients <= k, so kappa_k has the
-    same bits whatever kmax is asked for.
+    same bits whatever kmax is asked for. A cumulant that is not finite
+    (step series whose z^k coefficients (range/2)^k / k! overflow) is
+    refused, naming its order.
     """
+    return _cumulant_series(spec, kmax, _SeriesStore())
+
+
+def _cumulant_series(spec, kmax, store):
+    """`cumulant_series` with the step series and their squares taken from `store`."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     v = np.zeros((kmax + 1, 1, spec.initial.size))
     v[0, 0] = spec.initial
     logs = []
-    for series, count in _step_series(spec, kmax):
-        v, terms = _scaled_mul((v, []), _series_power((series, []), count, _scaled_mul))
+    for series, count in _step_series(spec, kmax, store):
+        v, terms = _scaled_mul((v, []), _series_power(store.powers(series), count, _scaled_mul))
         logs += terms
-    return [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
+    kappas = [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
+    for k, kappa in enumerate(kappas, start=1):
+        if not math.isfinite(kappa):
+            raise ValueError(
+                "cumulant %d of S_n is not finite: the observables' values are too far "
+                "apart for the order-%d step series" % (k, k)
+            )
+    return kappas
 
 
-def _step_series(spec, kmax):
+class _SeriesStore:
+    """Step series and the squares `_squarings` makes of them, each built once.
+
+    A series is kept per (kernel, observable, order) and its squares per
+    series. The keys are ids of the spec's arrays; every entry holds the
+    arrays its key names, so no id is reused while the store lives. A
+    `ChainModel` owns one for all its n, so the runs of every n share one
+    series and one set of squares; the public engines take a fresh store
+    per call, and nothing outlives its owner.
+    """
+
+    def __init__(self):
+        self._shifted = {}  # id(f) -> (f, f less its midrange, interned by bytes)
+        self._interned = {}
+        self._series = {}  # (id(kernel), id(shifted f), order) -> (kernel, M)
+        self._squares = {}  # id(M) -> (squares so far, the `_squarings` still to come)
+
+    def series(self, kernel, f, kmax, step):
+        """M(z) of shape (kmax + 1, S_in, S_out) for one step; `step` names f in a refusal."""
+        if id(f) not in self._shifted:
+            g = f - 0.5 * (float(f.max()) + float(f.min()))
+            if not np.isfinite(g).all():
+                raise ValueError("observable %d overflows when shifted by its midrange" % step)
+            self._shifted[id(f)] = f, self._interned.setdefault((g.shape, g.tobytes()), g)
+        g = self._shifted[id(f)][1]
+        key = id(kernel), id(g), kmax
+        if key not in self._series:
+            coeffs = [kernel]
+            for b in range(1, kmax + 1):
+                coeffs.append(coeffs[-1] * g / b)
+            self._series[key] = kernel, np.stack(coeffs)
+        return self._series[key][1]
+
+    def powers(self, series):
+        """(series, []), its square, its fourth power, ... under `_scaled_mul`, each built once."""
+        if id(series) not in self._squares:
+            self._squares[id(series)] = [], _squarings((series, []), lambda p: _scaled_mul(p, p))
+        done, more = self._squares[id(series)]
+        for k in itertools.count():
+            if k == len(done):
+                done.append(next(more))
+            yield done[k]
+
+
+def _step_series(spec, kmax, store):
     """(M(z), count) for each run of equal step series, M of shape (kmax + 1, S_in, S_out).
 
     Each observable is shifted by its midrange first: kappa_k, k >= 2, is
     shift invariant, and the z^k coefficient stays within (range/2)^k / k!.
     Runs of `spec.runs` whose kernel and shifted observable agree share
-    one array, and adjacent ones merge (`_merged`).
+    one array of `store`, and adjacent ones merge (`_merged`).
     """
-    shifted, interned, built, out, j = {}, {}, {}, [], 0
+    out, j = [], 0
     for kernel, f, count in spec.runs:
-        if id(f) not in shifted:
-            g = f - 0.5 * (float(f.max()) + float(f.min()))
-            if not np.isfinite(g).all():
-                raise ValueError("observable %d overflows when shifted by its midrange" % j)
-            shifted[id(f)] = interned.setdefault((g.shape, g.tobytes()), g)
-        key = id(kernel), id(shifted[id(f)])
-        if key not in built:
-            coeffs = [kernel]
-            for b in range(1, kmax + 1):
-                coeffs.append(coeffs[-1] * shifted[id(f)] / b)
-            built[key] = np.stack(coeffs)
-        out.append((built[key], count))
+        out.append((store.series(kernel, f, kmax, j), count))
         j += count
     return _merged(out)
 
@@ -853,10 +908,14 @@ def _series_mul(a, b, op=np.matmul):
     return np.stack([op(a[: k + 1], b[k::-1]).sum(axis=0) for k in range(len(a))])
 
 
-def _series_power(base, length, mul):
-    """base**length (length >= 1): the set-bit powers of `_squarings`, multiplied lowest first by `mul`."""
+def _series_power(powers, length, mul):
+    """base**length (length >= 1): the set-bit powers base^(2^k) of `powers`, multiplied lowest first by `mul`.
+
+    `powers` is `_squarings` of the base, or a store's copy of it
+    (`_SeriesStore.powers`); zip stops at the last bit.
+    """
     bits = (length >> k & 1 for k in range(length.bit_length()))
-    return functools.reduce(mul, (p for bit, p in zip(bits, _squarings(base, lambda p: mul(p, p))) if bit))
+    return functools.reduce(mul, (p for bit, p in zip(bits, powers) if bit))
 
 
 def _scaled_mul(a, b):
@@ -884,16 +943,17 @@ def variance_profile(spec):
     Every prefix comes by doubling within each run of equal steps
     (`_step_series`, `_prefix_variances`); no law is built.
     """
-    return _prefix_variances(_step_series(spec, 2), spec.initial)
+    store = _SeriesStore()
+    return _prefix_variances(_step_series(spec, 2, store), spec.initial, store)
 
 
-def _prefix_variances(runs, law):
+def _prefix_variances(runs, law, store):
     """Var of the sum over steps 0..k-1 for every k, from X_0 at `law`; index 0 holds 0.0.
 
     `runs` holds (M(z), count) pairs of order-2 step series. Within a run
     the rows v M^i, each divided by its total (`_order2_rows`), come by
     doubling as in `_laws`: rows [m, 2m) are rows [0, m) times P_m,
-    the normalized M^m of `_scaled_mul` that `_squarings` yields next. A
+    the normalized M^m of `_scaled_mul` that `store.powers` yields next. A
     row's log terms are then those of its source row, those of P_m and
     the one its own division adds.
     The terms of P_m are doubled exactly and fsum'd to a pair (H, E)
@@ -916,7 +976,7 @@ def _prefix_variances(runs, law):
                 k += 1
             continue
         cap = max(2, _ROW_FLOATS // max(series.shape[1:]))
-        powers, squares = [], _squarings((series, []), lambda p: _scaled_mul(p, p))
+        powers, squares = [], store.powers(series)
         done = 0
         while done < count:
             size = min(cap, count - done + 1)
@@ -1128,10 +1188,15 @@ def variance_decomposition(spec, target=None):
     as in `variance_profile`), the blocks from walking every candidate
     start in lockstep (`_greedy_blocks`); no law of S_k is built.
     """
+    return _variance_decomposition(spec, target, _SeriesStore())
+
+
+def _variance_decomposition(spec, target, store):
+    """`variance_decomposition` with the step series and their squares taken from `store`."""
     if target is not None and not (math.isfinite(target) and target > 0.0):
         raise ValueError("blocking target must be finite and positive, got %r" % target)
     n = spec.n_steps
-    runs = _step_series(spec, 2)
+    runs = _step_series(spec, 2, store)
     laws = np.zeros((n, _max_states(spec)))
     step_var, first = 0.0, 0
     # m[0] is the run's kernel
@@ -1141,7 +1206,7 @@ def variance_decomposition(spec, target=None):
         # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
         spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
         step_var = max(step_var, float(spread.max()))
-    sigma2 = _prefix_variances(runs, spec.initial)
+    sigma2 = _prefix_variances(runs, spec.initial, store)
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     if target is None:

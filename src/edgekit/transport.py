@@ -464,8 +464,9 @@ def _gap_integral(a, b, expo):
 
     The window covers [-12, 12] and both supports (9 sd for a Gaussian).
     Panels go through a fixed Gauss rule _GAP_BLOCK at a time, with one
-    call per side and function per block; the panel values are summed in
-    panel order. At non-integer expo a panel end at a crossing carries
+    call per side and function per block (a lattice side is read once per
+    panel, `_node_reader`); the panel values are summed in panel order.
+    At non-integer expo a panel end at a crossing carries
     |x - x_c|^expo as a Gauss-Jacobi weight. When both sides have
     survival functions and the same total mass, the gap past the median
     of a is |S_a - S_b|: there 1 - F is rounding noise, which |.|^(1/p)
@@ -491,16 +492,56 @@ def _gap_integral(a, b, expo):
     for start in range(0, half.size, _GAP_BLOCK):
         block = slice(start, start + _GAP_BLOCK)
         h = half[block, None]
-        x = (mid[block, None] + h * nodes[kind[block]]).ravel()
-        fa = np.asarray(a.cdf(x), dtype=float)
+        x = mid[block, None] + h * nodes[kind[block]]
+        (cdf_a, sf_a), (cdf_b, sf_b) = (_node_reader(d, mid[block], x) for d in (a, b))
+        fa = cdf_a(slice(None))
         up = tails & (fa > 0.5)
-        gap = np.empty(x.size)
+        gap = np.empty(fa.size)
         if not up.all():
-            gap[~up] = np.abs(fa[~up] - np.asarray(b.cdf(x[~up]), dtype=float))
+            gap[~up] = np.abs(fa[~up] - cdf_b(~up))
         if up.any():
-            gap[up] = np.abs(np.asarray(a.sf(x[up]), dtype=float) - np.asarray(b.sf(x[up]), dtype=float))
+            gap[up] = np.abs(sf_a(up) - sf_b(up))
         values.append(h[:, 0] * np.sum(weights[kind[block]] * gap.reshape(-1, _GAP_NODES) ** expo, axis=1))
     return float(np.cumsum(np.concatenate([[0.0]] + values))[-1])
+
+
+def _node_reader(dist, mid, x):
+    """cdf and sf of `dist` at the nodes x, one row per panel centred at mid, as functions of a node selection.
+
+    A lattice law's CDF is flat between support points, and each support
+    point is a panel edge (`_gap_edges`), so it is read once per panel,
+    at the midpoint, and repeated over the nodes (`_panel_index`).
+    """
+    if not isinstance(dist, LatticeDistribution):
+        flat = x.ravel()
+        return (lambda sel: np.asarray(dist.cdf(flat[sel]), dtype=float),
+                lambda sel: np.asarray(dist.sf(flat[sel]), dtype=float))
+    at, nodes, idx = _panel_index(dist.support, mid, x)
+
+    def reader(table):
+        def read(sel):
+            values = np.repeat(table[at], x.shape[1])
+            values[nodes] = table[idx]
+            return values[sel]
+        return read
+
+    return reader(dist._cum), reader(dist._tail)
+
+
+def _panel_index(support, mid, x):
+    """searchsorted(support, x, "right") of the nodes x, one row per panel centred at mid.
+
+    Returns the index of each panel's midpoint, and the flat positions
+    and indices of the nodes that do not share it, each read on its own:
+    nodes rounded onto or past an edge of a panel a few ulps wide.
+    """
+    at = np.searchsorted(support, mid, side="right")
+    last = support.size - 1
+    below = np.where(at > 0, support[np.maximum(at - 1, 0)], -np.inf)  # the index holds on [below, above)
+    above = np.where(at <= last, support[np.minimum(at, last)], np.inf)
+    stray = np.flatnonzero((x.min(axis=1) < below) | (x.max(axis=1) >= above))
+    nodes = (stray[:, None] * x.shape[1] + np.arange(x.shape[1])).ravel()
+    return at, nodes, np.searchsorted(support, x[stray].ravel(), side="right")
 
 
 # -- expectations through the CDF --------------------------------------------

@@ -867,3 +867,134 @@ def test_cli_chain_file_roundtrip(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4
+
+
+def test_cli_refuses_a_chain_file_whose_shifts_pass_2_to_the_53(tmp_path, capsys):
+    # 1e308 and 1.7e308 are 3.5e307 lattice steps of 2 apart: the integer
+    # shifts were cast unchecked and wrapped, and the sweep died on a
+    # broadcast error that named neither the step nor the cause
+    path = tmp_path / "chain.txt"
+    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 2\n\n"
+                    "[observable.1]\n1 -1\n1 -1\n\n[observable.2]\n1.7e308 1e308\n1e308 1.7e308\n")
+    assert main(["dist", "--model", str(path), "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "observable 1 spans 3.5e+307 lattice steps of 2, past 2^53" in err
+
+
+@pytest.mark.parametrize("command", ["dist", "cumulants"])
+def test_cli_refuses_a_chain_file_whose_cumulants_overflow(tmp_path, capsys, command):
+    # values 2e200 apart fit the float range, but the order-2 series holds
+    # (1e200)^2 / 2: cumulants printed nan and exited 0; dist carries sigma
+    path = tmp_path / "chain.txt"
+    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 4\n\n"
+                    "[observable.1]\n1e200 -1e200\n1 -1\nrepeat = 4\n")
+    assert main([command, "--model", str(path), "--n", "4"]) == 2
+    assert "cumulant 2 of S_n is not finite" in capsys.readouterr().err
+
+
+# -- one build per n per scenario run -------------------------------------------
+
+_SHARED_CONFIGS = {
+    "rademacher": "model = builtin:rademacher\nm = 3\nn = 16,32,64,128\n",
+    "elliptic2": "model = builtin:elliptic2\nm = 4\nr = 1\nn = 32,64,128,256\n",
+    "symmetric2": "model = builtin:symmetric2\nm = 5\nr = 2\nn = 16,32,64,128\np = 1,1.5\n",
+    "flip2": "model = builtin:flip2\nm = 4\nr = 1\nn = 16,32,64,128\n",
+    "uniform": "model = builtin:uniform\nm = 4\nr = 1\nn = 2,4,8\np = 1,2\nq = 2,3\n",
+}
+
+
+def _served_model(monkeypatch, name, tmp_path):
+    """The model that served a whole run_scenario of _SHARED_CONFIGS[name], and the config."""
+    from edgekit.harness import scenario
+
+    config = parse_scenario_text(_SHARED_CONFIGS[name])
+    served = []
+    monkeypatch.setattr(scenario, "resolve_model",
+                        lambda token: served.append(resolve_model(token)) or served[-1])
+    run_scenario(config, out=str(tmp_path / "bundle"))
+    monkeypatch.undo()
+    return served[0], config
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_CONFIGS))
+def test_a_model_that_served_a_run_gives_each_n_the_numbers_of_a_fresh_model(monkeypatch, tmp_path, name):
+    from edgekit.harness.scenario import _top_orders
+    from edgekit.transport import wasserstein_upper_bound
+
+    model, config = _served_model(monkeypatch, name, tmp_path)
+    kmax, m_top = _top_orders(config)
+    t = np.linspace(-2.0, 2.0, 9)
+    for n in config.ns:
+        fresh = resolve_model(config.model)
+        assert model.cumulants(n, kmax) == fresh.cumulants(n, kmax)
+        for r in range(1, m_top - 1):
+            served, alone = model.expansion(n, m_top, r), fresh.expansion(n, r + 2, r)
+            assert served.sigma == alone.sigma
+            for a, b in zip(served.polys + served.density_polys, alone.polys + alone.density_polys):
+                assert np.array_equal(a.coef, b.coef)
+        rows = model.charfn_deriv(n, t, range(config.m + 1))
+        for k in range(config.m + 1):
+            assert np.array_equal(rows[k], fresh.charfn_deriv(n, t, k))
+        sigma = fresh.sigma(n)
+        norm, alone = model.distribution(n).scale(1.0 / model.sigma(n)), fresh.distribution(n).scale(1.0 / sigma)
+        for p in config.ps:
+            gauss = GaussianLaw(0.0, 1.0)
+            assert wasserstein_upper_bound(norm, gauss, p) == wasserstein_upper_bound(alone, gauss, p)
+
+
+def test_a_scenario_run_builds_each_n_once_at_its_top_order(monkeypatch, tmp_path):
+    # elliptic2-stationary reads expansions of order 4 and 5 (scan_moments
+    # builds above q = 4) and cumulants of order 2, 4 and 5; rademacher-be
+    # reads the order-3 expansion of the stationarity scan and cumulants to
+    # order 4, and builds nothing of order 5
+    from edgekit.models import families
+
+    series, builds = [], []
+    cumulant_series, build_expansion = families._cumulant_series, families.build_expansion
+    monkeypatch.setattr(families, "_cumulant_series",
+                        lambda spec, kmax, store: series.append((spec.n_steps, kmax))
+                        or cumulant_series(spec, kmax, store))
+    monkeypatch.setattr(families, "build_expansion",
+                        lambda model, n, m: builds.append((n, m)) or build_expansion(model, n, m))
+    for preset, kmax, m in (("elliptic2-stationary", 5, 5), ("rademacher-be", 4, 3)):
+        series.clear()
+        builds.clear()
+        config = load_scenario(preset)
+        run_scenario(config, out=str(tmp_path / preset))
+        assert series == [(n, kmax) for n in config.ns]
+        assert builds == [(n, m) for n in config.ns]
+
+
+def test_standalone_scans_equal_the_bundle(tmp_path):
+    # the CLI scans with elliptic2-stationary's settings write the bundle's bytes
+    config = load_scenario("elliptic2-stationary")
+    run_scenario(config, out=str(tmp_path / "bundle"))
+    ns = ",".join(map(str, config.ns))
+    common = ["--model", config.model, "--n", ns]
+    for table, argv in (
+        ("scan_edgeworth", ["scan-edgeworth", "--m", "4", "--r", "1"]),
+        ("scan_transport", ["scan-transport", "--m", "4", "--r", "1", "--p", "1,2"]),
+        ("scan_moments", ["scan-moments", "--r", "1", "--q", "2,3,4"]),
+        ("assumptions", ["check-assumptions", "--m", "4"]),
+    ):
+        out = tmp_path / (table + ".csv")
+        main(argv + common + ["--out", str(out)])
+        assert out.read_bytes() == (tmp_path / "bundle" / (table + ".csv")).read_bytes(), table
+
+
+def test_no_series_store_outlives_its_model(monkeypatch, tmp_path):
+    import gc
+    import weakref
+
+    model, _ = _served_model(monkeypatch, "elliptic2", tmp_path)
+    store = weakref.ref(model._store)
+    assert store() is not None
+    del model
+    gc.collect()
+    assert store() is None
+    # and two resolutions of one token share nothing
+    a, b = resolve_model("builtin:elliptic2"), resolve_model("builtin:elliptic2")
+    assert a._store is not b._store
+    a.cumulants(64, 4)
+    a.blocking(64)
+    assert a._store._series and not b._store._series and not b._store._squares

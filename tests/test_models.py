@@ -25,7 +25,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import (
-    _common_lattice, _laws, _merged, _Moves, _poly_matmul, _Power, _step_series, _sweep_plan,
+    _common_lattice, _laws, _merged, _Moves, _poly_matmul, _Power, _SeriesStore, _step_series, _sweep_plan,
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
@@ -256,7 +256,7 @@ _LOOP_CHAINS = {
 @pytest.mark.parametrize("name", sorted(_LOOP_CHAINS))
 def test_grouped_dp_matches_loop(name):
     spec = _LOOP_CHAINS[name]()
-    shifts = _common_lattice(spec.observables)[2]
+    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
     table = ref = spec.initial[:, None]
     for kernel, shift in zip(spec.kernels, shifts):
         table, ref = _Moves(kernel, shift).run(table, 1), textbook_step(ref, kernel, shift)
@@ -281,7 +281,7 @@ def test_powered_run_matches_loop(name):
     # every run raised at once, whichever route the sweep would pick:
     # stride phases, rectangular single steps, zero kernel entries
     spec = _LOOP_CHAINS[name]()
-    shifts = _common_lattice(spec.observables)[2]
+    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
     table = ref = spec.initial[:, None]
     bound = 0.0
     for kernel, shift, length in _runs(spec, shifts):
@@ -311,13 +311,13 @@ def _price_cases():
     # elliptic2's kernel, the stride-4 kernel above and a rectangular single step
     elliptic2, rectangular = builtin_model("elliptic2").spec(1), _rectangular_chain(3, [2, 5])
     kernels = {
-        "elliptic2": (elliptic2.kernels[0], _common_lattice(elliptic2.observables)[2][0]),
+        "elliptic2": (elliptic2.kernels[0], _common_lattice(elliptic2.observables, range(1))[2][0]),
         "stride4": (np.full((3, 3), 1.0 / 3.0), np.array([[0, 4, 8], [4, 0, 4], [8, 8, 0]])),
     }
     for columns in (1, 5, 33):
         for (name, (kernel, shifts)), length in itertools.product(kernels.items(), (1, 2, 3, 5, 7, 64, 100, 4097)):
             yield pytest.param(kernel, shifts, length, columns, id="%s-r%d-w%d" % (name, length, columns))
-        shifts = _common_lattice(rectangular.observables)[2][0]
+        shifts = _common_lattice(rectangular.observables, range(1))[2][0]
         yield pytest.param(rectangular.kernels[0], shifts, 1, columns, id="2x5-r1-w%d" % columns)
 
 
@@ -434,7 +434,7 @@ def _assert_run_matches_steps(moves, table, kernel, shifts, count):
 
 
 def _step_moves(spec):
-    shifts = _common_lattice(spec.observables)[2]
+    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
     return [_Moves(kernel, shift) for kernel, shift in zip(spec.kernels, shifts)]
 
 
@@ -889,7 +889,7 @@ _BLOCKING_CASES = {
 def test_blocking_matches_the_per_start_walk(case, target):
     spec = _BLOCKING_CASES[case]()
     rep = variance_decomposition(spec, target=target)
-    steps = [m for m, count in _step_series(spec, 2) for _ in range(count)]
+    steps = [m for m, count in _step_series(spec, 2, _SeriesStore()) for _ in range(count)]
     # laws doubled within each run of one kernel
     laws = [law for run in _laws(spec.initial, _merged((k, c) for k, _, c in spec.runs)) for law in run]
     blocks, block_vars = reference_blocks(steps, laws, rep.target)
@@ -927,7 +927,8 @@ def test_blocking_builds_its_step_series_once(monkeypatch):
 
     calls = []
     step_series = markov._step_series
-    monkeypatch.setattr(markov, "_step_series", lambda spec, kmax: calls.append(kmax) or step_series(spec, kmax))
+    monkeypatch.setattr(markov, "_step_series",
+                        lambda spec, kmax, store: calls.append(kmax) or step_series(spec, kmax, store))
     spec = _random_chain(11, n=300)
     rep = variance_decomposition(spec)
     assert calls == [2]
@@ -940,11 +941,11 @@ def test_chain_model_serves_lower_orders_from_one_series(monkeypatch):
 
     calls = []
 
-    def counted(spec, kmax):
+    def counted(spec, kmax, store):
         calls.append(kmax)
         return cumulant_series(spec, kmax)
 
-    monkeypatch.setattr(families, "cumulant_series", counted)
+    monkeypatch.setattr(families, "_cumulant_series", counted)
     m = builtin_model("elliptic2")
     k8 = m.cumulants(300, 8)
     assert m.cumulants(300, 4) == k8[:4] and m.sigma2(300) == k8[1]
@@ -1104,7 +1105,7 @@ def test_exact_distribution_matches_reference_dp(name, n):
         spec = _seeded_chain(states, width, n)
     else:
         spec = builtin_model(name).spec(n)
-    d, _, shifts, _ = _common_lattice(spec.observables)
+    d, _, shifts, _ = _common_lattice(spec.observables, range(spec.n_steps))
     origin, ref = reference_law(spec, d, shifts)
     dist = exact_distribution(spec)
     lo = round((dist.offset - origin) / d)
@@ -1171,7 +1172,7 @@ def test_two_ended_sweep_matches_reference_dp(name, monkeypatch):
 
     monkeypatch.setattr(markov, "_mean_tolerance", recorded)
     dist = exact_distribution(spec)
-    d, _, shifts, _ = _common_lattice(spec.observables)
+    d, _, shifts, _ = _common_lattice(spec.observables, range(spec.n_steps))
     origin, ref = reference_law(spec, d, shifts)
     lo = round((dist.offset - origin) / d)
     assert 0 <= lo and lo + dist.masses.size <= ref.size
@@ -1266,7 +1267,7 @@ def test_support_origin_is_one_rounding_of_the_step_means(case):
     name, n = case.rsplit("-", 1)
     n = int(n)
     spec = builtin_model(name).spec(n) if name == "elliptic2" else _perfbench_chain(8, n)
-    d, diffs = _common_lattice([f for _, f, _ in spec.runs])[:2]
+    d, diffs = _common_lattice([f for _, f, _ in spec.runs], range(len(spec.runs)))[:2]
     dist = exact_distribution(spec)
     means = markov._step_means(spec, diffs)[0]
     origin = -sum(Fraction(m) for m in means.tolist())
@@ -1646,3 +1647,78 @@ def test_quantile_matches_bisection_oracle(n):
         above = d.cdf(mid) >= u
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     assert np.max(np.abs(d.quantile(u) - hi)) <= 1e-13
+
+
+# -- one build per n ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["rademacher", "elliptic2", "symmetric2", "flip2"])
+def test_lattice_charfn_orders_in_one_transform_equal_per_order_calls(name):
+    model = builtin_model(name)
+    for n in (1, 16, 64, 512):
+        d = model.distribution(n)
+        for t in (0.0, 0.37, np.array([0.37]), np.linspace(-3.0, 3.0, 241), np.linspace(0.5, 8.0, 257)):
+            rows = d.charfn_deriv(t, range(9))
+            assert rows.shape == (9,) + np.shape(t)
+            for k in range(9):
+                assert np.array_equal(rows[k], d.charfn_deriv(t, k)), (n, k)
+            picked = model.charfn_deriv(n, t, [4, 1])
+            assert np.array_equal(picked, rows[[4, 1]])
+    with pytest.raises(ValueError):
+        d.charfn_deriv(0.3, [0, 17])
+
+
+def test_iid_charfn_orders_in_one_power_equal_per_order_calls():
+    model = builtin_model("uniform")
+    for n in (1, 5, 16, 64):
+        for t in (0.25, np.array([0.25]), np.linspace(0.5, 7.5, 31)):
+            rows = model.charfn_deriv(n, t, range(7))
+            assert rows.shape == (7,) + np.shape(t)
+            for k in range(7):
+                assert np.array_equal(rows[k], np.reshape(model.charfn_deriv(n, t, k), np.shape(t))), (n, k)
+
+
+def test_chain_model_shares_series_squares_across_n():
+    # n = 32..512 of one homogeneous chain: 9 squarings of its order-5 step
+    # series in all, where a store per call squares 5 + 6 + 7 + 8 + 9 times
+    model = builtin_model("elliptic2")
+    ns = (32, 64, 128, 256, 512)
+    for n in ns:
+        model.cumulants(n, 5)
+    (series,) = [m for _, m in model._store._series.values()]
+    assert len(model._store._squares[id(series)][0]) == 1 + 9
+    for n in ns:
+        assert model.cumulants(n, 5) == cumulant_series(model.spec(n), 5)
+        model.blocking(n)
+    assert len(model._store._series) == 2  # the order-2 series of the blocking beside it
+    for n in ns:
+        fresh = variance_decomposition(model.spec(n))
+        assert np.array_equal(model.blocking(n).sigma2, fresh.sigma2)
+        assert model.blocking(n).blocks == fresh.blocks
+
+
+def test_series_refuses_a_non_finite_cumulant_and_names_its_order():
+    good = np.full((2, 2), 0.5)
+    f = np.array([[1e200, -1e200], [1.0, -1.0]])
+    spec = MarkovChainSpec([0.5, 0.5], (good,) * 4, (f,) * 4)
+    with pytest.raises(ValueError, match="cumulant 2 of S_n is not finite"):
+        cumulant_series(spec, 4)
+    # 1e120 survives order 2 but (1e120)^3 does not
+    f = np.array([[1e120, -1e120], [1.0, -1.0]])
+    spec = MarkovChainSpec([0.5, 0.5], (good,) * 4, (f,) * 4)
+    assert math.isfinite(cumulant_series(spec, 2)[1])
+    with pytest.raises(ValueError, match="cumulant 3 of S_n is not finite"):
+        cumulant_series(spec, 3)
+
+
+def test_lattice_snap_refuses_shifts_past_2_to_the_53():
+    good = np.full((2, 2), 0.5)
+    f = np.array([[1.0, -1.0], [1.0, -1.0]])
+    for width, ok in ((2.0**54, True), (2.0**55, False)):
+        wide = np.array([[width, 0.0], [0.0, width]])
+        spec = MarkovChainSpec([0.5, 0.5], (good,) * 5, (f, f, f, wide, wide))
+        if ok:
+            assert _common_lattice([f, wide], [0, 3])[2][1].max() == 2**53
+        else:
+            with pytest.raises(ValueError, match="observable 3 spans 1.8e\\+16 lattice steps of 2, past 2\\^53"):
+                exact_distribution(spec)

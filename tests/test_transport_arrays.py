@@ -201,3 +201,47 @@ def test_gauss_jacobi_rule_is_exact_to_degree_2n_minus_1(n, alpha, beta):
             ref = mp.quad(lambda x: (1 - x) ** alpha * (1 + x) ** beta * x**j, [-1, 0, 1])
         # a node off by a few ulps moves t^j by j times that, relative to the weight's mass
         assert abs(float(np.dot(w, t**j)) - float(ref)) <= 1e-15 * (j + 1) * mass, j
+
+
+def _per_node_index(support, mid, x):
+    # every node read on its own
+    return np.zeros(mid.size, dtype=int), np.arange(x.size), np.searchsorted(support, x.ravel(), side="right")
+
+
+def test_lattice_read_once_per_panel_equals_the_per_node_read(monkeypatch):
+    # either side may be the lattice; sparse supports leave panels wider
+    # than _GAP_CELL to split, and p > 1 takes the end-weighted rules
+    model = builtin_model("elliptic2")
+    norm, _ = _standardized(model, 64)
+    exp = build_expansion(model, 64, 4).truncated(2)
+    sparse = LatticeDistribution(-3.1, 2.3, [0.1, 0.0, 0.45, 0.3, 0.0, 0.15])
+    other = builtin_model("rademacher").distribution(9).scale(1.0 / 3.0)
+    gauss = GaussianLaw(0.0, 1.0)
+    pairs = [(norm, gauss), (gauss, norm), (norm, exp), (sparse, gauss), (gauss, sparse),
+             (sparse, GaussianLaw(0.2, 1.7)), (norm, other), (sparse, other)]
+    ps = (1, 1.5, 2, 3, 4.5)
+
+    def bounds():
+        return ([wasserstein_upper_bound(a, b, p) for a, b in pairs for p in ps]
+                + [lp_cdf_distance(a, b, 2) for a, b in pairs])
+
+    per_panel = bounds()
+    monkeypatch.setattr(transport, "_panel_index", _per_node_index)
+    assert bounds() == per_panel
+
+
+def test_panel_read_takes_nodes_rounded_onto_an_edge_one_by_one():
+    # in a panel two ulps wide, nodes round onto both of its edges
+    x1 = 1.0
+    x2 = np.nextafter(np.nextafter(x1, 2.0), 2.0)
+    support = np.array([-1.0, x1, x2, 3.0])
+    nodes = np.polynomial.legendre.leggauss(transport._GAP_NODES)[0]
+    edges = np.array([-1.0, 0.5, x1, x2, 2.0, 3.0])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * nodes
+    assert np.any(x[2] == x2)
+    at, stray, idx = transport._panel_index(support, mid, x)
+    assert 0 < stray.size < x.size
+    full = np.repeat(at, x.shape[1])
+    full[stray] = idx
+    assert np.array_equal(full, np.searchsorted(support, x.ravel(), side="right"))
