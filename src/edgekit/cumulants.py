@@ -1,7 +1,7 @@
 """Cumulant calculus and log-characteristic-function diagnostics.
 
 Everything here works on numbers or on a duck-typed model exposing
-`sigma(n)`, `cumulant(n, k)`, and `charfn_deriv(n, t, k)` (k an order
+`sigma(n)`, `cumulants(n, kmax)`, and `charfn_deriv(n, t, k)` (k an order
 or a sequence of orders); no model classes are imported, the engines
 live in `edgekit.models`.
 """
@@ -181,7 +181,12 @@ def log_charfn_profile(model, n, jmax, eps=None, floor=None):
 #   match floor      max <= MATCH_FLOOR: the values are rounding
 #
 # The bounded rules allow 1e-12 absolute so that rows of rounding noise
-# around zero stay bounded.
+# around zero stay bounded. The other verdicts' tolerances sit here too:
+# BOUND_TOL (W_p <= CDF-gap integral), COUPLING_TOL and PROFILE_TOL (the
+# coupling's monotone a and bounded b), and the stationary fit's judge: a
+# residual column decays when its last value is at most FIT_LAST_SHARE
+# of its peak, its fitted rate at most FIT_RATE and its peak on the fitted
+# half at most FIT_TAIL_SHARE of its peak.
 
 BOUNDED_SLACK = 1.5
 VANISH_DROP = 0.20
@@ -197,6 +202,12 @@ TAIL_DROP = 0.05
 # size. Odd absolute columns take the law's moments and carry a genuine
 # gap that the floor is not meant to catch.
 MATCH_FLOOR = 1e-6
+BOUND_TOL = 1e-5
+COUPLING_TOL = 1e-9
+PROFILE_TOL = 1e-12
+FIT_LAST_SHARE = 0.5
+FIT_RATE = 0.9
+FIT_TAIL_SHARE = 0.25
 
 
 def bounded_max(values):
@@ -383,7 +394,8 @@ def fit_stationary(model, ns, kmax=4):
         # the line was fitted, not merely at the last point
         tail_peak = float(np.max(np.abs(r[half:])))
         decays = (
-            abs(r[-1]) <= 0.5 * peak and delta_k <= 0.9 and tail_peak <= 0.25 * peak
+            abs(r[-1]) <= FIT_LAST_SHARE * peak and delta_k <= FIT_RATE
+            and tail_peak <= FIT_TAIL_SHARE * peak
         )
         if decays:
             deltas.append(min(delta_k, 1.0))

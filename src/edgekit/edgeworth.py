@@ -139,10 +139,6 @@ class EdgeworthExpansion:
         self._hermite_coefs = tuple(hermite_coefficients(d) for d in self.density_polys)
 
     @property
-    def order(self):
-        return len(self.polys) + 2
-
-    @property
     def corrections(self):
         return len(self.polys)
 

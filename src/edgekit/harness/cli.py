@@ -236,7 +236,7 @@ def cmd_expand(args):
     if r == 0:
         cdf, pdf = normal_cdf(x), normal_pdf(x)
     else:
-        exp = model.expansion(n, args.m, r)
+        exp = model.expansion(n, r)
         cdf, pdf = exp.cdf(x), exp.pdf(x)
     rows = [(float(xi), float(ci), float(pi)) for xi, ci, pi in zip(x, cdf, pdf)]
     _emit(args, ("x", "cdf", "pdf"), rows,

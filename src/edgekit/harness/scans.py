@@ -22,10 +22,13 @@ from typing import Optional
 import numpy as np
 
 from ..cumulants import (
+    BOUND_TOL,
+    COUPLING_TOL,
     DerivativeBoundReport,
     TailIntegralReport,
     bounded_last,
     bounded_max,
+    cumulants_to_moments,
     decays,
     derivative_bound_check,
     fit_stationary,
@@ -59,7 +62,6 @@ __all__ = [
 _LATTICE_FLAG = "lattice CDF jumps of size ~1/sigma defeat corrections past order 0"
 _GRID_POINTS = 401  # x grid of the weighted sup gap and of `expand`
 _SHAPE_POINTS = 601  # x grid of the stationary shape gap, |x| <= 6
-_BOUND_TOL = 1e-5  # slack of W_p <= CDF-gap integral for quadrature error
 
 
 def _yn(flag):
@@ -92,17 +94,12 @@ def _check_ns(ns):
     return ns
 
 
-def _psi(model, n, m, r):
-    """Corrected CDF of order r sliced out of the full order-m build (the model's kept build)."""
+def _psi(model, n, r):
+    """(CDF, expansion) with r corrections, from the model's kept build; (Phi, None) at r = 0."""
     if r == 0:
         return normal_cdf, None
-    exp = model.expansion(n, m, r)
+    exp = model.expansion(n, r)
     return exp.cdf, exp
-
-
-def _moment_order(qs, r):
-    """Build order of `scan_moments` when none is given: above every moment order."""
-    return max(max(qs) + 1, r + 2, 3)
 
 
 # -- weighted sup of the CDF gap ----------------------------------------------
@@ -182,6 +179,8 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     """
     if not 0 <= r <= m - 2:
         raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
+    if r >= 1:
+        check_order(m)
     ns = _check_ns(ns)
     x = _x_grid(grid_max)
     is_lattice = bool(getattr(model, "is_lattice", False))
@@ -190,11 +189,9 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     scaled = np.empty(len(ns))
     power = max(r, 1)
     for i, n in enumerate(ns):
+        psi_cdf, _ = _psi(model, n, r)  # first, so sigma reads the build's cumulants
         sigma = model.sigma(n)
-        psi_cdf, _ = _psi(model, n, m, r)
-        d = _weighted_sup_gap(
-            model.distribution(n), sigma, psi_cdf, m, x, is_lattice
-        )
+        d = _weighted_sup_gap(model.distribution(n), sigma, psi_cdf, m, x, is_lattice)
         sigmas[i] = sigma
         raw[i] = d
         scaled[i] = sigma**power * d
@@ -308,18 +305,17 @@ def scan_transport(model, ps, ns, r=0, m=None):
     corrected_scaled = np.empty(shape) if r >= 1 else None
     bound_ok = True
     for i, n in enumerate(ns):
-        sigma = model.sigma(n)
-        sigmas[i] = sigma
+        _, exp = _psi(model, n, r)
+        sigmas[i] = sigma = model.sigma(n)
         dist = model.distribution(n)
         norm = dist.scale(1.0 / sigma)
-        _, exp = _psi(model, n, m, r)
         for j, p in enumerate(ps):
             w = wasserstein_distance(dist, GaussianLaw(0.0, sigma), p) / sigma
             gaussian[i, j] = w
             gaussian_scaled[i, j] = sigma * w
             ub = wasserstein_upper_bound(norm, GaussianLaw(0.0, 1.0), p)
             bound[i, j] = ub
-            if w > ub + _BOUND_TOL:
+            if w > ub + BOUND_TOL:
                 bound_ok = False
             if exp is not None:
                 ce = wasserstein_upper_bound(norm, exp, p)
@@ -373,7 +369,6 @@ class MomentScanReport(_Verdict):
     """
 
     model: str
-    m: int
     r: int
     qs: tuple
     ns: tuple
@@ -416,7 +411,7 @@ def _moment_column_verdict(scaled, r):
     return _rate_verdict(scaled, r, bounded_last)
 
 
-def scan_moments(model, qs, r, ns, m=None):
+def scan_moments(model, qs, r, ns):
     """Compare E[W_n^q] and E[|W_n|^q] with the correction's moments.
 
     The correction's moments are closed forms (`EdgeworthExpansion.moment`
@@ -429,13 +424,10 @@ def scan_moments(model, qs, r, ns, m=None):
     qs = tuple(int(q) for q in qs)
     if not qs or any(q < 1 for q in qs):
         raise ValueError("moment orders must be positive integers")
+    if r < 0:
+        raise ValueError("need r >= 0, got r=%r" % (r,))
     ns = _check_ns(ns)
-    if m is None:
-        m = _moment_order(qs, r)
-    if not 0 <= r <= m - 2:
-        raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
-    if max(qs) >= m:
-        raise ValueError("moment order %d needs build order above it" % max(qs))
+    kmax = max(max(qs), r + 2)
     shape = (len(ns), len(qs))
     sigmas = np.empty(len(ns))
     exact = np.empty(shape)
@@ -444,13 +436,14 @@ def scan_moments(model, qs, r, ns, m=None):
     expansion_abs = np.empty(shape)
     power = max(r, 1)
     for i, n in enumerate(ns):
-        sigma = model.sigma(n)
-        sigmas[i] = sigma
+        # one read per n: moment q of a prefix of the cumulants has the bits of the full list's
+        moments = cumulants_to_moments(model.cumulants(n, kmax))
+        sigmas[i] = sigma = model.sigma(n)
         # |W|^q = W^q for even q, so only odd orders need the law
         dist = model.distribution(n) if any(q % 2 for q in qs) else None
-        _, exp = _psi(model, n, m, r)
+        _, exp = _psi(model, n, r)
         for j, q in enumerate(qs):
-            exact[i, j] = model.moment(n, q) / sigma**q
+            exact[i, j] = moments[q - 1] / sigma**q
             exact_abs[i, j] = dist.abs_moment(q) / sigma**q if q % 2 else exact[i, j]
             if exp is None:
                 expansion[i, j] = gaussian_moment(q)
@@ -472,7 +465,6 @@ def scan_moments(model, qs, r, ns, m=None):
         oks.append(ok)
     return MomentScanReport(
         model=model.name,
-        m=m,
         r=r,
         qs=qs,
         ns=ns,
@@ -539,8 +531,8 @@ def scan_stationarity(model, m, ns):
     if m < 3:
         raise ValueError("need m >= 3 for at least one correction order")
     ns = _check_ns(ns)
-    sigmas = np.array([model.sigma(n) for n in ns])
     fit = fit_stationary(model, ns, kmax=m)
+    sigmas = np.array([model.sigma(n) for n in ns])
     if not fit.accepted:
         return StationaryScanReport(
             model=model.name, m=m, ns=ns, sigmas=sigmas,
@@ -556,7 +548,7 @@ def scan_stationarity(model, m, ns):
     phi = normal_pdf(x)
     scaled = np.empty((len(ns), m - 2))
     for i, n in enumerate(ns):
-        exp = model.expansion(n, m, m - 2)
+        exp = model.expansion(n, m - 2)
         for j in range(1, m - 1):
             gap = np.abs(exp.polys[j - 1](x) - limits[j - 1](x))
             scaled[i, j - 1] = sigmas[i] ** 2 * float(np.max(phi * gap))
@@ -632,8 +624,8 @@ def scan_coupling(model, ns, p=2, target=None):
     distances = np.array([gaussian_coupling(model, n, p=p, target=target) for n in ns])
     relative = distances / sigmas
     profiles_ok = all(rep.a_monotone for rep in reps)
-    across_ok = bool(np.all(np.diff(a) >= -1e-9))
-    b_ok = all(bv <= 2.0 * rep.target + rep.overshoot + 1e-9 for bv, rep in zip(b, reps))
+    across_ok = bool(np.all(np.diff(a) >= -COUPLING_TOL))
+    b_ok = all(bv <= 2.0 * rep.target + rep.overshoot + COUPLING_TOL for bv, rep in zip(b, reps))
     ok = bounded_max(distances)
     return CouplingScanReport(
         model=model.name,

@@ -21,7 +21,6 @@ import scipy
 from .. import __version__
 from ..models import ChainModel, builtin_model, builtin_model_names, load_chain_spec
 from .scans import (
-    _moment_order,
     scan_assumptions,
     scan_coupling,
     scan_moments,
@@ -294,8 +293,8 @@ def run_scenario(config, out=None):
 
     Each scan builds the exact laws it needs on first use through the
     model's cache, so every law is built once. Each n's cumulants and
-    expansion are built once too, before the scans, at the highest order
-    any scan reads (`_top_orders`); the scans read truncations of them.
+    expansion are built once too, before the scans, with the most any
+    scan reads (`_top_orders`); the scans read truncations of them.
     The exit code is 0 exactly when no report failed (flagged verdicts
     do not fail).
     """
@@ -310,11 +309,11 @@ def run_scenario(config, out=None):
             % (config.model, model.max_steps, config.ns[-1])
         )
 
-    kmax, m_top = _top_orders(config)
+    kmax, r_top = _top_orders(config)
     for n in config.ns:
         model.cumulants(n, kmax)
-        if m_top:
-            model.expansion(n, m_top, m_top - 2)
+        if r_top:
+            model.expansion(n, r_top)
 
     reports = {}
     nonuniform_name = "scan_be" if config.r == 0 else "scan_edgeworth"
@@ -376,18 +375,12 @@ def run_scenario(config, out=None):
 
 
 def _top_orders(config):
-    """(cumulant order, expansion order or 0) of the most any scan of `run_scenario` reads at each n.
+    """(cumulant order, corrections or 0) of the most any scan of `run_scenario` reads at each n.
 
-    The expansion is read by the corrected scans at r >= 1 (at m, and
-    `scan_moments` at its own build order) and by the stationarity scan
-    (at m); the cumulants by every expansion, and by the moment scan up
-    to the largest q.
+    Corrections: r, and m - 2 for the stationarity scan. Cumulants: two more, or up to max q.
     """
-    orders = [config.m, _moment_order(config.qs, config.r)] if config.r >= 1 else []
-    if len(config.ns) >= 4:
-        orders.append(config.m)
-    m_top = max(orders, default=0)
-    return max(m_top, max(config.qs), 2), m_top
+    r_top = max(config.r, config.m - 2 if len(config.ns) >= 4 else 0)
+    return max(r_top + 2, max(config.qs)), r_top
 
 
 def load_scenario(source):

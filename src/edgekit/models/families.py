@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..cumulants import cumulants_to_moments, moments_to_cumulants
+from ..cumulants import moments_to_cumulants
 from ..edgeworth import build_expansion
 from .markov import (
     MarkovChainSpec,
@@ -37,25 +37,24 @@ __all__ = [
 
 
 class _CumulantModel:
-    """sigma, signed moments and expansions of S_n from the model's `cumulants(n, kmax)`.
+    """sigma and expansions of S_n from the model's `cumulants(n, kmax)`.
 
-    Only the law (and through it |S_n|^q) comes from the engine that
-    builds it. One expansion per n is kept, at the highest order asked
-    for so far, and each truncation of it is made once: corrections
-    1..r of any build have the same bits (kappa_k does not depend on the
-    order asked for), so a scan gets the numbers its own build would give.
+    Only the law comes from the engine that builds it. An expansion is
+    named by its corrections r. One build per n is kept, the one with the
+    most corrections asked for so far, and each truncation of it is made
+    once: corrections 1..r of any build have the same bits (kappa_k does
+    not depend on the order asked for), so a scan gets the numbers a build
+    at order r + 2 would give.
     """
 
-    def expansion(self, n, m, r):
-        """Corrections 1..r of the order-m expansion of S_n/sigma_n (`build_expansion`)."""
+    def expansion(self, n, r):
+        """Corrections 1..r (r >= 1) of the expansion of S_n/sigma_n (`build_expansion`)."""
         # the build of each n is kept under n, its truncations under (n, r)
-        top = self._expansions.get(n)
-        if top is None or top.order < m:
-            top = self._expansions[n] = build_expansion(self, n, m)
-        if r == top.corrections:
-            return top
         if (n, r) not in self._expansions:
-            self._expansions[n, r] = top.truncated(r)
+            top = self._expansions.get(n)
+            if top is None or top.corrections < r:
+                top = self._expansions[n] = build_expansion(self, n, r + 2)
+            self._expansions[n, r] = top if r == top.corrections else top.truncated(r)
         return self._expansions[n, r]
 
     def cumulant(self, n, k):
@@ -66,9 +65,6 @@ class _CumulantModel:
 
     def sigma(self, n):
         return math.sqrt(self.sigma2(n))
-
-    def moment(self, n, q):
-        return cumulants_to_moments(self.cumulants(n, q))[q - 1] if q else 1.0
 
 
 class ChainModel(_CumulantModel):

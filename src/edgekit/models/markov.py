@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..cumulants import moments_to_cumulants
+from ..cumulants import PROFILE_TOL, moments_to_cumulants
 from .lattice import LatticeDistribution
 
 __all__ = [
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+# The refusal of a step series, or of the cumulants or variances it feeds, that overflows
+_NOT_FINITE = ("cumulant %d of S_n is not finite: the observables' values are too far "
+               "apart for the order-%d step series")
 _SNAP_DENOM = 10**6
 _SNAP_TOL = 1e-9
 # Largest DP table, in (state, cell) entries, a sweep may allocate, with the
@@ -826,16 +829,14 @@ def _cumulant_series(spec, kmax, store):
     v = np.zeros((kmax + 1, 1, spec.initial.size))
     v[0, 0] = spec.initial
     logs = []
-    for series, count in _step_series(spec, kmax, store):
-        v, terms = _scaled_mul((v, []), _series_power(store.powers(series), count, _scaled_mul))
-        logs += terms
+    with np.errstate(over="ignore", invalid="ignore"):  # the check of kappa below says so
+        for series, count in _step_series(spec, kmax, store):
+            v, terms = _scaled_mul((v, []), _series_power(store.powers(series), count, _scaled_mul))
+            logs += terms
     kappas = [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
     for k, kappa in enumerate(kappas, start=1):
         if not math.isfinite(kappa):
-            raise ValueError(
-                "cumulant %d of S_n is not finite: the observables' values are too far "
-                "apart for the order-%d step series" % (k, k)
-            )
+            raise ValueError(_NOT_FINITE % (k, k))
     return kappas
 
 
@@ -857,7 +858,10 @@ class _SeriesStore:
         self._squares = {}  # id(M) -> (squares so far, the `_squarings` still to come)
 
     def series(self, kernel, f, kmax, step):
-        """M(z) of shape (kmax + 1, S_in, S_out) for one step; `step` names f in a refusal."""
+        """M(z) of shape (kmax + 1, S_in, S_out) for one step; `step` names f in a refusal.
+
+        The first order whose coefficients (range/2)^k / k! overflow is refused.
+        """
         if id(f) not in self._shifted:
             g = f - 0.5 * (float(f.max()) + float(f.min()))
             if not np.isfinite(g).all():
@@ -867,8 +871,12 @@ class _SeriesStore:
         key = id(kernel), id(g), kmax
         if key not in self._series:
             coeffs = [kernel]
-            for b in range(1, kmax + 1):
-                coeffs.append(coeffs[-1] * g / b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b in range(1, kmax + 1):
+                    coeffs.append(coeffs[-1] * g / b)
+            bad = [k for k, c in enumerate(coeffs) if not np.isfinite(c).all()]
+            if bad:
+                raise ValueError(_NOT_FINITE % (bad[0], bad[0]))
             self._series[key] = kernel, np.stack(coeffs)
         return self._series[key][1]
 
@@ -1010,17 +1018,15 @@ def _walk(row, total, comp, steps):
     """(row, total, comp) after each of `steps`, walked one at a time from a lone row.
 
     `row` has shape (3, 1, width >= S_in of the first step) and (total,
-    comp) is its variance as a Neumaier sum in Python floats. Each step
+    comp) is its variance as a `_two_sum` compensated sum in Python floats. Each step
     is `_order2_rows` on the row and the log term of its totals: the
     bits a batch of rows gives that row.
     """
     for m in steps:
         row, totals = _order2_rows(row[:, :, : m.shape[1]], m)
         s0, s1, s2 = totals.ravel().tolist()
-        x = 2.0 * s2 / s0 - (s1 / s0) ** 2
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
+        total, err = _two_sum(total, 2.0 * s2 / s0 - (s1 / s0) ** 2)
+        comp += err
         yield row, total, comp
 
 
@@ -1206,7 +1212,10 @@ def _variance_decomposition(spec, target, store):
         # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
         spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
         step_var = max(step_var, float(spread.max()))
-    sigma2 = _prefix_variances(runs, spec.initial, store)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2 = _prefix_variances(runs, spec.initial, store)
+    if not np.isfinite(sigma2).all():
+        raise ValueError(_NOT_FINITE % (2, 2))
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     if target is None:
@@ -1226,7 +1235,7 @@ def _variance_decomposition(spec, target, store):
         a=a,
         b=sigma2 - a,
         overshoot=float(max(0.0, overshoot)),
-        a_monotone=bool(np.all(np.diff(a) >= -1e-12)),
+        a_monotone=bool(np.all(np.diff(a) >= -PROFILE_TOL)),
     )
 
 
@@ -1238,7 +1247,7 @@ def _greedy_blocks(runs, laws, target):
     X_start at its law `laws[start]`, reaches `target`; a block that runs
     off the end is dropped. `runs` are the chain's `_step_series` pairs.
     Each block's variances are those of walking it one step at a time:
-    `_order2_rows` on its row, Neumaier-summed.
+    `_order2_rows` on its row, summed as `_walk` sums.
 
     The walks run in lockstep: every candidate start c of a window walks
     its own block at once, round t taking row c through step c + t with
@@ -1301,9 +1310,8 @@ def _greedy_blocks(runs, laws, target):
                     q, totals = _order2_rows(state[:, idx, : m.shape[1]], m)
                     state[:, idx, : m.shape[2]] = q
                     x[idx] = _log_variance(totals)
-                t = total + x
-                comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
-                total = t
+                total, err = _two_sum(total, x)
+                comp += err
                 var = total + comp
                 hit = var >= target
                 ends[starts[hit] - lo] = at[hit]

@@ -428,26 +428,24 @@ def _gap_edges(a, b, lo, hi, expo):
             pts.append(d.support)
         elif hasattr(d, "breaks"):
             pts.append(np.asarray(d.breaks, dtype=float))
-    # where a flat stretch of a lattice CDF meets the other side's range,
+    # where a flat stretch of a lattice CDF meets a Gaussian's range,
     # |F - G| touches zero; split panels there so the kink of |.|^(1/p)
     # sits on an edge. Past the median, 1 - F of the left sums is rounding
-    # noise; the suffix sums S carry the upper tail, and a Gaussian puts
-    # that crossing at mean - sd ndtri(S).
+    # noise; the suffix sums S carry the upper tail, and the Gaussian puts
+    # that crossing at mean - sd ndtri(S). Against another lattice the
+    # crossings are the other's support points, edges already.
     for lat, other in ((a, b), (b, a)):
-        if isinstance(lat, LatticeDistribution) and hasattr(other, "quantile"):
+        if isinstance(lat, LatticeDistribution) and isinstance(other, GaussianLaw):
             left, right = lat._cum[1:], lat._tail[1:]
             k = np.flatnonzero(np.minimum(left, right) > 1e-15)  # level k is flat on [x_k, x_{k+1})
             left, right = left[k], right[k]
-            if isinstance(other, GaussianLaw):
-                upper = right < left
-                z = ndtri(np.where(upper, right, left))
-                x = other.mean + other.sd * np.where(upper, -z, z)
-                s = lat.support
-                cuts = x[(s[k] < x) & (x < s[k + 1])]
-                beyond = (x < s[k]) | (s[k + 1] < x)  # with the atom on the crossing's side
-                past = np.where(x < s[k], s[k], s[k + 1])[beyond], x[beyond]
-            else:
-                x = np.atleast_1d(np.asarray(other.quantile(left), dtype=float))
+            upper = right < left
+            z = ndtri(np.where(upper, right, left))
+            x = other.mean + other.sd * np.where(upper, -z, z)
+            s = lat.support
+            cuts = x[(s[k] < x) & (x < s[k + 1])]
+            beyond = (x < s[k]) | (s[k + 1] < x)  # with the atom on the crossing's side
+            past = np.where(x < s[k], s[k], s[k + 1])[beyond], x[beyond]
             pts.append(x[(lo < x) & (x < hi)])
     edges = np.unique(np.concatenate(pts))
     edges = edges[(lo <= edges) & (edges <= hi)]
@@ -470,8 +468,11 @@ def _gap_integral(a, b, expo):
     |x - x_c|^expo as a Gauss-Jacobi weight. When both sides have
     survival functions and the same total mass, the gap past the median
     of a is |S_a - S_b|: there 1 - F is rounding noise, which |.|^(1/p)
-    would lift to about 1e-8 per unit length at p = 2.
+    would lift to about 1e-8 per unit length at p = 2. A lattice/piecewise pair is refused.
     """
+    for lat, other in ((a, b), (b, a)):
+        if isinstance(lat, LatticeDistribution) and isinstance(other, PiecewisePolyDistribution):
+            raise ValueError("no CDF-gap route between %s and %s" % (type(a).__name__, type(b).__name__))
     lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
     edges, cut = _gap_edges(a, b, lo, hi, expo)
     rules = _cell_rules(int(expo) if float(expo).is_integer() else expo, _GAP_NODES)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -135,7 +136,7 @@ def test_scan_moments_chain_signed_columns_match_at_scale():
     # signed moments of a chain come from the series cumulants, as the
     # expansion's do, so at sigma^3 ~ 4.5e5 the matched gaps stay rounding
     ns = (512, 1024, 2048, 4096, 8192)
-    rep = scan_moments(builtin_model("elliptic2"), (2, 3, 4, 5), 3, ns, m=6)
+    rep = scan_moments(builtin_model("elliptic2"), (2, 3, 4, 5), 3, ns)
     assert rep.signed_verdicts == ("matched",) * 4
     assert rep.passed
     assert float(np.max(rep.scaled_gap)) < 1e-9
@@ -144,7 +145,7 @@ def test_scan_moments_chain_signed_columns_match_at_scale():
 def test_scan_moments_even_absolute_columns_are_the_signed_ones():
     # |W|^q = W^q for even q, so both columns read the model's cumulants
     for name, r in (("rademacher", 0), ("elliptic2", 1), ("uniform", 1)):
-        rep = scan_moments(builtin_model(name), (2, 3, 4), r, (8, 16, 32), m=5)
+        rep = scan_moments(builtin_model(name), (2, 3, 4), r, (8, 16, 32))
         for j in (0, 2):
             assert np.array_equal(rep.exact_abs[:, j], rep.exact[:, j])
 
@@ -171,13 +172,43 @@ def test_scan_moments_runs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
     for name, r in (("rademacher", 0), ("elliptic2", 1), ("uniform", 1)):
-        rep = scan_moments(builtin_model(name), (1, 2, 3, 4), r, (8, 16), m=5)
+        rep = scan_moments(builtin_model(name), (1, 2, 3, 4), r, (8, 16))
         assert np.all(np.isfinite(rep.expansion)) and np.all(np.isfinite(rep.expansion_abs))
 
 
-def test_scan_moments_rejects_uncovered_order():
-    with pytest.raises(ValueError):
-        scan_moments(builtin_model("rademacher"), (2, 4), 0, (8, 16), m=3)
+def test_scan_moments_takes_moment_orders_past_the_largest_build_at_every_r():
+    # the correction's moments are closed forms at any q, and the exact
+    # ones come from the cumulants to q, so no build order caps q
+    for r in (0, 1):
+        rep = scan_moments(builtin_model("elliptic2"), (2, 16), r, (16, 32))
+        assert rep.signed_verdicts[0] == "matched"
+        assert np.all(np.isfinite(rep.exact)) and np.all(np.isfinite(rep.expansion))
+    with pytest.raises(ValueError, match="r >= 0"):
+        scan_moments(builtin_model("elliptic2"), (2,), -1, (16, 32))
+
+
+def test_a_standalone_scan_reads_one_series_per_n(monkeypatch):
+    # each scan reads its build before sigma, so sigma is a prefix of it;
+    # the moment scan reads its cumulants to max q or r + 2, whichever is larger
+    from edgekit.models import families
+
+    series = []
+    cumulant_series = families._cumulant_series
+    monkeypatch.setattr(families, "_cumulant_series",
+                        lambda spec, kmax, store: series.append((spec.n_steps, kmax))
+                        or cumulant_series(spec, kmax, store))
+    ns = (16, 32, 64, 128)
+    for scan, kmax in (
+        (lambda m: scan_moments(m, (2, 3, 4, 5, 6), 1, ns), 6),
+        (lambda m: scan_moments(m, (1,), 0, ns), 2),
+        (lambda m: scan_moments(m, (2, 3), 3, ns), 5),
+        (lambda m: scan_nonuniform(m, 5, 2, ns), 4),
+        (lambda m: scan_transport(m, (1,), ns, r=1, m=4), 3),
+        (lambda m: scan_stationarity(m, 5, ns), 5),
+    ):
+        series.clear()
+        scan(builtin_model("elliptic2"))
+        assert series == [(n, kmax) for n in ns]
 
 
 def test_scans_judge_rates_with_their_bounded_rule(monkeypatch):
@@ -881,14 +912,35 @@ def test_cli_refuses_a_chain_file_whose_shifts_pass_2_to_the_53(tmp_path, capsys
     assert "observable 1 spans 3.5e+307 lattice steps of 2, past 2^53" in err
 
 
-@pytest.mark.parametrize("command", ["dist", "cumulants"])
+def _two_state_chain_file(path, value):
+    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 4\n\n"
+                    "[observable.1]\n%s -%s\n1 -1\nrepeat = 4\n" % (value, value))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["dist", "cumulants", "couple"])
 def test_cli_refuses_a_chain_file_whose_cumulants_overflow(tmp_path, capsys, command):
     # values 2e200 apart fit the float range, but the order-2 series holds
-    # (1e200)^2 / 2: cumulants printed nan and exited 0; dist carries sigma
-    path = tmp_path / "chain.txt"
-    path.write_text("[initial]\n0.5 0.5\n\n[kernel.1]\n0.5 0.5\n0.5 0.5\nrepeat = 4\n\n"
-                    "[observable.1]\n1e200 -1e200\n1 -1\nrepeat = 4\n")
-    assert main([command, "--model", str(path), "--n", "4"]) == 2
+    # (1e200)^2 / 2: cumulants printed nan and exited 0; dist carries sigma;
+    # couple's blocking ran on inf and blamed the target. The step series
+    # is refused where it is built, before numpy warns of any overflow
+    path = _two_state_chain_file(tmp_path / "chain.txt", "1e200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--model", path, "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "edgekit: cumulant 2 of S_n is not finite: the observables' values are too far "
+        "apart for the order-2 step series\n"
+    )
+
+
+def test_cli_refuses_a_chain_file_whose_variance_overflows(tmp_path, capsys):
+    # the order-2 series of values 1.3e154 apart is finite, but Var(S_3)
+    # passes the float range: the blocking refuses it by its cumulant
+    path = _two_state_chain_file(tmp_path / "chain.txt", "1.3e154")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["couple", "--model", path, "--n", "4"]) == 2
     assert "cumulant 2 of S_n is not finite" in capsys.readouterr().err
 
 
@@ -922,13 +974,13 @@ def test_a_model_that_served_a_run_gives_each_n_the_numbers_of_a_fresh_model(mon
     from edgekit.transport import wasserstein_upper_bound
 
     model, config = _served_model(monkeypatch, name, tmp_path)
-    kmax, m_top = _top_orders(config)
+    kmax, r_top = _top_orders(config)
     t = np.linspace(-2.0, 2.0, 9)
     for n in config.ns:
         fresh = resolve_model(config.model)
         assert model.cumulants(n, kmax) == fresh.cumulants(n, kmax)
-        for r in range(1, m_top - 1):
-            served, alone = model.expansion(n, m_top, r), fresh.expansion(n, r + 2, r)
+        for r in range(1, r_top + 1):
+            served, alone = model.expansion(n, r), fresh.expansion(n, r)
             assert served.sigma == alone.sigma
             for a, b in zip(served.polys + served.density_polys, alone.polys + alone.density_polys):
                 assert np.array_equal(a.coef, b.coef)
@@ -943,9 +995,9 @@ def test_a_model_that_served_a_run_gives_each_n_the_numbers_of_a_fresh_model(mon
 
 
 def test_a_scenario_run_builds_each_n_once_at_its_top_order(monkeypatch, tmp_path):
-    # elliptic2-stationary reads expansions of order 4 and 5 (scan_moments
-    # builds above q = 4) and cumulants of order 2, 4 and 5; rademacher-be
-    # reads the order-3 expansion of the stationarity scan and cumulants to
+    # elliptic2-stationary reads 1 and 2 corrections (the order-4 build of
+    # the stationarity scan) and cumulants to q = 4; rademacher-be reads
+    # the order-3 expansion of the stationarity scan and cumulants to
     # order 4, and builds nothing of order 5
     from edgekit.models import families
 
@@ -956,7 +1008,7 @@ def test_a_scenario_run_builds_each_n_once_at_its_top_order(monkeypatch, tmp_pat
                         or cumulant_series(spec, kmax, store))
     monkeypatch.setattr(families, "build_expansion",
                         lambda model, n, m: builds.append((n, m)) or build_expansion(model, n, m))
-    for preset, kmax, m in (("elliptic2-stationary", 5, 5), ("rademacher-be", 4, 3)):
+    for preset, kmax, m in (("elliptic2-stationary", 4, 4), ("rademacher-be", 4, 3)):
         series.clear()
         builds.clear()
         config = load_scenario(preset)

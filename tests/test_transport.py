@@ -512,6 +512,18 @@ def test_transport_orders_must_be_finite_and_at_least_one(fn, p):
         fn(a, GaussianLaw(0.0, 1.0), p)
 
 
+@pytest.mark.parametrize("fn", [lp_cdf_distance, wasserstein_upper_bound])
+def test_cdf_gap_refuses_a_lattice_against_a_piecewise_law(fn):
+    # no route puts the crossings of the lattice's flat stretches with the
+    # piecewise CDF on panel edges; either order is refused by name
+    lat = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
+    pw = PiecewisePolyDistribution.uniform(-1.0, 1.0)
+    for a, b in ((lat, pw), (pw, lat)):
+        with pytest.raises(ValueError, match="no CDF-gap route between %s and %s"
+                           % (type(a).__name__, type(b).__name__)):
+            fn(a, b, 1)
+
+
 def test_scan_transport_refuses_non_finite_orders():
     with pytest.raises(ValueError, match="finite"):
         scan_transport(builtin_model("rademacher"), (1, math.inf), (16, 32))
