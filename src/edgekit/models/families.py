@@ -182,8 +182,8 @@ class IIDContinuousModel(_CumulantModel):
         """
         orders, shape = np.atleast_1d(k), np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        base = np.stack([np.atleast_1d(self.base.charfn_deriv(t, j)) / math.factorial(j)
-                         for j in range(int(orders.max()) + 1)])
+        rows = self.base.charfn_deriv(t, range(int(orders.max()) + 1))
+        base = np.stack([row / math.factorial(j) for j, row in enumerate(rows)])
         mul = functools.partial(_series_mul, op=np.multiply)
         power = _series_power(_squarings(base, lambda p: mul(p, p)), n, mul)
         out = np.stack([math.factorial(j) * power[j] for j in orders.tolist()])

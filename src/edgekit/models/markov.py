@@ -817,7 +817,7 @@ def cumulant_series(spec, kmax):
     Coefficient k depends only on coefficients <= k, so kappa_k has the
     same bits whatever kmax is asked for. A cumulant that is not finite
     (step series whose z^k coefficients (range/2)^k / k! overflow) is
-    refused, naming its order.
+    refused, naming the lowest such order.
     """
     return _cumulant_series(spec, kmax, _SeriesStore())
 
@@ -826,11 +826,20 @@ def _cumulant_series(spec, kmax, store):
     """`cumulant_series` with the step series and their squares taken from `store`."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    try:
+        runs = _step_series(spec, kmax, store)
+    except _SeriesOverflow as err:
+        # kappa_k reads coefficients <= k alone, so the cumulants below the
+        # overflowing order are those of the series below it, and the
+        # refusal names the lowest that is not finite
+        if err.order > 2:
+            _cumulant_series(spec, err.order - 1, store)
+        raise
     v = np.zeros((kmax + 1, 1, spec.initial.size))
     v[0, 0] = spec.initial
     logs = []
     with np.errstate(over="ignore", invalid="ignore"):  # the check of kappa below says so
-        for series, count in _step_series(spec, kmax, store):
+        for series, count in runs:
             v, terms = _scaled_mul((v, []), _series_power(store.powers(series), count, _scaled_mul))
             logs += terms
     kappas = [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
@@ -838,6 +847,14 @@ def _cumulant_series(spec, kmax, store):
         if not math.isfinite(kappa):
             raise ValueError(_NOT_FINITE % (k, k))
     return kappas
+
+
+class _SeriesOverflow(ValueError):
+    """The refusal of a step series whose z^order coefficients overflow."""
+
+    def __init__(self, order):
+        super().__init__(_NOT_FINITE % (order, order))
+        self.order = order
 
 
 class _SeriesStore:
@@ -876,7 +893,7 @@ class _SeriesStore:
                     coeffs.append(coeffs[-1] * g / b)
             bad = [k for k, c in enumerate(coeffs) if not np.isfinite(c).all()]
             if bad:
-                raise ValueError(_NOT_FINITE % (bad[0], bad[0]))
+                raise _SeriesOverflow(bad[0])
             self._series[key] = kernel, np.stack(coeffs)
         return self._series[key][1]
 
@@ -1034,12 +1051,22 @@ def _order2_rows(v, series):
     """Rows v_r(z) = v[0, r] + v[1, r] z + v[2, r] z^2 times M(z), each divided by its total.
 
     Returns the quotients, shape (3, rows, S_out), and the totals s(z),
-    shape (3, rows). Row r gets the same bits whatever rows sit beside
-    it: a row of a BLAS product does not depend on the other rows, and
-    every other operation is elementwise or a sum along one row.
+    shape (3, rows). Row r gets the same bits whatever the rows beside it
+    hold: a row of a BLAS product does not depend on the values of the
+    other rows, and every other operation is elementwise or a sum along
+    one row. Only the six products v_i M_b with i + b <= 2 are kept, and
+    the rows v_i with i + b > 2 are zeros in M_b's product: v_2 M_2 and
+    the like would be discarded, and can overflow where every kept
+    product is finite. Each product still has 3 * rows rows, as the BLAS
+    rounds a row by the row count (measured: 5 and 17 states, 1 to 7
+    rows).
     """
     _, n_rows, n_in = v.shape
-    prod = _rows_matmul(v.reshape(-1, n_in), series).reshape(3, 3, n_rows, -1)
+    rows = np.zeros((3, 3, n_rows, n_in))  # rows[b, i] = v_i where i + b <= 2
+    rows[0] = v
+    rows[1, :2] = v[:2]
+    rows[2, 0] = v[0]
+    prod = _rows_matmul(rows.reshape(3, -1, n_in), series).reshape(3, 3, n_rows, -1)
     # prod[b, i] = v_i M_b; p_k = sum over b + i = k, turned in place into the quotient
     p = prod[0]
     p0, p1, p2 = p
@@ -1070,13 +1097,13 @@ def _log_variance(s):
 
 
 def _rows_matmul(rows, series):
-    """rows @ series[b] for each b, stacked, in products of at most _BLAS_SERIAL multiply-adds."""
+    """rows[b] @ series[b] for each b, stacked, in products of at most _BLAS_SERIAL multiply-adds."""
     chunk = max(1, _BLAS_SERIAL // (series.shape[1] * series.shape[2]))
-    if rows.shape[0] <= chunk:
+    if rows.shape[1] <= chunk:
         return np.matmul(rows, series)
-    out = np.empty((series.shape[0], rows.shape[0], series.shape[2]))
-    for i in range(0, rows.shape[0], chunk):
-        np.matmul(rows[i : i + chunk], series, out=out[:, i : i + chunk])
+    out = np.empty((series.shape[0], rows.shape[1], series.shape[2]))
+    for i in range(0, rows.shape[1], chunk):
+        np.matmul(rows[:, i : i + chunk], series, out=out[:, i : i + chunk])
     return out
 
 

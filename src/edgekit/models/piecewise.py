@@ -10,13 +10,13 @@ Evaluation gathers rows of zero-padded coefficient arrays, `_C` for the
 density and `_A` for its antiderivative from each midpoint, and runs one
 Horner pass over them. The masses left of each cell (`_cum`) and from
 each cell on (`_surv`) give the CDF and the survival mass each from its
-own side. quantile solves by safeguarded Newton in the cell found from
-the cumulative masses.
+own side. `_A` and the masses are built on first use. quantile solves by
+safeguarded Newton in the cell found from the cumulative masses.
 
 Convolution works on whole tables too. The pair convolution is linear in
 one factor's coefficients, so the cells of equal halfwidth go through it
 as one block, and the sub-pieces are placed on the new grid, recentered
-and summed as arrays.
+and summed as arrays; the law is built from the summed table as it is.
 """
 
 import functools
@@ -49,8 +49,24 @@ def _shift_matrix(d, delta):
     k = np.arange(d)
     expo = k[:, None] - k
     with np.errstate(invalid="ignore"):
-        powers = np.where(expo >= 0, np.power(np.asarray(delta)[..., None, None], np.maximum(expo, 0)), 0.0)
-    return _binom_matrix(d) * powers
+        powers = np.power(np.asarray(delta)[..., None], k)  # delta^0 .. delta^(d-1), each once
+    return _binom_matrix(d) * np.where(expo >= 0, powers[..., np.maximum(expo, 0)], 0.0)
+
+
+def _shift_matrices():
+    """`_shift_matrix` for scalar deltas, each distinct (d, delta) built once.
+
+    Keyed by the delta's bits, so -0.0 and 0.0 stay apart.
+    """
+    built = {}
+
+    def shift(d, delta):
+        key = d, float(delta).hex()
+        if key not in built:
+            built[key] = _shift_matrix(d, delta)
+        return built[key]
+
+    return shift
 
 
 def _horner(rows, u):
@@ -93,19 +109,53 @@ class PiecewisePolyDistribution:
             raise ValueError("breakpoints must be strictly increasing")
         if len(coeffs) != breaks.size - 1:
             raise ValueError("%d cells but %d coefficient sets" % (breaks.size - 1, len(coeffs)))
+        coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        table = np.zeros((len(coeffs), max(c.size for c in coeffs)))
+        for i, c in enumerate(coeffs):
+            table[i, : c.size] = c
+        self._setup(breaks, table, coeffs)
+
+    @classmethod
+    def _from_table(cls, breaks, table, keep):
+        """The law on the grid `breaks` whose cell i has coefficients table[i, :keep[i]], the rest of its row zero."""
+        law = cls.__new__(cls)
+        table = table[:, : keep.max()]
+        law._setup(breaks, table, [row[:k] for row, k in zip(table, keep.tolist())])
+        return law
+
+    def _setup(self, breaks, table, coeffs):
+        """Set the grid and the coefficient table `_C`, its rows zero past each cell's coefficients."""
         self.breaks = breaks
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        self.coeffs = coeffs
         self.centers = 0.5 * (breaks[1:] + breaks[:-1])
         self.halfwidths = 0.5 * (breaks[1:] - breaks[:-1])
-        self._C = np.zeros((len(self.coeffs), max(c.size for c in self.coeffs)))
-        for i, c in enumerate(self.coeffs):
-            self._C[i, : c.size] = c
-        self._A = np.pad(self._C / np.arange(1, self._C.shape[1] + 1), ((0, 0), (1, 0)))
-        self._base = _horner(self._A, -self.halfwidths)  # antiderivative at each left edge
-        self._top = _horner(self._A, self.halfwidths)  # and at each right edge
-        masses = self._top - self._base
-        self._cum = np.concatenate([[0.0], np.cumsum(masses)])
-        self._surv = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])  # mass from cell i on
+        self._C = table
+        self._weights = {}  # Legendre weights of the charfn per order (`_charfn_weights`)
+
+    # The antiderivative tables are built on first use: a law that only
+    # feeds the next convolution never reads them.
+
+    @functools.cached_property
+    def _A(self):
+        """Antiderivative rows, each from its cell's midpoint."""
+        out = np.zeros((self._C.shape[0], self._C.shape[1] + 1))
+        out[:, 1:] = self._C / np.arange(1, self._C.shape[1] + 1)
+        return out
+
+    @functools.cached_property
+    def _ends(self):
+        """The antiderivative at each cell's left edge (row 0) and right edge (row 1)."""
+        return _horner(self._A, np.stack([-self.halfwidths, self.halfwidths]))
+
+    @functools.cached_property
+    def _cum(self):
+        """Mass left of each cell, and the total last."""
+        return np.concatenate([[0.0], np.cumsum(self._ends[1] - self._ends[0])])
+
+    @functools.cached_property
+    def _surv(self):
+        """Mass from each cell on, and 0.0 last."""
+        return np.concatenate([np.cumsum((self._ends[1] - self._ends[0])[::-1])[::-1], [0.0]])
 
     @classmethod
     def uniform(cls, lo=-1.0, hi=1.0):
@@ -120,17 +170,19 @@ class PiecewisePolyDistribution:
         idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, len(self.coeffs) - 1)
         return idx, _horner(rows[idx], x - self.centers[idx])
 
-    def _cell_eval(self, idx, v):
-        """Density, CDF and survival mass at local coordinates v of cells idx.
+    def _cell_density(self, idx, v):
+        """Density at local coordinates v of cells idx."""
+        return _horner(self._C[idx], v)
+
+    def _cell_masses(self, idx, v):
+        """CDF and survival mass at local coordinates v of cells idx, from one Horner pass.
 
         Each tail mass is built from the side it belongs to, the CDF from the
         masses left of the cell and the survival from those right of it, so
         neither loses digits to 1 - the other.
         """
         anti = _horner(self._A[idx], v)
-        lower = self._cum[idx] + (anti - self._base[idx])
-        upper = self._surv[idx + 1] + (self._top[idx] - anti)
-        return _horner(self._C[idx], v), lower, upper
+        return self._cum[idx] + (anti - self._ends[0, idx]), self._surv[idx + 1] + (self._ends[1, idx] - anti)
 
     def density(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -144,7 +196,7 @@ class PiecewisePolyDistribution:
         out = np.where(x >= self.breaks[-1], self._cum[-1], 0.0)
         mid = (x >= self.breaks[0]) & (x < self.breaks[-1])
         idx, anti = self._eval(self._A, x[mid])
-        out[mid] = self._cum[idx] + (anti - self._base[idx])
+        out[mid] = self._cum[idx] + (anti - self._ends[0, idx])
         return out if out.size > 1 else float(out[0])
 
     def quantile(self, u):
@@ -159,7 +211,7 @@ class PiecewisePolyDistribution:
         live = (u > 0.0) & (u < self._cum[-1])
         i = np.searchsorted(self._cum, u[live], side="left") - 1
         w, center, rest = self.halfwidths[i], self.centers[i], u[live] - self._cum[i]
-        rows, target = self._A[i], rest + self._base[i]
+        rows, target = self._A[i], rest + self._ends[0, i]
         tol = 4.0 * np.finfo(float).eps * (np.abs(center) + w)
         lo, hi, step, older = -w, w, 2.0 * w, 2.0 * w
         v = w * (2.0 * rest / (self._cum[i + 1] - self._cum[i]) - 1.0)  # 0 < rest <= mass_i
@@ -244,18 +296,38 @@ class PiecewisePolyDistribution:
         int_{-1}^{1} P_l(v) e^{iav} dv = 2 i^l j_l(a) (DLMF 18.17), so the
         cell adds i^k w e^{itc} sum_l 2 i^l b_l j_l(tw): O(T (degree + k))
         work at every t, with no subdivision and no truncation.
+
+        A sequence of orders k gives one row per order, with the bits of one
+        call per order: each cell makes one table of j_l(tw) for l up to its
+        degree plus the top order, and reads the weights of each order from
+        `_charfn_weights`.
         """
-        if not 0 <= k <= _CHARFN_DERIV_CAP:
+        orders = np.atleast_1d(k)
+        if orders.ndim != 1 or not orders.size or not 0 <= orders.min() <= orders.max() <= _CHARFN_DERIV_CAP:
             raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
+        shape = np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape, dtype=complex)
-        for c, w, p in zip(self.centers, self.halfwidths, self.coeffs):
-            xk = [math.comb(k, j) * c ** (k - j) * w**j for j in range(k + 1)]  # (c + wv)^k
-            b = legendre.poly2leg(np.convolve(xk, p * w ** np.arange(p.size)))
-            l = np.arange(b.size)
-            weights = 2.0 * w * b * np.array([1, 1j, -1, -1j])[(l + k) % 4]
-            out += np.exp(1j * t * c) * (weights @ spherical_jn(l[:, None], w * t))
-        return out if out.size > 1 else complex(out[0])
+        weights = [self._charfn_weights(j) for j in orders.tolist()]
+        out = np.zeros((orders.size,) + t.shape, dtype=complex)
+        for i, (c, w, p) in enumerate(zip(self.centers, self.halfwidths, self.coeffs)):
+            bessel = spherical_jn(np.arange(p.size + int(orders.max()))[:, None], w * t)
+            phase = np.exp(1j * t * c)
+            for row, cells in zip(out, weights):
+                row += phase * (cells[i] @ bessel[: cells[i].size])
+        if np.ndim(k):
+            return out.reshape(orders.shape + shape)
+        return out[0] if out[0].size > 1 else complex(out.flat[0])
+
+    def _charfn_weights(self, k):
+        """Per cell, the weights 2 w i^(l+k) b_l of `charfn_deriv` at order k, built once per order."""
+        if k not in self._weights:
+            cells = self._weights[k] = []
+            for c, w, p in zip(self.centers, self.halfwidths, self.coeffs):
+                xk = [math.comb(k, j) * c ** (k - j) * w**j for j in range(k + 1)]  # (c + wv)^k
+                b = legendre.poly2leg(np.convolve(xk, p * w ** np.arange(p.size)))
+                l = np.arange(b.size)
+                cells.append(2.0 * w * b * np.array([1, 1j, -1, -1j])[(l + k) % 4])
+        return self._weights[k]
 
     def scale(self, s):
         """Distribution of s*X for s > 0."""
@@ -279,13 +351,13 @@ class PiecewisePolyDistribution:
         recentered there when the midpoints differ, and the rows are summed
         per cell in (self cell, other cell, regime) order.
         """
-        parts = []
+        parts, shift = [], _shift_matrices()
         for w in np.unique(self.halfwidths):
             cells = np.flatnonzero(self.halfwidths == w)
             for j, (q, h) in enumerate(zip(other._C, other.halfwidths)):
                 c = self.centers[cells] + other.centers[j]
                 pair = (cells * len(other.coeffs) + j) * 3
-                for r, (s_lo, s_hi, table) in enumerate(_pair_convolve(self._C[cells], w, q, h)):
+                for r, (s_lo, s_hi, table) in enumerate(_pair_convolve(self._C[cells], w, q, h, shift)):
                     parts.append((pair + r, c + s_lo, c + s_hi, table))
         key, lo, hi, rows = (np.concatenate(x) for x in zip(*parts))
         order = np.argsort(key)
@@ -299,24 +371,26 @@ class PiecewisePolyDistribution:
         delta = 0.5 * (grid[cell] + grid[cell + 1]) - 0.5 * (lo + hi)[src]
         placed = rows[src]
         moved = delta != 0.0
-        placed[moved] = np.einsum("rk,rkj->rj", placed[moved], _shift_matrix(rows.shape[1], delta[moved]))
+        if moved.any():
+            placed[moved] = np.einsum("rk,rkj->rj", placed[moved], _shift_matrix(rows.shape[1], delta[moved]))
         out = np.zeros((grid.size - 1, rows.shape[1]))
         np.add.at(out, cell, placed)
-        keep = _trim_rows(out, 0.5 * np.diff(grid))
-        return PiecewisePolyDistribution(grid, [row[:k] for row, k in zip(out, keep)])
+        return PiecewisePolyDistribution._from_table(grid, out, _trim_rows(out, 0.5 * np.diff(grid)))
 
 
 # -- pair convolution of local pieces ---------------------------------------
 
 
-def _pair_convolve(p, w, q, h):
+def _pair_convolve(p, w, q, h, shift):
     """Convolve density pieces P (rows of p, each on [-w,w]) with Q (on [-h,h]).
 
     Returns sub-pieces (s_lo, s_hi, table) of s -> int P(u) Q(s-u) du, where
     s is relative to the sum of the parent centers and table holds, row for
     row of p, the coefficients local to the sub-piece midpoint. Limits follow
     from overlap of the supports: u in [max(-w, s-h), min(w, s+h)]. The map
-    from p is linear, so every row goes through the same matrices.
+    from p is linear, so every row goes through the same matrices; `shift`
+    builds their shift matrices (`_shift_matrices`, shared by the calls of
+    one convolution).
     """
     dp, dq = p.shape[1] - 1, q.size - 1
     # bivariate coefficients of Q(s-u): axis 0 powers of u, axis 1 of s
@@ -334,7 +408,7 @@ def _pair_convolve(p, w, q, h):
 
     def substitute(alpha, beta):
         # u = alpha*s + beta in the antiderivative: (alpha s + beta)^ku = sum_j g[ku, j] s^j
-        g = _shift_matrix(size, beta) * alpha ** np.arange(size)
+        g = shift(size, beta) * alpha ** np.arange(size)
         acc = np.zeros((p.shape[0], size))
         for l in range(dq + 1):
             acc[:, l:] += (anti[:, :, l] @ g)[:, : size - l]
@@ -350,15 +424,15 @@ def _pair_convolve(p, w, q, h):
     for s_lo, s_hi, upper, lower in regimes:
         if s_hi - s_lo <= 1e-14 * big:
             continue
-        local = (substitute(*upper) - substitute(*lower)) @ _shift_matrix(size, 0.5 * (s_lo + s_hi))
+        local = (substitute(*upper) - substitute(*lower)) @ shift(size, 0.5 * (s_lo + s_hi))
         _trim_rows(local, 0.5 * (s_hi - s_lo))
         out.append((s_lo, s_hi, local))
     return out
 
 
 def _snap_unique(points, rel=1e-9):
-    points = np.sort(points)
-    tol = rel * (float(np.max(np.abs(points))) + 1.0)
+    points = np.sort(points).tolist()
+    tol = rel * (max(-points[0], points[-1]) + 1.0)
     keep = [points[0]]
     for x in points[1:]:
         if x - keep[-1] > tol:

@@ -42,6 +42,7 @@ _GAP_NODES = 48  # Gauss nodes per panel of the CDF-gap integral
 _GAP_BLOCK = 4096  # panels per cdf call of the CDF-gap integral: bounds the temporaries
 _CELL_NODES = 16  # Gauss nodes per panel of the cell rules against a Gaussian
 _SIGN_GRID = 16  # subintervals per cell searched for sign changes of x - T(x)
+_BISECT_LEVELS = 8  # bisection levels whose midpoints go to one evaluation of h
 _EDGE_NUDGE = 1e-9  # the sign grid's ends sit this share of a halfwidth inside the cell
 _EDGE_RATIO = 0.25  # geometric grading of the outermost cells and toward branch points
 _EDGE_LEVELS = 64  # at most this many graded panels per edge
@@ -146,17 +147,17 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
     _check_normalized(pw)
     mean, sd = gauss.mean, gauss.sd
 
-    def score(idx, v):
-        """Density, h and whether the tail mass is positive, at local coordinates v of cells idx."""
-        f, lower, upper = pw._cell_eval(idx, v)
+    def gap(idx, v):
+        """h and whether the tail mass is positive, at local coordinates v of cells idx; no density."""
+        lower, upper = pw._cell_masses(idx, v)
         tail = np.minimum(lower, upper)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(lower <= upper, 1.0, -1.0) * ndtri(tail)
-        return f, pw.centers[idx] + v - mean - sd * z, tail > 0.0
+        return pw.centers[idx] + v - mean - sd * z, tail > 0.0
 
     # panel ends as (cells, local coordinates, whether each is a cut of h)
     smooth = isinstance(p, int) and p % 2 == 0  # |h|^p = h^p needs no cuts
-    ends = _sign_cuts(score, pw.halfwidths, smooth)
+    ends = _sign_cuts(gap, pw.halfwidths, smooth)
     edge_ends, tails = _edge_grading(pw, mean)
     cell, v, is_cut = (np.concatenate(parts) for parts in zip(*(ends + edge_ends)))
     order = np.lexsort((v, cell))[1:-1]  # the support edges go: their slivers are tails
@@ -170,7 +171,8 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
         sel = kind == k
         half = 0.5 * (hi[sel] - lo[sel])[:, None]
         v = 0.5 * (hi[sel] + lo[sel])[:, None] + half * nodes
-        f, h, ok = score(pcell[sel][:, None], v)
+        idx = pcell[sel][:, None]
+        f, (h, ok) = pw._cell_density(idx, v), gap(idx, v)
         reach = np.abs(pw.centers[pcell[sel]][:, None] + v) + abs(mean) + 40.0 * sd
         with np.errstate(invalid="ignore", over="ignore"):
             total += float(np.sum(np.where(ok, half * weights * np.abs(h) ** p * f, 0.0)))
@@ -185,7 +187,7 @@ def _wasserstein_piecewise_gaussian(pw, gauss, p):
     return total ** (1.0 / p)
 
 
-def _sign_cuts(score, w, smooth):
+def _sign_cuts(gap, w, smooth):
     """Panel ends of every cell: its edges and the sign changes of h.
 
     h is sampled on a per-cell grid whose ends sit just inside the cell, and
@@ -202,13 +204,10 @@ def _sign_cuts(score, w, smooth):
     grid = np.linspace(-1.0, 1.0, _SIGN_GRID + 1)
     grid[[0, -1]] *= 1.0 - _EDGE_NUDGE
     grid = grid * w[:, None]
-    sign = np.sign(score(cells[:, None], grid)[1])
+    sign = np.sign(gap(cells[:, None], grid)[0])
     cell, j = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    lo, hi = grid[cell, j], grid[cell, j + 1]
-    while np.any(hi - lo > 4.0 * np.finfo(float).eps * (np.abs(lo) + w[cell])):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(score(cell, mid)[1]) == sign[cell, j]
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    lo, hi = _bisect(lambda v: np.sign(gap(cell[:, None], v)[0]) == sign[cell, j, None],
+                     grid[cell, j], grid[cell, j + 1], w[cell])
     zero_cell, zero_j = np.nonzero(sign == 0.0)
     cut_cell = np.concatenate([cell, zero_cell])
     cut_v = np.concatenate([0.5 * (lo + hi), grid[zero_cell, zero_j]])
@@ -216,14 +215,51 @@ def _sign_cuts(score, w, smooth):
     ends = [(cells, -w, np.roll(across, 1)), (cells, w, across),
             (cut_cell, cut_v, np.ones(cut_cell.size, dtype=bool))]
     for side in (-1, 1):
-        gap = w[cut_cell] - side * cut_v  # from the cut to its cell's edge on this side
+        room = w[cut_cell] - side * cut_v  # from the cut to its cell's edge on this side
         nb = cut_cell + side
-        live = (nb >= 0) & (nb < ncell) & (gap > 0.0)
-        nb, gap = nb[live], gap[live]
-        panel, v = _graded(-w[nb], w[nb], -side * (w[nb] + gap))
+        live = (nb >= 0) & (nb < ncell) & (room > 0.0)
+        nb, room = nb[live], room[live]
+        panel, v = _graded(-w[nb], w[nb], -side * (w[nb] + room))
         inside = np.abs(v) < w[nb][panel]
         ends.append((nb[panel][inside], v[inside], np.zeros(int(inside.sum()), dtype=bool)))
     return ends
+
+
+def _bisect(keeps_lo, lo, hi, w):
+    """The brackets [lo, hi] bisected until each is within 4 eps (|lo| + w) wide.
+
+    keeps_lo(v) tells, for points v of shape (brackets, k), whether each
+    has the sign the test takes at lo. The midpoints of the next
+    _BISECT_LEVELS levels below every bracket are formed as one level at a
+    time forms them, 0.5 * (lo + hi), and tested in one call; the walk down
+    them, in Python floats, stops where that loop stops, with its bits.
+    """
+    lo, hi, w = lo.tolist(), hi.tolist(), w.tolist()
+    eps4 = 4.0 * float(np.finfo(float).eps)
+
+    def wide():
+        return any(b - a > eps4 * (abs(a) + s) for a, b, s in zip(lo, hi, w))
+
+    while wide():
+        ends, mids = np.array([lo, hi]).T, []  # the sorted ends of the brackets of one level
+        for _ in range(_BISECT_LEVELS):
+            mids.append(0.5 * (ends[:, :-1] + ends[:, 1:]))
+            both = np.empty((len(lo), 2 * ends.shape[1] - 1))
+            both[:, ::2], both[:, 1::2] = ends, mids[-1]
+            ends = both
+        mids = np.concatenate(mids, axis=1)
+        keep, mids = keeps_lo(mids).tolist(), mids.tolist()
+        node = [0] * len(lo)  # position in its level; level l starts at 2^l - 1
+        for level in range(_BISECT_LEVELS):
+            for r, k in enumerate(node):
+                at = (1 << level) - 1 + k
+                if keep[r][at]:
+                    lo[r], node[r] = mids[r][at], 2 * k + 1
+                else:
+                    hi[r], node[r] = mids[r][at], 2 * k
+            if not wide():
+                break
+    return np.array(lo), np.array(hi)
 
 
 def _edge_grading(pw, mean):
@@ -235,11 +271,11 @@ def _edge_grading(pw, mean):
     is (edge offset for _edge_tail, tail mass at its inner end, edge).
     """
     ends, tails = [], []
-    masses = pw._top - pw._base
+    masses = pw._ends[1] - pw._ends[0]
     for cell, side in ((0, -1.0), (len(pw.coeffs) - 1, 1.0)):
         w = pw.halfwidths[cell]
         v = side * (w - 2.0 * w * _EDGE_RATIO ** np.arange(1.0, _EDGE_LEVELS + 1))
-        mass = pw._cell_eval(cell, v)[1 if side < 0 else 2]
+        mass = pw._cell_masses(cell, v)[0 if side < 0 else 1]
         falling = np.logical_and.accumulate((mass > 0.0) & (mass < np.append(np.inf, mass[:-1])))
         deep = np.flatnonzero(mass <= _EDGE_MASS * masses[cell])
         last = min(deep[0] if deep.size else _EDGE_LEVELS - 1, max(int(falling.sum()) - 1, 0))

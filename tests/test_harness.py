@@ -936,12 +936,32 @@ def test_cli_refuses_a_chain_file_whose_cumulants_overflow(tmp_path, capsys, com
 
 def test_cli_refuses_a_chain_file_whose_variance_overflows(tmp_path, capsys):
     # the order-2 series of values 1.3e154 apart is finite, but Var(S_3)
-    # passes the float range: the blocking refuses it by its cumulant
+    # passes the float range: the blocking refuses it by its cumulant, and
+    # so do dist and cumulants, though cumulants' order-3 series overflows
+    # too (it named cumulant 3)
     path = _two_state_chain_file(tmp_path / "chain.txt", "1.3e154")
+    for argv in (["dist"], ["couple"], ["cumulants", "--m", "4"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--model", path, "--n", "4", "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "edgekit: cumulant 2 of S_n is not finite: the observables' values are too far "
+            "apart for the order-2 step series\n"
+        ), argv
+
+
+def test_cli_couples_a_chain_file_whose_discarded_order4_products_overflow(tmp_path, capsys):
+    # values 2e100 apart: every kept product of the blocking's order-2 rows
+    # is finite, but v_2 M_2, which it discards, is (1e100)^4 and printed
+    # "overflow encountered in matmul" before only the six kept ones were formed
+    path = _two_state_chain_file(tmp_path / "chain.txt", "1e100")
+    out = tmp_path / "c.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["couple", "--model", path, "--n", "4"]) == 2
-    assert "cumulant 2 of S_n is not finite" in capsys.readouterr().err
+        assert main(["couple", "--model", path, "--n", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines() if line and not line.startswith("#")]
+    assert len(rows) > 1 and all(math.isfinite(float(x)) for row in rows[1:] for x in row[1:] if x)
 
 
 # -- one build per n per scenario run -------------------------------------------

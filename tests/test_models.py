@@ -26,7 +26,8 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import (
-    _common_lattice, _laws, _merged, _Moves, _poly_matmul, _Power, _SeriesStore, _step_series, _sweep_plan,
+    _common_lattice, _laws, _merged, _Moves, _order2_rows, _poly_matmul, _Power, _SeriesStore, _step_series,
+    _sweep_plan,
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
@@ -1679,6 +1680,114 @@ def test_iid_charfn_orders_in_one_power_equal_per_order_calls():
                 assert np.array_equal(rows[k], np.reshape(model.charfn_deriv(n, t, k), np.shape(t))), (n, k)
 
 
+def _charfn_one_order(d, t, k):
+    """The closed-form charfn at one order, cell by cell, with fresh Legendre weights and Bessel table."""
+    from scipy.special import spherical_jn
+
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros(t.shape, dtype=complex)
+    for c, w, p in zip(d.centers, d.halfwidths, d.coeffs):
+        xk = [math.comb(k, j) * c ** (k - j) * w**j for j in range(k + 1)]
+        b = np.polynomial.legendre.poly2leg(np.convolve(xk, p * w ** np.arange(p.size)))
+        l = np.arange(b.size)
+        weights = 2.0 * w * b * np.array([1, 1j, -1, -1j])[(l + k) % 4]
+        out += np.exp(1j * t * c) * (weights @ spherical_jn(l[:, None], w * t))
+    return out
+
+
+_CHARFN_GRIDS = (0.0, 0.37, -2.5, np.array([0.37]), np.linspace(-3.0, 3.0, 241), np.array([1e-6, 40.0, -999.9]))
+
+
+@pytest.mark.parametrize("law", sorted(_PIECEWISE_BASES) + ["uniform-1", "uniform-5", "uniform-16", "uniform-64"])
+def test_piecewise_charfn_orders_in_one_call_equal_per_order_calls(law):
+    # one Bessel table per cell and the weights of each (cell, order) built
+    # once give the bits of a lone order built from scratch
+    if law.startswith("uniform-"):
+        d = _uniform_sum(int(law.split("-")[1]))
+    else:
+        d = PiecewisePolyDistribution(*_PIECEWISE_BASES[law][:2])
+    for t in _CHARFN_GRIDS:
+        rows = d.charfn_deriv(t, range(17))
+        assert rows.shape == (17,) + np.shape(t)
+        for k in range(17):
+            want = _charfn_one_order(d, t, k)
+            assert np.array_equal(np.reshape(rows[k], -1), want), (law, k)
+            single = d.charfn_deriv(t, k)
+            assert np.array_equal(np.reshape(single, -1), want), (law, k)
+            assert isinstance(single, complex) == (np.size(t) == 1)
+        assert np.array_equal(d.charfn_deriv(t, [16, 3, 3]), rows[[16, 3, 3]])
+    for orders in ([], [0, 17], [-1, 2], 17, -1):
+        with pytest.raises(ValueError, match="derivative order must be in"):
+            d.charfn_deriv(0.5, orders)
+
+
+def test_piecewise_charfn_builds_each_table_once(monkeypatch):
+    from edgekit.models import piecewise
+
+    calls = {"jn": 0, "leg": 0}
+    jn, leg = piecewise.spherical_jn, piecewise.legendre.poly2leg
+    monkeypatch.setattr(piecewise, "spherical_jn", lambda *a: calls.__setitem__("jn", calls["jn"] + 1) or jn(*a))
+    monkeypatch.setattr(piecewise.legendre, "poly2leg",
+                        lambda *a: calls.__setitem__("leg", calls["leg"] + 1) or leg(*a))
+    model = builtin_model("uniform")
+    t = np.linspace(0.1, 5.0, 50)
+    for _ in range(3):
+        model.charfn_deriv(8, t, range(5))
+    # one base cell: one Bessel table per call, the weights of orders 0..4 once
+    assert calls == {"jn": 3, "leg": 5}
+    d = PiecewisePolyDistribution(*_PIECEWISE_BASES["three-halfwidths"][:2])
+    calls.update(jn=0, leg=0)
+    d.charfn_deriv(t, range(4))
+    d.charfn_deriv(t, [5, 2])
+    assert calls == {"jn": 3 + 3, "leg": 3 * 4 + 3 * 1}
+
+
+def test_convolution_builds_each_shift_matrix_once_and_its_law_from_the_table(monkeypatch):
+    from edgekit.models import piecewise
+
+    built = []
+    shift = piecewise._shift_matrix
+    monkeypatch.setattr(piecewise, "_shift_matrix", lambda d, delta: built.append(np.ndim(delta)) or shift(d, delta))
+    u = PiecewisePolyDistribution.uniform(-1.0, 1.0)
+    acc = u
+    for _ in range(15):
+        built.clear()
+        nxt = acc.convolve(u)
+        # equal halfwidths: rising and falling regimes at centers -1 and 1,
+        # whose substitutions read shifts by 1 and -1 too
+        assert built == [0, 0]
+        acc = nxt
+    monkeypatch.undo()
+    # the law built from the trimmed table has the public constructor's bits
+    fresh = PiecewisePolyDistribution(acc.breaks, acc.coeffs)
+    for name in ("_C", "_A", "_ends", "_cum", "_surv", "centers", "halfwidths"):
+        assert np.array_equal(getattr(acc, name), getattr(fresh, name)), name
+    assert [c.tobytes() for c in acc.coeffs] == [c.tobytes() for c in fresh.coeffs]
+    # signed zeros stay apart
+    shifts = piecewise._shift_matrices()
+    plus, minus = shifts(4, 0.0), shifts(4, -0.0)
+    assert plus is shifts(4, 0.0) and minus is not plus
+    assert np.array_equal(np.signbit(minus), np.signbit(shift(4, -0.0)))
+    assert np.signbit(minus).any() and not np.signbit(plus).any()
+
+
+def test_shift_matrix_takes_each_power_once_with_the_bits_of_the_full_table():
+    def full_table(d, delta):
+        k = np.arange(d)
+        expo = k[:, None] - k
+        powers = np.where(expo >= 0, np.power(np.asarray(delta)[..., None, None], np.maximum(expo, 0)), 0.0)
+        return np.array([[math.comb(i, j) for j in range(d)] for i in range(d)], dtype=float) * powers
+
+    rng = np.random.default_rng(11)
+    deltas = list(rng.standard_normal(12) * 10.0 ** rng.integers(-12, 4, 12))
+    deltas += [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e-300, rng.standard_normal(9)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in (1, 2, 5, 17, 34, 66):
+            for delta in deltas:
+                got, want = _shift_matrix(d, delta), full_table(d, delta)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (d, delta)
+
+
 def test_chain_model_shares_series_squares_across_n():
     # n = 32..512 of one homogeneous chain: 9 squarings of its order-5 step
     # series in all, where a store per call squares 5 + 6 + 7 + 8 + 9 times
@@ -1696,6 +1805,30 @@ def test_chain_model_shares_series_squares_across_n():
         fresh = variance_decomposition(model.spec(n))
         assert np.array_equal(model.blocking(n).sigma2, fresh.sigma2)
         assert model.blocking(n).blocks == fresh.blocks
+
+
+def test_order2_rows_keep_the_bits_of_all_nine_products():
+    # the reference forms v_i M_b for every i and b in one product and
+    # discards three; zeroed rows in their place change no kept bit
+    def nine(v, series):
+        n_rows, n_in = v.shape[1:]
+        prod = np.matmul(v.reshape(-1, n_in), series).reshape(3, 3, n_rows, -1)
+        p = prod[0] + np.stack([np.zeros_like(prod[0, 0]), prod[1, 0], prod[1, 1]])
+        p[2] += prod[2, 0]
+        s = p.sum(axis=2)
+        q = np.empty_like(p)
+        q[0] = p[0] / s[0][:, None]
+        q[1] = (p[1] - s[1][:, None] * q[0]) / s[0][:, None]
+        q[2] = (p[2] - s[1][:, None] * q[1] - s[2][:, None] * q[0]) / s[0][:, None]
+        return q, s
+
+    rng = np.random.default_rng(4)
+    for states in (2, 3, 5, 17):
+        series = rng.random((3, states, states)) / states
+        for n_rows in (1, 2, 3, 7, 40):
+            v = rng.standard_normal((3, n_rows, states))
+            got, want = _order2_rows(v.copy(), series), nine(v, series)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), (states, n_rows)
 
 
 def test_series_refuses_a_non_finite_cumulant_and_names_its_order():

@@ -407,6 +407,54 @@ def test_scan_transport_on_piecewise_laws_inverts_no_quantile(monkeypatch):
         assert wasserstein_distance(g, law, p) == wasserstein_distance(law, g, p)
 
 
+def _bisect_one_level(keeps_lo, lo, hi, w):
+    while np.any(hi - lo > 4.0 * np.finfo(float).eps * (np.abs(lo) + w)):
+        mid = 0.5 * (lo + hi)
+        same = keeps_lo(mid)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return lo, hi
+
+
+def test_batched_bisection_has_the_bits_of_the_one_level_loop():
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 2, 7):
+        w = rng.uniform(0.5, 3.0, size)
+        lo = -w * rng.uniform(0.0, 1.0, size)
+        hi = w * rng.uniform(0.0, 1.0, size)
+        root = lo + (hi - lo) * rng.uniform(0.0, 1.0, size)
+        root[: size // 2] = lo[: size // 2]  # a root on a bracket's end
+        strict = rng.uniform(size=size) < 0.5  # whether h at the root has lo's sign
+
+        def keeps_lo(v, strict=strict, root=root):
+            shape = (-1,) + (1,) * (v.ndim - 1)
+            return np.where(strict.reshape(shape), v < root.reshape(shape), v <= root.reshape(shape))
+
+        got = transport._bisect(keeps_lo, lo, hi, w)
+        want = _bisect_one_level(keeps_lo, lo, hi, w)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), size
+
+
+def test_piecewise_sign_cuts_evaluate_h_in_rounds_and_no_density(monkeypatch):
+    # 16 sign-grid points per cell, then one evaluation of h per 8 bisection
+    # levels (47 levels here, where one evaluation per level made 47 more);
+    # the density is read only by the panels' Gauss rules
+    calls = {"masses": 0, "density": 0}
+    masses, density = PiecewisePolyDistribution._cell_masses, PiecewisePolyDistribution._cell_density
+
+    def count(name, fn):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(PiecewisePolyDistribution, "_cell_masses", count("masses", masses))
+    monkeypatch.setattr(PiecewisePolyDistribution, "_cell_density", count("density", density))
+    law = builtin_model("uniform").distribution(32)
+    sigma = math.sqrt(law.variance)
+    for p, rules in ((1, 1), (1.5, 4)):
+        calls.update(masses=0, density=0)
+        wasserstein_distance(law, GaussianLaw(0.0, sigma), p)
+        # the sign grid, 6 rounds of bisection, 2 edge gradings, one per rule
+        assert calls == {"masses": 1 + 6 + 2 + rules, "density": rules}, p
+
+
 def test_piecewise_vs_gaussian_bounds_noise_cells():
     model = builtin_model("uniform")
     law, g = model.distribution(8), GaussianLaw(0.0, model.sigma(8))
