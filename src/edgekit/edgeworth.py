@@ -156,23 +156,20 @@ class EdgeworthExpansion:
         return acc
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xa = np.clip(x, -_X_CLAMP, _X_CLAMP)
+        xa = np.clip(np.asarray(x, dtype=float), -_X_CLAMP, _X_CLAMP)
         out = normal_cdf(xa) - normal_pdf(xa) * self.correction_sum(xa, self.polys)
-        return out if out.size > 1 else float(out[0])
+        return out if np.ndim(out) else float(out)
 
     def sf(self, x):
         """1 - cdf(x) as Phi(-x) plus the corrections, with no cancellation in the upper tail."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xa = np.clip(x, -_X_CLAMP, _X_CLAMP)
+        xa = np.clip(np.asarray(x, dtype=float), -_X_CLAMP, _X_CLAMP)
         out = normal_cdf(-xa) + normal_pdf(xa) * self.correction_sum(xa, self.polys)
-        return out if out.size > 1 else float(out[0])
+        return out if np.ndim(out) else float(out)
 
     def pdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xa = np.clip(x, -_X_CLAMP, _X_CLAMP)
+        xa = np.clip(np.asarray(x, dtype=float), -_X_CLAMP, _X_CLAMP)
         out = normal_pdf(xa) * (1.0 + self.correction_sum(xa, self.density_polys))
-        return out if out.size > 1 else float(out[0])
+        return out if np.ndim(out) else float(out)
 
     def charfn(self, t):
         """exp(-t^2/2) (1 + P(it)) with P read off the density polynomials."""

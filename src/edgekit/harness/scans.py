@@ -308,19 +308,19 @@ def scan_transport(model, ps, ns, r=0, m=None):
         _, exp = _psi(model, n, r)
         sigmas[i] = sigma = model.sigma(n)
         dist = model.distribution(n)
-        norm = dist.scale(1.0 / sigma)
+        # one CDF-gap pass per n serves both references at every p
+        refs = [GaussianLaw(0.0, 1.0)] + ([exp] if exp is not None else [])
+        gaps = wasserstein_upper_bound(dist.scale(1.0 / sigma), refs, ps)
+        bound[i] = gaps[0]
         for j, p in enumerate(ps):
             w = wasserstein_distance(dist, GaussianLaw(0.0, sigma), p) / sigma
             gaussian[i, j] = w
             gaussian_scaled[i, j] = sigma * w
-            ub = wasserstein_upper_bound(norm, GaussianLaw(0.0, 1.0), p)
-            bound[i, j] = ub
-            if w > ub + BOUND_TOL:
+            if w > gaps[0, j] + BOUND_TOL:
                 bound_ok = False
             if exp is not None:
-                ce = wasserstein_upper_bound(norm, exp, p)
-                corrected[i, j] = ce
-                corrected_scaled[i, j] = sigma ** (r / p) * ce
+                corrected[i, j] = gaps[1, j]
+                corrected_scaled[i, j] = sigma ** (r / p) * gaps[1, j]
     p_flags = tuple(bool(p >= m - 1) for p in ps)
     verdicts = tuple(_word(bounded_last(col), "bounded") for col in gaussian_scaled.T)
     corrected_verdicts = None

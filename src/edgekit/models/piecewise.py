@@ -185,19 +185,29 @@ class PiecewisePolyDistribution:
         return self._cum[idx] + (anti - self._ends[0, idx]), self._surv[idx + 1] + (self._ends[1, idx] - anti)
 
     def density(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         inside = (x >= self.breaks[0]) & (x <= self.breaks[-1])
         out[inside] = self._eval(self._C, x[inside])[1]
-        return out if out.size > 1 else float(out[0])
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.where(x >= self.breaks[-1], self._cum[-1], 0.0)
+        out = self._masses(np.asarray(x, dtype=float))[0]
+        return out if out.ndim else float(out)
+
+    def sf(self, x):
+        """P(X > x) from the masses right of its cell: past the median, 1 - cdf(x) is rounding noise."""
+        out = self._masses(np.asarray(x, dtype=float))[1]
+        return out if out.ndim else float(out)
+
+    def _masses(self, x):
+        """CDF and survival mass at the points x, any shape, from one Horner pass (`_cell_masses`)."""
         mid = (x >= self.breaks[0]) & (x < self.breaks[-1])
-        idx, anti = self._eval(self._A, x[mid])
-        out[mid] = self._cum[idx] + (anti - self._ends[0, idx])
-        return out if out.size > 1 else float(out[0])
+        cdf = np.where(x >= self.breaks[-1], self._cum[-1], 0.0)
+        sf = np.where(x < self.breaks[0], self._surv[0], 0.0)
+        idx = np.searchsorted(self.breaks, x[mid], side="right") - 1
+        cdf[mid], sf[mid] = self._cell_masses(idx, x[mid] - self.centers[idx])
+        return cdf, sf
 
     def quantile(self, u):
         """Smallest x with cdf(x) >= u, for nonnegative densities.
@@ -206,7 +216,7 @@ class PiecewisePolyDistribution:
         P_i(v) = u - cum_i + P_i(-w_i); a step that leaves the bracket or
         fails to halve the step before last is replaced by bisection.
         """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
         out = np.where(u <= 0.0, self.breaks[0], self.breaks[-1])
         live = (u > 0.0) & (u < self._cum[-1])
         i = np.searchsorted(self._cum, u[live], side="left") - 1
@@ -229,7 +239,7 @@ class PiecewisePolyDistribution:
             v = np.where(done, v, v - step)
             done |= (np.abs(step) <= tol) | (hi - lo <= tol)
         out[live] = np.clip(center + v, self.breaks[i], self.breaks[i + 1])
-        return out if out.size > 1 else float(out[0])
+        return out if out.ndim else float(out)
 
     @property
     def total_mass(self):

@@ -14,6 +14,11 @@ by one route per pair of law types; any other pair is refused:
 - piecewise-polynomial vs Gaussian: the x-domain cell rule, which
   integrates |x - G^{-1}(F(x))|^p f(x) dx cell by cell and inverts no
   quantile.
+
+The CDF-gap functionals integrate |F_a - F_b|^expo dx over panels
+instead. `wasserstein_upper_bound` takes a list of references and a
+sequence of orders; every (reference, order) that shares its panels is
+served by one pass, and each value keeps the bits of its own call.
 """
 
 import functools
@@ -416,7 +421,7 @@ def lp_cdf_distance(a, b, p=1):
     CDF discrepancy accumulates in an average rather than uniform sense.
     """
     p = _order(p)
-    return _gap_integral(a, b, float(p)) ** (1.0 / p)
+    return float(_gap_integral(a, [b], [float(p)])[0, 0]) ** (1.0 / p)
 
 
 def wasserstein_upper_bound(a, b, p=1):
@@ -425,12 +430,27 @@ def wasserstein_upper_bound(a, b, p=1):
     Coincides with W_1 at p = 1 and dominates the quantile coupling for
     larger p. Also valid when one side is a signed generalized CDF (an
     expansion), which is the route that extends transport estimates past
-    proper probability laws. Both sides must carry the same total mass.
+    proper probability laws. Each reference must carry the total mass of a.
+
+    b may be a list or tuple of references and p a sequence of orders,
+    as `charfn_deriv` takes a sequence of orders: the result then has
+    one row per reference and one column per order, an axis for each
+    argument given as a sequence. Every value has the bits of its own
+    call with one reference and one order; the references and orders
+    that share panels share one pass (`_gap_integral`).
     """
-    p = _order(p)
-    if _mass_gap(a, b) > 1e-9:
-        raise ValueError("total masses differ by %r; the bound needs F(inf) = G(inf)" % _mass_gap(a, b))
-    return _gap_integral(a, b, 1.0 / float(p))
+    many_refs, many_orders = isinstance(b, (list, tuple)), np.ndim(p) > 0
+    refs = list(b) if many_refs else [b]
+    orders = [_order(q) for q in (p if many_orders else [p])]
+    if not refs or not orders:
+        raise ValueError("need at least one reference and one order")
+    for i, ref in enumerate(refs):
+        if _mass_gap(a, ref) > 1e-9:
+            raise ValueError("reference %d (%s): total masses differ by %r; the bound needs F(inf) = G(inf)"
+                             % (i, type(ref).__name__, _mass_gap(a, ref)))
+    out = _gap_integral(a, refs, [1.0 / float(q) for q in orders])
+    shape = (len(refs),) * many_refs + (len(orders),) * many_orders
+    return out.reshape(shape) if shape else float(out[0, 0])
 
 
 def _mass_gap(a, b):
@@ -449,14 +469,12 @@ def _support_window(dist, fallback):
     return min(lo, fallback[0]), max(hi, fallback[1])
 
 
-def _gap_edges(a, b, lo, hi, expo):
-    """Panel edges (support breakpoints, CDF crossings) and which edges take an end weight.
+def _gap_edges(a, b, lo, hi):
+    """Panel edges (support breakpoints, CDF crossings), and the crossings that take an end weight or grading.
 
-    At non-integer expo, a Gaussian crossing a lattice level strictly
-    inside its flat stretch x_k < x_c < x_{k+1} takes one: there |F - G|
-    vanishes like |x - x_c|. A crossing just past its stretch is a branch
-    point of |F - G|^expo just outside the stretch's last panel, which
-    grades geometrically toward it (`_graded`).
+    Returns the edges, the crossings strictly inside a flat stretch of a
+    lattice CDF, and the (atom, crossing) pairs of the crossings just past
+    their stretch; `_end_weights` turns them into one exponent's panel ends.
     """
     pts, cuts, past = [np.array([lo, hi])], np.empty(0), (np.empty(0), np.empty(0))
     for d in (a, b):
@@ -484,34 +502,71 @@ def _gap_edges(a, b, lo, hi, expo):
             past = np.where(x < s[k], s[k], s[k + 1])[beyond], x[beyond]
             pts.append(x[(lo < x) & (x < hi)])
     edges = np.unique(np.concatenate(pts))
-    edges = edges[(lo <= edges) & (edges <= hi)]
-    if float(expo).is_integer():  # an integer power of |F - G| needs no end weight and no grading
-        return edges, np.zeros(edges.size, dtype=bool)
+    return edges[(lo <= edges) & (edges <= hi)], cuts, past
+
+
+def _end_weights(edges, cuts, past, whole):
+    """The panel ends of one kind of exponent and which of them take an end weight.
+
+    An integer power of |F - G| (whole set) needs no end weight and no
+    grading, and neither does a pair with no crossings. At other
+    exponents, a Gaussian crossing a lattice level strictly inside its
+    flat stretch x_k < x_c < x_{k+1} takes one: there |F - G| vanishes
+    like |x - x_c|. A crossing just past its stretch is a branch point of
+    |F - G|^expo just outside the stretch's last panel, which grades
+    geometrically toward it (`_graded`).
+    """
     atom, x = past
+    if whole or not (atom.size or cuts.size):
+        return edges, np.zeros(edges.size, dtype=bool)
     j = np.searchsorted(edges, atom) - (x > atom)  # the stretch's panel that ends at that atom
     edges = np.union1d(edges, _graded(edges[j], edges[j + 1], x)[1])
     return edges, np.isin(edges, cuts)
 
 
-def _gap_integral(a, b, expo):
-    """int |F_a(x) - F_b(x)|^expo dx over kink-aware panels.
+def _gap_integral(a, refs, expos):
+    """int |F_a(x) - F_b(x)|^expo dx over kink-aware panels, for every reference b and exponent.
 
-    The window covers [-12, 12] and both supports (9 sd for a Gaussian).
-    Panels go through a fixed Gauss rule _GAP_BLOCK at a time, with one
-    call per side and function per block (a lattice side is read once per
-    panel, `_node_reader`); the panel values are summed in panel order.
-    At non-integer expo a panel end at a crossing carries
-    |x - x_c|^expo as a Gauss-Jacobi weight. When both sides have
-    survival functions and the same total mass, the gap past the median
-    of a is |S_a - S_b|: there 1 - F is rounding noise, which |.|^(1/p)
-    would lift to about 1e-8 per unit length at p = 2. A lattice/piecewise pair is refused.
+    Returns one row per reference and one column per exponent. The window
+    covers [-12, 12] and both supports (9 sd for a Gaussian). Panels go
+    through a fixed Gauss rule _GAP_BLOCK at a time, with one call per
+    side and function per block (a lattice side is read once per panel,
+    `_node_reader`); the panel values are summed in panel order. At
+    non-integer expo a panel end at a crossing carries |x - x_c|^expo as
+    a Gauss-Jacobi weight. When both sides have survival functions and
+    the same total mass, the gap past the median of a is |S_a - S_b|:
+    there 1 - F is rounding noise, which |.|^(1/p) would lift to about
+    1e-8 per unit length at p = 2. A lattice/piecewise pair is refused.
+
+    Each reference's crossings are found once. The (b, expo) whose panel
+    ends, end weights and nodes coincide share one pass (`_gap_pass`):
+    every pair with no end weight, and each Jacobi rule on its own.
     """
-    for lat, other in ((a, b), (b, a)):
-        if isinstance(lat, LatticeDistribution) and isinstance(other, PiecewisePolyDistribution):
-            raise ValueError("no CDF-gap route between %s and %s" % (type(a).__name__, type(b).__name__))
-    lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
-    edges, cut = _gap_edges(a, b, lo, hi, expo)
-    rules = _cell_rules(int(expo) if float(expo).is_integer() else expo, _GAP_NODES)
+    passes = {}
+    for i, b in enumerate(refs):
+        for lat, other in ((a, b), (b, a)):
+            if isinstance(lat, LatticeDistribution) and isinstance(other, PiecewisePolyDistribution):
+                raise ValueError("no CDF-gap route between %s and %s" % (type(a).__name__, type(b).__name__))
+        lo, hi = _support_window(b, _support_window(a, (-12.0, 12.0)))
+        found = _gap_edges(a, b, lo, hi)
+        for j, expo in enumerate(expos):
+            edges, cut = _end_weights(*found, float(expo).is_integer())
+            rule = expo if cut.any() else 1  # the Jacobi ends take their exponent's nodes
+            key = (edges.tobytes(), cut.tobytes(), rule)
+            passes.setdefault(key, (edges, cut, rule, {}))[3].setdefault(i, []).append(j)
+    out = np.empty((len(refs), len(expos)))
+    for edges, cut, rule, per_ref in passes.values():
+        _gap_pass(a, refs, expos, edges, cut, rule, per_ref, out)
+    return out
+
+
+def _gap_pass(a, refs, expos, edges, cut, rule, per_ref, out):
+    """Fill out[i, j] for each exponent index j of per_ref[i], over one set of panel ends.
+
+    The panels are built once; per block, a is read once and each
+    reference once, and only |gap|^expo and the panel sums repeat per
+    exponent.
+    """
     # wide panels (tails, sparse breakpoints) get split so the fixed
     # Gauss rule keeps resolving the integrand's curvature
     x1, width = edges[:-1], np.diff(edges)
@@ -523,32 +578,42 @@ def _gap_integral(a, b, expo):
     x1, x2 = edges[:-1], edges[1:]
     keep = x2 - x1 > 0.0
     mid, half, kind = 0.5 * (x1 + x2)[keep], 0.5 * (x2 - x1)[keep], kind[keep]
-    nodes, weights = (np.stack(col) for col in zip(*rules))
-    tails = hasattr(a, "sf") and hasattr(b, "sf") and _mass_gap(a, b) <= 1e-9
-    values = []
+    nodes, weights = (np.stack(col) for col in zip(*_cell_rules(rule, _GAP_NODES)))
+    tails = {i: hasattr(a, "sf") and hasattr(refs[i], "sf") and _mass_gap(a, refs[i]) <= 1e-9 for i in per_ref}
+    values = {(i, j): [] for i, js in per_ref.items() for j in js}
     for start in range(0, half.size, _GAP_BLOCK):
         block = slice(start, start + _GAP_BLOCK)
         h = half[block, None]
         x = mid[block, None] + h * nodes[kind[block]]
-        (cdf_a, sf_a), (cdf_b, sf_b) = (_node_reader(d, mid[block], x) for d in (a, b))
+        w = weights[kind[block]]
+        cdf_a, sf_a = _node_reader(a, mid[block], x)
         fa = cdf_a(slice(None))
-        up = tails & (fa > 0.5)
-        gap = np.empty(fa.size)
-        if not up.all():
-            gap[~up] = np.abs(fa[~up] - cdf_b(~up))
-        if up.any():
-            gap[up] = np.abs(sf_a(up) - sf_b(up))
-        values.append(h[:, 0] * np.sum(weights[kind[block]] * gap.reshape(-1, _GAP_NODES) ** expo, axis=1))
-    return float(np.cumsum(np.concatenate([[0.0]] + values))[-1])
+        for i, js in per_ref.items():
+            cdf_b, sf_b = _node_reader(refs[i], mid[block], x)
+            up = tails[i] & (fa > 0.5)
+            gap = np.empty(fa.size)
+            if not up.all():
+                gap[~up] = np.abs(fa[~up] - cdf_b(~up))
+            if up.any():
+                gap[up] = np.abs(sf_a(up) - sf_b(up))
+            gap = gap.reshape(-1, _GAP_NODES)
+            for j in js:
+                values[i, j].append(h[:, 0] * np.sum(w * gap ** expos[j], axis=1))
+    for pair, vals in values.items():
+        out[pair] = np.cumsum(np.concatenate([[0.0]] + vals))[-1]
 
 
 def _node_reader(dist, mid, x):
     """cdf and sf of `dist` at the nodes x, one row per panel centred at mid, as functions of a node selection.
 
-    A lattice law's CDF is flat between support points, and each support
-    point is a panel edge (`_gap_edges`), so it is read once per panel,
-    at the midpoint, and repeated over the nodes (`_panel_index`).
+    A piecewise law's are read together from one Horner pass. A lattice
+    law's CDF is flat between support points, and each support point is
+    a panel edge (`_gap_edges`), so it is read once per panel, at the
+    midpoint, and repeated over the nodes (`_panel_index`).
     """
+    if isinstance(dist, PiecewisePolyDistribution):
+        cdf, sf = dist._masses(x.ravel())
+        return cdf.__getitem__, sf.__getitem__
     if not isinstance(dist, LatticeDistribution):
         flat = x.ravel()
         return (lambda sel: np.asarray(dist.cdf(flat[sel]), dtype=float),

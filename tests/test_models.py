@@ -1605,6 +1605,32 @@ def test_piecewise_irwin_hall_closed_form_on_breakpoint_grid(n):
     assert np.max(np.abs(d.cdf(x) - exact[:, 1])) <= 1e-14
 
 
+def _uniform_sum_tail(n, x):
+    """Exact P(S > x), S a sum of n Uniform(-1, 1) draws: F_T(n - t) at t = (x + n) / 2, as a Fraction."""
+    s = n - (Fraction(float(x)) + n) / 2
+    if s <= 0 or s >= n:
+        return Fraction(int(s >= n))
+    return sum((-1) ** k * math.comb(n, k) * (s - k) ** n for k in range(math.floor(s) + 1)) / math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16])
+def test_piecewise_sf_matches_exact_irwin_hall_tails(n):
+    # the survival mass is read from the cells right of x, so it keeps
+    # its relative digits down to a 1e-18 floor of the cell tables;
+    # 1 - cdf stops at the 1e-16 spacing of the doubles below 1
+    d = _uniform_sum(n)
+    x = _grid_with_breaks(d)
+    exact = [_uniform_sum_tail(n, xi) for xi in x]
+
+    def within(values):
+        return [abs(Fraction(float(v)) - e) <= Fraction(1e-10) * e + Fraction(1e-18) for v, e in zip(values, exact)]
+
+    assert all(within(d.sf(x)))
+    if n >= 8:
+        assert not all(within(1.0 - d.cdf(x)))
+    assert d.sf(d.breaks[0] - 1.0) == d._surv[0] and d.sf(d.breaks[-1]) == 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 12, 32])
 def test_quantile_round_trip_and_monotone(n):
     d = _uniform_sum(n)

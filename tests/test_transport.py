@@ -588,3 +588,34 @@ def test_upper_bound_rejects_mass_mismatch():
 
     with pytest.raises(ValueError):
         wasserstein_upper_bound(_Half(), GaussianLaw(0.0, 1.0), 1)
+
+
+_SHAPE_LAWS = {
+    "lattice": lambda: builtin_model("elliptic2").distribution(16),
+    "piecewise": lambda: builtin_model("uniform").distribution(4),
+    "expansion": lambda: build_expansion(builtin_model("elliptic2"), 16, 4),
+    "gaussian": lambda: GaussianLaw(0.3, 1.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_LAWS))
+def test_law_functions_keep_the_input_shape(name):
+    # an array keeps its shape (empty, one element, 2-d); a 0-d input gives a float
+    law = _SHAPE_LAWS[name]()
+    points = np.array([-1.5, -0.2, 0.0, 0.4, 1.1, 2.5])
+    levels = np.array([0.05, 0.2, 0.5, 0.7, 0.9, 0.99])
+    methods = [m for m in ("cdf", "cdf_left", "sf", "pdf", "density", "quantile") if hasattr(law, m)]
+    assert {"cdf", "sf"} <= set(methods)
+    for method in methods:
+        fn = getattr(law, method)
+        x = levels if method == "quantile" else points
+        full = fn(x)
+        assert isinstance(full, np.ndarray) and full.shape == x.shape, method
+        assert fn(np.array([])).shape == (0,), method
+        one = fn(x[:1])
+        assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == full[0], method
+        for scalar in (x[1], float(x[1]), np.array(x[1])):
+            value = fn(scalar)
+            assert isinstance(value, float) and np.ndim(value) == 0 and value == full[1], method
+        grid = fn(x.reshape(2, 3))
+        assert grid.shape == (2, 3) and np.array_equal(grid, full.reshape(2, 3)), method

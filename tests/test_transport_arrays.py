@@ -29,7 +29,7 @@ PS = (1, 2, 3, 4)
 
 def _gap_integral_per_panel(a, b, expo):
     lo, hi = transport._support_window(b, transport._support_window(a, (-12.0, 12.0)))
-    edges, cut = transport._gap_edges(a, b, lo, hi, expo)
+    edges, cut = transport._end_weights(*transport._gap_edges(a, b, lo, hi), float(expo).is_integer())
     # rules for no crossing, a crossing at the left end, the right end, both
     rules = [np.polynomial.legendre.leggauss(48)]
     for alpha, beta in ((0.0, expo), (expo, 0.0), (expo, expo)):
@@ -85,6 +85,17 @@ def test_gap_integral_against_expansion_equals_per_panel_loop(n):
         assert wasserstein_upper_bound(norm, exp, p) == _gap_integral_per_panel(norm, exp, 1.0 / p)
 
 
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_piecewise_gap_integral_equals_per_panel_loop(n):
+    # a piecewise law is read through its survival function past the median
+    model = builtin_model("uniform")
+    norm, _ = _standardized(model, n)
+    for ref in (GaussianLaw(0.0, 1.0), model.expansion(n, 1), model.expansion(n, 2)):
+        for p in PS:
+            assert wasserstein_upper_bound(norm, ref, p) == _gap_integral_per_panel(norm, ref, 1.0 / p)
+        assert lp_cdf_distance(norm, ref, 2) == _gap_integral_per_panel(norm, ref, 2.0) ** 0.5
+
+
 def test_interior_zero_masses_equal_loops():
     lat = LatticeDistribution(-1.3, 0.7, [0.2, 0.0, 0.3, 0.0, 0.0, 0.15, 0.0, 0.35])
     for gauss in (GaussianLaw(0.0, 1.0), GaussianLaw(0.4, 0.6), GaussianLaw(-2.0, 3.0)):
@@ -99,6 +110,63 @@ def test_gap_integral_blocks_do_not_change_the_bits(monkeypatch):
     whole = [wasserstein_upper_bound(a, b, p) for a, b in pairs for p in (1, 2, 3)]
     monkeypatch.setattr(transport, "_GAP_BLOCK", 7)
     assert [wasserstein_upper_bound(a, b, p) for a, b in pairs for p in (1, 2, 3)] == whole
+
+
+def _reference_sets():
+    # a piecewise law and a lattice law, each against N(0, 1), expansions
+    # and a Gaussian whose window reaches past +-12; a lattice/Gaussian
+    # pair's non-integer orders cannot share their Jacobi nodes
+    uniform, elliptic = builtin_model("uniform"), builtin_model("elliptic2")
+    pw, _ = _standardized(uniform, 8)
+    lat, _ = _standardized(elliptic, 64)
+    wide = GaussianLaw(0.4, 6.0)
+    return [(pw, [GaussianLaw(0.0, 1.0), uniform.expansion(8, 1), uniform.expansion(8, 2), wide]),
+            (lat, [GaussianLaw(0.0, 1.0), elliptic.expansion(64, 1), wide, GaussianLaw(0.2, 1.7)])]
+
+
+def test_references_and_orders_in_one_call_equal_one_call_each(monkeypatch):
+    monkeypatch.setattr(transport, "_GAP_BLOCK", 7)
+    ps = (1, 1.5, 2, 3, 4.5)
+    for a, refs in _reference_sets():
+        got = wasserstein_upper_bound(a, tuple(refs), ps)
+        assert got.shape == (len(refs), len(ps))
+        assert got.tolist() == [[wasserstein_upper_bound(a, b, p) for p in ps] for b in refs]
+        # an axis for each argument given as a sequence
+        assert wasserstein_upper_bound(a, refs[0], ps).tolist() == got[0].tolist()
+        assert wasserstein_upper_bound(a, refs, 2).tolist() == got[:, 2].tolist()
+        assert wasserstein_upper_bound(a, refs[1:2], [3]).tolist() == [[got[1, 3]]]
+
+
+def test_one_pass_serves_every_pair_that_shares_panels(monkeypatch):
+    # a piecewise law's references share their panels at every order; a
+    # lattice law's expansion does too, while N(0, 1) takes the crossings
+    # graded at p = 2 and p = 3, each with its own Jacobi nodes
+    calls = []
+    inner = transport._gap_pass
+    monkeypatch.setattr(transport, "_gap_pass", lambda *args: calls.append(args[-2]) or inner(*args))
+    (pw, pw_refs), (lat, lat_refs) = _reference_sets()
+    wasserstein_upper_bound(pw, pw_refs[:2], (1, 2, 3))
+    assert calls == [{0: [0, 1, 2], 1: [0, 1, 2]}]
+    calls.clear()
+    wasserstein_upper_bound(lat, lat_refs[:2], (1, 2, 3))
+    assert sorted(calls, key=str) == [{0: [0]}, {0: [1]}, {0: [2]}, {1: [0, 1, 2]}]
+
+
+def test_sequence_forms_refuse_empty_non_finite_and_unequal_masses():
+    lat = LatticeDistribution(-1.0, 2.0, [0.5, 0.5])
+    gauss = GaussianLaw(0.0, 1.0)
+
+    class _Half:
+        total_mass = 0.5
+
+    for refs, ps in (([], 1), ((), (1, 2)), ([gauss], []), (gauss, ())):
+        with pytest.raises(ValueError, match="at least one reference and one order"):
+            wasserstein_upper_bound(lat, refs, ps)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            wasserstein_upper_bound(lat, [gauss], (1, p))
+    with pytest.raises(ValueError, match=r"reference 1 \(_Half\): total masses differ by 0.5"):
+        wasserstein_upper_bound(lat, [gauss, _Half()], (1, 2))
 
 
 def test_partial_moments_broadcast_equal_scalar_calls():
@@ -122,7 +190,7 @@ def test_partial_moments_broadcast_equal_scalar_calls():
 
 def test_upper_tail_edges_come_from_suffix_sums():
     norm, _ = _standardized(builtin_model("elliptic2"), 512)
-    edges, _ = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0, 0.5)
+    edges, _, _ = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0)
     suffix = np.cumsum(norm.masses[::-1])[::-1][1:]  # P(X > x_i)
     suffix = suffix[(suffix > 1e-15) & (suffix < 0.5)]
     assert np.isin(-transport.ndtri(suffix), edges).all()
@@ -149,7 +217,7 @@ def test_gap_bound_does_not_lift_rounding_noise_of_the_masses(n):
 
 def test_gap_edges_weight_only_crossings_inside_a_flat_stretch():
     norm, _ = _standardized(builtin_model("rademacher"), 16)
-    edges, cut = transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0, 0.5)
+    edges, cut = transport._end_weights(*transport._gap_edges(norm, GaussianLaw(0.0, 1.0), -12.0, 12.0), False)
     first = transport.ndtri(norm.masses[0])  # left of the first atom: F = 0 there, no zero of |F - G|
     assert first < norm.support[0] and first in edges and not cut[edges == first][0]
     inner = edges[cut]
