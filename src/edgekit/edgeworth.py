@@ -172,7 +172,8 @@ class EdgeworthExpansion:
         return out if np.ndim(out) else float(out)
 
     def charfn(self, t):
-        """exp(-t^2/2) (1 + P(it)) with P read off the density polynomials."""
+        """exp(-t^2/2) (1 + P(it)) with P read off the density polynomials; t's shape is kept."""
+        shape = np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         it = 1j * t
         acc = np.ones(t.shape, dtype=complex)
@@ -181,7 +182,7 @@ class EdgeworthExpansion:
             for k, b in coefs.items():
                 acc += w * b * it**k
         out = np.exp(-0.5 * t**2) * acc
-        return out if out.size > 1 else complex(out[0])
+        return out.reshape(shape) if shape else complex(out[0])
 
     def moment(self, q):
         """Exact q-th moment of the signed measure."""

@@ -10,6 +10,7 @@ serializer and parses its list options with the same parsers.
 """
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -245,13 +246,7 @@ def _row_template(kinds):
 def format_table(header, rows, meta=None, fmt="csv"):
     """Text of one report table; CSV by default, JSON (with meta) on request."""
     if fmt == "csv":
-        lines = [",".join(str(h) for h in header)]
-        for row in map(tuple, rows):
-            template, flags = _row_template(tuple(map(type, row)))
-            if flags:
-                row = tuple(("yes" if v else "no") if i in flags else v for i, v in enumerate(row))
-            lines.append(template % row)
-        return "\n".join(lines) + "\n"
+        return ",".join(str(h) for h in header) + "\n" + "".join(_csv_lines(rows))
     doc = {
         "header": list(header),
         "rows": [[_json_cell(v) for v in row] for row in rows],
@@ -259,6 +254,31 @@ def format_table(header, rows, meta=None, fmt="csv"):
     if meta:
         doc["meta"] = meta
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_lines(rows):
+    """Newline-ended CSV text of `rows`: each run of rows sharing one row template in one %-pass.
+
+    Cell types are read a column at a time, so no row is looked up alone.
+    """
+    out = []
+    for size, same in itertools.groupby(map(tuple, rows), len):
+        same = list(same)
+        kinds = (zip(*map(functools.partial(map, type), zip(*same))) if size
+                 else itertools.repeat((), len(same)))
+        start = 0
+        for key, run in itertools.groupby(kinds):
+            count = sum(1 for _ in run)
+            template, flags = _row_template(key)
+            cells = same[start : start + count]
+            start += count
+            if flags:
+                columns = list(zip(*cells))
+                for i in flags:
+                    columns[i] = ["yes" if v else "no" for v in columns[i]]
+                cells = zip(*columns)
+            out.append((template + "\n") * count % tuple(itertools.chain.from_iterable(cells)))
+    return out
 
 
 def write_table(path, header, rows, meta=None, fmt="csv"):

@@ -189,7 +189,7 @@ class IIDContinuousModel(_CumulantModel):
         out = np.stack([math.factorial(j) * power[j] for j in orders.tolist()])
         if np.ndim(k):
             return out.reshape(orders.shape + shape)
-        return out[0] if out[0].size > 1 else complex(out[0, 0])
+        return out[0].reshape(shape) if shape else complex(out[0].flat[0])
 
 
 # -- builders ----------------------------------------------------------------

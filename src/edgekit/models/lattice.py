@@ -140,6 +140,8 @@ class LatticeDistribution:
             raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
         t = np.asarray(t, dtype=float)
         grid = _equispaced(t)
+        if not grid.size:
+            return np.zeros((orders.shape if np.ndim(k) else ()) + t.shape, dtype=complex)
         size = self.masses.size
         npts = grid.size
         h = self.step
@@ -193,7 +195,7 @@ class LatticeDistribution:
 
 
 def _equispaced(t):
-    """t as a 1-d grid, refused unless it is a scalar or equispaced.
+    """t as a 1-d grid, refused unless it is a scalar or equispaced (an empty grid passes).
 
     A grid passes when it lies within 16 u (|t_0| + |t_last|) of the line
     through its end points: `linspace`, and a linspace divided by a
@@ -202,8 +204,8 @@ def _equispaced(t):
     if t.ndim > 1:
         raise ValueError("t must be a scalar or a 1-d grid, got shape %r" % (t.shape,))
     grid = np.atleast_1d(t)
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("t must be a nonempty finite grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("t must be a finite grid")
     if grid.size > 2:
         line = np.linspace(grid[0], grid[-1], grid.size)
         tol = 8.0 * np.finfo(float).eps * (abs(grid[0]) + abs(grid[-1]))

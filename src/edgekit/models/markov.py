@@ -12,10 +12,13 @@ operator as truncated power series, with no lattice and no table.
 Everything is deterministic.
 """
 
+import bisect
+import concurrent.futures
 import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +50,15 @@ _SNAP_TOL = 1e-9
 # Largest DP table, in (state, cell) entries, a sweep may allocate, with the
 # most one product of a powered run holds counted beside it: each factor
 # and its lifted tails, the output and up to two lift arrays of the
-# output's size (`_Power.price`). A step holds the old table and the new
-# one, and a cells-major run (`_Moves.run`) also the table it started
-# from; its other temporaries are one row or one product chunk. Two
-# float64 tables of 2**24 cells take 256 MiB.
+# output's size (`_Power.price`). The two halves of a sweep from both
+# ends grow at once, on two threads, so both tables count: S (columns + 1)
+# cells for S the most states, the product or the join (`_backward_half`)
+# beside them. A step holds the old table and the new one, and a
+# cells-major run (`_Moves.run`) also the table it started from; its other
+# temporaries are one row or one product chunk, so two halves stepping at
+# once hold at most what one sweep of the whole width does plus 3 S cells.
+# A product split between two threads holds one np.convolve output more.
+# Two float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
 # OpenBLAS runs a product of at most 2**18 multiply-adds on the calling thread
 _BLAS_SERIAL = 2**18
@@ -69,6 +77,13 @@ _GEMM_MAD = 0.05e-9
 _DOT_MAD = 0.15e-9
 _CONV_OUT = 8e-9
 _ROW_ADD = 1.5e-9
+# Priced seconds of work per numpy call below which two threads gain
+# nothing (`_pays`): each call hands the GIL between them. On a 2-core
+# AMD EPYC VM, backward halves of 16- to 64-state chains and powered
+# products of 257 or more coefficients per polynomial ran 4-45% faster
+# split from about 15 us per call; below it (stepping at S <= 12 and
+# flip2, squares of 129 or fewer coefficients) they ran 8-79% slower.
+_HANDOFF = 15e-6
 # Coefficients per power of z that a batch of order-2 rows may hold
 _ROW_FLOATS = 2**16
 # Shorter runs of equal steps are walked one step at a time, not doubled:
@@ -333,9 +348,16 @@ def exact_distribution(spec):
     one per run. A trailing stretch of stepped runs may instead be swept
     backward from the all-ones column and joined to the forward table by
     one polynomial product (`_backward_half`), so that each sweep ends
-    about half as wide. Cell 0 sits at -sum_j E[f_j - min f_j], one
-    math.fsum of the per-step means, so S_n is centered once, here, and
-    the law never carries the raw size of the observables.
+    about half as wide. Where its price pays for a second thread
+    (`_pays`), the backward half is swept on the worker thread while this
+    one sweeps the forward plan, so both halves' tables and step buffers
+    exist at once; `_sweep_plan` counts both against the cell budget.
+    Large powered products split their outputs between the two threads
+    (`_poly_matmul`). No route, plan or summation order depends on the
+    threads, so the masses have the same bits either way. Cell 0 sits at
+    -sum_j E[f_j - min f_j], one math.fsum of the per-step means, so S_n
+    is centered once, here, and the law never carries the raw size of the
+    observables.
 
     Masses carry the relative error bounded in `_mean_tolerance` only
     while they stay in the normal float range. Without a backward half
@@ -360,17 +382,15 @@ def exact_distribution(spec):
         # degenerate: every f_j is constant, so S_n is a.s. 0
         return LatticeDistribution(0.0, 1.0, [1.0])
     table = spec.initial[:, None].copy()
-    for step, count in plan:
-        table = step.run(table, count)
     sweep = sum(count * step.error for step, count in plan + back)
     if back:
-        column = np.ones((back[0][0].states_in, 1))
-        for step, count in back:
-            column = step.run(column, count)
+        halves = [functools.partial(_swept, np.ones((back[0][0].states_in, 1)), back),
+                  functools.partial(_swept, table, plan)]
+        column, table = _together(halves) if _pays(*_back_price(back)) else [half() for half in halves]
         masses = _poly_matmul(table[None], column[:, None])[0, 0]
         sweep += table.shape[0] * (min(table.shape[1], column.shape[1]) + 1) * np.finfo(float).eps / 2
     else:
-        masses = table.sum(axis=0)
+        masses = _swept(table, plan).sum(axis=0)
     means, lattice_means = _step_means(spec, [f for _, f, _ in spec.runs], diffs)
     origin = -math.fsum(lattice_means.tolist())  # value of cell 0
     nz = np.nonzero(masses)[0]
@@ -400,7 +420,10 @@ def _sweep_plan(spec):
     (`_Power.price`), could outgrow _CELL_BUDGET: the table of any run of
     steps is at most max(states) * (1 + sum of the steps' widest shifts).
     The backward plan (`_backward_half`) is empty unless it is taken; it
-    is taken only if its join fits the budget beside the table.
+    is taken only if both halves' tables fit the budget at once, S (1 +
+    the width) cells as the two threads of `exact_distribution` grow them
+    side by side, with the join and any forward product's holdings beside
+    them; the refusal counts that sum.
     """
     starts = [0, *itertools.accumulate(count for _, _, count in spec.runs)]
     d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs], starts)
@@ -420,8 +443,12 @@ def _sweep_plan(spec):
             stepped.append((kernel, shift, columns))
         columns += count * moves[key].width
     states = _max_states(spec)
-    plan, back, joined = _backward_half(plan, stepped, columns, _CELL_BUDGET - states * columns)
-    cells = states * columns + max(held, joined)
+    # with a backward half both tables grow at once, the forward one to
+    # columns - w cells and the backward one to w + 1, w its width, and a
+    # forward product's holdings come beside both
+    room = _CELL_BUDGET - states * (columns + 1)
+    plan, back, joined = _backward_half(plan, stepped if held <= room else [], columns, room)
+    cells = states * (columns + bool(back)) + max(held, joined)
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
@@ -452,11 +479,12 @@ def _backward_half(plan, stepped, columns, room):
     the backward steps from one column plus the join cost less than the
     same steps forward and the join (`_poly_matmul`: both tables and
     their lifted tails, the output and two lift arrays) fits in `room`
-    cells; otherwise the plan comes back whole with no backward half.
+    cells, what the budget leaves beside both halves' tables; otherwise
+    the plan comes back whole with no backward half.
     """
     half = (columns - 1) // 2
     forward, back, transposed = list(plan), [], {}
-    width, saved, spent = 0, 0.0, 0.0
+    width, saved = 0, 0.0
     for kernel, shift, start in reversed(stepped):
         if width >= half:
             break
@@ -469,17 +497,69 @@ def _backward_half(plan, stepped, columns, room):
         # F-order groups, chain64's backward steps ran 10-30% slower
         step = transposed[key] = transposed.get(key) or _Moves(*map(np.ascontiguousarray, (kernel.T, shift.T)))
         saved += moves.cost(take, start + (count - take) * moves.width)
-        spent += step.cost(take, width + 1)
         back.append((step, take))
         width += take * moves.width
     if not back:
         return plan, [], 0
     cut = back[-1][0].states  # states at the cut: rows of the first kernel past it
-    spent += cut * _convolve_cost(columns - width, width + 1)
+    spent = _back_price(back)[0] + cut * _convolve_cost(columns - width, width + 1)
     joined = 2 * cut * (columns + 1) + 3 * columns
     if spent >= saved or joined > room:
         return plan, [], 0
     return forward, back, joined
+
+
+def _back_price(back):
+    """Estimated seconds and numpy calls of the steps of a backward plan from the all-ones column."""
+    seconds, calls, width = 0.0, 0, 0
+    for step, count in back:
+        seconds += step.cost(count, width + 1)
+        calls += count * step.calls(width + 1)
+        width += count * step.width
+    return seconds, calls
+
+
+def _pays(seconds, calls):
+    """Whether work priced `seconds` in `calls` numpy calls gains from a second thread.
+
+    Each call hands the GIL over once, and the hand-off of the work and
+    of its result twice more: the price must pass _HANDOFF for each.
+    """
+    return seconds > _HANDOFF * (calls + 2)
+
+
+def _swept(table, plan):
+    """The table after every (step, count) of a plan, in order."""
+    for step, count in plan:
+        table = step.run(table, count)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _worker():
+    """The one worker thread of the chain DP, started by its first hand-off."""
+    return concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="edgekit-dp")
+
+
+def _together(jobs):
+    """Results of the zero-argument calls `jobs`, in order: the last runs here, the others on the worker thread.
+
+    A job the worker has not started once this thread is done is taken
+    back and run here, so a busy worker (another caller's, or a backward
+    half beside which a powered product is split) only costs the queueing.
+    An exception of any job reaches the caller as it was raised; where the
+    job run here raises, the others are cancelled or waited for first, so
+    no work outlives the call.
+    """
+    futures = [_worker().submit(job) for job in jobs[:-1]]
+    try:
+        last = jobs[-1]()
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        concurrent.futures.wait(futures)
+        raise
+    return [job() if future.cancel() else future.result() for job, future in zip(jobs, futures)] + [last]
 
 
 def _mean_tolerance(spec, means, cells, sweep):
@@ -626,18 +706,32 @@ def _poly_matmul(a, b):
     and are scaled back once per output, level 2 as
     (level 2 * 2**-563 + level 1) * 2**-563. Outputs that no tail reaches
     keep the bits of one convolution of whole spans per pair.
+
+    Outputs go in groups (`_output_groups`): one, or two of about equal
+    price where the product's price pays for a second thread (`_pays`),
+    the first filled on the worker thread beside the second
+    (`_together`). Each output is written by one group only, with its
+    calls in the same k-then-piece order, so its bits do not depend on
+    the grouping.
     """
     shape = (a.shape[0], b.shape[1], a.shape[2] + b.shape[2] - 1)
-    levels = [np.zeros(shape)]
     pieces_a = _pieces(a)
     pieces_b = pieces_a if b is a else _pieces(b)
-    for x, row in enumerate(pieces_a):
-        for k, factor in enumerate(row):
-            for y, other in enumerate(pieces_b[k]):
-                for (i, p, lift_p), (j, q, lift_q) in itertools.product(factor, other):
-                    while len(levels) <= lift_p + lift_q:
-                        levels.append(np.zeros(shape))
-                    _convolve_into(levels[lift_p + lift_q][x, y, i + j :], p, q)
+    levels, grow = [np.zeros(shape)], threading.Lock()
+
+    def fill(outputs):
+        for x, y in outputs:
+            for factor, other in zip(pieces_a[x], pieces_b):
+                for (i, p, lift_p), (j, q, lift_q) in itertools.product(factor, other[y]):
+                    level = lift_p + lift_q
+                    if level >= len(levels):
+                        with grow:  # both groups may reach a new level at once
+                            while len(levels) <= level:
+                                levels.append(np.zeros(shape))
+                    _convolve_into(levels[level][x, y, i + j :], p, q)
+
+    groups = _output_groups(pieces_a, pieces_b, a.shape[2], b.shape[2])
+    _together([functools.partial(fill, group) for group in groups])
     out, lifted = levels[0], levels[-1]
     if len(levels) == 3:
         lifted *= _UNLIFT
@@ -646,6 +740,25 @@ def _poly_matmul(a, b):
         lifted *= _UNLIFT
         out += lifted
     return out
+
+
+def _output_groups(pieces_a, pieces_b, m, n):
+    """The (x, y) outputs of a product of these pieces, in one group or in two of about equal price.
+
+    Two where a second thread pays (`_pays`) for the `_convolve_cost` of
+    the product's pairs of pieces; no pair costs more than one of whole
+    factors of m and n coefficients, so below _HANDOFF none are priced.
+    """
+    outputs = [(x, y) for x in range(len(pieces_a)) for y in range(len(pieces_b[0]))]
+    if len(outputs) < 2 or _convolve_cost(m, n) <= _HANDOFF:
+        return [outputs]
+    prices = [[_convolve_cost(p.size, q.size) for factor, other in zip(pieces_a[x], pieces_b)
+               for (_, p, _), (_, q, _) in itertools.product(factor, other[y])] for x, y in outputs]
+    totals = list(itertools.accumulate(map(math.fsum, prices)))
+    if not _pays(totals[-1], sum(map(len, prices))):
+        return [outputs]
+    cut = min(max(1, bisect.bisect_left(totals, totals[-1] / 2)), len(outputs) - 1)
+    return [outputs[:cut], outputs[cut:]]
 
 
 def _pieces(p):
@@ -752,13 +865,16 @@ class _Moves:
                                shifts[xs, ys].tolist(), kernel[xs, ys].tolist()))
         self.error = n_in * np.finfo(float).eps / 2
 
+    def calls(self, columns):
+        """Numpy calls of one step from a table `columns` wide, as `cost` counts them."""
+        return len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
+
     def cost(self, count, columns):
         """Estimated seconds of `count` steps from a table `columns` wide."""
         n_in, n_out = self.states_in, self.states
         per_column = (len(self.dense) * (n_in * n_out * _GEMM_MAD + n_out * _ROW_ADD)
                       + len(self.sparse) * _ROW_ADD)
-        calls = len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
-        return count * (calls * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
+        return count * (self.calls(columns) * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
 
     def run(self, table, count):
         """The table after `count` steps.

@@ -316,7 +316,7 @@ class PiecewisePolyDistribution:
         if orders.ndim != 1 or not orders.size or not 0 <= orders.min() <= orders.max() <= _CHARFN_DERIV_CAP:
             raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
         shape = np.shape(t)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float).ravel()
         weights = [self._charfn_weights(j) for j in orders.tolist()]
         out = np.zeros((orders.size,) + t.shape, dtype=complex)
         for i, (c, w, p) in enumerate(zip(self.centers, self.halfwidths, self.coeffs)):
@@ -326,7 +326,7 @@ class PiecewisePolyDistribution:
                 row += phase * (cells[i] @ bessel[: cells[i].size])
         if np.ndim(k):
             return out.reshape(orders.shape + shape)
-        return out[0] if out[0].size > 1 else complex(out.flat[0])
+        return out[0].reshape(shape) if shape else complex(out[0, 0])
 
     def _charfn_weights(self, k):
         """Per cell, the weights 2 w i^(l+k) b_l of `charfn_deriv` at order k, built once per order."""

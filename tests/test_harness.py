@@ -29,6 +29,7 @@ from edgekit.harness import (
     scenario_presets,
 )
 from edgekit.harness.cli import main
+from edgekit.harness.scenario import format_table
 from edgekit.models import ChainModel, builtin_model, save_chain_spec
 from edgekit.models.markov import MarkovChainSpec
 from edgekit.transport import GaussianLaw, gaussian_coupling, wasserstein_distance
@@ -478,6 +479,45 @@ def test_report_failed_rules():
     # assumption verdicts describe the model and never fail a run
     assumptions = scan_assumptions(m, (16, 32), m=3)
     assert not assumptions.corrections_supported and not assumptions.failed()
+
+
+def _csv_row_by_row(header, rows):
+    """The CSV text of a table formatted one row at a time: each cell by the %-conversion of its type."""
+    lines = [",".join(str(h) for h in header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, (bool, np.bool_)):
+                cells.append("yes" if v else "no")
+            elif isinstance(v, (int, np.integer)):
+                cells.append("%d" % v)
+            elif isinstance(v, str):
+                cells.append(v)
+            else:
+                cells.append("%.17g" % float(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_runs_of_one_template_match_row_by_row_formatting():
+    # runs of rows sharing one template are formatted in one pass; cells of
+    # mixed types in a column, bool and numpy cells, strings holding "%",
+    # rows of other lengths and empty rows each break a run where they must
+    rng = np.random.Generator(np.random.PCG64(4))
+    law = [(float(v), float(m)) for v, m in zip(rng.normal(size=300), rng.random(300))]
+    tables = [
+        law,
+        [],
+        [(1, 2.5), (True, np.float64(0.1)), (np.bool_(False), "x%d"), (np.int64(3), 1e-300), (2, 2.0), (3, 3.0)],
+        [(1.0, True, "s"), (2.0, False, "t"), (3, np.True_, "u"), (4, np.False_, "v")],
+        [(), (), (1,), [1, 2.0, 3], (4, 5.5), (6, 7.5), ()],
+        [(float("nan"),), (float("inf"),), (-0.0,), (5e-324,)],
+        law[:5] + [(1, 2)] + law[5:9] + [("a", 0.5)] + law[9:],
+    ]
+    for rows in tables:
+        want = _csv_row_by_row(("a", "b"), rows)
+        assert format_table(("a", "b"), rows) == want
+        assert format_table(("a", "b"), iter(rows)) == want
 
 
 def test_bundle_tables_share_one_sigma(tmp_path):

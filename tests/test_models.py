@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -1228,18 +1229,214 @@ def test_join_is_charged_to_the_cell_budget(monkeypatch):
     from edgekit.models import markov
 
     # chain64 at n = 256: a table of 64 x 1025 cells, split at 513 + 513;
+    # both halves' tables grow at once (64 x 1026 cells), and beside them
     # the join holds both tables and their lifted tails, its output and
     # two lift arrays of 1025 cells
     spec = _perfbench_chain(64, 256)
-    table, join = 64 * 1025, 2 * 64 * 1026 + 3 * 1025
-    monkeypatch.setattr(markov, "_CELL_BUDGET", table + join)
+    halves, join = 64 * (513 + 513), 2 * 64 * 1026 + 3 * 1025
+    monkeypatch.setattr(markov, "_CELL_BUDGET", halves + join)
     split = exact_distribution(spec)
     assert _sweep_plan(spec)[3]
-    monkeypatch.setattr(markov, "_CELL_BUDGET", table + join - 1)
+    monkeypatch.setattr(markov, "_CELL_BUDGET", halves + join - 1)
     assert _sweep_plan(spec)[3] == []
     forward = exact_distribution(spec)
     # the two routes agree within both bounds
     assert np.allclose(split.masses, forward.masses, rtol=1e-12, atol=0.0)
+
+
+def _no_table(monkeypatch):
+    """Make every table-building call fail the test."""
+    from edgekit.models import markov
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(markov, "_poly_matmul", no_table)
+    monkeypatch.setattr(_Power, "run", no_table)
+    monkeypatch.setattr(_Moves, "run", no_table)
+
+
+def test_chain_just_past_the_budget_is_refused_before_any_table(monkeypatch):
+    from edgekit.models import markov
+
+    # chain64 at n = 256 swept forward alone holds 64 x 1025 cells: at
+    # that budget it runs without a backward half, one cell less is refused
+    spec = _perfbench_chain(64, 256)
+    monkeypatch.setattr(markov, "_CELL_BUDGET", 64 * 1025)
+    assert _sweep_plan(spec)[3] == []
+    assert exact_distribution(spec).masses.size == 1025
+    monkeypatch.setattr(markov, "_CELL_BUDGET", 64 * 1025 - 1)
+    _no_table(monkeypatch)
+    with pytest.raises(ValueError, match="needs up to 65600 DP cells, above the budget of 65599"):
+        exact_distribution(spec)
+
+
+def test_forward_product_is_charged_beside_both_halves(monkeypatch):
+    from edgekit.models import markov
+
+    # a powered run's product holds more than the join: a backward half is
+    # taken only while both halves' tables fit beside that product, and
+    # without one the chain still runs forward, not refused
+    spec = _stepped_powered_stepped(2000, 40)
+    plan, back = _sweep_plan(spec)[2:4]
+    power = plan[-1][0]
+    start = 1 + sum(count * step.width for step, count in plan[:-1])
+    columns = start + power.length * power.width + sum(count * step.width for step, count in back)
+    held = power.price(start)[1]
+    assert held > 2 * 2 * (columns + 1) + 3 * columns  # the join's holdings
+    monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * (columns + 1) + held)
+    assert _sweep_plan(spec)[3]
+    monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * (columns + 1) + held - 1)
+    assert _sweep_plan(spec)[3] == []
+    exact_distribution(spec)
+
+
+_THREAD_CHAINS = {
+    "chain64-256": lambda: _perfbench_chain(64, 256),
+    "chain32-256": lambda: _perfbench_chain(32, 256, seed=3),
+    "symmetric2-8192": lambda: builtin_model("symmetric2").spec(8192),
+    "elliptic2-4096": lambda: builtin_model("elliptic2").spec(4096),
+    "flip2-4096": lambda: builtin_model("flip2").spec(4096),
+    "rectangular": lambda: _rectangular_chain(3, [2, 5, 3, 4] * 30),
+    "stepped-powered-stepped": lambda: _stepped_powered_stepped(2000, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREAD_CHAINS))
+def test_threaded_and_serial_sweeps_give_the_same_bits(name, monkeypatch):
+    import threading
+
+    from edgekit.models import markov
+
+    # a hand-off constant of 0 hands every half and every product of two
+    # or more outputs to the worker thread, an infinite one none
+    spec = _THREAD_CHAINS[name]()
+    beside = []
+    together = markov._together
+
+    def spied(jobs):
+        def traced(job):
+            beside.append(threading.get_ident() != threading.main_thread().ident)
+            return job()
+
+        return together([functools.partial(traced, job) for job in jobs])
+
+    monkeypatch.setattr(markov, "_together", spied)
+    monkeypatch.setattr(markov, "_HANDOFF", float("inf"))
+    serial = exact_distribution(spec)
+    assert not any(beside)
+    monkeypatch.setattr(markov, "_HANDOFF", 0.0)
+    threaded = exact_distribution(spec)
+    assert threaded.offset == serial.offset
+    assert threaded.masses.tobytes() == serial.masses.tobytes()
+    if name != "rectangular":  # halves of a few microseconds may all run here
+        assert any(beside)
+    # the plan does not depend on the gate
+    plans = []
+    for handoff in (0.0, float("inf")):
+        monkeypatch.setattr(markov, "_HANDOFF", handoff)
+        _, _, plan, back, _ = _sweep_plan(spec)
+        plans.append([(type(step), getattr(step, "width", None), count) for step, count in plan + back])
+    assert plans[0] == plans[1]
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_backward_half_exception_reaches_the_caller(monkeypatch):
+    import threading
+
+    from edgekit.models import markov
+
+    spec = _perfbench_chain(64, 256)
+    swept = markov._swept
+    raised = _Raised("backward half")
+
+    def failing(table, plan):
+        if threading.current_thread() is not threading.main_thread():
+            raise raised
+        return swept(table, plan)
+
+    monkeypatch.setattr(markov, "_HANDOFF", 0.0)
+    monkeypatch.setattr(markov, "_swept", failing)
+    with pytest.raises(_Raised) as info:
+        exact_distribution(spec)
+    assert info.value is raised
+    # a forward half that raises leaves no backward half running
+    started, finished = [], []
+
+    def forward_fails(table, plan):
+        if threading.current_thread() is threading.main_thread():
+            raise raised
+        started.append(1)
+        time.sleep(0.05)
+        out = swept(table, plan)
+        finished.append(1)
+        return out
+
+    monkeypatch.setattr(markov, "_swept", forward_fails)
+    with pytest.raises(_Raised):
+        exact_distribution(spec)
+    assert len(started) == len(finished)
+    # and the worker serves the next law
+    monkeypatch.setattr(markov, "_swept", swept)
+    assert exact_distribution(spec).masses.tobytes() == exact_distribution(spec).masses.tobytes()
+
+
+def test_concurrent_callers_share_the_worker_and_keep_the_bits(monkeypatch):
+    import sys
+    import threading
+
+    from edgekit.models import markov
+
+    # six callers on two cores hand halves and product groups to the one
+    # worker, or take them back while it is busy, with a short switch
+    # interval; every law keeps the bits of a serial sweep
+    specs = [_perfbench_chain(32, 128, seed=1), _perfbench_chain(16, 256, seed=2),
+             builtin_model("symmetric2").spec(2048)]
+    monkeypatch.setattr(markov, "_HANDOFF", float("inf"))
+    want = [exact_distribution(spec).masses.tobytes() for spec in specs]
+    monkeypatch.setattr(markov, "_HANDOFF", 0.0)
+    got, errors = {i: [] for i in range(6)}, []
+
+    def work(i):
+        try:
+            for _ in range(3):
+                got[i].append(exact_distribution(specs[i % 3]).masses.tobytes())
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert all(got[i] == [want[i % 3]] * 3 for i in range(6))
+
+
+def test_scenario_laws_stay_on_the_calling_thread(monkeypatch):
+    from edgekit.harness.scenario import _PRESETS
+    from edgekit.models import markov
+
+    def no_worker():
+        raise AssertionError("a scenario law reached the worker thread")
+
+    monkeypatch.setattr(markov, "_worker", no_worker)
+    for text in _PRESETS.values():
+        fields = dict(line.split(" = ") for line in text.splitlines())
+        name = fields["model"].split(":")[1]
+        if name == "uniform":
+            continue
+        for n in map(int, fields["n"].split(",")):
+            exact_distribution(builtin_model(name).spec(n))
 
 
 def _mp_lattice_origin(spec):
@@ -1422,6 +1619,47 @@ def test_piecewise_charfn_at_zero_negative_and_scalar_t():
         assert d.charfn_deriv(3.0, k) == pytest.approx(pos[1], abs=4e-16)
     with pytest.raises(ValueError, match="derivative order"):
         d.charfn_deriv(0.0, 17)
+
+
+def _charfns():
+    """The four characteristic functions, each as f(t, k) (the expansion's has order 0 only)."""
+    lattice = builtin_model("elliptic2").distribution(16)
+    uniform = builtin_model("uniform")
+    piecewise, expansion = uniform.distribution(3), uniform.expansion(4, 1)
+    return {
+        "lattice": lattice.charfn_deriv,
+        "piecewise": piecewise.charfn_deriv,
+        "iid": lambda t, k=0: uniform.charfn_deriv(4, t, k),
+        "edgeworth": lambda t, k=0: expansion.charfn(t),
+    }
+
+
+@pytest.mark.parametrize("name", ["lattice", "piecewise", "iid", "edgeworth"])
+def test_charfns_keep_the_shape_of_t(name):
+    # one rule for all four: an array t keeps its shape, empty and one
+    # element included, a 0-d t gives a complex, and a sequence of orders
+    # puts its axis in front; only the lattice's chirp refuses a 2-d t
+    f = _charfns()[name]
+    t = np.linspace(-2.0, 2.0, 6)
+    full = f(t)
+    assert isinstance(full, np.ndarray) and full.shape == (6,) and full.dtype == complex
+    empty = f(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == complex
+    one = f(t[1:2])
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == pytest.approx(full[1], rel=1e-13, abs=1e-15)
+    for scalar in (t[1], float(t[1]), np.array(t[1])):
+        value = f(scalar)
+        assert isinstance(value, complex) and value == pytest.approx(full[1], rel=1e-13, abs=1e-15)
+    if name == "lattice":
+        with pytest.raises(ValueError, match="1-d grid"):
+            f(t.reshape(2, 3))
+    else:
+        assert np.allclose(f(t.reshape(2, 3)), full.reshape(2, 3), rtol=1e-13, atol=1e-15)
+    if name != "edgeworth":
+        assert f(np.array([]), [0, 1]).shape == (2, 0)
+        assert f(t[1:2], [0, 1]).shape == (2, 1)
+        assert f(t[1], [0, 1]).shape == (2,)
 
 
 def test_iid_sum_cap():
@@ -1740,7 +1978,7 @@ def test_piecewise_charfn_orders_in_one_call_equal_per_order_calls(law):
             assert np.array_equal(np.reshape(rows[k], -1), want), (law, k)
             single = d.charfn_deriv(t, k)
             assert np.array_equal(np.reshape(single, -1), want), (law, k)
-            assert isinstance(single, complex) == (np.size(t) == 1)
+            assert isinstance(single, complex) == (np.ndim(t) == 0)
         assert np.array_equal(d.charfn_deriv(t, [16, 3, 3]), rows[[16, 3, 3]])
     for orders in ([], [0, 17], [-1, 2], 17, -1):
         with pytest.raises(ValueError, match="derivative order must be in"):
