@@ -50,6 +50,14 @@ _TAIL_DENSITY = 64.0
 _FIT_NOISE_REL = 1e-8
 
 
+def whole_numbers(values, what):
+    """`values` as a tuple of ints; a value that is not a whole number is refused, naming `what`."""
+    for v in values:
+        if not (math.isfinite(v) and v == math.floor(v)):
+            raise ValueError("%s must be a whole number, got %r" % (what, v))
+    return tuple(int(v) for v in values)
+
+
 def moments_to_cumulants(moments):
     """Cumulants kappa_1..kappa_K from raw moments m_1..m_K."""
     m = [float(x) for x in moments]
@@ -130,6 +138,8 @@ def log_charfn_profile(model, n, jmax, eps=None, floor=None):
     """
     if not 1 <= jmax <= _JMAX_CAP:
         raise ValueError("jmax must be in [1, %d]" % _JMAX_CAP)
+    if eps is not None and not math.isfinite(eps):
+        raise ValueError("eps must be finite, got %r" % (eps,))
     floor = _F_FLOOR if floor is None else max(float(floor), _F_FLOOR)
     sigma = model.sigma(n)
     tmax = _T_CAP if eps is None else min(eps * sigma, _T_CAP)
@@ -269,7 +279,7 @@ class DerivativeBoundReport:
 
 
 def derivative_bound_check(model, ns, jmax, eps=None):
-    ns = tuple(int(n) for n in ns)
+    ns = whole_numbers(ns, "sample size n")
     # Rounding budget, from the chirp-z bound of LatticeDistribution.charfn_deriv:
     # a normalized derivative row k of f is off by about
     # delta = 8 u log2(L) E|W|^k, under 1.3e-14 E|W|^k while L <= 2^14
@@ -315,7 +325,7 @@ def tail_integral_check(model, ns, m):
     die out keeps decreasing, while one with surviving oscillation mass
     flattens onto a plateau, which the tail drop rule tells apart.
     """
-    ns = tuple(int(n) for n in ns)
+    ns = whole_numbers(ns, "sample size n")
     vals = np.empty(len(ns))
     for i, n in enumerate(ns):
         sigma = model.sigma(n)
@@ -361,7 +371,7 @@ def fit_stationary(model, ns, kmax=4):
     numerical noise. A fitted variance rate p_2 <= 0 raises: every later
     normalization divides by it.
     """
-    ns = tuple(int(n) for n in ns)
+    ns = whole_numbers(ns, "sample size n")
     if len(ns) < 4:
         raise ValueError("need at least 4 sample sizes to judge a fit")
     kappas = np.empty((len(ns), kmax))

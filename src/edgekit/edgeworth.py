@@ -5,8 +5,9 @@ The order-m approximation to the law of W = S_n/sigma_n is
     F(x) = Phi(x) - phi(x) * sum_{j=1}^{m-2} sigma_n^(-j) H_j(x)
 
 where each correction polynomial H_j collects one power of the expansion
-parameter. Its terms are indexed by multiplicity tuples (k_1, .., k_L)
-with sum l*k_l = j: the tuple contributes
+parameter; order m = 2 has none and is the standard normal. Its terms
+are indexed by multiplicity tuples (k_1, .., k_L) with sum l*k_l = j:
+the tuple contributes
 
     [prod_l 1/(k_l! ((l+2)!)^k_l)] * [prod_l (kappa_{l+2}/sigma^2)^k_l]
         * He_{k-1},   k = sum_l (l+2) k_l = j + 2 sum_l k_l.
@@ -123,13 +124,15 @@ class EdgeworthExpansion:
 
     Holds the correction polynomials H_1..H_{m-2} (numpy Polynomials) and
     the scale sigma_n; evaluation never re-derives them, so a truncation
-    shares the exact coefficients of the full build.
+    shares the exact coefficients of the full build. With no polynomials
+    it is the standard normal, to the bit.
     """
 
     def __init__(self, sigma, polys):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        check_order(len(polys) + 2)
+        if len(polys) > _ORDER_MAX - 2:
+            raise ValueError("at most %d corrections, got %d" % (_ORDER_MAX - 2, len(polys)))
         self.sigma = float(sigma)
         self.polys = tuple(polys)
         x = Polynomial((0.0, 1.0))
@@ -143,9 +146,9 @@ class EdgeworthExpansion:
         return len(self.polys)
 
     def truncated(self, r):
-        """Keep only corrections of weight <= r (same coefficients)."""
-        if not 1 <= r <= self.corrections:
-            raise ValueError("have corrections 1..%d" % self.corrections)
+        """Keep only corrections of weight <= r (same coefficients); r = 0 keeps none."""
+        if not 0 <= r <= self.corrections:
+            raise ValueError("have corrections 0..%d" % self.corrections)
         return EdgeworthExpansion(self.sigma, self.polys[:r])
 
     def correction_sum(self, x, polys):
@@ -209,7 +212,7 @@ class EdgeworthExpansion:
         q = int(q)
         if q % 2 == 0:
             return self.moment(q)
-        deg = max(p.degree() for p in self.density_polys)
+        deg = max((p.degree() for p in self.density_polys), default=0)
         half = gaussian_partial_moments(q + deg, 0.0, np.inf)
         total = 2.0 * half[q]
         for j, poly in enumerate(self.density_polys, start=1):
@@ -234,17 +237,18 @@ def check_order(m):
 
 
 def build_expansion(model, n, m):
-    """Order-m expansion for S_n/sigma_n from exact model cumulants."""
-    check_order(m)
+    """Order-m expansion (2 <= m <= 16) for S_n/sigma_n from exact model cumulants."""
+    if not 2 <= m <= _ORDER_MAX:
+        raise ValueError("expansion order must be in [2, %d]" % _ORDER_MAX)
     kappas = [float(k) for k in model.cumulants(n, m)]
     return expansion_from_cumulants(kappas)
 
 
 def expansion_from_cumulants(kappas):
-    """Expansion of order m = len(kappas) from cumulants of the raw sum."""
+    """Expansion of order m = len(kappas) from cumulants of the raw sum; m = 2 is the Gaussian."""
     m = len(kappas)
-    if not _ORDER_MIN <= m <= _ORDER_MAX:
-        raise ValueError("need between %d and %d cumulants" % (_ORDER_MIN, _ORDER_MAX))
+    if not 2 <= m <= _ORDER_MAX:
+        raise ValueError("need between 2 and %d cumulants" % _ORDER_MAX)
     sigma2 = kappas[1]
     if not sigma2 > 0.0:
         raise ValueError("second cumulant must be positive")

@@ -15,7 +15,6 @@ import sys
 
 from .. import __version__
 from ..edgeworth import check_order
-from ..special import normal_cdf, normal_pdf
 from ..transport import gaussian_coupling
 from .scans import (
     _x_grid,
@@ -233,11 +232,8 @@ def cmd_expand(args):
     if not 0 <= r <= args.m - 2:
         raise ScenarioError("--r must be in [0, m-2]")
     x = _x_grid(args.grid_max)
-    if r == 0:
-        cdf, pdf = normal_cdf(x), normal_pdf(x)
-    else:
-        exp = model.expansion(n, r)
-        cdf, pdf = exp.cdf(x), exp.pdf(x)
+    exp = model.expansion(n, r)
+    cdf, pdf = exp.cdf(x), exp.pdf(x)
     rows = [(float(xi), float(ci), float(pi)) for xi, ci, pi in zip(x, cdf, pdf)]
     _emit(args, ("x", "cdf", "pdf"), rows,
           meta={"model": model.name, "n": n, "m": args.m, "r": r,

@@ -34,9 +34,10 @@ from ..cumulants import (
     fit_stationary,
     matched,
     tail_integral_check,
+    whole_numbers,
 )
 from ..edgeworth import check_order, correction_polynomial
-from ..special import gaussian_abs_moment, gaussian_moment, normal_cdf, normal_pdf
+from ..special import normal_pdf
 from ..transport import (
     GaussianLaw,
     gaussian_coupling,
@@ -86,20 +87,12 @@ class _Verdict:
 
 
 def _check_ns(ns):
-    ns = tuple(int(n) for n in ns)
+    ns = whole_numbers(ns, "sample size n")
     if len(ns) < 2:
         raise ValueError("need at least two sample sizes to judge a trend")
     if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
         raise ValueError("sample sizes must be strictly increasing")
     return ns
-
-
-def _psi(model, n, r):
-    """(CDF, expansion) with r corrections, from the model's kept build; (Phi, None) at r = 0."""
-    if r == 0:
-        return normal_cdf, None
-    exp = model.expansion(n, r)
-    return exp.cdf, exp
 
 
 # -- weighted sup of the CDF gap ----------------------------------------------
@@ -109,7 +102,7 @@ def _psi(model, n, r):
 class ErrorScanReport(_Verdict):
     """Weighted sup-norm gap between exact and corrected CDFs per n.
 
-    raw[i] = sup_x (1+|x|)^m |F_n(x) - Psi(x)| over the scan grid;
+    raw[i] = sup_x (1+|x|)^m |F_n(x) - Psi_r(x)| over the scan grid, Psi_0 = Phi;
     scaled[i] multiplies by sigma_n (r = 0) or sigma_n^r (r >= 1).
     """
 
@@ -189,9 +182,9 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     scaled = np.empty(len(ns))
     power = max(r, 1)
     for i, n in enumerate(ns):
-        psi_cdf, _ = _psi(model, n, r)  # first, so sigma reads the build's cumulants
+        psi = model.expansion(n, r)  # first, so sigma reads the build's cumulants
         sigma = model.sigma(n)
-        d = _weighted_sup_gap(model.distribution(n), sigma, psi_cdf, m, x, is_lattice)
+        d = _weighted_sup_gap(model.distribution(n), sigma, psi.cdf, m, x, is_lattice)
         sigmas[i] = sigma
         raw[i] = d
         scaled[i] = sigma**power * d
@@ -305,11 +298,11 @@ def scan_transport(model, ps, ns, r=0, m=None):
     corrected_scaled = np.empty(shape) if r >= 1 else None
     bound_ok = True
     for i, n in enumerate(ns):
-        _, exp = _psi(model, n, r)
+        exp = model.expansion(n, r)
         sigmas[i] = sigma = model.sigma(n)
         dist = model.distribution(n)
         # one CDF-gap pass per n serves both references at every p
-        refs = [GaussianLaw(0.0, 1.0)] + ([exp] if exp is not None else [])
+        refs = [GaussianLaw(0.0, 1.0)] + ([exp] if r else [])
         gaps = wasserstein_upper_bound(dist.scale(1.0 / sigma), refs, ps)
         bound[i] = gaps[0]
         for j, p in enumerate(ps):
@@ -318,7 +311,7 @@ def scan_transport(model, ps, ns, r=0, m=None):
             gaussian_scaled[i, j] = sigma * w
             if w > gaps[0, j] + BOUND_TOL:
                 bound_ok = False
-            if exp is not None:
+            if r:
                 corrected[i, j] = gaps[1, j]
                 corrected_scaled[i, j] = sigma ** (r / p) * gaps[1, j]
     p_flags = tuple(bool(p >= m - 1) for p in ps)
@@ -415,13 +408,13 @@ def scan_moments(model, qs, r, ns):
     """Compare E[W_n^q] and E[|W_n|^q] with the correction's moments.
 
     The correction's moments are closed forms (`EdgeworthExpansion.moment`
-    and `abs_moment`; the standard normal's at r = 0). The correction of
-    order r reproduces signed moments up to q = r + 2 exactly, so those
-    columns land on the rounding floor and report "matched". Absolute
-    moments of odd order are not polynomial in the underlying cumulants
-    and carry a genuine gap with the claimed decay.
+    and `abs_moment`; at r = 0 the expansion is the standard normal). The
+    correction of order r reproduces signed moments up to q = r + 2
+    exactly, so those columns land on the rounding floor and report
+    "matched". Absolute moments of odd order are not polynomial in the
+    underlying cumulants and carry a genuine gap with the claimed decay.
     """
-    qs = tuple(int(q) for q in qs)
+    qs = whole_numbers(qs, "moment order q")
     if not qs or any(q < 1 for q in qs):
         raise ValueError("moment orders must be positive integers")
     if r < 0:
@@ -441,16 +434,12 @@ def scan_moments(model, qs, r, ns):
         sigmas[i] = sigma = model.sigma(n)
         # |W|^q = W^q for even q, so only odd orders need the law
         dist = model.distribution(n) if any(q % 2 for q in qs) else None
-        _, exp = _psi(model, n, r)
+        exp = model.expansion(n, r)
         for j, q in enumerate(qs):
             exact[i, j] = moments[q - 1] / sigma**q
             exact_abs[i, j] = dist.abs_moment(q) / sigma**q if q % 2 else exact[i, j]
-            if exp is None:
-                expansion[i, j] = gaussian_moment(q)
-                expansion_abs[i, j] = gaussian_abs_moment(q)
-            else:
-                expansion[i, j] = exp.moment(q)
-                expansion_abs[i, j] = exp.abs_moment(q)
+            expansion[i, j] = exp.moment(q)
+            expansion_abs[i, j] = exp.abs_moment(q)
     scaled_gap = sigmas[:, None] ** power * np.abs(exact - expansion)
     scaled_gap_abs = sigmas[:, None] ** power * np.abs(exact_abs - expansion_abs)
     signed_verdicts = []

@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
 
 from .. import __version__
+from ..cumulants import whole_numbers
 from ..models import ChainModel, builtin_model, builtin_model_names, load_chain_spec
 from .scans import (
     scan_assumptions,
@@ -74,8 +75,15 @@ class ScenarioConfig:
     fmt: str = "csv"
 
     def validate(self):
+        """This config with n and q as ints; a field out of its range is refused by name."""
         if not self.model:
             raise ScenarioError("field 'model': empty")
+        whole = {}
+        for field, name, what in (("n", "ns", "sample size n"), ("q", "qs", "moment order q")):
+            try:
+                whole[name] = whole_numbers(getattr(self, name), what)
+            except ValueError as exc:
+                raise ScenarioError("field %r: %s" % (field, exc)) from None
         if not 3 <= self.m <= 8:
             raise ScenarioError("field 'm': must be between 3 and 8, got %r" % (self.m,))
         if not 0 <= self.r <= self.m - 2:
@@ -98,7 +106,7 @@ class ScenarioConfig:
             raise ScenarioError("field 'grid_max': must be finite and positive")
         if self.fmt not in ("csv", "json"):
             raise ScenarioError("field 'format': must be csv or json, got %r" % (self.fmt,))
-        return self
+        return replace(self, **whole)
 
 
 def _parse_int_list(raw):
@@ -318,7 +326,7 @@ def run_scenario(config, out=None):
     The exit code is 0 exactly when no report failed (flagged verdicts
     do not fail).
     """
-    config.validate()
+    config = config.validate()
     outdir = out if out is not None else config.out
     if not outdir:
         raise ScenarioError("no output directory: set 'out = <dir>' or pass one explicitly")
@@ -332,8 +340,7 @@ def run_scenario(config, out=None):
     kmax, r_top = _top_orders(config)
     for n in config.ns:
         model.cumulants(n, kmax)
-        if r_top:
-            model.expansion(n, r_top)
+        model.expansion(n, r_top)
 
     reports = {}
     nonuniform_name = "scan_be" if config.r == 0 else "scan_edgeworth"
@@ -395,7 +402,7 @@ def run_scenario(config, out=None):
 
 
 def _top_orders(config):
-    """(cumulant order, corrections or 0) of the most any scan of `run_scenario` reads at each n.
+    """(cumulant order, corrections) of the most any scan of `run_scenario` reads at each n.
 
     Corrections: r, and m - 2 for the stationarity scan. Cumulants: two more, or up to max q.
     """

@@ -40,15 +40,15 @@ class _CumulantModel:
     """sigma and expansions of S_n from the model's `cumulants(n, kmax)`.
 
     Only the law comes from the engine that builds it. An expansion is
-    named by its corrections r. One build per n is kept, the one with the
-    most corrections asked for so far, and each truncation of it is made
-    once: corrections 1..r of any build have the same bits (kappa_k does
-    not depend on the order asked for), so a scan gets the numbers a build
-    at order r + 2 would give.
+    named by its corrections r; r = 0 is the standard normal. One build
+    per n is kept, the one with the most corrections asked for so far, and
+    each truncation of it is made once: corrections 1..r of any build have
+    the same bits (kappa_k does not depend on the order asked for), so a
+    scan gets the numbers a build at order r + 2 would give.
     """
 
     def expansion(self, n, r):
-        """Corrections 1..r (r >= 1) of the expansion of S_n/sigma_n (`build_expansion`)."""
+        """Corrections 1..r (r >= 0) of the expansion of S_n/sigma_n (`build_expansion`)."""
         # the build of each n is kept under n, its truncations under (n, r)
         if (n, r) not in self._expansions:
             top = self._expansions.get(n)

@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_derivative",
     "gaussian_partial_moments",
     "gaussian_moment",
-    "gaussian_abs_moment",
 ]
 
 _HERMITE_MAX = 64
@@ -144,10 +143,3 @@ def gaussian_moment(q):
     if q % 2:
         return 0.0
     return float(math.factorial(q) // (2 ** (q // 2) * math.factorial(q // 2)))
-
-
-def gaussian_abs_moment(q):
-    """E|Z|^q for integer q >= 0: 2 M_q(0, inf), and (q-1)!! exactly for even q."""
-    if q % 2 == 0:
-        return gaussian_moment(q)
-    return 2.0 * float(gaussian_partial_moments(q, 0.0, np.inf)[q])

@@ -154,3 +154,23 @@ def test_fit_stationary_needs_enough_points():
     m = builtin_model("rademacher")
     with pytest.raises(ValueError):
         fit_stationary(m, (8, 16, 32), kmax=4)
+
+
+@pytest.mark.parametrize("bad", [16.5, math.nan, math.inf])
+def test_diagnostics_refuse_sample_sizes_that_are_not_whole(bad):
+    m = builtin_model("rademacher")
+    ns = (8, bad, 32, 64)
+    for check in (lambda: derivative_bound_check(m, ns, jmax=3),
+                  lambda: tail_integral_check(m, ns, 4),
+                  lambda: fit_stationary(m, ns, kmax=4)):
+        with pytest.raises(ValueError, match="sample size n must be a whole number"):
+            check()
+    # a whole float is a sample size
+    assert derivative_bound_check(m, (8.0, 16), jmax=3).ns == (8, 16)
+
+
+@pytest.mark.parametrize("name", ["rademacher", "uniform"])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_profile_refuses_a_window_that_is_not_finite(name, eps):
+    with pytest.raises(ValueError, match="eps must be finite"):
+        log_charfn_profile(builtin_model(name), 8, 3, eps=eps)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgekit.cumulants import cumulants_to_moments
 from edgekit.edgeworth import (
+    EdgeworthExpansion,
     build_expansion,
     correction_coefficient,
     correction_polynomial,
@@ -19,10 +20,10 @@ from edgekit.models import builtin_model
 from numpy.polynomial import Polynomial
 
 from edgekit.special import (
-    gaussian_abs_moment,
     gaussian_moment,
     gaussian_partial_moments,
     hermite,
+    normal_cdf,
     normal_pdf,
 )
 from edgekit.transport import expectation_via_cdf
@@ -208,11 +209,49 @@ def test_abs_moment_even_orders_are_the_signed_moments():
 
 
 def test_gaussian_moment_closed_forms():
+    # E|Z|^q of the expansion with no corrections
     mp = pytest.importorskip("mpmath")
+    normal = EdgeworthExpansion(1.0, ())
     for q in range(0, 13):
         ref = mp.mpf(2) ** (mp.mpf(q) / 2) * mp.gamma(mp.mpf(q + 1) / 2) / mp.sqrt(mp.pi)
-        assert gaussian_abs_moment(q) == pytest.approx(float(ref), rel=4e-16)
+        assert normal.abs_moment(q) == pytest.approx(float(ref), rel=4e-16)
         assert gaussian_moment(q) == (float(math.prod(range(q - 1, 0, -2))) if q % 2 == 0 else 0.0)
+
+
+def _normals():
+    """Expansions with no corrections: built directly, from two cumulants, and truncated."""
+    model = builtin_model("elliptic2")
+    return [
+        EdgeworthExpansion(1.0, ()),
+        expansion_from_cumulants([0.0, 9.0]),
+        build_expansion(model, 16, 2),
+        build_expansion(model, 16, 5).truncated(0),
+    ]
+
+
+def test_expansion_with_no_corrections_is_the_normal_to_the_bit():
+    x = np.concatenate([np.linspace(-60.0, 60.0, 1201), [-1e3, -40.0, -39.99, 39.99, 40.0, 1e3]])
+    t = np.linspace(-9.0, 9.0, 181)
+    for e in _normals():
+        assert e.corrections == 0 and e.polys == () and e.density_polys == ()
+        assert np.array_equal(e.cdf(x), normal_cdf(x))
+        assert np.array_equal(e.sf(x), normal_cdf(-x))
+        assert np.array_equal(e.pdf(x), normal_pdf(x))
+        assert e.cdf(0.3) == normal_cdf(0.3) and isinstance(e.cdf(0.3), float)
+        assert np.array_equal(e.charfn(t), np.exp(-0.5 * t**2))
+        for q in range(0, 13):
+            assert e.moment(q) == gaussian_moment(q)
+            half = 2.0 * float(gaussian_partial_moments(q, 0.0, np.inf)[q])
+            assert e.abs_moment(q) == (gaussian_moment(q) if q % 2 == 0 else half), q
+
+
+def test_expansion_orders_below_two_are_refused():
+    with pytest.raises(ValueError, match="cumulants"):
+        expansion_from_cumulants([0.0])
+    with pytest.raises(ValueError, match="expansion order"):
+        build_expansion(builtin_model("elliptic2"), 16, 1)
+    with pytest.raises(ValueError, match="corrections 0..2"):
+        build_expansion(builtin_model("elliptic2"), 16, 4).truncated(-1)
 
 
 def test_truncation_keeps_coefficients():

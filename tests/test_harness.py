@@ -29,7 +29,7 @@ from edgekit.harness import (
     scenario_presets,
 )
 from edgekit.harness.cli import main
-from edgekit.harness.scenario import format_table
+from edgekit.harness.scenario import ScenarioConfig, format_table
 from edgekit.models import ChainModel, builtin_model, save_chain_spec
 from edgekit.models.markov import MarkovChainSpec
 from edgekit.transport import GaussianLaw, gaussian_coupling, wasserstein_distance
@@ -76,6 +76,23 @@ def test_scan_nonuniform_validates_inputs():
     for grid_max in (-3.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="grid_max must be finite and positive"):
             scan_nonuniform(m, 3, 0, (8, 16), grid_max=grid_max)
+
+
+def test_scans_refuse_sizes_and_orders_that_are_not_whole():
+    m = builtin_model("rademacher")
+    ns = (16.7, 32.2)
+    for scan in (lambda: scan_nonuniform(m, 3, 0, ns), lambda: scan_transport(m, (1,), ns),
+                 lambda: scan_moments(m, (2,), 0, ns), lambda: scan_coupling(m, ns),
+                 lambda: scan_stationarity(m, 3, ns + (64, 128)), lambda: scan_assumptions(m, ns)):
+        with pytest.raises(ValueError, match="sample size n must be a whole number, got 16.7"):
+            scan()
+    for qs in ((2.5,), (2, math.nan)):
+        with pytest.raises(ValueError, match="moment order q must be a whole number"):
+            scan_moments(m, qs, 0, (16, 32))
+    # whole floats are read as the integers they are
+    rep = scan_moments(m, (2.0, 3.0), 0, (16.0, 32.0))
+    assert rep.qs == (2, 3) and rep.ns == (16, 32)
+    assert all(type(v) is int for v in rep.qs + rep.ns)
 
 
 # -- transport scans ----------------------------------------------------------
@@ -333,6 +350,32 @@ def test_parse_scenario_text_errors(text, needle):
         parse_scenario_text(text, source="case.cfg")
     assert needle in str(err.value)
     assert "case.cfg" in str(err.value)
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("'n'", dict(ns=(16.5, 32, 64))),
+    ("'n'", dict(ns=(16, math.inf))),
+    ("'q'", dict(qs=(2.5, 3))),
+    ("'q'", dict(qs=(2, math.nan))),
+])
+def test_config_refuses_sizes_and_orders_that_are_not_whole(tmp_path, field, changes):
+    config = ScenarioConfig(model="builtin:rademacher", m=3, **changes)
+    with pytest.raises(ScenarioError, match="field %s: " % field):
+        config.validate()
+    with pytest.raises(ScenarioError, match="field %s: " % field):
+        run_scenario(config, out=str(tmp_path / "bundle"))
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_config_reads_whole_floats_as_integers(tmp_path):
+    config = ScenarioConfig(model="builtin:rademacher", m=3, ns=(16.0, 32.0), qs=(2.0, 3))
+    checked = config.validate()
+    assert checked.ns == (16, 32) and checked.qs == (2, 3)
+    assert all(type(v) is int for v in checked.ns + checked.qs)
+    run_scenario(config, out=str(tmp_path / "f"))
+    run_scenario(replace(config, ns=(16, 32), qs=(2, 3)), out=str(tmp_path / "i"))
+    for path in sorted((tmp_path / "i").iterdir()):
+        assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_resolve_model_reports_builtins():
@@ -648,7 +691,7 @@ def test_cli_usage_errors(capsys):
     ["expand", "--model", "builtin:rademacher", "--n", "64", "--m", "2", "--r", "0"],
 ])
 def test_cli_refuses_expansion_orders_outside_range_without_corrections(capsys, argv):
-    # r = 0 builds no expansion, so the order range is checked on its own
+    # the range of m is checked on its own, even where r = 0 reads the order-2 expansion
     assert main(argv) == 2
     assert "expansion order must be in [3, 16]" in capsys.readouterr().err
 
@@ -1077,21 +1120,73 @@ def test_a_scenario_run_builds_each_n_once_at_its_top_order(monkeypatch, tmp_pat
         assert builds == [(n, m) for n in config.ns]
 
 
-def test_standalone_scans_equal_the_bundle(tmp_path):
-    # the CLI scans with elliptic2-stationary's settings write the bundle's bytes
-    config = load_scenario("elliptic2-stationary")
+@pytest.mark.parametrize("name, n", [("elliptic2", 64), ("uniform", 8)])
+def test_order_zero_expansion_is_the_normal_before_and_after_a_corrected_one(name, n):
+    from edgekit.special import normal_cdf, normal_pdf
+
+    first, later = builtin_model(name), builtin_model(name)
+    asked_first = first.expansion(n, 0)
+    first.expansion(n, 1)
+    later.expansion(n, 1)
+    asked_later = later.expansion(n, 0)
+    assert first.expansion(n, 0) is asked_first and later.expansion(n, 0) is asked_later
+    x = np.linspace(-45.0, 45.0, 901)
+    for e in (asked_first, asked_later):
+        assert e.corrections == 0
+        assert e.sigma == first.sigma(n) == later.sigma(n)
+        assert np.array_equal(e.cdf(x), normal_cdf(x)) and np.array_equal(e.pdf(x), normal_pdf(x))
+    assert later.expansion(n, 1).corrections == 1
+
+
+def test_r0_scans_read_the_order_zero_expansion(monkeypatch):
+    # every scan takes its reference law at r = 0 from model.expansion(n, 0)
+    model = builtin_model("rademacher")
+    asked = []
+    expansion = model.expansion
+    monkeypatch.setattr(model, "expansion", lambda n, r: asked.append((n, r)) or expansion(n, r))
+    ns = (16, 32)
+    scan_nonuniform(model, 3, 0, ns)
+    scan_transport(model, (1,), ns, r=0)
+    scan_moments(model, (3,), 0, ns)
+    assert asked == [(n, 0) for n in ns] * 3
+
+
+@pytest.mark.parametrize("model", ["builtin:uniform", "builtin:rademacher"])
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_cli_refuses_a_window_that_is_not_finite(capsys, model, eps):
+    assert main(["check-assumptions", "--model", model, "--n", "4,8", "--eps", eps]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
+
+
+def _check_standalone_scans(tmp_path, preset, scans):
+    """The CLI scans with a preset's settings write the bundle's bytes."""
+    config = load_scenario(preset)
     run_scenario(config, out=str(tmp_path / "bundle"))
-    ns = ",".join(map(str, config.ns))
-    common = ["--model", config.model, "--n", ns]
-    for table, argv in (
+    common = ["--model", config.model, "--n", ",".join(map(str, config.ns))]
+    for table, argv in scans:
+        out = tmp_path / (table + ".csv")
+        main(argv + common + ["--out", str(out)])
+        assert out.read_bytes() == (tmp_path / "bundle" / (table + ".csv")).read_bytes(), table
+
+
+def test_standalone_scans_equal_the_bundle(tmp_path):
+    _check_standalone_scans(tmp_path, "elliptic2-stationary", (
         ("scan_edgeworth", ["scan-edgeworth", "--m", "4", "--r", "1"]),
         ("scan_transport", ["scan-transport", "--m", "4", "--r", "1", "--p", "1,2"]),
         ("scan_moments", ["scan-moments", "--r", "1", "--q", "2,3,4"]),
         ("assumptions", ["check-assumptions", "--m", "4"]),
-    ):
-        out = tmp_path / (table + ".csv")
-        main(argv + common + ["--out", str(out)])
-        assert out.read_bytes() == (tmp_path / "bundle" / (table + ".csv")).read_bytes(), table
+    ))
+
+
+def test_standalone_r0_scans_equal_the_rademacher_bundle(tmp_path):
+    _check_standalone_scans(tmp_path, "rademacher-be", (
+        ("scan_be", ["scan-be", "--m", "3"]),
+        ("scan_transport", ["scan-transport", "--m", "3", "--r", "0", "--p", "1,2"]),
+        ("scan_moments", ["scan-moments", "--r", "0", "--q", "2,3,4"]),
+        ("assumptions", ["check-assumptions", "--m", "3"]),
+        ("scan_stationary", ["scan-stationary", "--m", "3"]),
+        ("couple", ["couple"]),
+    ))
 
 
 def test_no_series_store_outlives_its_model(monkeypatch, tmp_path):
