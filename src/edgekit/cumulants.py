@@ -50,12 +50,16 @@ _TAIL_DENSITY = 64.0
 _FIT_NOISE_REL = 1e-8
 
 
+def whole_number(v, what):
+    """`v` as an int; a value that is not a whole number is refused, naming `what`."""
+    if not (math.isfinite(v) and v == math.floor(v)):
+        raise ValueError("%s must be a whole number, got %r" % (what, v))
+    return int(v)
+
+
 def whole_numbers(values, what):
-    """`values` as a tuple of ints; a value that is not a whole number is refused, naming `what`."""
-    for v in values:
-        if not (math.isfinite(v) and v == math.floor(v)):
-            raise ValueError("%s must be a whole number, got %r" % (what, v))
-    return tuple(int(v) for v in values)
+    """`values` as a tuple of ints, each read by `whole_number`."""
+    return tuple(whole_number(v, what) for v in values)
 
 
 def moments_to_cumulants(moments):
@@ -128,6 +132,13 @@ class LambdaProfile:
         return float(np.max(np.abs(self.deriv(j))))
 
 
+def _check_jmax(jmax):
+    """The top log-charfn derivative order as an int; refused unless whole and in [1, _JMAX_CAP]."""
+    if not 1 <= whole_number(jmax, "derivative order jmax") <= _JMAX_CAP:
+        raise ValueError("jmax must be in [1, %d]" % _JMAX_CAP)
+    return int(jmax)
+
+
 def log_charfn_profile(model, n, jmax, eps=None, floor=None):
     """Evaluate the centered log charfn of S_n/sigma_n on a symmetric grid.
 
@@ -136,8 +147,7 @@ def log_charfn_profile(model, n, jmax, eps=None, floor=None):
     that. The phase is unwound outward from t = 0. `floor` raises the
     magnitude floor above the default when the caller needs headroom.
     """
-    if not 1 <= jmax <= _JMAX_CAP:
-        raise ValueError("jmax must be in [1, %d]" % _JMAX_CAP)
+    jmax = _check_jmax(jmax)
     if eps is not None and not math.isfinite(eps):
         raise ValueError("eps must be finite, got %r" % (eps,))
     floor = _F_FLOOR if floor is None else max(float(floor), _F_FLOOR)
@@ -280,6 +290,7 @@ class DerivativeBoundReport:
 
 def derivative_bound_check(model, ns, jmax, eps=None):
     ns = whole_numbers(ns, "sample size n")
+    jmax = _check_jmax(jmax)
     # Rounding budget, from the chirp-z bound of LatticeDistribution.charfn_deriv:
     # a normalized derivative row k of f is off by about
     # delta = 8 u log2(L) E|W|^k, under 1.3e-14 E|W|^k while L <= 2^14
@@ -374,9 +385,8 @@ def fit_stationary(model, ns, kmax=4):
     ns = whole_numbers(ns, "sample size n")
     if len(ns) < 4:
         raise ValueError("need at least 4 sample sizes to judge a fit")
-    kappas = np.empty((len(ns), kmax))
-    for i, n in enumerate(ns):
-        kappas[i] = np.asarray(model.cumulants(n, kmax), dtype=float)
+    kappas = np.array([model.cumulants(n, kmax) for n in ns], dtype=float)  # kmax read by the model's rule
+    kmax = kappas.shape[1]
     narr = np.asarray(ns, dtype=float)
     half = len(ns) // 2
     p = np.empty(kmax)

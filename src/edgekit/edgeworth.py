@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .cumulants import whole_number
 from .special import (
     gaussian_moment,
     gaussian_partial_moments,
@@ -131,8 +132,7 @@ class EdgeworthExpansion:
     def __init__(self, sigma, polys):
         if not sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if len(polys) > _ORDER_MAX - 2:
-            raise ValueError("at most %d corrections, got %d" % (_ORDER_MAX - 2, len(polys)))
+        check_corrections(len(polys), _ORDER_MAX)
         self.sigma = float(sigma)
         self.polys = tuple(polys)
         x = Polynomial((0.0, 1.0))
@@ -147,9 +147,7 @@ class EdgeworthExpansion:
 
     def truncated(self, r):
         """Keep only corrections of weight <= r (same coefficients); r = 0 keeps none."""
-        if not 0 <= r <= self.corrections:
-            raise ValueError("have corrections 0..%d" % self.corrections)
-        return EdgeworthExpansion(self.sigma, self.polys[:r])
+        return EdgeworthExpansion(self.sigma, self.polys[: check_corrections(r, self.corrections + 2)])
 
     def correction_sum(self, x, polys):
         x = np.asarray(x, dtype=float)
@@ -231,9 +229,17 @@ def _hermite_projection(q, k):
 
 
 def check_order(m):
-    """Refuse an expansion order m outside [_ORDER_MIN, _ORDER_MAX]."""
-    if not _ORDER_MIN <= m <= _ORDER_MAX:
-        raise ValueError("expansion order must be in [%d, %d]" % (_ORDER_MIN, _ORDER_MAX))
+    """An expansion order m as an int; refused unless whole and in [_ORDER_MIN, _ORDER_MAX]."""
+    if not _ORDER_MIN <= whole_number(m, "expansion order m") <= _ORDER_MAX:
+        raise ValueError("expansion order must be in [%d, %d], got %d" % (_ORDER_MIN, _ORDER_MAX, m))
+    return int(m)
+
+
+def check_corrections(r, m):
+    """The corrections r of an order-m expansion as an int; refused unless whole and in [0, m - 2]."""
+    if not 0 <= whole_number(r, "corrections r") <= m - 2:
+        raise ValueError("corrections r must be in [0, m - 2 = %s], got %d" % (m - 2, r))
+    return int(r)
 
 
 def build_expansion(model, n, m):

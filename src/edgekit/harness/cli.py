@@ -14,9 +14,10 @@ import argparse
 import sys
 
 from .. import __version__
-from ..edgeworth import check_order
-from ..transport import gaussian_coupling
+from ..edgeworth import check_corrections, check_order
+from ..transport import _order, gaussian_coupling
 from .scans import (
+    _check_ps,
     _x_grid,
     scan_assumptions,
     scan_coupling,
@@ -28,8 +29,7 @@ from .scans import (
 from .scenario import (
     ScenarioError,
     _json_cell,
-    _parse_int_list,
-    _parse_p_list,
+    _parse_list,
     format_table,
     load_scenario,
     resolve_model,
@@ -47,8 +47,8 @@ def _list_arg(parse, what):
     def convert(raw):
         try:
             vals = parse(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected comma separated %s, got %r" % (what, raw))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("expected comma separated %s, got %r: %s" % (what, raw, exc))
         if not vals:
             raise argparse.ArgumentTypeError("empty list")
         return vals
@@ -56,16 +56,8 @@ def _list_arg(parse, what):
     return convert
 
 
-_int_list = _list_arg(_parse_int_list, "integers")
-_p_list = _list_arg(_parse_p_list, "orders")
-
-
-def _order(raw):
-    try:
-        v = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number, got %r" % raw)
-    return int(v) if v.is_integer() else v
+_int_list = _list_arg(lambda raw: _parse_list(int, raw), "integers")
+_p_list = _list_arg(lambda raw: _check_ps(_parse_list(float, raw)), "orders")  # refused before any law
 
 
 def _add_model(sp):
@@ -148,7 +140,7 @@ def build_parser():
     sp = sub.add_parser("couple", help="same-probability-space normal coupling")
     _add_model(sp)
     _add_common(sp, ns_default="64")
-    sp.add_argument("--p", type=_order, default=2, help="transport order of the distance")
+    sp.add_argument("--p", type=float, default=2, help="transport order of the distance")
     sp.add_argument("--target", type=float, default=None, help="block variance target")
     sp.set_defaults(func=cmd_couple)
 
@@ -227,16 +219,14 @@ def cmd_cumulants(args):
 def cmd_expand(args):
     model = resolve_model(args.model)
     n = _single_n(args)
-    check_order(args.m)
-    r = args.m - 2 if args.r is None else args.r
-    if not 0 <= r <= args.m - 2:
-        raise ScenarioError("--r must be in [0, m-2]")
+    m = check_order(args.m)
+    r = check_corrections(m - 2 if args.r is None else args.r, m)
     x = _x_grid(args.grid_max)
     exp = model.expansion(n, r)
     cdf, pdf = exp.cdf(x), exp.pdf(x)
     rows = [(float(xi), float(ci), float(pi)) for xi, ci, pi in zip(x, cdf, pdf)]
     _emit(args, ("x", "cdf", "pdf"), rows,
-          meta={"model": model.name, "n": n, "m": args.m, "r": r,
+          meta={"model": model.name, "n": n, "m": m, "r": r,
                 "sigma": float(model.sigma(n))})
     return 0
 
@@ -270,17 +260,18 @@ def cmd_couple(args):
     model = resolve_model(args.model)
     if model.kind != "chain":
         raise ScenarioError("coupling needs a chain model, got %r" % model.kind)
+    p = _order(args.p)
     if len(args.n) > 1:
-        return _report(args, scan_coupling(model, args.n, p=args.p, target=args.target))
+        return _report(args, scan_coupling(model, args.n, p=p, target=args.target))
     n = args.n[0]
-    distance = gaussian_coupling(model, n, p=args.p, target=args.target)
+    distance = gaussian_coupling(model, n, p=p, target=args.target)
     prof = model.blocking(n, target=args.target)
     rows = [
         (k, float(s2), float(a), float(b))
         for k, (s2, a, b) in enumerate(zip(prof.sigma2, prof.a, prof.b))
     ]
     _emit(args, ("k", "var_s_k", "block_var", "remainder"), rows,
-          meta={"model": model.name, "n": n, "p": _json_cell(args.p),
+          meta={"model": model.name, "n": n, "p": _json_cell(p),
                 "target": float(prof.target), "blocks": len(prof.blocks),
                 "distance": distance, "relative": distance / model.sigma(n)})
     return 0
@@ -307,10 +298,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        sys.stderr.write("edgekit: %s\n" % exc)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ScenarioError too: every refusal is a usage error
         sys.stderr.write("edgekit: %s\n" % exc)
         return 2
 

@@ -36,10 +36,11 @@ from ..cumulants import (
     tail_integral_check,
     whole_numbers,
 )
-from ..edgeworth import check_order, correction_polynomial
+from ..edgeworth import _ORDER_MAX, check_corrections, check_order, correction_polynomial
 from ..special import normal_pdf
 from ..transport import (
     GaussianLaw,
+    _order,
     gaussian_coupling,
     wasserstein_distance,
     wasserstein_upper_bound,
@@ -87,12 +88,31 @@ class _Verdict:
 
 
 def _check_ns(ns):
+    """Sample sizes as a tuple of ints: at least two, each whole and >= 1, strictly increasing."""
     ns = whole_numbers(ns, "sample size n")
     if len(ns) < 2:
         raise ValueError("need at least two sample sizes to judge a trend")
+    if min(ns) < 1:
+        raise ValueError("sample sizes must be >= 1, got %r" % (ns,))
     if any(b <= a for a, b in zip(ns[:-1], ns[1:])):
         raise ValueError("sample sizes must be strictly increasing")
     return ns
+
+
+def _check_ps(ps):
+    """Transport orders as a tuple, each read by `transport._order`; at least one."""
+    ps = tuple(map(_order, ps))
+    if not ps:
+        raise ValueError("need at least one transport order p")
+    return ps
+
+
+def _check_qs(qs):
+    """Moment orders as a tuple of ints: at least one, each whole and >= 1."""
+    qs = whole_numbers(qs, "moment order q")
+    if not qs or min(qs) < 1:
+        raise ValueError("moment orders q must be >= 1, got %r" % (qs,))
+    return qs
 
 
 # -- weighted sup of the CDF gap ----------------------------------------------
@@ -170,10 +190,9 @@ def scan_nonuniform(model, m, r, ns, grid_max=8.0):
     of the same size as the first correction), so those scans are flagged
     up front and the flag exempts them from scenario exit codes.
     """
-    if not 0 <= r <= m - 2:
-        raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
+    r = check_corrections(r, m)
     if r >= 1:
-        check_order(m)
+        m = check_order(m)
     ns = _check_ns(ns)
     x = _x_grid(grid_max)
     is_lattice = bool(getattr(model, "is_lattice", False))
@@ -279,15 +298,10 @@ def scan_transport(model, ps, ns, r=0, m=None):
     judged by the decay rule on sigma^{r/p}-scaled values. Orders
     p >= m - 1 sit outside the guaranteed range and are flagged per p.
     """
-    ps = tuple(ps)
-    if not ps or any(not 1 <= p < math.inf for p in ps):
-        raise ValueError("transport orders must be finite and >= 1, got %r" % (ps,))
+    ps = _check_ps(ps)
     ns = _check_ns(ns)
-    if m is None:
-        m = max(r + 2, 3)
-    check_order(m)
-    if not 0 <= r <= m - 2:
-        raise ValueError("need 0 <= r <= m - 2, got r=%r m=%r" % (r, m))
+    m = check_order(max(check_corrections(r, _ORDER_MAX) + 2, 3) if m is None else m)
+    r = check_corrections(r, m)
     is_lattice = bool(getattr(model, "is_lattice", False))
     shape = (len(ns), len(ps))
     sigmas = np.empty(len(ns))
@@ -414,11 +428,8 @@ def scan_moments(model, qs, r, ns):
     "matched". Absolute moments of odd order are not polynomial in the
     underlying cumulants and carry a genuine gap with the claimed decay.
     """
-    qs = whole_numbers(qs, "moment order q")
-    if not qs or any(q < 1 for q in qs):
-        raise ValueError("moment orders must be positive integers")
-    if r < 0:
-        raise ValueError("need r >= 0, got r=%r" % (r,))
+    qs = _check_qs(qs)
+    r = check_corrections(r, _ORDER_MAX)
     ns = _check_ns(ns)
     kmax = max(max(qs), r + 2)
     shape = (len(ns), len(qs))
@@ -517,8 +528,7 @@ def scan_stationarity(model, m, ns):
     polynomials from the fitted rates, and judges the sigma^2-scaled
     weighted sup gap per correction order with the strict bounded rule.
     """
-    if m < 3:
-        raise ValueError("need m >= 3 for at least one correction order")
+    m = check_order(m)
     ns = _check_ns(ns)
     fit = fit_stationary(model, ns, kmax=m)
     sigmas = np.array([model.sigma(n) for n in ns])
@@ -603,8 +613,7 @@ class CouplingScanReport(_Verdict):
 
 
 def scan_coupling(model, ns, p=2, target=None):
-    if not 1 <= p < math.inf:
-        raise ValueError("transport order must be finite and >= 1, got %r" % (p,))
+    p = _order(p)
     ns = _check_ns(ns)
     reps = [model.blocking(n, target=target) for n in ns]
     sigmas = np.array([model.sigma(n) for n in ns])
@@ -688,10 +697,10 @@ def scan_assumptions(model, ns, m=4, eps=None):
         # function so the log profile is smooth on the whole window
         eps = 1.0
     deriv = derivative_bound_check(model, ns, jmax=m, eps=eps)
-    tail = tail_integral_check(model, ns, m)
+    tail = tail_integral_check(model, ns, deriv.jmax)
     return AssumptionScanReport(
         model=model.name,
-        m=m,
+        m=deriv.jmax,
         ns=ns,
         derivative=deriv,
         tail=tail,

@@ -12,7 +12,6 @@ serializer and parses its list options with the same parsers.
 import functools
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -20,9 +19,14 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from ..cumulants import whole_numbers
+from ..edgeworth import check_corrections, check_order
 from ..models import ChainModel, builtin_model, builtin_model_names, load_chain_spec
+from ..models.markov import _check_target
 from .scans import (
+    _check_ns,
+    _check_ps,
+    _check_qs,
+    _x_grid,
     scan_assumptions,
     scan_coupling,
     scan_moments,
@@ -75,64 +79,39 @@ class ScenarioConfig:
     fmt: str = "csv"
 
     def validate(self):
-        """This config with n and q as ints; a field out of its range is refused by name."""
+        """This config, each value read by its engine's rule (whole floats as ints); refusals name the field."""
         if not self.model:
             raise ScenarioError("field 'model': empty")
-        whole = {}
-        for field, name, what in (("n", "ns", "sample size n"), ("q", "qs", "moment order q")):
-            try:
-                whole[name] = whole_numbers(getattr(self, name), what)
-            except ValueError as exc:
-                raise ScenarioError("field %r: %s" % (field, exc)) from None
         if not 3 <= self.m <= 8:
             raise ScenarioError("field 'm': must be between 3 and 8, got %r" % (self.m,))
-        if not 0 <= self.r <= self.m - 2:
-            raise ScenarioError(
-                "field 'r': must be between 0 and m-2 = %d, got %r" % (self.m - 2, self.r)
-            )
-        if len(self.ns) < 2:
-            raise ScenarioError("field 'n': need at least two sample sizes")
-        if any(n < 1 for n in self.ns):
-            raise ScenarioError("field 'n': sample sizes must be >= 1")
-        if any(b <= a for a, b in zip(self.ns[:-1], self.ns[1:])):
-            raise ScenarioError("field 'n': sample sizes must be strictly increasing")
-        if not self.ps or any(not 1 <= p < math.inf for p in self.ps):
-            raise ScenarioError("field 'p': transport orders must be finite and >= 1")
-        if not self.qs or any(q < 1 for q in self.qs):
-            raise ScenarioError("field 'q': moment orders must be >= 1")
-        if self.target is not None and not 0.0 < self.target < math.inf:
-            raise ScenarioError("field 'target': must be finite and positive when given")
-        if not 0.0 < self.grid_max < math.inf:
-            raise ScenarioError("field 'grid_max': must be finite and positive")
         if self.fmt not in ("csv", "json"):
             raise ScenarioError("field 'format': must be csv or json, got %r" % (self.fmt,))
-        return replace(self, **whole)
+        read = {}
+        for field, name, rule in (
+            ("m", "m", check_order), ("r", "r", lambda r: check_corrections(r, read["m"])),
+            ("n", "ns", _check_ns), ("p", "ps", _check_ps), ("q", "qs", _check_qs),
+            ("target", "target", _check_target), ("grid_max", "grid_max", _x_grid),
+        ):
+            try:
+                read[name] = rule(getattr(self, name))
+            except ValueError as exc:
+                raise ScenarioError("field %r: %s" % (field, exc)) from None
+        del read["grid_max"]  # the grid itself; the field stays as given
+        return replace(self, **read)
 
 
-def _parse_int_list(raw):
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def _parse_p_list(raw):
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        v = float(part)
-        if not math.isfinite(v):
-            raise ValueError("transport order %r is not finite" % part)
-        out.append(int(v) if v.is_integer() else v)
-    return tuple(out)
+def _parse_list(conv, raw):
+    """Comma separated `conv` values; `ScenarioConfig.validate` applies their rules."""
+    return tuple(conv(part) for part in raw.split(",") if part.strip())
 
 
 _FIELD_PARSERS = {
     "model": ("model", str),
     "m": ("m", int),
     "r": ("r", int),
-    "n": ("ns", _parse_int_list),
-    "p": ("ps", _parse_p_list),
-    "q": ("qs", _parse_int_list),
+    "n": ("ns", functools.partial(_parse_list, int)),
+    "p": ("ps", functools.partial(_parse_list, float)),
+    "q": ("qs", functools.partial(_parse_list, int)),
     "target": ("target", float),
     "out": ("out", str),
     "grid_max": ("grid_max", float),

@@ -14,9 +14,11 @@ import math
 import numpy as np
 
 from ..cumulants import moments_to_cumulants
-from ..edgeworth import build_expansion
+from ..edgeworth import _ORDER_MAX, build_expansion, check_corrections
+from .lattice import _charfn_orders
 from .markov import (
     MarkovChainSpec,
+    _check_kmax,
     _cumulant_series,
     _series_mul,
     _series_power,
@@ -48,7 +50,8 @@ class _CumulantModel:
     """
 
     def expansion(self, n, r):
-        """Corrections 1..r (r >= 0) of the expansion of S_n/sigma_n (`build_expansion`)."""
+        """Corrections 1..r (`check_corrections` at m = 16) of the expansion of S_n/sigma_n (`build_expansion`)."""
+        r = check_corrections(r, _ORDER_MAX)
         # the build of each n is kept under n, its truncations under (n, r)
         if (n, r) not in self._expansions:
             top = self._expansions.get(n)
@@ -111,6 +114,7 @@ class ChainModel(_CumulantModel):
         return self._dists[n]
 
     def cumulants(self, n, kmax):
+        kmax = _check_kmax(kmax)
         if len(self._kappas.get(n, ())) < kmax:
             self._kappas[n] = _cumulant_series(self.spec(n), kmax, self._store)
         return self._kappas[n][:kmax]
@@ -169,7 +173,7 @@ class IIDContinuousModel(_CumulantModel):
         return moments_to_cumulants([self.base_moment(q) for q in range(1, kmax + 1)])
 
     def cumulants(self, n, kmax):
-        return [n * kap for kap in self.base_cumulants(kmax)]
+        return [n * kap for kap in self.base_cumulants(_check_kmax(kmax))]
 
     def charfn_deriv(self, n, t, k=0):
         """k-th derivative of psi^n: the one-state case of the chain series.
@@ -180,7 +184,7 @@ class IIDContinuousModel(_CumulantModel):
         power at the top order: coefficient j of a truncated product does
         not depend on the truncation.
         """
-        orders, shape = np.atleast_1d(k), np.shape(t)
+        orders, shape = _charfn_orders(k), np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         rows = self.base.charfn_deriv(t, range(int(orders.max()) + 1))
         base = np.stack([row / math.factorial(j) for j, row in enumerate(rows)])

@@ -4,9 +4,19 @@ import math
 
 import numpy as np
 
+from ..cumulants import whole_numbers
+
 __all__ = ["LatticeDistribution"]
 
 _CHARFN_DERIV_CAP = 16
+
+
+def _charfn_orders(k):
+    """Orders k (one, or a 1-d sequence) as a 1-d int array; each must be whole and in [0, _CHARFN_DERIV_CAP]."""
+    orders = np.array(whole_numbers(np.ravel(k).tolist(), "derivative order k"), dtype=int)
+    if np.ndim(k) > 1 or not orders.size or not 0 <= orders.min() <= orders.max() <= _CHARFN_DERIV_CAP:
+        raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
+    return orders
 
 
 class LatticeDistribution:
@@ -14,7 +24,7 @@ class LatticeDistribution:
 
     masses are probabilities; construction validates nonnegativity (within
     1e-15) and finiteness but not normalization, so partial mass vectors
-    can be represented. `validate()` asserts the normalized case.
+    can be represented.
     """
 
     def __init__(self, offset, step, masses):
@@ -43,11 +53,6 @@ class LatticeDistribution:
     @property
     def total_mass(self):
         return float(self._cum[-1])
-
-    def validate(self):
-        if abs(self.total_mass - 1.0) > 1e-12:
-            raise ValueError("total mass %r not 1 within 1e-12" % self.total_mass)
-        return self
 
     # -- moments ------------------------------------------------------------
 
@@ -135,9 +140,7 @@ class LatticeDistribution:
         same form, so both routes agree to
         8 u log2(L) sum|w| + 16 u max|t| sum|w_j|(|x_j| + h).
         """
-        orders = np.atleast_1d(k)
-        if orders.ndim != 1 or not orders.size or not 0 <= orders.min() <= orders.max() <= _CHARFN_DERIV_CAP:
-            raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
+        orders = _charfn_orders(k)
         t = np.asarray(t, dtype=float)
         grid = _equispaced(t)
         if not grid.size:
@@ -167,26 +170,11 @@ class LatticeDistribution:
 
     # -- algebra ------------------------------------------------------------
 
-    def shift(self, c):
-        return LatticeDistribution(self.offset + c, self.step, self.masses)
-
     def scale(self, c):
         """Distribution of c*X for c > 0."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
         return LatticeDistribution(self.offset * c, self.step * c, self.masses)
-
-    def convolve(self, other):
-        """Distribution of the sum of independent draws (steps must match)."""
-        if abs(self.step - other.step) > 1e-9 * max(self.step, other.step):
-            raise ValueError(
-                "incompatible lattice steps %g and %g" % (self.step, other.step)
-            )
-        return LatticeDistribution(
-            self.offset + other.offset,
-            self.step,
-            np.convolve(self.masses, other.masses),
-        )
 
     def csv_rows(self):
         """(value, mass) pairs for export, zero-mass cells skipped."""

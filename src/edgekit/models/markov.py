@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..cumulants import PROFILE_TOL, moments_to_cumulants
+from ..cumulants import PROFILE_TOL, moments_to_cumulants, whole_number
 from .lattice import LatticeDistribution
 
 __all__ = [
@@ -935,13 +935,18 @@ def cumulant_series(spec, kmax):
     (step series whose z^k coefficients (range/2)^k / k! overflow) is
     refused, naming the lowest such order.
     """
-    return _cumulant_series(spec, kmax, _SeriesStore())
+    return _cumulant_series(spec, _check_kmax(kmax), _SeriesStore())
+
+
+def _check_kmax(kmax):
+    """A top cumulant order as an int; refused unless whole and >= 1."""
+    if whole_number(kmax, "cumulant order kmax") < 1:
+        raise ValueError("cumulant order kmax must be >= 1, got %d" % kmax)
+    return int(kmax)
 
 
 def _cumulant_series(spec, kmax, store):
-    """`cumulant_series` with the step series and their squares taken from `store`."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    """`cumulant_series`, kmax read by `_check_kmax`, with the step series and their squares from `store`."""
     try:
         runs = _step_series(spec, kmax, store)
     except _SeriesOverflow as err:
@@ -1152,8 +1157,12 @@ def _walk(row, total, comp, steps):
 
     `row` has shape (3, 1, width >= S_in of the first step) and (total,
     comp) is its variance as a `_two_sum` compensated sum in Python floats. Each step
-    is `_order2_rows` on the row and the log term of its totals: the
-    bits a batch of rows gives that row.
+    is `_order2_rows` on the row and the log term of its totals. OpenBLAS
+    rounds a gemm row by the row count, so a lone row need not get a
+    batch's bits (104 of 374 rows of random 5- and 17-state batches of 2
+    to 32 rows differed in their last bits on one SkylakeX core): the
+    blockings match `tests/reference_blocking.py` on that core, not by a
+    BLAS guarantee (ROADMAP item 4).
     """
     for m in steps:
         row, totals = _order2_rows(row[:, :, : m.shape[1]], m)
@@ -1167,15 +1176,15 @@ def _order2_rows(v, series):
     """Rows v_r(z) = v[0, r] + v[1, r] z + v[2, r] z^2 times M(z), each divided by its total.
 
     Returns the quotients, shape (3, rows, S_out), and the totals s(z),
-    shape (3, rows). Row r gets the same bits whatever the rows beside it
-    hold: a row of a BLAS product does not depend on the values of the
-    other rows, and every other operation is elementwise or a sum along
-    one row. Only the six products v_i M_b with i + b <= 2 are kept, and
-    the rows v_i with i + b > 2 are zeros in M_b's product: v_2 M_2 and
-    the like would be discarded, and can overflow where every kept
-    product is finite. Each product still has 3 * rows rows, as the BLAS
-    rounds a row by the row count (measured: 5 and 17 states, 1 to 7
-    rows).
+    shape (3, rows). For a given row count, row r gets the same bits
+    whatever values the rows beside it hold: a row of a BLAS product does
+    not depend on the values of the other rows, and every other operation
+    is elementwise or a sum along one row. Only the six products v_i M_b
+    with i + b <= 2 are kept, and the rows v_i with i + b > 2 are zeros in
+    M_b's product: v_2 M_2 and the like would be discarded, and can
+    overflow where every kept product is finite. Each product still has
+    3 * rows rows, as the BLAS rounds a row by the row count (measured: 5
+    and 17 states, 1 to 7 rows).
     """
     _, n_rows, n_in = v.shape
     rows = np.zeros((3, 3, n_rows, n_in))  # rows[b, i] = v_i where i + b <= 2
@@ -1340,10 +1349,16 @@ def variance_decomposition(spec, target=None):
     return _variance_decomposition(spec, target, _SeriesStore())
 
 
-def _variance_decomposition(spec, target, store):
-    """`variance_decomposition` with the step series and their squares taken from `store`."""
+def _check_target(target):
+    """A blocking target: None (the engine's default) or finite and positive."""
     if target is not None and not (math.isfinite(target) and target > 0.0):
         raise ValueError("blocking target must be finite and positive, got %r" % target)
+    return target
+
+
+def _variance_decomposition(spec, target, store):
+    """`variance_decomposition` with the step series and their squares taken from `store`."""
+    target = _check_target(target)
     n = spec.n_steps
     runs = _step_series(spec, 2, store)
     laws = np.zeros((n, _max_states(spec)))
@@ -1389,8 +1404,8 @@ def _greedy_blocks(runs, laws, target):
     ends at the first step where the variance of its own sum, from
     X_start at its law `laws[start]`, reaches `target`; a block that runs
     off the end is dropped. `runs` are the chain's `_step_series` pairs.
-    Each block's variances are those of walking it one step at a time:
-    `_order2_rows` on its row, summed as `_walk` sums.
+    Each block's variance is summed as `_walk` sums it, from `_order2_rows`
+    on its row, whose last bits can depend on the batch (see `_walk`).
 
     The walks run in lockstep: every candidate start c of a window walks
     its own block at once, round t taking row c through step c + t with

@@ -26,9 +26,10 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy.special import spherical_jn
 
+from .lattice import _charfn_orders
+
 __all__ = ["PiecewisePolyDistribution"]
 
-_CHARFN_DERIV_CAP = 16
 _TRIM_REL = 1e-17
 _NEWTON_CAP = 128  # steps per quantile; bisection alone needs ~52
 
@@ -312,9 +313,7 @@ class PiecewisePolyDistribution:
         degree plus the top order, and reads the weights of each order from
         `_charfn_weights`.
         """
-        orders = np.atleast_1d(k)
-        if orders.ndim != 1 or not orders.size or not 0 <= orders.min() <= orders.max() <= _CHARFN_DERIV_CAP:
-            raise ValueError("derivative order must be in [0, %d]" % _CHARFN_DERIV_CAP)
+        orders = _charfn_orders(k)
         shape = np.shape(t)
         t = np.asarray(t, dtype=float).ravel()
         weights = [self._charfn_weights(j) for j in orders.tolist()]

@@ -72,9 +72,6 @@ class GaussianLaw:
     def sf(self, x):
         return ndtr((self.mean - np.asarray(x, dtype=float)) / self.sd)
 
-    def quantile(self, u):
-        return self.mean + self.sd * ndtri(np.asarray(u, dtype=float))
-
 
 def wasserstein_distance(a, b, p=1):
     """W_p between two laws, by the route their types allow (see the module docstring).
@@ -96,9 +93,9 @@ def wasserstein_distance(a, b, p=1):
 
 
 def _order(p):
-    """A transport order: an int when p is integral; refused unless finite and >= 1."""
+    """A transport order: an int when p is whole; refused unless finite and >= 1."""
     if not 1 <= p < math.inf:
-        raise ValueError("p must be finite and >= 1, got %r" % (p,))
+        raise ValueError("transport order p must be finite and >= 1, got %r" % (p,))
     return int(p) if float(p).is_integer() else float(p)
 
 

@@ -250,7 +250,7 @@ def test_expansion_orders_below_two_are_refused():
         expansion_from_cumulants([0.0])
     with pytest.raises(ValueError, match="expansion order"):
         build_expansion(builtin_model("elliptic2"), 16, 1)
-    with pytest.raises(ValueError, match="corrections 0..2"):
+    with pytest.raises(ValueError, match=r"corrections r must be in \[0, m - 2 = 2\], got -1"):
         build_expansion(builtin_model("elliptic2"), 16, 4).truncated(-1)
 
 

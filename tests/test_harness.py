@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edgekit.cumulants import fit_stationary
 from edgekit.harness import (
     ScenarioError,
     load_scenario,
@@ -201,7 +202,7 @@ def test_scan_moments_takes_moment_orders_past_the_largest_build_at_every_r():
         rep = scan_moments(builtin_model("elliptic2"), (2, 16), r, (16, 32))
         assert rep.signed_verdicts[0] == "matched"
         assert np.all(np.isfinite(rep.exact)) and np.all(np.isfinite(rep.expansion))
-    with pytest.raises(ValueError, match="r >= 0"):
+    with pytest.raises(ValueError, match=r"corrections r must be in \[0, m - 2 = 14\], got -1"):
         scan_moments(builtin_model("elliptic2"), (2,), -1, (16, 32))
 
 
@@ -377,6 +378,126 @@ def test_config_reads_whole_floats_as_integers(tmp_path):
     for path in sorted((tmp_path / "i").iterdir()):
         assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes(), path.name
 
+
+# -- one rule per input -------------------------------------------------------
+
+
+def _rademacher():
+    return builtin_model("rademacher")
+
+
+@pytest.mark.parametrize("call, error, needle", [
+    (lambda out: run_scenario(ScenarioConfig(model="builtin:rademacher", m=3.5), out=out),
+     ScenarioError, "field 'm': expansion order m must be a whole number, got 3.5"),
+    (lambda out: run_scenario(ScenarioConfig(model="builtin:rademacher", m=4, r=1.5), out=out),
+     ScenarioError, "field 'r': corrections r must be a whole number, got 1.5"),
+    (lambda out: scan_nonuniform(_rademacher(), 4, 1.5, (16, 32)),
+     ValueError, "corrections r must be a whole number, got 1.5"),
+    (lambda out: scan_moments(_rademacher(), (2,), 0.5, (16, 32)),
+     ValueError, "corrections r must be a whole number, got 0.5"),
+    (lambda out: scan_stationarity(_rademacher(), 4.5, (8, 16, 32, 64)),
+     ValueError, "expansion order m must be a whole number, got 4.5"),
+    (lambda out: scan_assumptions(_rademacher(), (16, 32), m=4.5),
+     ValueError, "derivative order jmax must be a whole number, got 4.5"),
+    (lambda out: _rademacher().expansion(16, 1.5),
+     ValueError, "corrections r must be a whole number, got 1.5"),
+    (lambda out: _rademacher().cumulants(16, 2.5),
+     ValueError, "cumulant order kmax must be a whole number, got 2.5"),
+    (lambda out: builtin_model("uniform").charfn_deriv(4, 0.3, 1.5),
+     ValueError, "derivative order k must be a whole number, got 1.5"),
+    (lambda out: _rademacher().distribution(8).charfn_deriv(0.3, 1.5),
+     ValueError, "derivative order k must be a whole number, got 1.5"),
+    (lambda out: builtin_model("uniform").cumulants(16, 0),
+     ValueError, "cumulant order kmax must be >= 1, got 0"),
+    (lambda out: fit_stationary(_rademacher(), (8, 16, 32, 64), kmax=3.5),
+     ValueError, "cumulant order kmax must be a whole number, got 3.5"),
+], ids=["config-m", "config-r", "scan_nonuniform-r", "scan_moments-r", "scan_stationarity-m",
+        "scan_assumptions-m", "expansion-r", "cumulants-kmax", "iid-charfn-k", "lattice-charfn-k",
+        "iid-cumulants-kmax", "fit_stationary-kmax"])
+def test_each_input_rule_refuses_by_name(tmp_path, call, error, needle):
+    # a ValueError that names the quantity, never a TypeError, and no bundle
+    out = str(tmp_path / "out")
+    with pytest.raises(error) as err:
+        call(out)
+    assert needle in str(err.value)
+    assert not os.path.exists(out)
+
+
+def test_expansion_refuses_negative_corrections_whatever_was_built():
+    for built in ((), (1,), (1, 3)):
+        model = builtin_model("elliptic2")
+        for r in built:
+            model.expansion(16, r)
+        with pytest.raises(ValueError) as err:
+            model.expansion(16, -1)
+        assert str(err.value) == "corrections r must be in [0, m - 2 = 14], got -1"
+
+
+def test_cli_scan_stationary_refuses_an_expansion_order_before_any_fit(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(scans, "fit_stationary", refuse)
+    out = tmp_path / "ss.csv"
+    code = main(["scan-stationary", "--model", "builtin:rademacher", "--n", "8,16,32,64", "--m", "40",
+                 "--out", str(out)])
+    assert code == 2
+    assert "expansion order must be in [3, 16], got 40" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, scan", [
+    ("n", (16, 16), lambda model, v: scan_moments(model, (2,), 0, v)),
+    ("n", (0, 16), lambda model, v: scan_moments(model, (2,), 0, v)),
+    ("n", (16,), lambda model, v: scan_moments(model, (2,), 0, v)),
+    ("n", (16.5, 32), lambda model, v: scan_moments(model, (2,), 0, v)),
+    ("p", (0.5,), lambda model, v: scan_transport(model, v, (16, 32))),
+    ("p", (1, math.inf), lambda model, v: scan_transport(model, v, (16, 32))),
+    ("p", (), lambda model, v: scan_transport(model, v, (16, 32))),
+    ("q", (0, 2), lambda model, v: scan_moments(model, v, 0, (16, 32))),
+    ("q", (2.5,), lambda model, v: scan_moments(model, v, 0, (16, 32))),
+    ("q", (), lambda model, v: scan_moments(model, v, 0, (16, 32))),
+    ("r", -1, lambda model, v: scan_nonuniform(model, 4, v, (16, 32))),
+    ("r", 3, lambda model, v: scan_nonuniform(model, 4, v, (16, 32))),
+    ("r", 1.5, lambda model, v: scan_nonuniform(model, 4, v, (16, 32))),
+    ("target", 0.0, lambda model, v: scan_coupling(model, (16, 32), target=v)),
+    ("target", math.inf, lambda model, v: scan_coupling(model, (16, 32), target=v)),
+    ("target", math.nan, lambda model, v: scan_coupling(model, (16, 32), target=v)),
+    ("grid_max", -3.0, lambda model, v: scan_nonuniform(model, 4, 0, (16, 32), grid_max=v)),
+    ("grid_max", math.inf, lambda model, v: scan_nonuniform(model, 4, 0, (16, 32), grid_max=v)),
+], ids=["n-repeated", "n-zero", "n-one-size", "n-not-whole", "p-below-1", "p-inf", "p-none",
+        "q-zero", "q-not-whole", "q-none", "r-negative", "r-above-m-2", "r-not-whole",
+        "target-zero", "target-inf", "target-nan", "grid_max-negative", "grid_max-inf"])
+def test_config_and_scans_refuse_the_same_values(field, value, scan):
+    # the config (m = 4) reads each value by the rule its scan reads, and names the field
+    with pytest.raises(ValueError) as by_scan:
+        scan(_rademacher(), value)
+    name = {"n": "ns", "p": "ps", "q": "qs"}.get(field, field)
+    with pytest.raises(ScenarioError) as by_config:
+        ScenarioConfig(model="builtin:rademacher", **{name: value}).validate()
+    assert str(by_config.value) == "field %r: %s" % (field, by_scan.value)
+
+
+def test_whole_float_transport_orders_give_the_rows_and_summary_of_ints():
+    model = builtin_model("elliptic2")
+    ns = (64, 128)
+    for as_float, as_int in ((scan_transport(model, (2.0,), ns), scan_transport(model, (2,), ns)),
+                             (scan_coupling(model, ns, p=2.0), scan_coupling(model, ns, p=2))):
+        assert format_table(*as_float.rows()) == format_table(*as_int.rows())
+        assert as_float.summary() == as_int.summary()
+    exact = scan_nonuniform(model, 4, 1, ns)
+    assert format_table(*scan_nonuniform(model, 4.0, 1.0, ns).rows()) == format_table(*exact.rows())
+
+
+def test_config_reads_whole_float_orders_as_integers(tmp_path):
+    config = ScenarioConfig(model="builtin:uniform", m=4.0, r=1.0, ns=(4, 8, 16, 32), ps=(1.0, 2.0))
+    checked = config.validate()
+    assert (checked.m, checked.r, checked.ps) == (4, 1, (1, 2))
+    assert all(type(v) is int for v in (checked.m, checked.r) + checked.ps)
+    run_scenario(config, out=str(tmp_path / "f"))
+    run_scenario(load_scenario("uniform-edgeworth"), out=str(tmp_path / "i"))
+    for path in sorted((tmp_path / "i").iterdir()):
+        assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes(), path.name
 
 def test_resolve_model_reports_builtins():
     with pytest.raises(ScenarioError) as err:

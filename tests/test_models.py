@@ -59,14 +59,6 @@ def test_lattice_sf_is_the_suffix_sum():
     assert np.array_equal(d.sf(np.array([[-1.0], [0.5]])), [[0.75 + 1e-20], [0.25 + 1e-20]])
 
 
-def test_lattice_convolution_is_binomial():
-    d = LatticeDistribution(offset=0.0, step=1.0, masses=[0.5, 0.5])
-    acc = d
-    for _ in range(5):
-        acc = acc.convolve(d)
-    assert np.allclose(acc.masses, stats.binom.pmf(np.arange(7), 6, 0.5), atol=1e-15)
-
-
 # -- lattice charfn by chirp-z ------------------------------------------------
 
 _U = np.finfo(float).eps / 2  # unit roundoff
