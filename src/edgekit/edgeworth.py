@@ -187,8 +187,9 @@ class EdgeworthExpansion:
 
     def moment(self, q):
         """Exact q-th moment of the signed measure."""
+        q = whole_number(q, "moment order q")
         if q < 0:
-            raise ValueError("moment order must be nonnegative")
+            raise ValueError("moment order q must be nonnegative, got %d" % q)
         total = gaussian_moment(q)
         for j, coefs in enumerate(self._hermite_coefs, start=1):
             w = self.sigma ** (-j)
@@ -205,9 +206,9 @@ class EdgeworthExpansion:
         partial moments. Even q is a polynomial moment: it goes through
         the integer Hermite route of `moment` and equals it exactly.
         """
-        if q < 0 or q != int(q):
-            raise ValueError("absolute moment order must be a nonnegative integer")
-        q = int(q)
+        q = whole_number(q, "absolute moment order q")
+        if q < 0:
+            raise ValueError("absolute moment order q must be nonnegative, got %d" % q)
         if q % 2 == 0:
             return self.moment(q)
         deg = max((p.degree() for p in self.density_polys), default=0)

@@ -55,8 +55,9 @@ _SNAP_TOL = 1e-9
 # cells for S the most states, the product or the join (`_backward_half`)
 # beside them. A step holds the old table and the new one, and a
 # cells-major run (`_Moves.run`) also the table it started from; its other
-# temporaries are one row or one product chunk, so two halves stepping at
-# once hold at most what one sweep of the whole width does plus 3 S cells.
+# temporaries are one row or one chunk's products of every dense group
+# (below 2**22 / (16 + S_in) cells), so two halves stepping at once hold
+# at most what one sweep of the whole width does plus 3 S cells and those.
 # A product split between two threads holds one np.convolve output more.
 # Two float64 tables of 2**24 cells take 256 MiB.
 _CELL_BUDGET = 2**24
@@ -83,6 +84,7 @@ _ROW_ADD = 1.5e-9
 # products of 257 or more coefficients per polynomial ran 4-45% faster
 # split from about 15 us per call; below it (stepping at S <= 12 and
 # flip2, squares of 129 or fewer coefficients) they ran 8-79% slower.
+# Calls are counted as a step makes them (`_Moves.calls`); no measured gate moved.
 _HANDOFF = 15e-6
 # Coefficients per power of z that a batch of order-2 rows may hold
 _ROW_FLOATS = 2**16
@@ -839,7 +841,11 @@ class _Moves:
     one 64 x 64 x 1000 product took 12 to 40 ms for the first few dozen
     calls of a process while the workers woke (0.2 ms on one thread), and
     the thread count changed the last bits of tail masses; chunked, the
-    bytes are the same whatever the BLAS thread count.
+    bytes are the same whatever the BLAS thread count. The D dense groups
+    are stacked into one (D, S_in, S_out) array, so one np.matmul makes a
+    chunk's D products: numpy calls gemm for each with the shapes and
+    strides of a lone product, which keeps its bits, and the interpreter
+    lock is handed over once for them, not D times.
 
     Every new entry is one summation tree over at most S_in nonnegative
     products, so a step adds at most S_in u to the relative error of a
@@ -851,66 +857,74 @@ class _Moves:
         self.states_in, self.states = n_in, n_out
         self.width = int(shifts.max())
         self.chunk = max(1, _BLAS_SERIAL // (n_in * n_out))
-        self.dense = []
+        self.dense, groups = [], []
         live = kernel != 0.0
         sparse = live.copy()
         values, counts = np.unique(shifts[live], return_counts=True)
         for s, nnz in zip(values.tolist(), counts.tolist()):
             if 16 * nnz >= n_out * (16 + n_in):
                 group = live & (shifts == s)
-                self.dense.append((s, np.where(group, kernel, 0.0)))
+                self.dense.append(s)
+                groups.append(np.where(group, kernel, 0.0))
                 sparse &= ~group
+        self.stack = np.array(groups).reshape(len(groups), n_in, n_out)
         xs, ys = np.nonzero(sparse)
         self.sparse = list(zip(xs.tolist(), ys.tolist(),
                                shifts[xs, ys].tolist(), kernel[xs, ys].tolist()))
         self.error = n_in * np.finfo(float).eps / 2
 
     def calls(self, columns):
-        """Numpy calls of one step from a table `columns` wide, as `cost` counts them."""
-        return len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
+        """Numpy calls of one step from a table `columns` wide: a product and D adds per chunk, one per pair."""
+        return (bool(self.dense) + len(self.dense)) * (1 + columns // self.chunk) + len(self.sparse)
 
     def cost(self, count, columns):
-        """Estimated seconds of `count` steps from a table `columns` wide."""
+        """Estimated seconds of `count` steps from a table `columns` wide, at one call per group and chunk."""
         n_in, n_out = self.states_in, self.states
         per_column = (len(self.dense) * (n_in * n_out * _GEMM_MAD + n_out * _ROW_ADD)
                       + len(self.sparse) * _ROW_ADD)
-        return count * (self.calls(columns) * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
+        calls = len(self.dense) * (1 + columns // self.chunk) + len(self.sparse)
+        return count * (calls * _CALL + (columns + (count - 1) * self.width / 2) * per_column)
 
     def run(self, table, count):
         """The table after `count` steps.
 
-        A run of products alone goes cells-major: the table is transposed
+        A chunk's products land in one buffer, reused across the run. A
+        run of products alone goes cells-major: the table is transposed
         once in and once out, and each step walks row chunks of the
-        transposed table in the outer loop and shift groups in the inner
-        one, so each product lands in one reused temporary and is added to
-        a contiguous block of rows. A run with pairs stays state-major,
-        each pair added along a row in the loop's (x, y) order: on the
-        2-core VM a pair's pass down a column of a transposed table of 16
-        to 64 states and 3000 or more cells took 3 to 14 ns per cell,
-        against 1 to 2 ns along a row.
+        transposed table, adding each group's product to a contiguous
+        block of rows. A run with pairs stays state-major, each pair added
+        along a row in the loop's (x, y) order: on the 2-core VM a pair's
+        pass down a column of a transposed table of 16 to 64 states and
+        3000 or more cells took 3 to 14 ns per cell, against 1 to 2 ns
+        along a row. Its chunks are walked from the right, so each cell
+        gets the groups' products in group order (ascending shifts).
         """
+        rows = min(self.chunk, table.shape[1] + (count - 1) * self.width)  # the widest table read
         if self.sparse:
+            products = np.empty((len(self.dense), self.states, rows))
+            stack = self.stack.transpose(0, 2, 1)
             for _ in range(count):
                 hi = table.shape[1]
                 new = np.zeros((self.states, hi + self.width))
-                for s, m in self.dense:
-                    dst = new[:, s : s + hi]
-                    for c in range(0, hi, self.chunk):
-                        dst[:, c : c + self.chunk] += m.T @ table[:, c : c + self.chunk]
+                for c in reversed(range(0, hi if self.dense else 0, self.chunk)):
+                    part = products[:, :, : min(self.chunk, hi - c)]
+                    np.matmul(stack, table[:, c : c + self.chunk], out=part)
+                    for s, product in zip(self.dense, part):
+                        new[:, c + s : c + s + product.shape[1]] += product
                 for x, y, s, p in self.sparse:
                     new[y, s : s + hi] += p * table[x]
                 table = new
             return table
         cells = table.T.copy()
-        tmp = np.empty((self.chunk, self.states))
+        products = np.empty((len(self.dense), rows, self.states))
         for _ in range(count):
             hi = cells.shape[0]
             new = np.zeros((hi + self.width, self.states))
             for c in range(0, hi, self.chunk):
                 # no name outlives the step holding a view of the old table
-                product = tmp[: min(self.chunk, hi - c)]
-                for s, m in self.dense:
-                    np.matmul(cells[c : c + self.chunk], m, out=product)
+                part = products[:, : min(self.chunk, hi - c)]
+                np.matmul(cells[c : c + self.chunk], self.stack, out=part)
+                for s, product in zip(self.dense, part):
                     new[c + s : c + s + product.shape[0]] += product
             cells = new
         return cells.T.copy()

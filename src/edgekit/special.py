@@ -13,6 +13,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy import special as _sp
 
+from .cumulants import whole_number
+
 __all__ = [
     "hermite",
     "hermite_value",
@@ -34,6 +36,7 @@ def hermite(k):
     supported; beyond that coefficient growth makes the dense form
     meaningless and a ValueError is raised).
     """
+    k = whole_number(k, "hermite order k")
     if not 0 <= k <= _HERMITE_MAX:
         raise ValueError("hermite order must be in [0, %d], got %r" % (_HERMITE_MAX, k))
     return Polynomial(_hermite_coef(k))
@@ -54,6 +57,7 @@ def _hermite_coef(k):
 
 def hermite_value(k, x):
     """Evaluate He_k(x) by the three-term recurrence (stable for large k)."""
+    k = whole_number(k, "hermite order k")
     if not 0 <= k <= _HERMITE_MAX:
         raise ValueError("hermite order must be in [0, %d], got %r" % (_HERMITE_MAX, k))
     x = np.asarray(x, dtype=float)

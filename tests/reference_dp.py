@@ -61,3 +61,37 @@ def powered_error_bound(spec, shifts):
         r = len(run)
         total += max(kernel.shape) * r * (((r.bit_length() - 1) / 2 + 1) * reduced + 1) * u
     return total + max(spec.state_counts) * u
+
+
+def chunked_run(moves, table, count):
+    """`count` steps of a `_Moves` with one product call per (chunk, group), the loop before products were batched.
+
+    A run with pairs goes state-major: group by group, chunk by chunk
+    within each, then pair by pair. A run of products alone goes
+    cells-major: chunk by chunk, group by group within each. Each product
+    is the same chunk x S_in x S_out gemm the batched step makes, so the
+    two give the same bytes wherever their adds come in the same order.
+    """
+    groups = list(zip(moves.dense, moves.stack))
+    if moves.sparse:
+        for _ in range(count):
+            hi = table.shape[1]
+            new = np.zeros((moves.states, hi + moves.width))
+            for s, m in groups:
+                dst = new[:, s : s + hi]
+                for c in range(0, hi, moves.chunk):
+                    dst[:, c : c + moves.chunk] += m.T @ table[:, c : c + moves.chunk]
+            for x, y, s, p in moves.sparse:
+                new[y, s : s + hi] += p * table[x]
+            table = new
+        return table
+    cells = table.T.copy()
+    for _ in range(count):
+        hi = cells.shape[0]
+        new = np.zeros((hi + moves.width, moves.states))
+        for c in range(0, hi, moves.chunk):
+            for s, m in groups:
+                product = cells[c : c + moves.chunk] @ m
+                new[c + s : c + s + product.shape[0]] += product
+        cells = new
+    return cells.T.copy()

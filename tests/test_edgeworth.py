@@ -208,6 +208,19 @@ def test_abs_moment_even_orders_are_the_signed_moments():
         e.abs_moment(-1)
 
 
+def test_moment_orders_that_are_not_whole_are_refused_by_name():
+    # 2.5 % 2 reads as odd, so a non-whole q once summed to 0.0
+    e = builtin_model("elliptic2").expansion(16, 1)
+    assert e.moment(2.0) == e.moment(2) and e.abs_moment(3.0) == e.abs_moment(3)
+    for q in (2.5, 0.5, math.nan):
+        with pytest.raises(ValueError, match=r"moment order q must be a whole number, got %s" % q):
+            e.moment(q)
+        with pytest.raises(ValueError, match=r"absolute moment order q must be a whole number, got %s" % q):
+            e.abs_moment(q)
+    with pytest.raises(ValueError, match="moment order q must be nonnegative, got -2"):
+        e.moment(-2)
+
+
 def test_gaussian_moment_closed_forms():
     # E|Z|^q of the expansion with no corrections
     mp = pytest.importorskip("mpmath")

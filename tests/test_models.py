@@ -34,7 +34,7 @@ from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
 
 from path_enumeration import enumerate_distribution, marginals, step_means
 from reference_blocking import reference_blocks, reference_profile
-from reference_dp import powered_error_bound, reference_law, textbook_step
+from reference_dp import chunked_run, powered_error_bound, reference_law, textbook_step
 
 
 # -- lattice basics ----------------------------------------------------------
@@ -426,6 +426,66 @@ def _assert_run_matches_steps(moves, table, kernel, shifts, count):
     got = moves.run(table, count)
     assert got.shape == ref.shape and got.flags.c_contiguous
     assert np.all(np.abs(got - ref) <= count * kernel.shape[0] * _U * ref)
+
+
+def _grouped_kernel(rng, states, common, rare=(), wide=0):
+    """Dirichlet kernel with shifts drawn from `common`, a 3% share from `rare` and, if `wide`, a 10% share set to it."""
+    kernel = rng.dirichlet(np.ones(states), size=states)
+    shifts = rng.choice(common, size=kernel.shape)
+    if rare:
+        shifts = np.where(rng.random(kernel.shape) < 0.03, rng.choice(rare, size=kernel.shape), shifts)
+    if wide:
+        shifts = np.where(rng.random(kernel.shape) < 0.1, wide, shifts)
+    return kernel, shifts
+
+
+@pytest.mark.parametrize("layout", ["cells-major", "state-major"])
+def test_batched_step_has_the_bits_of_one_product_per_chunk_and_group(layout):
+    # every group's product of a chunk comes from one np.matmul; the adds
+    # keep the per-chunk loop's order, so every entry keeps its bytes: on
+    # one column, a part of a chunk, several chunks and a run that widens
+    # past one, and with a shift (100) wider than a chunk (64 at S = 64)
+    rng = np.random.Generator(np.random.PCG64(29))
+    rare = (5, 6, 7, 8, 9) if layout == "state-major" else ()
+    for states, wide in ((32, 0), (16, 0), (64, 100)):
+        kernel, shifts = _grouped_kernel(rng, states, (0, 1, 2), rare, wide)
+        moves = _Moves(kernel, shifts)
+        assert len(moves.dense) >= 3 and bool(moves.sparse) == bool(rare)
+        if wide:
+            assert moves.width == max(moves.dense) == wide > moves.chunk
+        for width in (1, moves.chunk // 2 + 1, 3 * moves.chunk + 7):
+            table = rng.random((states, width))
+            table[::5] = 0.0
+            for count in (1, 3):
+                got, want = moves.run(table, count), chunked_run(moves, table, count)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes(), (states, width, count)
+
+
+_PLANS = {
+    # (name, n): run-length codes of the forward and the backward plan,
+    # ((step type, count), repeats) each
+    ("rademacher", 4096): ([(("_Power", 1), 1)], []),
+    ("elliptic2", 256): ([(("_Power", 1), 1)], []),
+    ("elliptic2", 4096): ([(("_Power", 1), 1)], []),
+    ("symmetric2", 8192): ([(("_Moves", 3), 1), (("_Moves", 12), 1), (("_Moves", 48), 1), (("_Power", 1), 4)], []),
+    ("flip2", 64): ([(("_Moves", 1), 64)], []),
+    ("flip2", 4096): ([(("_Moves", 1), 2048)], [(("_Moves", 1), 2048)]),
+    ("decay:0.25", 8192): ([(("_Moves", 15), 1), (("_Power", 1), 3)], []),
+    ("chain32", 256): ([(("_Moves", 128), 1)], [(("_Moves", 128), 1)]),
+    ("chain64", 256): ([(("_Moves", 128), 1)], [(("_Moves", 128), 1)]),
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(_PLANS))
+def test_sweep_plans_keep_their_steps_and_counts(name, n):
+    # the route prices are those of one product call per group and chunk,
+    # so batching the products moves no run between stepping and powering
+    spec = _perfbench_chain(int(name[5:]), n) if name.startswith("chain") else builtin_model(name).spec(n)
+    _, _, plan, back, _ = _sweep_plan(spec)
+    coded = [[(key, len(list(run))) for key, run in itertools.groupby((type(step).__name__, count) for step, count in half)]
+             for half in (plan, back)]
+    assert tuple(coded) == _PLANS[name, n]
 
 
 def _step_moves(spec):

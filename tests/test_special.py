@@ -44,6 +44,19 @@ def test_hermite_cap():
         hermite(-1)
 
 
+def test_hermite_orders_that_are_not_whole_are_refused_by_name():
+    # a whole float is read as the int it is
+    assert hermite(3.0).coef.tolist() == hermite(3).coef.tolist()
+    assert hermite_value(3.0, 0.3) == hermite_value(3, 0.3)
+    for k in (1.5, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"hermite order k must be a whole number, got %s" % k):
+            hermite(k)
+        with pytest.raises(ValueError, match=r"hermite order k must be a whole number, got %s" % k):
+            hermite_value(k, 0.3)
+    with pytest.raises(ValueError, match=r"hermite order must be in \[0, 64\], got 65"):
+        hermite_value(65.0, 0.3)
+
+
 def test_hermite_value_matches_coefficients():
     for k in range(0, 13):
         p = hermite(k)
