@@ -13,11 +13,11 @@ Everything is deterministic.
 """
 
 import bisect
+import collections
 import concurrent.futures
 import functools
 import itertools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,8 +113,9 @@ class MarkovChainSpec:
     repeating one kernel/observable reference, so memory stays flat.
 
     `runs`, the run form, is the one place steps are split into runs: a
-    (kernel, observable, count) for each maximal stretch of steps sharing
-    both objects. Engines do their Python work once per run, not per step.
+    (kernel, observable, count) per maximal stretch of steps sharing both,
+    split on content, so a chain written out step by step gets the runs
+    and bits of its `repeat` form; its `_plan` numbers them for the engines.
     Kernel and initial entries in [-1e-15, 0) are clipped to 0.0 in a copy.
     Every entry must be finite (NaN passes every other check).
     """
@@ -138,33 +139,38 @@ class MarkovChainSpec:
             raise ValueError("initial law has a non-finite entry")
         if abs(initial.sum() - 1.0) > _ROW_TOL or initial.min() < -1e-15:
             raise ValueError("initial law must be a probability vector")
-        # homogeneous chains repeat one object per step: find where runs of
-        # equal objects start first, then convert and check each distinct
-        # object once; `given` holds them, so their ids stay unique
+        # convert each distinct object once and number arrays equal in shape
+        # and bytes alike; `given` holds the objects, so their ids stay unique
         n = len(given[0])
-        ids = [np.fromiter(map(id, objs), np.uint64, n) for objs in given]
-        starts = (np.flatnonzero((ids[0][1:] != ids[0][:-1]) | (ids[1][1:] != ids[1][:-1])) + 1).tolist()
-        arrays, checked, clipped, finite, runs = {}, {}, {}, set(), []
+        arrays, codes = [], []
+        for objs in given:
+            ids = list(map(id, objs))
+            distinct = dict(zip(ids, objs))
+            interned, numbers = _numbered([np.asarray(a, dtype=float) for a in distinct.values()])
+            number = dict(zip(distinct, numbers))
+            arrays.append(interned)
+            codes.append(np.fromiter(map(number.__getitem__, ids), np.intp, n))
+        starts = (np.flatnonzero((codes[0][1:] != codes[0][:-1]) | (codes[1][1:] != codes[1][:-1])) + 1).tolist()
+        codes = [c.tolist() for c in codes]
+        # firsts: each observable's first step, which refusals name
+        checked, clipped, firsts, numbered = {}, {}, {}, []
         size = initial.size
         for j, end in zip([0] + starts, starts + [n]):
-            key = id(given[0][j]), id(given[1][j])
-            run = checked.get(key)
-            if run is None or run[2] != size:
-                for i, a in zip(key, (given[0][j], given[1][j])):
-                    if i not in arrays:
-                        arrays[i] = np.asarray(a, dtype=float)
-                k, f = arrays[key[0]], arrays[key[1]]
+            key = codes[0][j], codes[1][j]
+            shape = checked.get(key)
+            if shape is None or shape[0] != size:
+                k, f = arrays[0][key[0]], arrays[1][key[1]]
                 if k.ndim != 2 or k.shape[0] != size:
                     raise ValueError("kernel %d has shape %r, expected %d rows" % (j, k.shape, size))
                 if f.shape != k.shape:
                     raise ValueError("observable %d shape %r != kernel shape %r" % (j, f.shape, k.shape))
-                if key[1] not in finite:
+                if key[1] not in firsts:
                     if not np.isfinite(f).all():
                         raise ValueError("observable %d has a non-finite entry" % j)
                     if not math.isfinite(float(f.max()) - float(f.min())):
                         # f - min f, which every engine takes, would overflow
                         raise ValueError("observable %d has values further apart than the float range" % j)
-                    finite.add(key[1])
+                    firsts[key[1]] = j
                 if key[0] not in clipped:
                     if not np.isfinite(k).all():
                         raise ValueError("kernel %d has a non-finite entry" % j)
@@ -172,20 +178,22 @@ class MarkovChainSpec:
                     if np.max(np.abs(rows - 1.0)) > _ROW_TOL or k.min() < -1e-15:
                         raise ValueError("kernel %d is not row-stochastic within 1e-12" % j)
                     clipped[key[0]] = np.maximum(k, 0.0) if k.min() < 0.0 else k
-                checked[key] = run = (clipped[key[0]], f, *k.shape)
-            kernel, f, rows, size = run
+                checked[key] = shape = k.shape
+            rows, size = shape
             if end - j > 1 and rows != size:
                 # the run's second step starts from the first one's columns
                 raise ValueError("kernel %d has shape %r, expected %d rows" % (j + 1, (rows, size), size))
-            runs.append((kernel, f, end - j))
-        kernels = tuple(map(clipped.__getitem__, ids[0].tolist()))
-        observables = tuple(map(arrays.__getitem__, ids[1].tolist()))
-        runs = tuple(runs)
-        object.__setattr__(self, "initial", np.maximum(initial, 0.0) if initial.min() < 0.0 else initial)
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "observables", observables)
-        object.__setattr__(self, "runs", runs)
+            numbered.append((*key, j, end - j))
+        initial = np.maximum(initial, 0.0) if initial.min() < 0.0 else initial
+        kernels = [clipped[i] for i in range(len(clipped))]
+        states = max([initial.size] + [k.shape[1] for k in kernels])
+        plan = _Plan(initial, states, kernels, arrays[1], [firsts[i] for i in range(len(firsts))], numbered)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "kernels", tuple(map(kernels.__getitem__, codes[0])))
+        object.__setattr__(self, "observables", tuple(map(arrays[1].__getitem__, codes[1])))
+        object.__setattr__(self, "runs", tuple((kernels[k], arrays[1][f], count) for k, f, _, count in numbered))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def n_steps(self):
@@ -208,25 +216,37 @@ class MarkovChainSpec:
         )
 
 
-def _max_states(spec):
-    """The most states at any time of the chain."""
-    return max([spec.initial.size] + [k.shape[1] for k, _, _ in spec.runs])
+# A chain's runs as numbers, built once by `MarkovChainSpec`: the initial law,
+# the most states, each distinct kernel and observable once in order of first
+# step, each observable's first step and (kernel, observable, start, count) per run.
+_Plan = collections.namedtuple("_Plan", "initial states kernels observables firsts runs")
 
 
-def _merged(runs):
-    """(object, ..., count) runs with adjacent runs of the same objects merged.
+def _numbered(arrays):
+    """(distinct, numbers): arrays equal in shape and bytes kept once, and each given array's place among them."""
+    distinct, numbers, seen = [], [], {}
+    for a in arrays:
+        key = a.shape, a.tobytes()
+        if key not in seen:
+            seen[key] = len(distinct)
+            distinct.append(a)
+        numbers.append(seen[key])
+    return distinct, numbers
 
-    Engines key runs on objects coarser than the spec's (shift arrays or
-    shifted observables interned by bytes); merged, their runs and bits
-    are those of a split on their own key.
+
+def _merged(keys, runs):
+    """(distinct keys in order of first appearance, runs merged on them), one key per run of (..., start, count).
+
+    A merged run is [number of its key, start, count] per maximal stretch of runs of one key: a split on it.
     """
-    out = []
-    for run in runs:
-        if out and all(map(operator.is_, out[-1][:-1], run[:-1])):
-            out[-1][-1] += run[-1]
+    numbers, out = {}, []
+    for key, (*_, start, count) in zip(keys, runs):
+        number = numbers.setdefault(key, len(numbers))
+        if out and out[-1][0] == number:
+            out[-1][2] += count
         else:
-            out.append(list(run))
-    return out
+            out.append([number, start, count])
+    return list(numbers), out
 
 
 def _squarings(base, square):
@@ -243,32 +263,34 @@ def _squarings(base, square):
         base = square(base)
 
 
-def _step_means(spec, *sequences):
-    """E g_j(X_j, X_{j+1}) per step, for each sequence g of one array per run of `spec.runs`.
+def _step_means(chain, g):
+    """E g_j(X_j, X_{j+1}) per step, for g one array per observable number of the plan.
 
-    (K o g) 1 is formed once per run and array and taken against the
-    laws of the run's steps (`_laws`) in one product.
+    (K o g) 1 is formed once per distinct (kernel, observable) pair and
+    taken against the laws of a run's steps (`_step_laws`) in one product.
     """
-    out = [[] for _ in sequences]
-    laws = _laws(spec.initial, [(kernel, count) for kernel, _, count in spec.runs])
-    for (kernel, _, _), run, *arrays in zip(spec.runs, laws, *sequences):
-        for acc, g in zip(out, arrays):
-            acc.append(run @ (kernel * g).sum(axis=1))
-    return [np.concatenate(acc) for acc in out]
+    laws = _step_laws(chain)
+    means, rows = np.empty(laws.shape[0]), {}
+    for k, f, start, count in chain.runs:
+        if (k, f) not in rows:
+            rows[k, f] = (chain.kernels[k] * g[f]).sum(axis=1)
+        means[start : start + count] = laws[start : start + count, : rows[k, f].size] @ rows[k, f]
+    return means
 
 
-def _laws(law, runs):
-    """Laws of X_j at the steps of each (kernel, count) run from X_0 at `law`: one array per run.
+def _step_laws(chain):
+    """The law of X_j at every step j, as row j of a table as wide as the most states.
 
-    Row i of a run's array is its first law times K^i, in O(log count)
-    products: each doubling appends the rows so far times K^m, m the row
-    count, the next power of `_squarings`. Squaring doubles the rounding
-    error of a power's row sums at every level (elliptic2's nu K^(2^15)
-    gained 1.1e-12 of mass), so each square's rows are rescaled to sum
-    to 1. That moves K^m by at most m delta relative, delta the kernel's
-    row-sum defect, and leaves the law of step j within j S u of the
-    exact law plus that much, as stepping one kernel at a time would (S
-    states, u the unit roundoff).
+    The plan's runs merged on their kernels are the one split of the laws
+    of X_j, so every engine reads the same bits. Row i of a run is its
+    first law times K^i, in O(log count) products: each doubling appends
+    the rows so far times K^m, m the row count, the next power of
+    `_squarings`. Squaring doubles the rounding error of a power's row
+    sums at every level (elliptic2's nu K^(2^15) gained 1.1e-12 of mass),
+    so each square's rows are rescaled to sum to 1. That moves K^m by at
+    most m delta relative, delta the kernel's row-sum defect, and leaves
+    the law of step j within j S u of the exact law plus that much, as
+    stepping one kernel at a time would (S states, u the unit roundoff).
     """
 
     def square(power):
@@ -276,12 +298,15 @@ def _laws(law, runs):
         power /= power.sum(axis=1, keepdims=True)
         return power
 
-    for kernel, count in runs:
-        laws = law[None, :]
+    kernels, runs = _merged([k for k, *_ in chain.runs], chain.runs)
+    table, law = np.zeros((runs[-1][1] + runs[-1][2], chain.states)), chain.initial
+    for i, start, count in runs:
+        kernel, laws = chain.kernels[kernels[i]], law[None, :]
         for power in itertools.islice(_squarings(kernel, square), (count - 1).bit_length()):
             laws = np.concatenate([laws, laws[: count - laws.shape[0]] @ power])
-        yield laws
+        table[start : start + count, : laws.shape[1]] = laws
         law = laws[-1] @ kernel
+    return table
 
 
 # -- lattice snap ------------------------------------------------------------
@@ -291,20 +316,15 @@ def _common_lattice(observables, steps):
     """Common step d and integer shifts for the values of every observable array given.
 
     Values within each array are taken relative to its minimum, so only
-    differences need to be commensurable. Returns (d, diffs,
-    shift_arrays, snaps): diffs[i] is f_i - min f_i, and snaps[i] is
-    max |diffs[i] - k d| of array i. Each distinct array is snapped
-    once, entries that repeat an array share its diff array, and arrays
-    whose shifts agree share one shift array, so a sweep can key its work
-    on their identity. An array spanning more than 2^53 steps d is
-    refused, named by steps[i], the step of its first entry i: past 2^53
-    the shifts are no longer exact integers, and int64 wraps at 2^63.
+    differences need to be commensurable. Returns (d, diffs, shifts,
+    numbers, snaps): diffs[i] = f_i - min f_i, the distinct integer shift
+    arrays, array i's place among them and max |diffs[i] - k d|. An array
+    spanning more than 2^53 steps d is refused, named by its first step
+    steps[i]: past 2^53 the shifts are no longer exact integers, and int64
+    wraps at 2^63.
     """
-    keys = [id(f) for f in observables]
-    # one array may stand for several entries: visit each once
-    distinct = {id(f): f for f in observables}
-    diffs = {key: f - float(f.min()) for key, f in distinct.items()}
-    flat = np.concatenate([darr.ravel() for darr in diffs.values()])
+    diffs = [f - float(f.min()) for f in observables]
+    flat = np.concatenate([darr.ravel() for darr in diffs])
     nonzero = flat[np.abs(flat) > _SNAP_TOL]
     step = Fraction(0)
     for v in np.unique(nonzero):
@@ -319,20 +339,16 @@ def _common_lattice(observables, steps):
             step.denominator * fr.denominator,
         )
     d = float(step)
-    shared, snapped, snap = {}, {}, {}
-    for key, darr in diffs.items():
+    shifts, snaps = [], []
+    for j, darr in zip(steps, diffs):
         k = np.rint(darr / d) if d else np.zeros(darr.shape)
         if float(k.max()) > 2.0**53:
-            raise ValueError(
-                "observable %d spans %.3g lattice steps of %g, past 2^53"
-                % (steps[keys.index(key)], float(k.max()), d)
-            )
-        snap[key] = float(np.max(np.abs(darr - k * d)))
-        if snap[key] > _SNAP_TOL:
+            raise ValueError("observable %d spans %.3g lattice steps of %g, past 2^53" % (j, float(k.max()), d))
+        snaps.append(float(np.max(np.abs(darr - k * d))))
+        if snaps[-1] > _SNAP_TOL:
             raise ValueError("observable values fail the lattice snap at step %g" % d)
-        k = k.astype(np.int64)
-        snapped[key] = shared.setdefault((k.shape, k.tobytes()), k)
-    return d, [diffs[k] for k in keys], [snapped[k] for k in keys], [snap[k] for k in keys]
+        shifts.append(k.astype(np.int64))
+    return (d, diffs, *_numbered(shifts), snaps)
 
 
 # -- exact engines -----------------------------------------------------------
@@ -342,12 +358,12 @@ def exact_distribution(spec):
     """Exact law of the centered functional S_n as a LatticeDistribution.
 
     DP over (state, lattice cell) of the lattice parts f_j - min f_j; no
-    cell is dropped. The sweep goes over the runs of the spec's run form
-    (`MarkovChainSpec.runs`, the one place runs are split): a run is
-    either raised to its length at once by binary powering (`_Power`) or
-    stepped through (`_Moves`), whichever `_sweep_plan` prices lower;
-    either way one call applies the whole run, and every other pass is
-    one per run. A trailing stretch of stepped runs may instead be swept
+    cell is dropped. The sweep goes over the chain's runs (`_Plan`) merged
+    on their (kernel, shift array) pairs: a run is either raised to its
+    length at once by binary powering (`_Power`) or stepped through
+    (`_Moves`), whichever `_sweep_plan` prices lower; either way one call
+    applies the whole run, and every other pass is one per distinct step
+    or per run. A trailing stretch of stepped runs may instead be swept
     backward from the all-ones column and joined to the forward table by
     one polynomial product (`_backward_half`), so that each sweep ends
     about half as wide. Where its price pays for a second thread
@@ -393,74 +409,68 @@ def exact_distribution(spec):
         sweep += table.shape[0] * (min(table.shape[1], column.shape[1]) + 1) * np.finfo(float).eps / 2
     else:
         masses = _swept(table, plan).sum(axis=0)
-    means, lattice_means = _step_means(spec, [f for _, f, _ in spec.runs], diffs)
-    origin = -math.fsum(lattice_means.tolist())  # value of cell 0
+    means = _step_means(spec._plan, diffs)
+    origin = -math.fsum(means.tolist())  # value of cell 0
     nz = np.nonzero(masses)[0]
     lo, hi_nz = int(nz[0]), int(nz[-1])
     dist = LatticeDistribution(origin + d * lo, d, masses[lo : hi_nz + 1])
-    tol = _mean_tolerance(spec, means, dist.masses.size, sweep) + snap
+    tol = _mean_tolerance(spec._plan, means, dist.masses.size, sweep) + snap
     if abs(dist.mean) > tol:
         raise ValueError("centered functional has mean %g, expected 0 within %g" % (dist.mean, tol))
     return dist
 
 
 def _sweep_plan(spec):
-    """Lattice step, per-run lattice parts, forward and backward plans and summed snap error of one DP sweep.
+    """Lattice step, lattice part per plan observable, forward and backward plans and summed snap error of a sweep.
 
-    Runs come from the spec's run form (`MarkovChainSpec.runs`), the one
-    place runs are split: `_common_lattice` snaps one observable per run,
-    and adjacent runs of one (kernel, shift array) pair merge (`_merged`).
-    Each run becomes one (step, count) pair of the plan: a `_Power` that
-    raises the table through the whole run (count 1), or a `_Moves`
-    applied count times, whichever costs less for the run's shape and the
-    table width it starts from. A move list is built once per distinct
-    (kernel, shift array) pair and a power once per pair and run length:
-    homogeneous chains build one of each. The ids used as keys are safe
-    only while the spec and its shift arrays are alive, so the cache dies
-    with this call. The chain is refused before any table exists if its
-    table, with the most cells one powered product holds beside it
-    (`_Power.price`), could outgrow _CELL_BUDGET: the table of any run of
-    steps is at most max(states) * (1 + sum of the steps' widest shifts).
-    The backward plan (`_backward_half`) is empty unless it is taken; it
-    is taken only if both halves' tables fit the budget at once, S (1 +
-    the width) cells as the two threads of `exact_distribution` grow them
-    side by side, with the join and any forward product's holdings beside
-    them; the refusal counts that sum.
+    Each distinct observable is snapped once (`_common_lattice`) and the
+    runs merge on their (kernel, shift array) pairs. A merged run becomes
+    a `_Power` through the whole run (count 1) or a `_Moves` applied count
+    times, whichever costs less for its shape and starting width; each is
+    built once per distinct pair and run length. The chain is refused
+    before any table exists if its table, with the most cells one powered
+    product holds beside it (`_Power.price`), could outgrow _CELL_BUDGET:
+    the table of any run of steps is at most max(states) * (1 + sum of the
+    steps' widest shifts). The backward plan (`_backward_half`) is empty
+    unless both halves' tables fit the budget at once, S (1 + the width)
+    cells as the two threads of `exact_distribution` grow them side by
+    side, with the join and any forward product's holdings beside them;
+    the refusal counts that sum.
     """
-    starts = [0, *itertools.accumulate(count for _, _, count in spec.runs)]
-    d, diffs, shifts, snaps = _common_lattice([f for _, f, _ in spec.runs], starts)
-    moves, powers, plan, stepped = {}, {}, [], []
-    columns, held = 1, 0
-    for kernel, shift, count in _merged((k, s, c) for (k, _, c), s in zip(spec.runs, shifts)):
-        key = (id(kernel), id(shift))
-        moves[key] = moves.get(key) or _Moves(kernel, shift)
-        power = powers[key, count] = powers.get((key, count)) or _Power(kernel, shift, count)
-        seconds, cells = power.price(columns)
-        if seconds < moves[key].cost(count, columns):
-            plan.append((power, 1))
+    chain = spec._plan
+    d, diffs, shifts, numbers, snaps = _common_lattice(chain.observables, chain.firsts)
+    keys, runs = _merged([(k, numbers[f]) for k, f, _, _ in chain.runs], chain.runs)
+    pairs = [(chain.kernels[k], shifts[s]) for k, s in keys]
+    moves = [_Moves(*pair) for pair in pairs]
+    powers, plan, stepped, columns, held = {}, [], [], 1, 0
+    for i, _, count in runs:
+        if (i, count) not in powers:
+            powers[i, count] = _Power(*pairs[i], count)
+        seconds, cells = powers[i, count].price(columns)
+        if seconds < moves[i].cost(count, columns):
+            plan.append((powers[i, count], 1))
             held = max(held, cells)
             stepped = []
         else:
-            plan.append((moves[key], count))
-            stepped.append((kernel, shift, columns))
-        columns += count * moves[key].width
-    states = _max_states(spec)
+            plan.append((moves[i], count))
+            stepped.append((i, columns))
+        columns += count * moves[i].width
     # with a backward half both tables grow at once, the forward one to
     # columns - w cells and the backward one to w + 1, w its width, and a
     # forward product's holdings come beside both
-    room = _CELL_BUDGET - states * (columns + 1)
-    plan, back, joined = _backward_half(plan, stepped if held <= room else [], columns, room)
-    cells = states * (columns + bool(back)) + max(held, joined)
+    room = _CELL_BUDGET - chain.states * (columns + 1)
+    plan, back, joined = _backward_half(plan, stepped if held <= room else [], pairs, columns, room)
+    cells = chain.states * (columns + bool(back)) + max(held, joined)
     if cells > _CELL_BUDGET:
         raise ValueError(
             "lattice step %g needs up to %d DP cells, above the budget of %d; "
             "only the law needs the table: cumulants, expand and scan-stationary "
             "need none" % (d, cells, _CELL_BUDGET)
         )
-    return d, diffs, plan, back, sum(count * e for (_, _, count), e in zip(spec.runs, snaps))
+    return d, diffs, plan, back, sum(count * snaps[f] for _, f, _, count in chain.runs)
 
 
-def _backward_half(plan, stepped, columns, room):
+def _backward_half(plan, stepped, pairs, columns, room):
     """(forward plan, backward plan, cells the join holds) of a sweep from both ends.
 
     The law factors at any step h into the forward table alpha_h =
@@ -470,9 +480,9 @@ def _backward_half(plan, stepped, columns, room):
     factorization of Baum, Petrie, Soules and Weiss, Ann. Math. Statist.
     41, 1970). A backward step is new[x, c] = sum_y K[x, y]
     old[y, c - D[x, y]], a `_Moves` of (K^T, D^T), built once per
-    (kernel, shift array) pair. `stepped` holds (kernel, shift array,
-    start columns) of the trailing stepped runs of `plan`, whose widths
-    add up to `columns` - 1. The backward half takes them from the
+    (kernel, shift array) pair `pairs[i]`. `stepped` holds (i, start
+    columns) of the trailing stepped runs of `plan`, whose widths add up
+    to `columns` - 1. The backward half takes them from the
     chain's end to the midpoint of the total width, splitting the run the
     midpoint lands in, and lists them in the order they are applied.
     Powered runs are never cut or transposed: their products cost by
@@ -487,19 +497,19 @@ def _backward_half(plan, stepped, columns, room):
     half = (columns - 1) // 2
     forward, back, transposed = list(plan), [], {}
     width, saved = 0, 0.0
-    for kernel, shift, start in reversed(stepped):
+    for i, start in reversed(stepped):
         if width >= half:
             break
         moves, count = forward.pop()
         take = min(count, -(-(half - width) // moves.width)) if moves.width else count
         if take < count:
             forward.append((moves, count - take))
-        key = (id(kernel), id(shift))
-        # in C order, as the forward groups are: with a transposed view's
-        # F-order groups, chain64's backward steps ran 10-30% slower
-        step = transposed[key] = transposed.get(key) or _Moves(*map(np.ascontiguousarray, (kernel.T, shift.T)))
+        if i not in transposed:
+            # in C order, as the forward groups are: with a transposed view's
+            # F-order groups, chain64's backward steps ran 10-30% slower
+            transposed[i] = _Moves(*(np.ascontiguousarray(a.T) for a in pairs[i]))
         saved += moves.cost(take, start + (count - take) * moves.width)
-        back.append((step, take))
+        back.append((transposed[i], take))
         width += take * moves.width
     if not back:
         return plan, [], 0
@@ -564,35 +574,36 @@ def _together(jobs):
     return [job() if future.cancel() else future.result() for job, future in zip(jobs, futures)] + [last]
 
 
-def _mean_tolerance(spec, means, cells, sweep):
+def _mean_tolerance(chain, means, cells, sweep):
     """First-order forward error bound on the computed mean of S_n.
 
     n steps, S states, K support cells, u = eps/2 the unit roundoff, the
-    step means E f_j in `means`, F = sum_j max|f_j - E f_j|, delta the
-    largest row-sum defect of the initial law and the kernels (at most
-    1e-12 by validation), and `sweep` the relative error the sweep's runs
-    add to every mass (`_Moves.error` per step, `_Power.error` per run,
-    and the join's S (min(L_fwd, L_bwd) + 1) u where a backward half is
-    swept). The masses carry relative error <= sweep + S u + (n+1) delta
-    after the sum over states (a join sums over states itself, so there
-    the S u is counted twice). The lattice parts f_j - min f_j lie in
-    [0, 2 max|f_j - E f_j|], so their means, their partial sums and the
-    cell values d c stay within 2F. Each mean comes from a marginal with
-    relative error <= n S u (`_laws`) and two S-term sums, so the
-    fsum origin is off by <= ((n + 2) S + 1) u 2F + 2 n delta F, and a
-    support value by 3 u F more. The K-term mean sum adds <= (K+1) u F.
+    step means E g_j of the lattice parts g_j = f_j - min f_j in `means`,
+    F = sum_j max|g_j - E g_j| = sum_j max|f_j - E f_j|, delta the largest
+    row-sum defect of the initial law and the kernels (at most 1e-12 by
+    validation), and `sweep` the relative error the sweep's runs add to
+    every mass (`_Moves.error` per step, `_Power.error` per run, and the
+    join's S (min(L_fwd, L_bwd) + 1) u where a backward half is swept).
+    The masses carry relative error <= sweep + S u + (n+1) delta after the
+    sum over states (a join sums over states itself, so there the S u is
+    counted twice). The lattice parts lie in [0, 2 max|g_j - E g_j|], so
+    their means, their partial sums and the cell values d c stay within
+    2F. Each mean comes from a marginal with relative error <= n S u
+    (`_step_laws`) and two S-term sums, so the fsum origin is off by <=
+    ((n + 2) S + 1) u 2F + 2 n delta F, and a support value by 3 u F more.
+    The K-term mean sum adds <= (K+1) u F.
     With |value| <= F the total is below
     4 (sweep + (n S / 2 + n) eps + (n+1) delta + (K+S+2) eps) F, which for
     a sweep of `_Moves` alone is the 4 (n (S+1) eps + ...) F of stepping.
     """
-    n, states = spec.n_steps, _max_states(spec)
-    # rounding is monotone, so max|f - mu| in float is the larger end
-    counts = [count for _, _, count in spec.runs]
-    lo, hi = (np.repeat([float(end(f)) for _, f, _ in spec.runs], counts) for end in (np.min, np.max))
-    scale = float(np.maximum(hi - means, means - lo).sum())
-    kernels = {id(k): k for k, _, _ in spec.runs}.values()
-    defect = max([abs(float(spec.initial.sum()) - 1.0)]
-                 + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in kernels])
+    n, states = means.size, chain.states
+    # g lies in [0, max f - min f]; rounding is monotone, so max|g - mu| is at an end
+    spans = np.array([float(f.max()) - float(f.min()) for f in chain.observables])
+    observables = [f for _, f, _, _ in chain.runs]
+    hi = np.repeat(spans[observables], [count for *_, count in chain.runs])
+    scale = float(np.maximum(hi - means, means).sum())
+    defect = max([abs(float(chain.initial.sum()) - 1.0)]
+                 + [float(np.max(np.abs(k.sum(axis=1) - 1.0))) for k in chain.kernels])
     eps = np.finfo(float).eps
     return 4.0 * (sweep + (n * states / 2 + n) * eps + (n + 1) * defect
                   + (cells + states + 2) * eps) * scale
@@ -937,7 +948,7 @@ def cumulant_series(spec, kmax):
     """kappa_1..kappa_kmax of S_n from the perturbed transfer operator.
 
     E exp(z S_n) = nu_0 prod_j M_j(z) 1, M_j(z) = K_j o exp(z F_j), each a
-    power series truncated at z^kmax; a run of equal steps (`_step_series`)
+    power series truncated at z^kmax; a run of equal steps (`_series_runs`)
     is raised to its length by binary powering over `_squarings`
     (`_series_power`). Every product is divided by a scalar series whose
     log joins one list for the whole chain (`_scaled_mul`), so no raw
@@ -962,7 +973,7 @@ def _check_kmax(kmax):
 def _cumulant_series(spec, kmax, store):
     """`cumulant_series`, kmax read by `_check_kmax`, with the step series and their squares from `store`."""
     try:
-        runs = _step_series(spec, kmax, store)
+        series, runs = _series_runs(spec, kmax, store)
     except _SeriesOverflow as err:
         # kappa_k reads coefficients <= k alone, so the cumulants below the
         # overflowing order are those of the series below it, and the
@@ -974,8 +985,8 @@ def _cumulant_series(spec, kmax, store):
     v[0, 0] = spec.initial
     logs = []
     with np.errstate(over="ignore", invalid="ignore"):  # the check of kappa below says so
-        for series, count in runs:
-            v, terms = _scaled_mul((v, []), _series_power(store.powers(series), count, _scaled_mul))
+        for i, _, count in runs:
+            v, terms = _scaled_mul((v, []), _series_power(store.powers(series[i]), count, _scaled_mul))
             logs += terms
     kappas = [0.0] + [math.fsum(t[k] for t in logs) for k in range(1, kmax)]
     for k, kappa in enumerate(kappas, start=1):
@@ -995,32 +1006,23 @@ class _SeriesOverflow(ValueError):
 class _SeriesStore:
     """Step series and the squares `_squarings` makes of them, each built once.
 
-    A series is kept per (kernel, observable, order) and its squares per
-    series. The keys are ids of the spec's arrays; every entry holds the
-    arrays its key names, so no id is reused while the store lives. A
-    `ChainModel` owns one for all its n, so the runs of every n share one
-    series and one set of squares; the public engines take a fresh store
-    per call, and nothing outlives its owner.
+    A series is kept per (kernel, midrange-shifted observable, order),
+    keyed by the kernel's id, which its entry keeps alive, and the
+    observable's bytes; its squares are kept per series. A `ChainModel`
+    owns one store for all its n, so every n shares one series and one set
+    of squares; the public engines take a fresh store per call.
     """
 
     def __init__(self):
-        self._shifted = {}  # id(f) -> (f, f less its midrange, interned by bytes)
-        self._interned = {}
-        self._series = {}  # (id(kernel), id(shifted f), order) -> (kernel, M)
+        self._series = {}  # (id(kernel), bytes of shifted f, order) -> (kernel, M)
         self._squares = {}  # id(M) -> (squares so far, the `_squarings` still to come)
 
-    def series(self, kernel, f, kmax, step):
-        """M(z) of shape (kmax + 1, S_in, S_out) for one step; `step` names f in a refusal.
+    def series(self, kernel, g, kmax):
+        """M(z) of shape (kmax + 1, S_in, S_out) for one step of kernel K and shifted observable g.
 
         The first order whose coefficients (range/2)^k / k! overflow is refused.
         """
-        if id(f) not in self._shifted:
-            g = f - 0.5 * (float(f.max()) + float(f.min()))
-            if not np.isfinite(g).all():
-                raise ValueError("observable %d overflows when shifted by its midrange" % step)
-            self._shifted[id(f)] = f, self._interned.setdefault((g.shape, g.tobytes()), g)
-        g = self._shifted[id(f)][1]
-        key = id(kernel), id(g), kmax
+        key = id(kernel), g.tobytes(), kmax  # g has the kernel's shape
         if key not in self._series:
             coeffs = [kernel]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -1043,19 +1045,21 @@ class _SeriesStore:
             yield done[k]
 
 
-def _step_series(spec, kmax, store):
-    """(M(z), count) for each run of equal step series, M of shape (kmax + 1, S_in, S_out).
+def _series_runs(spec, kmax, store):
+    """(series, runs): each distinct step series M(z) of the chain once, and its runs (`_Plan`) merged on them.
 
-    Each observable is shifted by its midrange first: kappa_k, k >= 2, is
-    shift invariant, and the z^k coefficient stays within (range/2)^k / k!.
-    Runs of `spec.runs` whose kernel and shifted observable agree share
-    one array of `store`, and adjacent ones merge (`_merged`).
+    M has shape (kmax + 1, S_in, S_out), from `store`. Each observable is
+    shifted by its midrange first: kappa_k, k >= 2, is shift invariant,
+    and the z^k coefficient stays within (range/2)^k / k!.
     """
-    out, j = [], 0
-    for kernel, f, count in spec.runs:
-        out.append((store.series(kernel, f, kmax, j), count))
-        j += count
-    return _merged(out)
+    chain = spec._plan
+    shifted = [f - 0.5 * (float(f.max()) + float(f.min())) for f in chain.observables]
+    for g, step in zip(shifted, chain.firsts):
+        if not np.isfinite(g).all():
+            raise ValueError("observable %d overflows when shifted by its midrange" % step)
+    shifted, numbers = _numbered(shifted)
+    keys, runs = _merged([(k, numbers[f]) for k, f, _, _ in chain.runs], chain.runs)
+    return [store.series(chain.kernels[k], shifted[g], kmax) for k, g in keys], runs
 
 
 def _series_mul(a, b, op=np.matmul):
@@ -1101,21 +1105,22 @@ def variance_profile(spec):
     """Var(S_k) for k = 0..n (index 0 holds 0.0), from the order-2 series.
 
     Every prefix comes by doubling within each run of equal steps
-    (`_step_series`, `_prefix_variances`); no law is built.
+    (`_series_runs`, `_prefix_variances`); no law is built.
     """
     store = _SeriesStore()
-    return _prefix_variances(_step_series(spec, 2, store), spec.initial, store)
+    series, runs = _series_runs(spec, 2, store)
+    return _prefix_variances(series, runs, spec.initial, store)
 
 
-def _prefix_variances(runs, law, store):
+def _prefix_variances(series, runs, law, store):
     """Var of the sum over steps 0..k-1 for every k, from X_0 at `law`; index 0 holds 0.0.
 
-    `runs` holds (M(z), count) pairs of order-2 step series. Within a run
+    `series` and `runs` come from `_series_runs` at order 2. Within a run
     the rows v M^i, each divided by its total (`_order2_rows`), come by
-    doubling as in `_laws`: rows [m, 2m) are rows [0, m) times P_m,
+    doubling as in `_step_laws`: rows [m, 2m) are rows [0, m) times P_m,
     the normalized M^m of `_scaled_mul` that `store.powers` yields next. A
-    row's log terms are then those of its source row, those of P_m and
-    the one its own division adds.
+    row's log terms are then those of its source row, those of P_m and the
+    one its own division adds.
     The terms of P_m are doubled exactly and fsum'd to a pair (H, E)
     whose sum is theirs to within u^2, and each row carries its variance
     as such a pair, added to by vectorised TwoSum, so Var(S_k) keeps its
@@ -1124,19 +1129,17 @@ def _prefix_variances(runs, law, store):
     row of the block before it. A run shorter than _SHORT_RUN steps does
     not pay for its powers and is walked one step at a time (`_walk`).
     """
-    out = np.zeros(1 + sum(count for _, count in runs))
+    out = np.zeros(1 + sum(count for *_, count in runs))
     row = np.zeros((3, 1, law.size))
     row[0, 0] = law
     hi = lo = 0.0
-    k = 1
-    for series, count in runs:
+    for i, start, count in runs:
         if count < _SHORT_RUN:
-            for row, hi, lo in _walk(row, hi, lo, itertools.repeat(series, count)):
+            for k, (row, hi, lo) in enumerate(_walk(row, hi, lo, itertools.repeat(series[i], count)), start + 1):
                 out[k] = hi + lo
-                k += 1
             continue
-        cap = max(2, _ROW_FLOATS // max(series.shape[1:]))
-        powers, squares = [], store.powers(series)
+        cap = max(2, _ROW_FLOATS // max(series[i].shape[1:]))
+        powers, squares = [], store.powers(series[i])
         done = 0
         while done < count:
             size = min(cap, count - done + 1)
@@ -1159,8 +1162,7 @@ def _prefix_variances(runs, law, store):
                 los = np.concatenate([los, los[:take] + small + e1 + e2])
                 # the last level needs no sources after it
                 rows = q if his.size == size else np.concatenate([rows, q], axis=1)
-            out[k : k + size - 1] = his[1:] + los[1:]
-            k += size - 1
+            out[start + done + 1 : start + done + size] = his[1:] + los[1:]
             row, hi, lo = rows[:, -1:], float(his[-1]), float(los[-1])
             done += size - 1
     return out
@@ -1176,7 +1178,7 @@ def _walk(row, total, comp, steps):
     batch's bits (104 of 374 rows of random 5- and 17-state batches of 2
     to 32 rows differed in their last bits on one SkylakeX core): the
     blockings match `tests/reference_blocking.py` on that core, not by a
-    BLAS guarantee (ROADMAP item 4).
+    BLAS guarantee (ROADMAP item 2).
     """
     for m in steps:
         row, totals = _order2_rows(row[:, :, : m.shape[1]], m)
@@ -1354,11 +1356,12 @@ class BlockingReport:
 def variance_decomposition(spec, target=None):
     """Greedy variance blocking of `spec`; see BlockingReport.
 
-    One walk over the runs of equal order-2 step series (`_step_series`,
-    `_laws`) gives the law of each X_j and the step variances behind the
-    default target. Var(S_k) comes from the same runs (`_prefix_variances`,
-    as in `variance_profile`), the blocks from walking every candidate
-    start in lockstep (`_greedy_blocks`); no law of S_k is built.
+    One walk over the runs of equal order-2 step series (`_series_runs`),
+    with the laws of their steps (`_step_laws`), gives the law of each X_j
+    and the step variances behind the default target. Var(S_k) comes from
+    the same runs (`_prefix_variances`, as in `variance_profile`), the
+    blocks from walking every candidate start in lockstep
+    (`_greedy_blocks`); no law of S_k is built.
     """
     return _variance_decomposition(spec, target, _SeriesStore())
 
@@ -1374,25 +1377,23 @@ def _variance_decomposition(spec, target, store):
     """`variance_decomposition` with the step series and their squares taken from `store`."""
     target = _check_target(target)
     n = spec.n_steps
-    runs = _step_series(spec, 2, store)
-    laws = np.zeros((n, _max_states(spec)))
-    step_var, first = 0.0, 0
-    # m[0] is the run's kernel
-    for (m, count), run in zip(runs, _laws(spec.initial, [(m[0], count) for m, count in runs])):
-        laws[first : first + count, : m.shape[1]] = run
-        first += count
+    series, runs = _series_runs(spec, 2, store)
+    laws = _step_laws(spec._plan)
+    step_var = 0.0
+    for i, start, count in runs:
+        m, run = series[i], laws[start : start + count, : series[i].shape[1]]
         # Var f_j = E g^2 - (E g)^2 for g = f_j less its midrange, |g| <= range / 2
         spread = 2.0 * (run @ m[2].sum(axis=1)) - (run @ m[1].sum(axis=1)) ** 2
         step_var = max(step_var, float(spread.max()))
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma2 = _prefix_variances(runs, spec.initial, store)
+        sigma2 = _prefix_variances(series, runs, spec.initial, store)
     if not np.isfinite(sigma2).all():
         raise ValueError(_NOT_FINITE % (2, 2))
     if sigma2[-1] <= 0.0:
         raise ValueError("degenerate functional: Var(S_n) = 0")
     if target is None:
         target = 4.0 * step_var + 1.0
-    blocks, block_vars = _greedy_blocks(runs, laws, target)
+    blocks, block_vars = _greedy_blocks(series, runs, laws, target)
     overshoot = max([v - 2.0 * target for v in block_vars], default=0.0)
     # a_k is Var(S) at the end of the last block done by step k (sigma2[0] = 0)
     done = np.zeros(n + 1, dtype=np.int64)
@@ -1411,13 +1412,13 @@ def _variance_decomposition(spec, target, store):
     )
 
 
-def _greedy_blocks(runs, laws, target):
+def _greedy_blocks(series, runs, laws, target):
     """Greedy blocks (start, end), inclusive, and their variances.
 
-    A block starts at step 0, or right after the block before it, and
-    ends at the first step where the variance of its own sum, from
-    X_start at its law `laws[start]`, reaches `target`; a block that runs
-    off the end is dropped. `runs` are the chain's `_step_series` pairs.
+    A block starts at step 0, or right after the block before it, and ends
+    at the first step where the variance of its own sum, from X_start at
+    its law `laws[start]`, reaches `target`; a block that runs off the end
+    is dropped. `series` and `runs` come from `_series_runs` at order 2.
     Each block's variance is summed as `_walk` sums it, from `_order2_rows`
     on its row, whose last bits can depend on the batch (see `_walk`).
 
@@ -1435,9 +1436,7 @@ def _greedy_blocks(runs, laws, target):
     its row walks on alone (`_walk`), and so do the blocks after a
     block that long until one is shorter.
     """
-    series = list({id(m): m for m, _ in runs}.values())
-    index = {id(m): i for i, m in enumerate(series)}
-    code = np.repeat([index[id(m)] for m, _ in runs], [count for _, count in runs])
+    code = np.repeat([i for i, _, _ in runs], [count for _, _, count in runs])  # each step's series
     n, width = code.size, laws.shape[1]
     blocks, block_vars = [], []
     window = max(1, _LOCKSTEP_FLOATS // width)

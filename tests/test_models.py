@@ -27,7 +27,7 @@ from edgekit.models import (
     variance_profile,
 )
 from edgekit.models.markov import (
-    _common_lattice, _laws, _merged, _Moves, _order2_rows, _poly_matmul, _Power, _SeriesStore, _step_series,
+    _common_lattice, _Moves, _order2_rows, _poly_matmul, _Power, _SeriesStore, _series_runs, _step_laws,
     _sweep_plan,
 )
 from edgekit.models.piecewise import _TRIM_REL, _shift_matrix, _snap_unique
@@ -174,6 +174,16 @@ def _random_chain(seed, n=5, states=3):
     return MarkovChainSpec(initial, tuple(kernels), tuple(observables), name="random")
 
 
+def _cycle3_chain(n):
+    """Three kernels in turn, far from stationary at the start: a cycle of period 3, where flip2's is 2."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    kernels = [rng.dirichlet(np.ones(3), size=3) for _ in range(3)]
+    observables = [rng.integers(-2, 3, size=(3, 3)).astype(float) for _ in range(3)]
+    observables[0].flat[:2] = (0.0, 1.0)
+    return MarkovChainSpec([1.0, 0.0, 0.0], tuple(kernels[j % 3] for j in range(n)),
+                           tuple(observables[j % 3] for j in range(n)), name="cycle3")
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_dp_matches_enumeration(seed):
     spec = _random_chain(seed)
@@ -248,10 +258,17 @@ _LOOP_CHAINS = {
 }
 
 
+def _step_shifts(spec):
+    """The lattice step and the integer shift array of every step, one array per distinct shift, as the sweep snaps them."""
+    chain = spec._plan
+    d, _, shifts, numbers, _ = _common_lattice(chain.observables, chain.firsts)
+    return d, [shifts[numbers[f]] for _, f, _, count in chain.runs for _ in range(count)]
+
+
 @pytest.mark.parametrize("name", sorted(_LOOP_CHAINS))
 def test_grouped_dp_matches_loop(name):
     spec = _LOOP_CHAINS[name]()
-    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
+    shifts = _step_shifts(spec)[1]
     table = ref = spec.initial[:, None]
     for kernel, shift in zip(spec.kernels, shifts):
         table, ref = _Moves(kernel, shift).run(table, 1), textbook_step(ref, kernel, shift)
@@ -276,7 +293,7 @@ def test_powered_run_matches_loop(name):
     # every run raised at once, whichever route the sweep would pick:
     # stride phases, rectangular single steps, zero kernel entries
     spec = _LOOP_CHAINS[name]()
-    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
+    shifts = _step_shifts(spec)[1]
     table = ref = spec.initial[:, None]
     bound = 0.0
     for kernel, shift, length in _runs(spec, shifts):
@@ -306,13 +323,13 @@ def _price_cases():
     # elliptic2's kernel, the stride-4 kernel above and a rectangular single step
     elliptic2, rectangular = builtin_model("elliptic2").spec(1), _rectangular_chain(3, [2, 5])
     kernels = {
-        "elliptic2": (elliptic2.kernels[0], _common_lattice(elliptic2.observables, range(1))[2][0]),
+        "elliptic2": (elliptic2.kernels[0], _step_shifts(elliptic2)[1][0]),
         "stride4": (np.full((3, 3), 1.0 / 3.0), np.array([[0, 4, 8], [4, 0, 4], [8, 8, 0]])),
     }
     for columns in (1, 5, 33):
         for (name, (kernel, shifts)), length in itertools.product(kernels.items(), (1, 2, 3, 5, 7, 64, 100, 4097)):
             yield pytest.param(kernel, shifts, length, columns, id="%s-r%d-w%d" % (name, length, columns))
-        shifts = _common_lattice(rectangular.observables, range(1))[2][0]
+        shifts = _step_shifts(rectangular)[1][0]
         yield pytest.param(rectangular.kernels[0], shifts, 1, columns, id="2x5-r1-w%d" % columns)
 
 
@@ -489,7 +506,7 @@ def test_sweep_plans_keep_their_steps_and_counts(name, n):
 
 
 def _step_moves(spec):
-    shifts = _common_lattice(spec.observables, range(spec.n_steps))[2]
+    shifts = _step_shifts(spec)[1]
     return [_Moves(kernel, shift) for kernel, shift in zip(spec.kernels, shifts)]
 
 
@@ -744,6 +761,27 @@ def test_run_form_expands_to_the_steps(tmp_path):
     assert (tmp_path / "again.chain").read_bytes() == path.read_bytes()
 
 
+def test_a_chain_written_step_by_step_has_the_runs_and_bits_of_its_repeat_form(tmp_path):
+    # each [kernel.J] / [observable.J] block is read into an array of its
+    # own; runs split on content, so 512 equal blocks are one powered run
+    spec = builtin_model("elliptic2").spec(512)
+    save_chain_spec(spec, tmp_path / "repeat.chain")
+    lines = ["[initial]", " ".join("%.17g" % v for v in spec.initial)]
+    for j in range(1, 513):
+        for tag, matrix in (("kernel", spec.kernels[0]), ("observable", spec.observables[0])):
+            lines += ["[%s.%d]" % (tag, j)] + [" ".join("%.17g" % v for v in row) for row in matrix]
+    (tmp_path / "spelled.chain").write_text("\n".join(lines) + "\n")
+    spelled, repeat = (load_chain_spec(tmp_path / name) for name in ("spelled.chain", "repeat.chain"))
+    assert [count for _, _, count in spelled.runs] == [count for _, _, count in repeat.runs] == [512]
+    laws = [exact_distribution(chain) for chain in (spelled, repeat)]
+    assert laws[0].offset == laws[1].offset and laws[0].masses.tobytes() == laws[1].masses.tobytes()
+    assert cumulant_series(spelled, 8) == cumulant_series(repeat, 8)
+    blockings = [variance_decomposition(chain) for chain in (spelled, repeat)]
+    assert blockings[0].blocks == blockings[1].blocks
+    assert blockings[0].block_variances == blockings[1].block_variances
+    assert blockings[0].sigma2.tobytes() == blockings[1].sigma2.tobytes()
+
+
 def test_observables_one_apart_share_the_sweep_and_the_series():
     # under one kernel, f and f + 1 have one shift array and one
     # midrange-shifted series, so their runs merge as one shared f's do
@@ -885,9 +923,9 @@ def test_series_ignores_a_large_common_offset():
     assert _moment_route_gap(spec, cumulant_series(lifted, 8), 8) <= 1.0
 
 
-@pytest.mark.parametrize("name", ["elliptic2", "flip2", "symmetric2"])
+@pytest.mark.parametrize("name", ["elliptic2", "flip2", "symmetric2", "cycle3"])
 def test_series_order_k_does_not_depend_on_kmax(name):
-    spec = builtin_model(name).spec(100)
+    spec = _cycle3_chain(100) if name == "cycle3" else builtin_model(name).spec(100)
     full = cumulant_series(spec, 16)
     for k in range(1, 17):
         assert cumulant_series(spec, k) == full[:k]
@@ -924,6 +962,14 @@ def _alternating_fine_chain():
     return MarkovChainSpec([0.5, 0.5], (kernel,) * 512, (ones, ones * 1.000001) * 256)
 
 
+def _one_kernel_two_observables_chain():
+    # runs of 37 steps alternate observables under one kernel: the laws of
+    # X_j are doubled over the kernel's one run, not restarted per run
+    kernel = np.array([[0.8, 0.2], [0.3, 0.7]])
+    pair = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[0.0, 2.0], [1.0, 0.0]])
+    return MarkovChainSpec([0.9, 0.1], (kernel,) * 1480, tuple(pair[j // 37 % 2] for j in range(1480)))
+
+
 _BLOCKING_CASES = {
     "elliptic2": lambda: builtin_model("elliptic2").spec(1024),
     "rademacher": lambda: builtin_model("rademacher").spec(256),
@@ -936,6 +982,8 @@ _BLOCKING_CASES = {
     "random-kernels": lambda: _random_chain(11, n=300),
     "seeded-S8": lambda: _seeded_chain(8, 4, 600),
     "seeded-S32": lambda: _seeded_chain(32, 4, 200),
+    "one-kernel-two-observables": _one_kernel_two_observables_chain,
+    "cycle3": lambda: _cycle3_chain(4096),
 }
 
 
@@ -944,16 +992,17 @@ _BLOCKING_CASES = {
 def test_blocking_matches_the_per_start_walk(case, target):
     spec = _BLOCKING_CASES[case]()
     rep = variance_decomposition(spec, target=target)
-    steps = [m for m, count in _step_series(spec, 2, _SeriesStore()) for _ in range(count)]
-    # laws doubled within each run of one kernel
-    laws = [law for run in _laws(spec.initial, _merged((k, c) for k, _, c in spec.runs)) for law in run]
+    series, runs = _series_runs(spec, 2, _SeriesStore())
+    steps = [series[i] for i, _, count in runs for _ in range(count)]
+    # laws doubled within each run of one kernel, as wide as each step's kernel
+    laws = [law[: m.shape[1]] for law, m in zip(_step_laws(spec._plan), steps)]
     blocks, block_vars = reference_blocks(steps, laws, rep.target)
     assert rep.blocks == tuple(blocks) and rep.block_variances == tuple(block_vars)
     # the old blocking started each block from the marginals stepped one nu @ K at a time;
-    # the doubled laws of the seeded chains differ from those in the last bits
+    # the doubled laws of the seeded chains and of the one kernel's 1480 steps differ from those in the last bits
     old_blocks, old_vars = reference_blocks(steps, marginals(spec), rep.target)
     assert old_blocks == blocks
-    if case.startswith("seeded"):
+    if case.startswith("seeded") or case == "one-kernel-two-observables":
         assert np.all(np.abs(np.subtract(old_vars, block_vars)) <= 2 * np.spacing(old_vars))
     else:
         assert old_vars == block_vars
@@ -981,9 +1030,9 @@ def test_blocking_builds_its_step_series_once(monkeypatch):
     from edgekit.models import markov
 
     calls = []
-    step_series = markov._step_series
-    monkeypatch.setattr(markov, "_step_series",
-                        lambda spec, kmax, store: calls.append(kmax) or step_series(spec, kmax, store))
+    series_runs = markov._series_runs
+    monkeypatch.setattr(markov, "_series_runs",
+                        lambda spec, kmax, store: calls.append(kmax) or series_runs(spec, kmax, store))
     spec = _random_chain(11, n=300)
     rep = variance_decomposition(spec)
     assert calls == [2]
@@ -1090,12 +1139,11 @@ def test_exact_distribution_rejects_wrong_centering(monkeypatch):
 
     exact_means = markov._step_means
 
-    def off_by_1e6(spec, *sequences):
-        # every sequence's step-3 mean, so the origin is off whichever sequence sets it
-        out = exact_means(spec, *sequences)
-        for means in out:
-            means[3] += 1e-6
-        return out
+    def off_by_1e6(chain, g):
+        # the step-3 mean, so the origin is off
+        means = exact_means(chain, g)
+        means[3] += 1e-6
+        return means
 
     # elliptic2 is one powered run; an S = 32 chain is stepped, from one
     # end at n = 16 and from both at n = 256
@@ -1150,6 +1198,7 @@ _ORACLE_CASES = (
      for n in (1, 2, 3, 64, 4096)]
     + [("symmetric2", 8192)]
     + [(name, n) for name in ("seeded-s2-w4", "seeded-s3-w2") for n in (1, 3, 64, 4096)]
+    + [("cycle3", n) for n in (3, 64, 4096)]
 )
 
 
@@ -1158,9 +1207,11 @@ def test_exact_distribution_matches_reference_dp(name, n):
     if name.startswith("seeded"):
         states, width = (int(part[1:]) for part in name.split("-")[1:])
         spec = _seeded_chain(states, width, n)
+    elif name == "cycle3":
+        spec = _cycle3_chain(n)
     else:
         spec = builtin_model(name).spec(n)
-    d, _, shifts, _ = _common_lattice(spec.observables, range(spec.n_steps))
+    d, shifts = _step_shifts(spec)
     origin, ref = reference_law(spec, d, shifts)
     dist = exact_distribution(spec)
     lo = round((dist.offset - origin) / d)
@@ -1192,6 +1243,7 @@ def _stepped_powered_stepped(n_power, n_step):
 _SPLIT_CHAINS = {
     **{"flip2-%d" % n: (lambda n=n: builtin_model("flip2").spec(n)) for n in (2, 3, 64, 4096)},
     **{"random-%d" % n: (lambda n=n: _random_chain(11, n)) for n in (2, 3, 64, 4096)},
+    **{"cycle3-%d" % n: (lambda n=n: _cycle3_chain(n)) for n in (3, 64, 4096)},
     "chain32-256": lambda: _perfbench_chain(32, 256),
     "chain64-256": lambda: _perfbench_chain(64, 256),
     "rectangular": lambda: _rectangular_chain(3, [2, 5, 3, 4] * 30),
@@ -1214,7 +1266,7 @@ def test_two_ended_sweep_matches_reference_dp(name, monkeypatch):
     _, _, plan, back, _ = _sweep_plan(spec)
     n = spec.n_steps
     # on the short chains the join costs more than the steps it saves
-    assert bool(back) == (name not in ("flip2-2", "flip2-3", "flip2-64", "random-2", "random-3"))
+    assert bool(back) == (name not in ("flip2-2", "flip2-3", "flip2-64", "random-2", "random-3", "cycle3-3"))
     # the backward half steps transposed kernels only, never a powered run
     assert all(type(step) is _Moves for step, _ in back)
     assert sum(count for _, count in back) + sum(getattr(step, "length", count) for step, count in plan) == n
@@ -1227,7 +1279,7 @@ def test_two_ended_sweep_matches_reference_dp(name, monkeypatch):
 
     monkeypatch.setattr(markov, "_mean_tolerance", recorded)
     dist = exact_distribution(spec)
-    d, _, shifts, _ = _common_lattice(spec.observables, range(spec.n_steps))
+    d, shifts = _step_shifts(spec)
     origin, ref = reference_law(spec, d, shifts)
     lo = round((dist.offset - origin) / d)
     assert 0 <= lo and lo + dist.masses.size <= ref.size
@@ -1518,9 +1570,9 @@ def test_support_origin_is_one_rounding_of_the_step_means(case):
     name, n = case.rsplit("-", 1)
     n = int(n)
     spec = builtin_model(name).spec(n) if name == "elliptic2" else _perfbench_chain(8, n)
-    d, diffs = _common_lattice([f for _, f, _ in spec.runs], range(len(spec.runs)))[:2]
+    d, diffs = _sweep_plan(spec)[:2]
     dist = exact_distribution(spec)
-    means = markov._step_means(spec, diffs)[0]
+    means = markov._step_means(spec._plan, diffs)
     origin = -sum(Fraction(m) for m in means.tolist())
     # the offset is cell lo: one rounding of the exact sum of the step means,
     # then one more when d * lo is added
@@ -1531,7 +1583,7 @@ def test_support_origin_is_one_rounding_of_the_step_means(case):
         # a stationary start: every lattice mean is 0.4 up to the kernel's
         # binary rounding, which leaks 1.1e-17 of mass per step
         assert abs(float(origin) + 0.4 * n) <= 2 * math.ulp(0.4 * n)
-    # each mean is within (j S + 2 S + 1) u of its exact value (`_laws`),
+    # each mean is within (j S + 2 S + 1) u of its exact value (`_step_laws`),
     # far inside the n-ulp drift of a running sum
     states = max(spec.state_counts)
     if n <= 4096:
@@ -2173,7 +2225,8 @@ def test_lattice_snap_refuses_shifts_past_2_to_the_53():
         wide = np.array([[width, 0.0], [0.0, width]])
         spec = MarkovChainSpec([0.5, 0.5], (good,) * 5, (f, f, f, wide, wide))
         if ok:
-            assert _common_lattice([f, wide], [0, 3])[2][1].max() == 2**53
+            _, _, shifts, numbers, _ = _common_lattice([f, wide], [0, 3])
+            assert shifts[numbers[1]].max() == 2**53
         else:
             with pytest.raises(ValueError, match="observable 3 spans 1.8e\\+16 lattice steps of 2, past 2\\^53"):
                 exact_distribution(spec)
